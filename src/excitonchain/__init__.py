@@ -9,15 +9,14 @@ by a non-secular density-matrix solver).
 
 __version__ = "0.1.0"
 
-from .brme import Liouvillian, brme_steady_state, build_liouvillian, \
-    frequency_decompose
+from .brme import Liouvillian, brme_steady_state, build_liouvillian
 from .defaults import DEFAULTS
 from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
     FlatStep, build_channels, drude_lorentz, step_spectrum
 from .experiments import DisorderEnsembleSpec, FitResult, SweepSpec, \
     brightness_robustness, build_system, disorder_ensemble, \
-    eigenbasis_injection_sweep, fit_exponential, length_sweep, \
-    population_profile, regime_grid, solve_point
+    fit_exponential, length_sweep, population_profile, regime_grid, \
+    solve_point
 from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian, dipole_coupling, dump_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
@@ -66,7 +65,6 @@ __all__ = [
     "site_populations",
     "solve_steady_state",
     "Liouvillian",
-    "frequency_decompose",
     "build_liouvillian",
     "brme_steady_state",
     "SweepSpec",
@@ -77,7 +75,6 @@ __all__ = [
     "solve_point",
     "population_profile",
     "length_sweep",
-    "eigenbasis_injection_sweep",
     "disorder_ensemble",
     "regime_grid",
     "brightness_robustness",

@@ -35,56 +35,30 @@ from .environment import Channel
 from .pme import SteadyStateReport
 from .spectral import EigenSystem
 
-_FREQ_GROUP_TOL = 1e-9
-
 
 class BrmeError(RuntimeError):
     """Raised for dimension overflow or degenerate steady states."""
 
 
 def _eigenbasis_operator(es: EigenSystem, ch: Channel) -> np.ndarray:
+    """The channel's coupling operator, built from its site weights, in
+    the eigenbasis of ``es``."""
+    dim = es.dimension
+    op = np.zeros((dim, dim))
     if ch.eigen_target is not None:
-        dim = es.dimension
         idx = dim - 1 if ch.eigen_target == "highest" else 1
-        op = np.zeros((dim, dim))
         op[0, idx] = op[idx, 0] = 1.0
         return op
-    if ch.operator is None or ch.operator.shape != (es.dimension,) * 2:
+    w = ch.operator
+    if w is None or w.shape != (dim - 1,):
         raise BrmeError(f"{ch.kind} channel operator has wrong dimension")
-    return es.vectors.T @ ch.operator @ es.vectors
-
-
-def frequency_decompose(es: EigenSystem,
-                        channel: Channel) -> list[tuple[float, np.ndarray]]:
-    """Split a channel operator into fixed-frequency components.
-
-    Returns (omega, A(omega)) pairs in the eigenbasis, where A(omega)
-    collects the matrix elements with eps_m - eps_n = omega (grouped with
-    absolute tolerance 1e-9).  The components sum back to the full
-    operator exactly.
-    """
-    op = _eigenbasis_operator(es, channel)
-    dim = es.dimension
-    energies = es.energies
-    entries = []
-    for n in range(dim):
-        for m in range(dim):
-            if op[n, m] != 0.0:
-                entries.append((energies[m] - energies[n], n, m))
-    entries.sort(key=lambda e: e[0])
-    components: list[tuple[float, np.ndarray]] = []
-    k = 0
-    while k < len(entries):
-        omega0 = entries[k][0]
-        mat = np.zeros((dim, dim))
-        omegas = []
-        while k < len(entries) and entries[k][0] - omega0 <= _FREQ_GROUP_TOL:
-            w, n, m = entries[k]
-            mat[n, m] = op[n, m]
-            omegas.append(w)
-            k += 1
-        components.append((float(np.mean(omegas)), mat))
-    return components
+    vex = es.vectors[1:, 1:]
+    if ch.kind == "phonon":
+        sites = np.flatnonzero(w)
+        op[1:, 1:] = vex[sites].T @ (w[sites, None] * vex[sites])
+    else:
+        op[0, 1:] = op[1:, 0] = w @ vex
+    return op
 
 
 @dataclass

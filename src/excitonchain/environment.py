@@ -1,10 +1,13 @@
 """Bath spectral densities and system-environment channels.
 
-Each channel pairs a Hermitian coupling operator (in the ground + site
-basis, unit or dipole-weighted amplitudes) with a spectral density whose
-value at a transition frequency is the golden-rule rate density.  Rates
-are therefore linear in every channel's rate parameter, which enters
-exactly once as the plateau of its spectral density.
+Each channel pairs a coupling operator with a spectral density whose
+value at a transition frequency is the golden-rule rate density.  Every
+operator in the model has one of two shapes, so a channel stores only its
+site weights w (unit or dipole-weighted amplitudes): a phonon channel is
+the single-site projector diag(w), every other channel is the ground <->
+site operator sum_s w_s (|0><s| + |s><0|).  Rates are linear in every
+channel's rate parameter, which enters exactly once as the plateau of its
+spectral density.
 
 Sign convention: a transition from state m into state n is evaluated at
 omega = eps_m - eps_n, so positive frequencies correspond to energy
@@ -95,10 +98,13 @@ class FlatStep:
 class Channel:
     """One system-environment interaction.
 
-    ``operator`` is a Hermitian (dimension n_sites + 1) matrix, or None for
-    eigenbasis-targeted injection/extraction, which is resolved against the
-    eigensystem when rates are built.  ``kind`` is one of "phonon",
-    "radiative", "nonradiative", "injection", "extraction".
+    ``operator`` is the 1-D array of site weights w (length n_sites), or
+    None for eigenbasis-targeted injection/extraction, which is resolved
+    against the eigensystem when rates are built.  ``kind`` is one of
+    "phonon", "radiative", "nonradiative", "injection", "extraction" and
+    fixes how w couples: a phonon channel acts as diag(w) and must be
+    single-site; every other kind acts as the ground <-> site operator
+    sum_s w_s (|0><s| + |s><0|).
     """
 
     kind: str
@@ -151,11 +157,10 @@ class EnvironmentParams:
         return float(np.sqrt(max(delta_e**2 - self.bath_width**2, 0.0)))
 
 
-def _ground_site_operator(dim: int, amplitudes: np.ndarray) -> np.ndarray:
-    op = np.zeros((dim, dim))
-    op[0, 1:] = amplitudes
-    op[1:, 0] = amplitudes
-    return op
+def _site_weights(n_sites: int, site: int) -> np.ndarray:
+    w = np.zeros(n_sites)
+    w[site] = 1.0
+    return w
 
 
 def build_channels(geometry: Geometry, params: EnvironmentParams,
@@ -163,10 +168,11 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
                    injection_mode: str = "site") -> list[Channel]:
     """Construct the complete channel set for a geometry.
 
-    Per site: one phonon channel (Drude-Lorentz, projector operator) and one
-    non-radiative loss channel.  One collective radiative channel connects
-    the ground state to every site with unit amplitude, or three Cartesian
-    channels weighted by the dipole components when dipoles are assigned.
+    Per site: one phonon channel (Drude-Lorentz, unit weight on that site)
+    and one non-radiative loss channel to the ground state.  One collective
+    radiative channel connects the ground state to every site with unit
+    weight, or three Cartesian channels weighted by the dipole components
+    when dipoles are assigned.
     Injection channels act on every site of cell 1 with the total rate split
     evenly (rate gamma_inj / n each) so the overall excitation rate is the
     same for every cell kind; extraction channels act on every site of the
@@ -174,8 +180,8 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
 
     ``injection_mode = "eigen"`` instead returns single injection and
     extraction channels targeting the highest- and lowest-energy excited
-    eigenstates; their operators are resolved later, against the
-    diagonalized system.
+    eigenstates; their operators are None and are resolved later, against
+    the diagonalized system.
     """
     for name in ("gamma_rad", "gamma_nr", "gamma_phonon", "gamma_inj",
                  "gamma_ext"):
@@ -186,7 +192,6 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
 
     n = geometry.sites_per_cell
     ns = geometry.n_sites
-    dim = ns + 1
     peak = params.resolve_peak(delta_e)
     bath = DrudeLorentzBath(coupling=params.gamma_phonon,
                             width=params.bath_width, peak=peak,
@@ -194,33 +199,28 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
     channels: list[Channel] = []
 
     for s in range(ns):
-        op = np.zeros((dim, dim))
-        op[s + 1, s + 1] = 1.0
-        channels.append(Channel(kind="phonon", spectral=bath, operator=op,
-                                site=s))
+        channels.append(Channel(kind="phonon", spectral=bath,
+                                operator=_site_weights(ns, s), site=s))
 
     if geometry.dipoles is not None:
         for axis in range(3):
-            amps = geometry.dipoles[:, axis]
             channels.append(Channel(
                 kind="radiative",
                 spectral=FlatStep(params.gamma_rad, "up"),
-                operator=_ground_site_operator(dim, amps),
+                operator=geometry.dipoles[:, axis].copy(),
             ))
     else:
         channels.append(Channel(
             kind="radiative",
             spectral=FlatStep(params.gamma_rad, "up"),
-            operator=_ground_site_operator(dim, np.ones(ns)),
+            operator=np.ones(ns),
         ))
 
     for s in range(ns):
-        amps = np.zeros(ns)
-        amps[s] = 1.0
         channels.append(Channel(
             kind="nonradiative",
             spectral=FlatStep(params.gamma_nr, "up"),
-            operator=_ground_site_operator(dim, amps),
+            operator=_site_weights(ns, s),
             site=s,
         ))
 
@@ -234,21 +234,17 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
         return channels
 
     for s in geometry.cell_sites(1):
-        amps = np.zeros(ns)
-        amps[s] = 1.0
         channels.append(Channel(
             kind="injection",
             spectral=FlatStep(params.gamma_inj / n, "down"),
-            operator=_ground_site_operator(dim, amps),
+            operator=_site_weights(ns, s),
             site=int(s),
         ))
     for s in geometry.cell_sites(geometry.n_cells):
-        amps = np.zeros(ns)
-        amps[s] = 1.0
         channels.append(Channel(
             kind="extraction",
             spectral=FlatStep(params.gamma_ext, "up"),
-            operator=_ground_site_operator(dim, amps),
+            operator=_site_weights(ns, s),
             site=int(s),
         ))
     return channels

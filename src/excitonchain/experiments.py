@@ -15,15 +15,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .brme import build_liouvillian, brme_steady_state
+from .brme import BrmeError, build_liouvillian, brme_steady_state
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MAX_BRME_DIMENSION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, Hamiltonian, HamiltonianParams,
                           apply_disorder, build_hamiltonian)
 from .lattice import assign_dipoles, build_geometry
-from .pme import SteadyStateReport, site_populations, solve_steady_state
-from .spectral import brightness, classify_bright_dark, diagonalize, \
-    transition_matrix
+from .pme import SteadyStateError, SteadyStateReport, site_populations, \
+    solve_steady_state
+from .spectral import SpectralError, brightness, classify_bright_dark, \
+    diagonalize, transition_matrix
+
+# numerical failures a disorder realization may raise; it is recorded as
+# failed and the ensemble goes on, while any other exception propagates
+_REALIZATION_ERRORS = (SpectralError, SteadyStateError, BrmeError,
+                      np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -271,11 +277,6 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     return rows, fits
 
 
-def eigenbasis_injection_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
-    """Length sweep variant with injection/extraction in the eigenbasis."""
-    return length_sweep(replace(spec, injection_mode="eigen"))
-
-
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Stable per-grid-point seed derived from the base seed."""
     state = np.random.SeedSequence([int(base_seed), *map(int, indices)])
@@ -309,7 +310,7 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                         dipole_scheme=spec.dipole_scheme,
                         injection_mode=spec.injection_mode,
                         disorder_spec=disorder_spec)
-                except Exception as exc:
+                except _REALIZATION_ERRORS as exc:
                     return (r, None, type(exc).__name__)
                 return (r, report.current, "")
 
@@ -385,7 +386,7 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
                                 dipole_scheme=scheme,
                                 injection_mode=spec.injection_mode,
                                 disorder_spec=disorder_spec)
-                        except Exception:
+                        except _REALIZATION_ERRORS:
                             return (r, np.nan)
                         return (r, report.current)
 

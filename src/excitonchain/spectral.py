@@ -175,8 +175,7 @@ def brightness(es: EigenSystem, channels: list[Channel]) -> np.ndarray:
     total = np.zeros(es.dimension)
     for ch in radiative:
         rate = ch.spectral.rate
-        weights = ch.operator[0, 1:]
-        total[1:] += rate**2 * (amp @ weights) ** 2
+        total[1:] += rate**2 * (amp @ ch.operator) ** 2
     es.brightness = total
     return total
 
@@ -199,43 +198,38 @@ def transition_matrix(es: EigenSystem,
                       channels: list[Channel]) -> RateMatrix:
     """Build the full rate matrix from an eigensystem and a channel set.
 
-    Channels with ``eigen_target`` set couple the ground state directly to
-    the highest ("highest") or lowest ("lowest") excited eigenstate with
-    unit matrix element.
+    Phonon channels (single-site projectors) sharing a spectral density
+    are summed in one product over their sites; every other channel
+    couples the ground state to the excited states through its site
+    weights.  Channels with ``eigen_target`` set couple the ground state
+    directly to the highest ("highest") or lowest ("lowest") excited
+    eigenstate with unit matrix element.
     """
     dim = es.dimension
     energies = es.energies
     amp = es.site_amplitudes
     blocks: dict[str, np.ndarray] = {}
 
-    def block_for(kind: str) -> np.ndarray:
-        if kind not in blocks:
-            blocks[kind] = np.zeros((dim, dim))
-        return blocks[kind]
+    def weights_of(ch: Channel) -> np.ndarray:
+        if ch.operator is None or ch.operator.shape != (dim - 1,):
+            raise SpectralError(
+                f"{ch.kind} channel operator has wrong dimension")
+        return ch.operator
 
-    def generic_rates(ch: Channel) -> np.ndarray:
-        op_eig = es.vectors.T @ ch.operator @ es.vectors
-        omega = energies[None, :] - energies[:, None]
-        rates = np.asarray(ch.spectral(omega)) * op_eig**2
-        np.fill_diagonal(rates, 0.0)
-        return rates
-
-    # site-projector channels grouped by their (shared) spectral density
-    phonon_groups: dict[object, list[int]] = {}
+    phonon_groups: dict[object, list[np.ndarray]] = {}
     for ch in channels:
-        if ch.kind != "phonon":
-            continue
-        if ch.operator is None or ch.operator.shape != (dim, dim):
-            raise SpectralError("phonon channel operator has wrong dimension")
-        if ch.site is None:
-            block_for("phonon")[:, :] += generic_rates(ch)
-        else:
-            phonon_groups.setdefault(ch.spectral, []).append(ch.site)
+        if ch.kind == "phonon":
+            phonon_groups.setdefault(ch.spectral, []).append(weights_of(ch))
     if phonon_groups:
         omega_exc = energies[None, 1:] - energies[1:, None]
-        target = block_for("phonon")
-        for spectral, sites in phonon_groups.items():
-            csq = amp[:, sites] ** 2
+        target = blocks["phonon"] = np.zeros((dim, dim))
+        for spectral, rows in phonon_groups.items():
+            weights = np.array(rows)
+            if np.any(np.count_nonzero(weights, axis=1) != 1):
+                raise SpectralError("phonon channel must act on a single site")
+            group, sites = np.nonzero(weights)
+            # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
+            csq = amp[:, sites] ** 2 * np.abs(weights[group, sites])
             overlap = csq @ csq.T
             rates = spectral(omega_exc) * overlap
             np.fill_diagonal(rates, 0.0)
@@ -246,21 +240,16 @@ def transition_matrix(es: EigenSystem,
     for ch in channels:
         if ch.kind == "phonon":
             continue
-        target = block_for(ch.kind)
+        if ch.kind not in blocks:
+            blocks[ch.kind] = np.zeros((dim, dim))
+        target = blocks[ch.kind]
         if ch.eigen_target is not None:
             idx = dim - 1 if ch.eigen_target == "highest" else 1
             omega_down = energies[idx] - energies[0]
             target[0, idx] += float(ch.spectral(omega_down))
             target[idx, 0] += float(ch.spectral(-omega_down))
             continue
-        if ch.operator is None or ch.operator.shape != (dim, dim):
-            raise SpectralError(
-                f"{ch.kind} channel operator has wrong dimension")
-        if np.any(ch.operator[1:, 1:]):
-            target += generic_rates(ch)
-            continue
-        weights = ch.operator[0, 1:]
-        alpha_sq = (amp @ weights) ** 2
+        alpha_sq = (amp @ weights_of(ch)) ** 2
         target[0, 1:] += np.asarray(ch.spectral(omega_from_excited)) * alpha_sq
         target[1:, 0] += np.asarray(ch.spectral(omega_into_excited)) * alpha_sq
 

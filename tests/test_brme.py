@@ -1,26 +1,66 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from excitonchain.brme import (BrmeError, brme_steady_state,
-                               build_liouvillian, frequency_decompose)
+from excitonchain.brme import (BrmeError, _eigenbasis_operator,
+                               brme_steady_state, build_liouvillian)
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
-from excitonchain.lattice import build_geometry
+from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import solve_steady_state
-from excitonchain.spectral import diagonalize, transition_matrix
+from excitonchain.spectral import SpectralError, diagonalize, \
+    transition_matrix
+
+FREQ_GROUP_TOL = 1e-9
 
 
-def make_system(kind, n_cells, jb=1.0, env=None, injection_mode="site"):
+def make_system(kind, n_cells, jb=1.0, env=None, injection_mode="site",
+                dipole_scheme=None):
     geo = build_geometry(kind, n_cells)
-    h = build_hamiltonian(geo, HamiltonianParams(jb=jb))
+    if dipole_scheme is not None:
+        geo = assign_dipoles(geo, dipole_scheme)
+    h = build_hamiltonian(geo, HamiltonianParams(
+        jb=jb, dipole_mode=dipole_scheme is not None))
     es = diagonalize(h)
     channels = build_channels(geo, env or EnvironmentParams(),
                               injection_mode=injection_mode)
     return es, channels
 
 
-def brute_force_liouvillian(es, channels):
+def frequency_decompose(es, op):
+    """Split an eigenbasis operator into fixed-frequency components.
+
+    Returns (omega, A(omega)) pairs, where A(omega) collects the matrix
+    elements with eps_m - eps_n = omega (grouped with absolute tolerance
+    ``FREQ_GROUP_TOL``).  The components sum back to the full operator
+    exactly.
+    """
+    dim = es.dimension
+    energies = es.energies
+    entries = []
+    for n in range(dim):
+        for m in range(dim):
+            if op[n, m] != 0.0:
+                entries.append((energies[m] - energies[n], n, m))
+    entries.sort(key=lambda e: e[0])
+    components = []
+    k = 0
+    while k < len(entries):
+        omega0 = entries[k][0]
+        mat = np.zeros((dim, dim))
+        omegas = []
+        while k < len(entries) and entries[k][0] - omega0 <= FREQ_GROUP_TOL:
+            w, n, m = entries[k]
+            mat[n, m] = op[n, m]
+            omegas.append(w)
+            k += 1
+        components.append((float(np.mean(omegas)), mat))
+    return components
+
+
+def brute_force_liouvillian(es, channels, eigenbasis_operator):
     """Direct evaluation of the dissipator from its frequency components.
 
     Loops over every (omega, omega') pair explicitly, which is the written
@@ -33,7 +73,7 @@ def brute_force_liouvillian(es, channels):
     liouv = -1j * (np.kron(np.diag(energies), eye)
                    - np.kron(eye, np.diag(energies))).astype(complex)
     for ch in channels:
-        comps = frequency_decompose(es, ch)
+        comps = frequency_decompose(es, eigenbasis_operator(es, ch))
         for w, a_w in comps:
             s_w = float(ch.spectral(w))
             if s_w == 0.0:
@@ -47,46 +87,55 @@ def brute_force_liouvillian(es, channels):
     return liouv
 
 
-def test_frequency_components_recover_the_operator():
+def test_frequency_components_recover_the_operator(eigenbasis_operator):
+    # the components of the densely rebuilt operator sum back to the one
+    # the solver builds from the site weights
     es, channels = make_system("dimer", 2)
     for ch in channels:
-        comps = frequency_decompose(es, ch)
+        comps = frequency_decompose(es, eigenbasis_operator(es, ch))
         total = sum(mat for _w, mat in comps)
-        expected = es.vectors.T @ ch.operator @ es.vectors
+        expected = _eigenbasis_operator(es, ch)
         assert np.abs(total - expected).max() < 1e-12
 
 
-def test_site_projector_frequencies_two_level():
+def test_site_projector_frequencies_two_level(eigenbasis_operator):
     es, channels = make_system("mono", 2)
     projector = next(c for c in channels if c.kind == "phonon")
-    comps = frequency_decompose(es, projector)
+    comps = frequency_decompose(es, eigenbasis_operator(es, projector))
     gap = es.energies[2] - es.energies[1]
     freqs = sorted(w for w, _ in comps)
     np.testing.assert_allclose(freqs, [-gap, 0.0, gap], atol=1e-9)
 
 
-def test_frequency_count_matches_pairwise_enumeration():
+def test_frequency_count_matches_pairwise_enumeration(eigenbasis_operator):
     es, channels = make_system("mono", 3)
     projector = next(c for c in channels if c.kind == "phonon")
-    comps = frequency_decompose(es, projector)
+    comps = frequency_decompose(es, eigenbasis_operator(es, projector))
     # brute force: distinct pairwise differences of the excited energies
     eps = es.excited_energies
     diffs = {round(float(b - a), 9) for a in eps for b in eps}
     assert len(comps) == len(diffs)
 
 
-def test_fast_builder_matches_brute_force_definition():
-    es, channels = make_system("dimer", 2, jb=2.0,
-                               env=EnvironmentParams(gamma_nr=0.004))
+@pytest.mark.parametrize("kind,n_cells,jb,options", [
+    ("dimer", 2, 2.0, {"env": EnvironmentParams(gamma_nr=0.004)}),
+    ("mono", 3, 1.0, {"injection_mode": "eigen"}),
+    ("dimer", 2, 2.0, {"dipole_scheme": "transport"}),
+], ids=["site", "eigen", "dipoles"])
+def test_fast_builder_matches_brute_force(kind, n_cells, jb, options,
+                                          eigenbasis_operator):
+    es, channels = make_system(kind, n_cells, jb=jb, **options)
     fast = build_liouvillian(es, channels).matrix
-    brute = brute_force_liouvillian(es, channels)
+    brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
     assert np.abs(fast - brute).max() < 1e-12
 
 
-def test_fast_builder_matches_brute_force_eigen_mode():
-    es, channels = make_system("mono", 3, injection_mode="eigen")
-    fast = build_liouvillian(es, channels).matrix
-    brute = brute_force_liouvillian(es, channels)
+def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
+    es, channels = make_system("dimer", 2, jb=2.0)
+    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
+                for ch in channels]
+    fast = build_liouvillian(es, weighted).matrix
+    brute = brute_force_liouvillian(es, weighted, eigenbasis_operator)
     assert np.abs(fast - brute).max() < 1e-12
 
 
@@ -188,9 +237,14 @@ def test_eigen_mode_current_uses_the_target_state():
     assert report.current == pytest.approx(expected, rel=1e-12)
 
 
-def test_operator_dimension_validation():
+@pytest.mark.parametrize("build,error", [
+    (transition_matrix, SpectralError),
+    (build_liouvillian, BrmeError),
+], ids=["transition_matrix", "build_liouvillian"])
+def test_operator_dimension_validation(build, error):
     es, _ = make_system("mono", 2)
+    # a dense (dim x dim) matrix is not a vector of the two site weights
     bad = Channel(kind="radiative", spectral=FlatStep(0.01, "up"),
-                  operator=np.zeros((2, 2)))
-    with pytest.raises(BrmeError, match="dimension"):
-        build_liouvillian(es, [bad])
+                  operator=np.zeros((3, 3)))
+    with pytest.raises(error, match="dimension"):
+        build(es, [bad])

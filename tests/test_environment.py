@@ -109,9 +109,22 @@ def test_channel_census_for_prism():
 
 
 def test_all_operators_hermitian():
+    # diag(w) and the ground <-> site operator are Hermitian exactly when
+    # the site weights w are real
     geo = build_geometry("cuboid", 2)
     for ch in build_channels(geo, EnvironmentParams()):
-        assert np.array_equal(ch.operator, ch.operator.T)
+        assert ch.operator.shape == (geo.n_sites,)
+        assert np.isrealobj(ch.operator)
+
+
+def test_operators_are_site_weight_vectors():
+    geo = build_geometry("cuboid", 2)
+    unit = np.eye(geo.n_sites)
+    for ch in build_channels(geo, EnvironmentParams()):
+        if ch.kind == "radiative":
+            np.testing.assert_array_equal(ch.operator, np.ones(geo.n_sites))
+        else:
+            np.testing.assert_array_equal(ch.operator, unit[ch.site])
 
 
 def test_phonon_operators_are_site_projectors():
@@ -119,8 +132,8 @@ def test_phonon_operators_are_site_projectors():
     channels = [c for c in build_channels(geo, EnvironmentParams())
                 if c.kind == "phonon"]
     for ch in channels:
-        expected = np.zeros((5, 5))
-        expected[ch.site + 1, ch.site + 1] = 1.0
+        expected = np.zeros(4)
+        expected[ch.site] = 1.0
         assert np.array_equal(ch.operator, expected)
 
 
@@ -138,7 +151,7 @@ def test_dipole_mode_splits_radiative_into_cartesian_channels():
     channels = build_channels(geo, EnvironmentParams())
     rad = [c for c in channels if c.kind == "radiative"]
     assert len(rad) == 3
-    amps = np.stack([c.operator[0, 1:] for c in rad])
+    amps = np.stack([c.operator for c in rad])
     np.testing.assert_allclose(amps, [[1, 0], [0, 1], [0, 0]], atol=1e-15)
 
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from excitonchain import experiments
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
                                       brightness_robustness, derive_seed,
-                                      disorder_ensemble,
-                                      eigenbasis_injection_sweep,
-                                      fit_exponential, length_sweep,
-                                      population_profile, regime_grid,
-                                      solve_point)
+                                      disorder_ensemble, fit_exponential,
+                                      length_sweep, population_profile,
+                                      regime_grid, solve_point)
 from excitonchain.hamiltonian import HamiltonianParams
+from excitonchain.pme import SteadyStateError
 
 HAM = HamiltonianParams()
 ENV = EnvironmentParams()
@@ -187,13 +187,43 @@ def test_regime_grid_layout():
     assert {r["gamma_nr"] for r in rows} == {0.001, 0.01}
 
 
+def test_ensembles_count_solver_failures_and_propagate_bugs(monkeypatch):
+    clean_solve = experiments.solve_point
+    spec = small_spec(n_cells_values=(3,),
+                      disorder=DisorderEnsembleSpec(sigma=0.9,
+                                                    n_realizations=2))
+
+    def failing_realizations(error):
+        def solve(*args, disorder_spec=None, **kwargs):
+            if disorder_spec is not None:
+                raise error("injected")
+            return clean_solve(*args, **kwargs)
+        monkeypatch.setattr(experiments, "solve_point", solve)
+
+    # a programming error inside a realization is not a failed solve
+    failing_realizations(TypeError)
+    with pytest.raises(TypeError, match="injected"):
+        disorder_ensemble(spec)
+    with pytest.raises(TypeError, match="injected"):
+        regime_grid(spec, gamma_nr_factors=(1.0,))
+    # a numerical failure is counted and the ensemble goes on
+    failing_realizations(SteadyStateError)
+    stats, raw = disorder_ensemble(spec)
+    assert stats[0]["n_failed"] == 2
+    assert [r["error"] for r in raw] == ["SteadyStateError"] * 2
+    rows = regime_grid(spec, gamma_nr_factors=(1.0,))
+    disordered = [r["current"] for r in rows if r["realization"] >= 0]
+    assert len(disordered) == 4 and np.all(np.isnan(disordered))
+
+
 def test_eigen_injection_single_cell_edge_case():
     report = solve_point("mono", 1, 1.0, HAM, ENV, injection_mode="eigen")
     assert np.isfinite(report.current) and report.current > 0
 
 
 def test_eigen_injection_sweep_schema():
-    rows, fits = eigenbasis_injection_sweep(small_spec(fit_min_cells=2))
+    rows, fits = length_sweep(small_spec(fit_min_cells=2,
+                                         injection_mode="eigen"))
     assert len(rows) == 4
     assert len(fits) == 1
 

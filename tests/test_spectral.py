@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,24 +29,23 @@ def make_system(kind, n_cells, jb=1.0, dipoles=None, injection_mode="site",
     return es, channels
 
 
-def brute_force_rates(es, channels):
-    """Straight evaluation of the golden-rule formula, channel by channel."""
+def brute_force_rates(es, channels, eigenbasis_operator):
+    """Straight evaluation of the golden-rule formula, channel by channel.
+
+    Returns the rate blocks by channel kind.
+    """
     dim = es.dimension
     energies = es.energies
-    w = np.zeros((dim, dim))
+    blocks = {}
     for ch in channels:
-        if ch.eigen_target is not None:
-            idx = dim - 1 if ch.eigen_target == "highest" else 1
-            w[idx, 0] += ch.spectral(energies[0] - energies[idx])
-            w[0, idx] += ch.spectral(energies[idx] - energies[0])
-            continue
-        op = es.vectors.T @ ch.operator @ es.vectors
+        op = eigenbasis_operator(es, ch)
+        w = blocks.setdefault(ch.kind, np.zeros((dim, dim)))
         for n in range(dim):
             for m in range(dim):
                 if n == m:
                     continue
                 w[n, m] += ch.spectral(energies[m] - energies[n]) * op[n, m]**2
-    return w
+    return blocks
 
 
 def test_dimer_single_cell_splitting_and_brightness():
@@ -146,25 +147,41 @@ def test_rejects_asymmetric_and_overlapping_spectra():
         make_system("mono", 3, e0=1.0, eg=5.0)
 
 
-def test_transition_matrix_matches_brute_force():
-    es, channels = make_system("prism", 2, jb=4.0,
-                               env=EnvironmentParams(gamma_nr=0.003))
+@pytest.mark.parametrize("kind,n_cells,jb,options", [
+    ("prism", 2, 4.0, {"env": EnvironmentParams(gamma_nr=0.003)}),
+    ("dimer", 3, 2.0, {"injection_mode": "eigen"}),
+    ("prism", 2, 4.0, {"dipoles": "transport"}),
+], ids=["site", "eigen", "dipoles"])
+def test_transition_matrix_matches_brute_force(kind, n_cells, jb, options,
+                                               eigenbasis_operator):
+    es, channels = make_system(kind, n_cells, jb=jb, **options)
     rates = transition_matrix(es, channels)
-    expected = brute_force_rates(es, channels)
-    np.testing.assert_allclose(rates.w, expected, atol=1e-16, rtol=1e-12)
+    expected = brute_force_rates(es, channels, eigenbasis_operator)
+    np.testing.assert_allclose(rates.w, sum(expected.values()), atol=1e-16,
+                               rtol=1e-12)
+    assert rates.blocks.keys() == expected.keys()
+    for kind_name, block in expected.items():
+        np.testing.assert_allclose(rates.blocks[kind_name], block,
+                                   atol=1e-16, rtol=1e-12)
     total = sum(rates.blocks.values())
     np.testing.assert_allclose(rates.w, total, atol=0)
 
 
-def test_transition_matrix_matches_brute_force_eigen_mode():
-    es, channels = make_system("dimer", 3, jb=2.0, injection_mode="eigen")
-    rates = transition_matrix(es, channels)
-    expected = brute_force_rates(es, channels)
-    np.testing.assert_allclose(rates.w, expected, atol=1e-16, rtol=1e-12)
-    assert rates.blocks["injection"][es.dimension - 1, 0] == pytest.approx(
-        EnvironmentParams().gamma_inj)
-    assert rates.blocks["extraction"][0, 1] == pytest.approx(
-        EnvironmentParams().gamma_ext)
+def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
+    es, channels = make_system("prism", 2, jb=4.0)
+    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
+                for ch in channels]
+    rates = transition_matrix(es, weighted)
+    expected = brute_force_rates(es, weighted, eigenbasis_operator)
+    np.testing.assert_allclose(rates.w, sum(expected.values()), atol=1e-16,
+                               rtol=1e-12)
+
+
+def test_phonon_channel_must_act_on_a_single_site():
+    es, channels = make_system("mono", 2)
+    spread = replace(channels[0], operator=np.ones(2))
+    with pytest.raises(SpectralError, match="single site"):
+        transition_matrix(es, [spread])
 
 
 def test_phonon_detailed_balance_on_the_built_matrix():
