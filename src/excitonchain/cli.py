@@ -22,8 +22,7 @@ from pathlib import Path
 from . import __version__
 from ._io import write_csv, write_json
 from .brme import brme_steady_state, build_liouvillian
-from .defaults import DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS, \
-    MAX_BRME_DIMENSION
+from .defaults import DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS
 from .environment import EnvironmentParams
 from .experiments import DisorderEnsembleSpec, SweepSpec, build_system, \
     disorder_ensemble, length_sweep, regime_grid
@@ -70,7 +69,6 @@ class RunConfig:
     dark_threshold: float = DARK_THRESHOLD
     fit_min_cells: int = FIT_MIN_CELLS
     brme_max_cells: int = 20
-    brme_max_dimension: int = MAX_BRME_DIMENSION
     keep_raw: bool = True
 
     def ham_params(self) -> HamiltonianParams:
@@ -262,9 +260,7 @@ def _cmd_steady(config: RunConfig, out: Path) -> None:
         config.env_params(), dipole_scheme=config.dipole_scheme(),
         injection_mode=config.injection_mode)
     if config.method == "brme":
-        liouv = build_liouvillian(es, channels,
-                                  max_dimension=config.brme_max_dimension)
-        report = brme_steady_state(liouv)
+        report = brme_steady_state(build_liouvillian(es, channels))
     else:
         report = solve_steady_state(transition_matrix(es, channels))
     payload = report.to_json_dict()

@@ -25,8 +25,3 @@ DARK_THRESHOLD = 1e-6
 # boundary dominated: the upper eigenstate band still reaches the extraction
 # cell, which inflates fitted decay exponents well above the asymptotic value.
 FIT_MIN_CELLS = 6
-
-# Largest Hilbert-space dimension (sites + ground) accepted by the
-# density-matrix solver; the superoperator memory and solve cost scale as
-# the fourth power (61 covers a 20-cell triangular-prism chain).
-MAX_BRME_DIMENSION = 61

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .brme import BrmeError, build_liouvillian, brme_steady_state
-from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MAX_BRME_DIMENSION
+from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, Hamiltonian, HamiltonianParams,
                           apply_disorder, build_hamiltonian)
@@ -160,17 +160,13 @@ def solve_point(kind: str, n_cells: int, jb: float,
                 dipole_scheme: str | None = None,
                 injection_mode: str = "site",
                 disorder_spec: DisorderSpec | None = None,
-                method: str = "pme",
-                brme_max_dimension: int = MAX_BRME_DIMENSION
-                ) -> SteadyStateReport:
+                method: str = "pme") -> SteadyStateReport:
     """Solve one steady state with either solver."""
     _, _, es, channels = build_system(
         kind, n_cells, jb, ham, env, dipole_scheme=dipole_scheme,
         injection_mode=injection_mode, disorder_spec=disorder_spec)
     if method == "brme":
-        liouv = build_liouvillian(es, channels,
-                                  max_dimension=brme_max_dimension)
-        return brme_steady_state(liouv)
+        return brme_steady_state(build_liouvillian(es, channels))
     rates = transition_matrix(es, channels)
     return solve_steady_state(rates)
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from excitonchain.brme import (BrmeError, _eigenbasis_operator,
-                               brme_steady_state, build_liouvillian)
+from excitonchain import brme
+from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
@@ -89,12 +89,16 @@ def brute_force_liouvillian(es, channels, eigenbasis_operator):
 
 def test_frequency_components_recover_the_operator(eigenbasis_operator):
     # the components of the densely rebuilt operator sum back to the one
-    # the solver builds from the site weights
+    # the solver's coupling vectors stand for (unit weights: u u^T for a
+    # phonon channel, e0 a^T + a e0^T otherwise)
     es, channels = make_system("dimer", 2)
-    for ch in channels:
+    vectors = build_liouvillian(es, channels).matrix
+    e0 = np.eye(es.dimension)[0]
+    for ch, vec in zip(channels, vectors):
         comps = frequency_decompose(es, eigenbasis_operator(es, ch))
         total = sum(mat for _w, mat in comps)
-        expected = _eigenbasis_operator(es, ch)
+        expected = (np.outer(vec, vec) if ch.kind == "phonon"
+                    else np.outer(e0, vec) + np.outer(vec, e0))
         assert np.abs(total - expected).max() < 1e-12
 
 
@@ -117,45 +121,88 @@ def test_frequency_count_matches_pairwise_enumeration(eigenbasis_operator):
     assert len(comps) == len(diffs)
 
 
-@pytest.mark.parametrize("kind,n_cells,jb,options", [
+# small systems (dim <= 16) with every channel shape: site, eigenbasis
+# targets and dipole-weighted radiative channels
+BRUTE_FORCE_CASES = pytest.mark.parametrize("kind,n_cells,jb,options", [
     ("dimer", 2, 2.0, {"env": EnvironmentParams(gamma_nr=0.004)}),
     ("mono", 3, 1.0, {"injection_mode": "eigen"}),
     ("dimer", 2, 2.0, {"dipole_scheme": "transport"}),
 ], ids=["site", "eigen", "dipoles"])
+
+
+def random_complex(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def assert_apply_matches(liouv, brute, rng):
+    for _ in range(5):
+        rho = random_complex(rng, liouv.dimension)
+        drho = liouv.apply(rho).reshape(-1)
+        assert np.abs(drho - brute @ rho.reshape(-1)).max() < 1e-12
+
+
+def dense_ground_flux(es, ch, rho, eigenbasis_operator):
+    """Net flow into the ground state through one channel, from the
+    dissipator's [0, 0] element with dense operators."""
+    a = eigenbasis_operator(es, ch)
+    energies = es.energies
+    g = ch.spectral(energies[None, :] - energies[:, None]) * a
+    gain = g @ rho @ a + a @ rho @ g.T
+    loss = a @ g @ rho + rho @ g.T @ a
+    return float(np.real(gain - loss)[0, 0] / 2)
+
+
+@BRUTE_FORCE_CASES
 def test_fast_builder_matches_brute_force(kind, n_cells, jb, options,
-                                          eigenbasis_operator):
+                                          eigenbasis_operator, rng):
     es, channels = make_system(kind, n_cells, jb=jb, **options)
-    fast = build_liouvillian(es, channels).matrix
     brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
-    assert np.abs(fast - brute).max() < 1e-12
+    assert_apply_matches(build_liouvillian(es, channels), brute, rng)
+
+
+@BRUTE_FORCE_CASES
+def test_krylov_solve_matches_a_dense_solve(kind, n_cells, jb, options,
+                                            eigenbasis_operator):
+    es, channels = make_system(kind, n_cells, jb=jb, **options)
+    dim = es.dimension
+    # bordered LU solve of the brute-force matrix:
+    # L(rho) + |0><0| tr(rho) = |0><0|
+    bordered = brute_force_liouvillian(es, channels, eigenbasis_operator)
+    bordered[0, :: dim + 1] += 1.0
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    rho = np.linalg.solve(bordered, rhs).reshape(dim, dim)
+    expected = sum(dense_ground_flux(es, ch, rho, eigenbasis_operator)
+                   for ch in channels if ch.kind == "extraction")
+    report = brme_steady_state(build_liouvillian(es, channels))
+    assert report.extras["krylov_iterations"] > 0
+    assert report.current == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
     es, channels = make_system("dimer", 2, jb=2.0)
     weighted = [replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
                 for ch in channels]
-    fast = build_liouvillian(es, weighted).matrix
     brute = brute_force_liouvillian(es, weighted, eigenbasis_operator)
-    assert np.abs(fast - brute).max() < 1e-12
+    assert_apply_matches(build_liouvillian(es, weighted), brute, rng)
 
 
 def test_trace_is_a_left_null_vector():
     es, channels = make_system("prism", 5, jb=10.0)
     liouv = build_liouvillian(es, channels)
     dim = es.dimension
-    trace_row = np.zeros(dim * dim)
-    trace_row[:: dim + 1] = 1.0
-    assert np.abs(trace_row @ liouv.matrix).max() < 1e-10
+    for k in range(dim * dim):
+        basis = np.zeros((dim, dim))
+        basis.flat[k] = 1.0
+        assert abs(np.trace(liouv.apply(basis))) < 1e-10
 
 
 def test_hermiticity_is_preserved(rng):
     es, channels = make_system("dimer", 3, jb=1.0)
     liouv = build_liouvillian(es, channels)
-    dim = es.dimension
     for _ in range(5):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = raw + raw.conj().T
-        drho = (liouv.matrix @ rho.reshape(-1)).reshape(dim, dim)
+        raw = random_complex(rng, es.dimension)
+        drho = liouv.apply(raw + raw.conj().T)
         assert np.abs(drho - drho.conj().T).max() < 1e-10
 
 
@@ -166,13 +213,26 @@ def test_zero_channels_leave_a_degenerate_null_space():
         brme_steady_state(liouv)
 
 
-def test_dimension_guard():
+def test_unconverged_krylov_solve_raises(monkeypatch):
+    es, channels = make_system("mono", 3)
+
+    def stalled(_op, rhs, **_kwargs):
+        return np.zeros_like(rhs), 200
+
+    monkeypatch.setattr(brme, "gmres", stalled)
+    with pytest.raises(BrmeError, match="converge"):
+        brme_steady_state(build_liouvillian(es, channels))
+
+
+def test_prism_25_solves_with_balanced_flux():
+    # dim 76, above the largest system of the criterion-7 grid (61)
     es, channels = make_system("prism", 25, jb=10.0)
-    with pytest.raises(BrmeError, match="cap"):
-        build_liouvillian(es, channels)
-    # explicit override lifts the refusal
-    liouv = build_liouvillian(es, channels, max_dimension=80)
-    assert liouv.matrix.shape == (76 * 76, 76 * 76)
+    assert es.dimension == 76
+    report = brme_steady_state(build_liouvillian(es, channels))
+    outgoing = (report.fluxes["extraction"] + report.fluxes["radiative"]
+                + report.fluxes["nonradiative"])
+    assert outgoing == pytest.approx(report.fluxes["injection"], rel=1e-10,
+                                     abs=0)
 
 
 def test_radiative_only_decays_to_the_ground_projector():
@@ -203,7 +263,7 @@ def test_current_agrees_with_site_population_formula():
     gamma_ext = EnvironmentParams().gamma_ext
     last = geo.cell_sites(geo.n_cells)
     expected = gamma_ext * np.trace(rho_sites[np.ix_(last, last)]).real
-    assert report.current == pytest.approx(expected, rel=1e-12)
+    assert report.current == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_flux_conservation_in_the_density_matrix_solver():
@@ -212,7 +272,8 @@ def test_flux_conservation_in_the_density_matrix_solver():
     report = brme_steady_state(build_liouvillian(es, channels))
     outgoing = (report.fluxes["extraction"] + report.fluxes["radiative"]
                 + report.fluxes["nonradiative"])
-    assert outgoing == pytest.approx(report.fluxes["injection"], rel=1e-10)
+    assert outgoing == pytest.approx(report.fluxes["injection"], rel=1e-10,
+                                     abs=0)
 
 
 @pytest.mark.parametrize("kind,n_cells,jb", [
@@ -234,7 +295,7 @@ def test_eigen_mode_current_uses_the_target_state():
     report = brme_steady_state(build_liouvillian(es, channels))
     gamma_ext = EnvironmentParams().gamma_ext
     expected = gamma_ext * report.density_matrix[1, 1].real
-    assert report.current == pytest.approx(expected, rel=1e-12)
+    assert report.current == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("build,error", [

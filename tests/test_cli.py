@@ -28,6 +28,17 @@ def test_steady_writes_report_with_embedded_parameters(tmp_path):
                      "extraction"}
 
 
+def test_steady_brme_reports_krylov_diagnostics(tmp_path):
+    # prism N=25: dim 76, above the largest brme-check system (61)
+    run_ok(["steady", "--geometry", "prism", "--n-cells", "25",
+            "--method", "brme", "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "steady_state.json").read_text())
+    assert payload["method"] == "brme"
+    assert payload["krylov_iterations"] > 0
+    assert 0 < payload["initial_residual"] < 1e-3
+    assert "brme_max_dimension" not in payload["parameters"]
+
+
 def test_eigen_export_row_counts(tmp_path):
     run_ok(["eigen", "--geometry", "dimer", "--n-cells", "10", "--jb", "1",
             "--out", str(tmp_path)])
