@@ -15,41 +15,55 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from ._io import write_csv, write_json
-from .brme import brme_steady_state, build_liouvillian
 from .defaults import DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS
 from .environment import EnvironmentParams
-from .experiments import DisorderEnsembleSpec, SweepSpec, build_system, \
-    disorder_ensemble, length_sweep, regime_grid
+from .experiments import DisorderEnsembleSpec, SweepSpec, _solve_system, \
+    build_system, disorder_ensemble, length_sweep, regime_grid
 from .hamiltonian import HamiltonianParams
-from .pme import solve_steady_state
-from .spectral import brightness, classify_bright_dark, \
-    eigenstructure_tables, transition_matrix
+from .spectral import brightness, classify_bright_dark, eigenstructure_tables
 
-COMMANDS = ("eigen", "steady", "length-sweep", "jb-sweep", "disorder",
-            "regime-grid", "brme-check", "eigeninj-sweep")
+
+def _setting(default=None, *, factory=None, **metadata):
+    """A RunConfig field whose metadata holds its flag's help and choices."""
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters for one CLI command."""
+    """Fully resolved run parameters for one CLI command.
+
+    Every field but ``command`` is also a flag (``n_cells`` is
+    ``--n-cells``) and a config-file key; its annotation picks the parser.
+    """
 
     command: str = ""
-    out: str = "."
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
-    seed: int = 0
-    geometry: str = "mono"
-    geometries: list[str] = field(default_factory=lambda: ["mono"])
-    n_cells: int = 20
-    n_min: int = 2
-    n_max: int = 40
-    jb: float = DEFAULTS["jb"]
-    jb_values: list[float] = field(default_factory=lambda: [0.1, 1.0, 10.0])
+    out: str = _setting(".", metavar="DIR",
+                        help="output directory (default: current)")
+    jobs: int = _setting(factory=lambda: os.cpu_count() or 1,
+                         help="parallel workers for grids and ensembles")
+    seed: int = _setting(0, help="base seed for disorder ensembles")
+    geometry: str = _setting(
+        "mono", help="cell kind: mono, dimer, trimer, prism, cuboid")
+    geometries: list[str] = _setting(factory=lambda: ["mono"],
+                                     metavar="A,B,...",
+                                     help="cell kinds for sweep grids")
+    n_cells: int = _setting(20, help="chain length for single-point commands")
+    n_min: int = _setting(2, help="smallest chain length in sweeps")
+    n_max: int = _setting(40, help="largest chain length in sweeps")
+    jb: float = _setting(DEFAULTS["jb"],
+                         help="intra-cell coupling for single-point commands")
+    jb_values: list[float] = _setting(factory=lambda: [0.1, 1.0, 10.0],
+                                      metavar="X,Y,...",
+                                      help="couplings for sweep grids")
     delta_e: float = DEFAULTS["delta_e"]
     e0: float = DEFAULTS["e0"]
     eg: float = DEFAULTS["eg"]
@@ -61,9 +75,9 @@ class RunConfig:
     temperature: float = DEFAULTS["temperature"]
     bath_width: float = DEFAULTS["bath_width"]
     bath_peak: float | None = None
-    dipoles: str = "none"
-    injection_mode: str = "site"
-    method: str = "pme"
+    dipoles: str = _setting("none", choices=["none", "transport"])
+    injection_mode: str = _setting("site", choices=["site", "eigen"])
+    method: str = _setting("pme", choices=["pme", "brme", "both"])
     sigma: float = 0.9
     n_realizations: int = 100
     dark_threshold: float = DARK_THRESHOLD
@@ -86,14 +100,12 @@ class RunConfig:
     def dipole_scheme(self) -> str | None:
         return None if self.dipoles == "none" else self.dipoles
 
-    def sweep_spec(self, n_cells_values=None, jb_values=None,
-                   method=None) -> SweepSpec:
+    def sweep_spec(self, n_cells_values=None, method=None) -> SweepSpec:
         return SweepSpec(
             geometries=tuple(self.geometries),
             n_cells_values=tuple(n_cells_values if n_cells_values is not None
                                  else range(self.n_min, self.n_max + 1)),
-            jb_values=tuple(jb_values if jb_values is not None
-                            else self.jb_values),
+            jb_values=tuple(self.jb_values),
             ham=self.ham_params(),
             env=self.env_params(),
             dipole_scheme=self.dipole_scheme(),
@@ -109,33 +121,39 @@ class RunConfig:
             jobs=self.jobs,
         )
 
-    def to_json_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
 
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "out"}
+def _value_parser(hint):
+    """The parser of one flag value: comma lists for list fields, and the
+    one non-None type of an optional field."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        def comma_list(text: str) -> list:
+            return [args[0](part.strip())
+                    for part in text.split(",") if part.strip()]
+        return comma_list
+    return next((a for a in args if a is not type(None)), hint)
 
 
 def load_config_file(path: str) -> dict:
+    """Settings from a JSON config file.  A string value is parsed like
+    the matching flag's value, a switch must be true or false, and other
+    values are taken as they are."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    hints = typing.get_type_hints(RunConfig)
+    unknown = set(data) - (set(hints) - {"command", "out"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return data
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    settings = {}
+    for key, value in data.items():
+        if hints[key] is bool and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false")
+        if isinstance(value, str):
+            value = _value_parser(hints[key])(value)
+        settings[key] = value
+    return settings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,96 +164,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "eigen": "export the eigenstructure (energies, brightness, "
-                 "amplitudes) of one system",
-        "steady": "solve one steady state and write the report",
-        "length-sweep": "current versus chain length with exponential fits",
-        "jb-sweep": "current versus intra-cell coupling at fixed length",
-        "disorder": "current distributions over seeded disorder ensembles",
-        "regime-grid": "currents over loss-rate regimes and dipole "
-                       "alignment",
-        "brme-check": "compare the population and density-matrix solvers",
-        "eigeninj-sweep": "length sweep with eigenbasis injection and "
-                          "extraction",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    hints = typing.get_type_hints(RunConfig)
+    for name, (_, description) in COMMANDS.items():
+        p = sub.add_parser(name, help=description)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (flags override it)")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="output directory (default: current)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers for grids and ensembles")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed for disorder ensembles")
-        p.add_argument("--geometry", default=None,
-                       help="cell kind: mono, dimer, trimer, prism, cuboid")
-        p.add_argument("--geometries", type=_str_list, default=None,
-                       metavar="A,B,...", help="cell kinds for sweep grids")
-        p.add_argument("--n-cells", type=int, default=None,
-                       help="chain length for single-point commands")
-        p.add_argument("--n-min", type=int, default=None,
-                       help="smallest chain length in sweeps")
-        p.add_argument("--n-max", type=int, default=None,
-                       help="largest chain length in sweeps")
-        p.add_argument("--jb", type=float, default=None,
-                       help="intra-cell coupling for single-point commands")
-        p.add_argument("--jb-values", type=_float_list, default=None,
-                       metavar="X,Y,...", help="couplings for sweep grids")
-        for opt in ("delta-e", "e0", "eg", "gamma-rad", "gamma-nr",
-                    "gamma-phonon", "gamma-inj", "gamma-ext", "temperature",
-                    "bath-width", "bath-peak", "sigma", "dark-threshold"):
-            p.add_argument(f"--{opt}", type=float, default=None)
-        p.add_argument("--dipoles", choices=["none", "transport"],
-                       default=None)
-        p.add_argument("--injection-mode", choices=["site", "eigen"],
-                       default=None)
-        p.add_argument("--method", choices=["pme", "brme", "both"],
-                       default=None)
-        p.add_argument("--n-realizations", type=int, default=None)
-        p.add_argument("--fit-min-cells", type=int, default=None)
-        p.add_argument("--brme-max-cells", type=int, default=None)
-        p.add_argument("--keep-raw", dest="keep_raw", action="store_true",
-                       default=None)
-        p.add_argument("--no-keep-raw", dest="keep_raw",
-                       action="store_false", default=None)
+        for f in fields(RunConfig):
+            if f.name == "command":
+                continue
+            kind = ({"action": argparse.BooleanOptionalAction}
+                    if hints[f.name] is bool
+                    else {"type": _value_parser(hints[f.name])})
+            p.add_argument(f"--{f.name.replace('_', '-')}", default=None,
+                           **kind, **f.metadata)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            setattr(config, key, value)
-    for f in fields(RunConfig):
-        if f.name in ("command",):
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
-    if config.out is None:
-        config.out = "."
-    return config
+    """Defaults, overridden by the config file, overridden by flags."""
+    settings = load_config_file(args.config) if args.config else {}
+    settings.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                    if getattr(args, f.name) is not None)
+    return replace(RunConfig(), **settings)
 
 
-def _metadata(config: RunConfig, extra: dict | None = None) -> dict:
-    meta = {
+def _write_meta(out: Path, stem: str, config: RunConfig, **extra) -> None:
+    write_json(out / f"{stem}_meta.json", {
         "tool": "excitonchain",
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "parameters": config.to_json_dict(),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+        "parameters": asdict(config),
+        **extra,
+    })
 
 
-def _cmd_eigen(config: RunConfig, out: Path) -> None:
-    _, _, es, channels = build_system(
+def _system(config: RunConfig):
+    return build_system(
         config.geometry, config.n_cells, config.jb, config.ham_params(),
         config.env_params(), dipole_scheme=config.dipole_scheme(),
         injection_mode=config.injection_mode)
+
+
+def _cmd_eigen(config: RunConfig, out: Path) -> None:
+    _, _, es, channels = _system(config)
     brightness(es, channels)
     census = classify_bright_dark(es, config.dark_threshold)
     states, amplitudes = eigenstructure_tables(es)
@@ -244,61 +215,36 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
     write_csv(out / "eigen_amplitudes.csv",
               ["state_index", "energy", "brightness", "site_index", "cell",
                "slot", "amplitude"], amplitudes)
-    write_json(out / "eigen_meta.json", _metadata(config, {
-        "n_bright": census.n_bright,
-        "n_dark": census.n_dark,
-        "band_gap": census.band_gap,
-        "band_gap_detrended": census.band_gap_detrended,
-        "dark_threshold_absolute": census.threshold,
-        "channels": [ch.describe() for ch in channels],
-    }))
+    _write_meta(out, "eigen", config,
+                n_bright=census.n_bright,
+                n_dark=census.n_dark,
+                band_gap=census.band_gap,
+                band_gap_detrended=census.band_gap_detrended,
+                dark_threshold_absolute=census.threshold,
+                channels=[ch.describe() for ch in channels])
 
 
 def _cmd_steady(config: RunConfig, out: Path) -> None:
-    _, _, es, channels = build_system(
-        config.geometry, config.n_cells, config.jb, config.ham_params(),
-        config.env_params(), dipole_scheme=config.dipole_scheme(),
-        injection_mode=config.injection_mode)
-    if config.method == "brme":
-        report = brme_steady_state(build_liouvillian(es, channels))
-    else:
-        report = solve_steady_state(transition_matrix(es, channels))
-    payload = report.to_json_dict()
-    payload["parameters"] = config.to_json_dict()
+    system = _system(config)
+    payload = _solve_system(system, config.method).to_json_dict()
+    payload["parameters"] = asdict(config)
     payload["tool_version"] = __version__
-    payload["channels"] = [ch.describe() for ch in channels]
+    payload["channels"] = [ch.describe() for ch in system[3]]
     write_json(out / "steady_state.json", payload)
 
 
-def _cmd_length_sweep(config: RunConfig, out: Path, *,
-                      eigen_injection: bool = False) -> None:
+def _cmd_length_sweep(config: RunConfig, out: Path) -> None:
     spec = config.sweep_spec()
-    if eigen_injection:
-        spec = replace(spec, injection_mode="eigen")
     rows, fits = length_sweep(spec)
-    stem = "eigeninj_sweep" if eigen_injection else "length_sweep"
-    write_csv(out / f"{stem}.csv",
+    write_csv(out / "length_sweep.csv",
               ["run_id", "geometry", "jb", "n_cells", "method", "current",
                "ground_population", "residual", "flux_injection",
                "flux_extraction", "flux_radiative", "flux_nonradiative"],
               rows)
-    write_csv(out / f"{stem}_fits.csv",
+    write_csv(out / "length_sweep_fits.csv",
               ["geometry", "jb", "method", "alpha", "beta", "fit_residual",
                "n_min", "n_max", "n_points"], fits)
-    write_json(out / f"{stem}_meta.json",
-               _metadata(config, {"sweep": spec.to_json_dict()}))
-
-
-def _cmd_jb_sweep(config: RunConfig, out: Path) -> None:
-    spec = config.sweep_spec(n_cells_values=[config.n_cells])
-    rows, _ = length_sweep(spec)
-    write_csv(out / "jb_sweep.csv",
-              ["run_id", "geometry", "jb", "n_cells", "method", "current",
-               "ground_population", "residual", "flux_injection",
-               "flux_extraction", "flux_radiative", "flux_nonradiative"],
-              rows)
-    write_json(out / "jb_sweep_meta.json",
-               _metadata(config, {"sweep": spec.to_json_dict()}))
+    _write_meta(out, "length_sweep", config, sweep=spec.to_json_dict())
 
 
 def _cmd_disorder(config: RunConfig, out: Path) -> None:
@@ -310,8 +256,7 @@ def _cmd_disorder(config: RunConfig, out: Path) -> None:
     if spec.keep_raw:
         write_csv(out / "disorder_raw.csv",
                   ["geometry", "jb", "realization", "current", "error"], raw)
-    write_json(out / "disorder_meta.json",
-               _metadata(config, {"sweep": spec.to_json_dict()}))
+    _write_meta(out, "disorder", config, sweep=spec.to_json_dict())
 
 
 def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
@@ -320,8 +265,7 @@ def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
     write_csv(out / "regime_grid.csv",
               ["geometry", "jb", "gamma_nr", "dipoles", "realization",
                "current", "error"], rows)
-    write_json(out / "regime_grid_meta.json",
-               _metadata(config, {"sweep": spec.to_json_dict()}))
+    _write_meta(out, "regime_grid", config, sweep=spec.to_json_dict())
 
 
 def _cmd_brme_check(config: RunConfig, out: Path) -> None:
@@ -346,26 +290,30 @@ def _cmd_brme_check(config: RunConfig, out: Path) -> None:
     write_csv(out / "brme_check.csv",
               ["geometry", "jb", "n_cells", "current_pme", "current_brme",
                "rel_difference"], table)
-    write_json(out / "brme_check_meta.json",
-               _metadata(config, {"sweep": spec.to_json_dict()}))
+    _write_meta(out, "brme_check", config, sweep=spec.to_json_dict())
+
+
+# command name -> (handler, help text)
+COMMANDS = {
+    "eigen": (_cmd_eigen, "export the eigenstructure (energies, brightness, "
+                          "amplitudes) of one system"),
+    "steady": (_cmd_steady, "solve one steady state and write the report"),
+    "length-sweep": (_cmd_length_sweep,
+                     "current versus chain length with exponential fits"),
+    "disorder": (_cmd_disorder,
+                 "current distributions over seeded disorder ensembles"),
+    "regime-grid": (_cmd_regime_grid, "currents over loss-rate regimes and "
+                                      "dipole alignment"),
+    "brme-check": (_cmd_brme_check,
+                   "compare the population and density-matrix solvers"),
+}
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit status."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    handlers = {
-        "eigen": _cmd_eigen,
-        "steady": _cmd_steady,
-        "length-sweep": _cmd_length_sweep,
-        "jb-sweep": _cmd_jb_sweep,
-        "disorder": _cmd_disorder,
-        "regime-grid": _cmd_regime_grid,
-        "brme-check": _cmd_brme_check,
-        "eigeninj-sweep": lambda c, o: _cmd_length_sweep(
-            c, o, eigen_injection=True),
-    }
-    handlers[config.command](config, out)
+    COMMANDS[config.command][0](config, out)
     return 0
 
 

@@ -466,8 +466,10 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """Distributions of per-state brightness under on-site disorder.
 
     Returns (state_rows, census_rows): brightness quantiles per eigenstate
-    index, and the bright/dark census of every realization at the spec's
-    dark threshold.  A realization that fails to diagonalize raises.
+    index over the realizations that diagonalized, and the bright/dark
+    census of every realization at the spec's dark threshold.  A census
+    row's ``error`` names the error class of a failed realization (its
+    counts are None) and is empty otherwise.
     """
     state_rows: list[dict] = []
     census_rows: list[dict] = []
@@ -489,10 +491,9 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                                 derive_seed(spec.disorder.base_seed, gi, ji),
                                 spec.disorder.n_realizations, spec.jobs,
                                 measure)
-            for _, error in results:
-                if error is not None:
-                    raise error
-            all_b = np.stack([b for (b, _, _), _ in results])
+            solved = [value[0] for value, error in results if error is None]
+            all_b = (np.stack(solved) if solved
+                     else np.full((1, clean_b.size), np.nan))
             for k in range(1, all_b.shape[1]):
                 q25, q50, q75 = np.percentile(all_b[:, k], [25, 50, 75])
                 state_rows.append({
@@ -503,8 +504,10 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                     "min": float(all_b[:, k].min()),
                     "max": float(all_b[:, k].max()),
                 })
-            census_rows.extend({"geometry": kind, "jb": jb, "realization": r,
-                                "n_bright": n_bright, "n_dark": n_dark}
-                               for r, ((_, n_bright, n_dark), _)
-                               in enumerate(results))
+            for r, (value, error) in enumerate(results):
+                _, n_bright, n_dark = value or (None, None, None)
+                census_rows.append({
+                    "geometry": kind, "jb": jb, "realization": r,
+                    "n_bright": n_bright, "n_dark": n_dark,
+                    "error": "" if error is None else type(error).__name__})
     return state_rows, census_rows

@@ -17,7 +17,7 @@ dependent point-dipole interaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +53,12 @@ class Hamiltonian:
     """Dense symmetric Hamiltonian over the ground + site basis.
 
     ``matrix`` has dimension (n_sites + 1); row/column 0 is the decoupled
-    ground state.  ``disorder`` records the on-site shifts applied to the
-    excited diagonal (zeros for a clean system).
+    ground state.
     """
 
     matrix: np.ndarray
     geometry: Geometry
     params: HamiltonianParams
-    disorder: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.disorder is None:
-            z = np.zeros(self.geometry.n_sites)
-            z.setflags(write=False)
-            object.__setattr__(self, "disorder", z)
 
     @property
     def dimension(self) -> int:
@@ -75,20 +67,6 @@ class Hamiltonian:
     @property
     def excited_block(self) -> np.ndarray:
         return self.matrix[1:, 1:]
-
-    def to_metadata(self) -> dict:
-        p = self.params
-        return {
-            "dimension": int(self.dimension),
-            "delta_e": p.delta_e,
-            "e0": p.e0,
-            "eg": p.eg,
-            "ja": p.ja,
-            "jb": p.jb,
-            "dipole_mode": p.dipole_mode,
-            "disorder_max_abs": float(np.abs(self.disorder).max()),
-            "geometry": self.geometry.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -172,28 +150,6 @@ def build_hamiltonian(geometry: Geometry,
     return Hamiltonian(matrix=h, geometry=geometry, params=params)
 
 
-def dump_hamiltonian(h: Hamiltonian, directory,
-                     basename: str = "hamiltonian"):
-    """Write the dense matrix and its metadata for offline inspection.
-
-    Emits ``<basename>.csv`` (one row per matrix row, 17 significant
-    digits) and ``<basename>_meta.json`` in ``directory``; both writes are
-    atomic.  Returns the two paths.
-    """
-    from pathlib import Path
-
-    from ._io import atomic_write_text, format_value, write_json
-
-    directory = Path(directory)
-    lines = [",".join(str(format_value(float(x))) for x in row)
-             for row in h.matrix]
-    matrix_path = atomic_write_text(directory / f"{basename}.csv",
-                                    "\r\n".join(lines) + "\r\n")
-    meta_path = write_json(directory / f"{basename}_meta.json",
-                           h.to_metadata())
-    return matrix_path, meta_path
-
-
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:
     """Return a copy of ``h`` with Gaussian on-site shifts on the diagonal.
 
@@ -206,6 +162,4 @@ def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:
     idx = np.arange(1, ns + 1)
     matrix[idx, idx] += shifts
     matrix.setflags(write=False)
-    shifts.setflags(write=False)
-    return Hamiltonian(matrix=matrix, geometry=h.geometry, params=h.params,
-                       disorder=shifts)
+    return Hamiltonian(matrix=matrix, geometry=h.geometry, params=h.params)

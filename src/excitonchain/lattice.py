@@ -97,10 +97,6 @@ class Geometry:
         base = (cell - 1) * self.sites_per_cell
         return np.arange(base, base + self.sites_per_cell)
 
-    def distance_matrix(self) -> np.ndarray:
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
-
     def to_json_dict(self) -> dict:
         sites = []
         for k in range(self.n_sites):

@@ -283,6 +283,8 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
 
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
+    # many channels share one spectral density: evaluate each once
+    densities: dict[object, tuple[np.ndarray, np.ndarray]] = {}
     for ch in channels:
         if ch.kind == "phonon":
             continue
@@ -295,9 +297,13 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
             target[:, 0, idx] += ch.spectral(omega_down)
             target[:, idx, 0] += ch.spectral(-omega_down)
             continue
+        if ch.spectral not in densities:
+            densities[ch.spectral] = (ch.spectral(omega_from_excited),
+                                      ch.spectral(omega_into_excited))
+        from_excited, into_excited = densities[ch.spectral]
         alpha_sq = (amp @ weights_of(ch)) ** 2
-        target[:, 0, 1:] += ch.spectral(omega_from_excited) * alpha_sq
-        target[:, 1:, 0] += ch.spectral(omega_into_excited) * alpha_sq
+        target[:, 0, 1:] += from_excited * alpha_sq
+        target[:, 1:, 0] += into_excited * alpha_sq
 
     w = np.zeros((rows, dim, dim))
     for b in blocks.values():

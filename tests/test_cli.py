@@ -1,9 +1,10 @@
 import csv
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
-from excitonchain.cli import main
+from excitonchain.cli import RunConfig, build_parser, main, resolve_config
 
 
 def read_csv(path):
@@ -89,6 +90,51 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["parameters"]["jb"] == 3.0
 
 
+def test_every_setting_is_one_flag():
+    sub = build_parser()._subparsers._group_actions[0]
+    for command in sub.choices.values():
+        flags = [opt for action in command._actions
+                 for opt in action.option_strings]
+        for f in fields(RunConfig):
+            if f.name != "command":
+                assert flags.count("--" + f.name.replace("_", "-")) == 1
+        # 30 settings, --no-keep-raw, --config, -h and --help
+        assert len(flags) == 34
+
+
+def _resolve(argv):
+    return resolve_config(build_parser().parse_args(argv))
+
+
+def test_config_file_of_a_config_resolves_to_it(tmp_path):
+    config = RunConfig(command="disorder", seed=5, geometries=["dimer"],
+                       jb_values=[0.5, 2.0], bath_peak=0.3, jobs=3,
+                       dipoles="transport", keep_raw=False, gamma_nr=0.002)
+    settings = asdict(config)
+    del settings["command"], settings["out"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(settings))
+    assert _resolve(["disorder", "--config", str(path)]) == config
+
+
+def test_config_file_strings_parse_like_flags(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"geometries": "prism", "jb_values": "0.5,2",
+                                "n_cells": "7", "bath_peak": "0.3"}))
+    config = _resolve(["length-sweep", "--config", str(path)])
+    assert config.geometries == ["prism"]
+    assert config.jb_values == [0.5, 2.0]
+    assert config.n_cells == 7
+    assert config.bath_peak == 0.3
+    path.write_text(json.dumps({"geometries": ["prism"], "jb_values": [1]}))
+    config = _resolve(["length-sweep", "--config", str(path)])
+    assert config.geometries == ["prism"]
+    assert config.jb_values == [1]
+    path.write_text(json.dumps({"keep_raw": "false"}))
+    with pytest.raises(ValueError, match="keep_raw"):
+        _resolve(["disorder", "--config", str(path)])
+
+
 def test_length_sweep_outputs_and_determinism(tmp_path):
     args = ["length-sweep", "--geometries", "dimer", "--jb-values", "1",
             "--n-min", "2", "--n-max", "6", "--fit-min-cells", "2",
@@ -119,11 +165,19 @@ def test_csv_uses_crlf_and_full_precision(tmp_path):
 
 
 def test_jb_sweep(tmp_path):
-    run_ok(["jb-sweep", "--geometries", "dimer,prism", "--jb-values",
-            "0.5,1", "--n-cells", "4", "--out", str(tmp_path)])
-    rows = read_csv(tmp_path / "jb_sweep.csv")
+    run_ok(["length-sweep", "--geometries", "dimer,prism", "--jb-values",
+            "0.5,1", "--n-min", "4", "--n-max", "4", "--out", str(tmp_path)])
+    rows = read_csv(tmp_path / "length_sweep.csv")
     assert len(rows) == 4
     assert {row["geometry"] for row in rows} == {"dimer", "prism"}
+
+
+def test_disorder_without_raw_table(tmp_path):
+    run_ok(["disorder", "--geometries", "dimer", "--jb-values", "10",
+            "--n-cells", "3", "--n-realizations", "2", "--no-keep-raw",
+            "--out", str(tmp_path)])
+    assert len(read_csv(tmp_path / "disorder_stats.csv")) == 1
+    assert not (tmp_path / "disorder_raw.csv").exists()
 
 
 def test_disorder_command(tmp_path):
@@ -157,13 +211,14 @@ def test_brme_check_command(tmp_path):
 
 
 def test_eigeninj_sweep_command(tmp_path):
-    run_ok(["eigeninj-sweep", "--geometries", "mono", "--jb-values", "1",
-            "--n-min", "2", "--n-max", "5", "--fit-min-cells", "2",
-            "--out", str(tmp_path)])
-    rows = read_csv(tmp_path / "eigeninj_sweep.csv")
+    run_ok(["length-sweep", "--injection-mode", "eigen", "--geometries",
+            "mono", "--jb-values", "1", "--n-min", "2", "--n-max", "5",
+            "--fit-min-cells", "2", "--out", str(tmp_path)])
+    rows = read_csv(tmp_path / "length_sweep.csv")
     assert len(rows) == 4
-    meta = json.loads((tmp_path / "eigeninj_sweep_meta.json").read_text())
+    meta = json.loads((tmp_path / "length_sweep_meta.json").read_text())
     assert meta["sweep"]["injection_mode"] == "eigen"
+    assert meta["parameters"]["injection_mode"] == "eigen"
 
 
 def test_no_temporary_files_left_behind(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -320,14 +322,28 @@ def test_low_ground_populations_are_counted_in_one_warning():
     assert "5 of 5 disorder realizations" in messages[1]
 
 
-def test_brightness_robustness_raises_a_failed_realization():
+def test_brightness_robustness_records_failed_realizations():
+    # at sigma = 40 one draw (realization 19) pushes an excited level
+    # below the ground state
     spec = SweepSpec(geometries=("dimer",), n_cells_values=(4,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
                      disorder=DisorderEnsembleSpec(sigma=40.0,
                                                    n_realizations=40,
                                                    base_seed=3))
-    with pytest.raises(SpectralError, match="ground-state energy"):
-        brightness_robustness(spec)
+    state_rows, census_rows = brightness_robustness(spec)
+    failed = [row for row in census_rows if row["error"]]
+    assert [(row["realization"], row["error"]) for row in failed] == [
+        (19, "SpectralError")]
+    assert failed[0]["n_bright"] is None and failed[0]["n_dark"] is None
+    assert sum(row["error"] == "" for row in census_rows) == 39
+    assert len(state_rows) == 8
+    assert all(np.isfinite(row["median"]) for row in state_rows)
+    # with every realization failed the quantiles are NaN
+    state_rows, census_rows = brightness_robustness(replace(
+        spec, disorder=DisorderEnsembleSpec(sigma=1e4, n_realizations=3)))
+    assert {row["error"] for row in census_rows} == {"SpectralError"}
+    assert len(state_rows) == 8
+    assert all(np.isnan(row["median"]) for row in state_rows)
 
 
 def test_eigen_injection_single_cell_edge_case():

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-import json
-
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams, apply_disorder,
-                                      build_hamiltonian, dipole_coupling,
-                                      dump_hamiltonian)
+                                      build_hamiltonian, dipole_coupling)
 from excitonchain.lattice import assign_dipoles, build_geometry
 
 
@@ -141,21 +138,3 @@ def test_disorder_sampling_statistics():
 def test_negative_sigma_rejected():
     with pytest.raises(HamiltonianError):
         DisorderSpec(sigma=-0.1)
-
-
-def test_metadata_includes_resolved_parameters():
-    h = build("dimer", 2, jb=3.0)
-    meta = h.to_metadata()
-    assert meta["jb"] == 3.0
-    assert meta["dimension"] == 5
-    assert meta["geometry"]["n_cells"] == 2
-
-
-def test_dump_round_trips_the_matrix(tmp_path):
-    h = build("trimer", 2, jb=2.0)
-    matrix_path, meta_path = dump_hamiltonian(h, tmp_path)
-    rows = [[float(x) for x in line.split(",")]
-            for line in matrix_path.read_text().strip().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), h.matrix)
-    meta = json.loads(meta_path.read_text())
-    assert meta["jb"] == 2.0
