@@ -40,11 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .environment import Channel
-from .pme import SteadyStateReport
+from .pme import SteadyStateReport, _closed_classes, _generator_rows
 from .spectral import EigenSystem
 
 # GMRES stops once the residual falls this far below the residual of the
@@ -183,18 +182,6 @@ def build_liouvillian(es: EigenSystem,
                        eigensystem=es, channels=channels)
 
 
-def _closed_classes(rates: np.ndarray) -> int:
-    """Number of closed communicating classes of a rate graph, where
-    ``rates[n, m]`` is the rate from m into n."""
-    edges = rates.T > 0
-    np.fill_diagonal(edges, False)
-    n_classes, labels = connected_components(edges, directed=True,
-                                             connection="strong")
-    src, dst = np.nonzero(edges)
-    leaving = labels[src][labels[src] != labels[dst]]
-    return n_classes - np.unique(leaving).size
-
-
 def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
     """Solve for the steady density matrix and assemble the report.
 
@@ -214,12 +201,11 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
     dim = liouvillian.dimension
     size = dim * dim
     rates = liouvillian.rates
-    n_closed = _closed_classes(rates)
+    n_closed = len(_closed_classes(rates))
     if n_closed != 1:
         raise BrmeError(f"degenerate steady state: the secular rate graph "
                         f"has {n_closed} closed classes")
-    chi = rates - np.diag(np.diag(rates))
-    chi -= np.diag(chi.sum(axis=0))
+    chi = _generator_rows(rates[None])[0]
     chi[0] += 1.0
     populations = scipy.linalg.lu_factor(chi)
     coherences = liouvillian.coherence_diagonal.copy()
@@ -302,8 +288,8 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
 
     return SteadyStateReport(
         populations=diag, current=current, fluxes=fluxes,
-        residual=residual, uniqueness_gap=np.inf,
-        ground_population=float(np.real(rho[0, 0])), method="brme",
+        residual=residual, ground_population=float(np.real(rho[0, 0])),
+        method="brme",
         extras={
             "min_eigenvalue": min_eig,
             "coherence_fraction": coherence_fraction,

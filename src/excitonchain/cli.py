@@ -134,24 +134,54 @@ def _value_parser(hint):
     return next((a for a in args if a is not type(None)), hint)
 
 
+def _config_value(key: str, hint, value):
+    """A config-file value checked against its field annotation ``hint``.
+
+    A string is parsed like the matching flag's value; any other JSON value
+    must already have the annotated type, and a bool is not a number.
+    """
+    if typing.get_origin(hint) is list and isinstance(value, list):
+        return [_config_value(key, typing.get_args(hint)[0], item)
+                for item in value]
+    if isinstance(value, str) and hint is not bool:
+        try:
+            return _value_parser(hint)(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None:
+        ok = type(None) in kinds
+    elif isinstance(value, bool):
+        ok = bool in kinds
+    elif isinstance(value, (int, float)):
+        ok = float in kinds or (int in kinds and isinstance(value, int))
+    else:
+        ok = False
+    if not ok:
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ValueError(f"config key {key!r} must be {name}, not {value!r}")
+    return float(value) if float in kinds and value is not None else value
+
+
 def load_config_file(path: str) -> dict:
-    """Settings from a JSON config file.  A string value is parsed like
-    the matching flag's value, a switch must be true or false, and other
-    values are taken as they are."""
+    """Settings from a JSON config file, each checked against its field's
+    annotation and choices (see :func:`_config_value`)."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    hints = typing.get_type_hints(RunConfig)
-    unknown = set(data) - (set(hints) - {"command", "out"})
+    settable = {f.name: f for f in fields(RunConfig)
+                if f.name not in ("command", "out")}
+    unknown = set(data) - set(settable)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(RunConfig)
     settings = {}
     for key, value in data.items():
-        if hints[key] is bool and not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be true or false")
-        if isinstance(value, str):
-            value = _value_parser(hints[key])(value)
+        value = _config_value(key, hints[key], value)
+        choices = settable[key].metadata.get("choices")
+        if choices and value not in choices:
+            raise ValueError(f"config key {key!r} must be one of {choices}")
         settings[key] = value
     return settings
 

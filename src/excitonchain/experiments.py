@@ -341,7 +341,7 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
 def _measure_currents(energies, vectors, channels) -> list[tuple]:
     """((current, ground population), None) or (None, error) per row."""
     w, blocks = _rate_rows(energies, vectors, channels)
-    populations, _, _, errors = _steady_rows(_generator_rows(w))
+    populations, _, errors = _steady_rows(_generator_rows(w))
     currents = _extraction_flux(blocks.get("extraction"), populations)
     return [((float(current), float(ground)), None) if error is None
             else (None, error)

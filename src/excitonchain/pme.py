@@ -2,10 +2,14 @@
 
 The generator chi acting on the eigenstate population vector has the rate
 matrix on its off-diagonal and minus the column sums on its diagonal, so
-total probability is conserved by construction.  Steady states are the
-null space of chi, extracted from a singular value decomposition; a
-rate graph that splits into disconnected components has a degenerate
-null space and is reported as an error naming the components.
+total probability is conserved by construction.  The steady state is
+unique exactly when the rate graph has one closed communicating class;
+more than one is reported as an error naming the classes.  A unique
+steady state solves chi P = 0 with sum(P) = 1, which is one LU solve of
+chi with row 0 replaced by ones against e0; stacks of generators are
+solved in one batched call.  A solution that is negative or out of flux
+balance at some state (cancellation in the LU, when rates span many
+decades) is redone by state reduction, which subtracts nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .defaults import MIN_GROUND_POPULATION
 from .spectral import EigenSystem, RateMatrix
 
 _CLIP_TOL = 1e-12
-_UNIQUENESS_RATIO = 1e6
+_FLUX_TOL = 1e-10
 
 
 class SteadyStateError(RuntimeError):
@@ -42,10 +46,6 @@ class Generator:
         return self.chi.shape[0]
 
 
-def _json_safe(value: float):
-    return float(value) if np.isfinite(value) else None
-
-
 @dataclass
 class SteadyStateReport:
     """Solved steady state with current and per-channel flux accounting."""
@@ -54,7 +54,6 @@ class SteadyStateReport:
     current: float
     fluxes: dict[str, float]
     residual: float
-    uniqueness_gap: float
     ground_population: float
     method: str = "pme"
     extras: dict = field(default_factory=dict)
@@ -66,7 +65,6 @@ class SteadyStateReport:
             "current": self.current,
             "ground_population": self.ground_population,
             "residual": self.residual,
-            "uniqueness_gap": _json_safe(self.uniqueness_gap),
             "fluxes": {k: float(v) for k, v in self.fluxes.items()},
             "populations": [float(p) for p in self.populations],
             **self.extras,
@@ -93,67 +91,139 @@ def _generator_rows(w: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _rate_graph_components(chi: np.ndarray) -> list[list[int]]:
-    adjacency = (np.abs(chi) + np.abs(chi.T)) > 0
-    np.fill_diagonal(adjacency, False)
-    n_comp, labels = connected_components(adjacency, directed=False)
-    return [list(np.flatnonzero(labels == c)) for c in range(n_comp)]
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether every state is reachable from state 0, where ``edges[i, j]``
+    marks a rate from i into j."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = edges[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
 
 
-def steady_state(g: Generator) -> tuple[np.ndarray, float, float]:
+def _closed_classes(rates: np.ndarray) -> list[list[int]]:
+    """Members of each closed communicating class of a rate graph, where
+    ``rates[n, m]`` is the rate from m into n (a generator qualifies)."""
+    edges = rates.T > 0
+    np.fill_diagonal(edges, False)
+    if _reaches_all(edges) and _reaches_all(edges.T):
+        return [list(range(edges.shape[0]))]
+    n_classes, labels = connected_components(edges, directed=True,
+                                             connection="strong")
+    src, dst = np.nonzero(edges)
+    leaving = set(labels[src][labels[src] != labels[dst]].tolist())
+    return [np.flatnonzero(labels == c).tolist()
+            for c in range(n_classes) if c not in leaving]
+
+
+def _acceptable(chi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rows of populations p (R, dim) that are finite, nonnegative up to
+    _CLIP_TOL times their largest entry, and in flux balance state by
+    state: |inflow - outflow| <= _FLUX_TOL (inflow + outflow)."""
+    with np.errstate(invalid="ignore"):
+        net = (chi @ p[..., None])[..., 0]
+        outflow = -np.einsum("rii->ri", chi) * p
+        balanced = np.abs(net) <= _FLUX_TOL * (net + 2 * outflow)
+        return (np.isfinite(p).all(axis=1) & balanced.all(axis=1)
+                & (p.min(axis=1) >= -_CLIP_TOL * p.max(axis=1)))
+
+
+def _reduce_states(chi: np.ndarray, members: list[int]) -> np.ndarray:
+    """Steady populations of the closed class ``members`` of generator chi
+    by state reduction (Grassmann, Taksar and Heyman), zero elsewhere.
+
+    States are eliminated one at a time, keeping the rates between the
+    remaining ones; only sums, products and quotients of nonnegative
+    rates occur, so every population keeps its relative accuracy however
+    small it is, where the row-replaced LU can lose it to cancellation.
+    """
+    rates = chi[np.ix_(members, members)].T.copy()  # [i, j]: rate i -> j
+    np.fill_diagonal(rates, 0.0)
+    n = len(members)
+    leave = np.zeros(n)
+    p = np.zeros(n)
+    p[0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            leave[k] = rates[k, :k].sum()
+            rates[:k, :k] += np.outer(rates[:k, k], rates[k, :k] / leave[k])
+        for k in range(1, n):
+            p[k] = p[:k] @ rates[:k, k] / leave[k]
+    populations = np.zeros(chi.shape[0])
+    populations[members] = p / p.sum()
+    return populations
+
+
+def steady_state(g: Generator) -> tuple[np.ndarray, float]:
     """Solve chi P = 0 for the normalized population vector.
 
-    Returns (populations, residual, uniqueness_gap) where the gap is the
-    ratio of the second-smallest to smallest singular value.  Tiny negative
-    populations (above -1e-12) are clipped to zero; anything more negative
-    is treated as a solver failure.
+    Returns (populations, residual), the residual being max |chi P|.
+    Raises SteadyStateError if the rate graph has more than one closed
+    class, or if no solve yields populations that are nonnegative (tiny
+    negative ones, above -1e-12 times the largest population, are clipped
+    to zero) and in flux balance state by state.
     """
-    p, residual, gap, errors = _steady_rows(g.chi[None])
+    p, residual, errors = _steady_rows(g.chi[None])
     if errors[0] is not None:
         raise errors[0]
-    return p[0], float(residual[0]), float(gap[0])
+    return p[0], float(residual[0])
 
 
-def _steady_rows(chi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """:func:`steady_state` of a stack of generators (R, dim, dim).
 
-    Returns (populations, residuals, gaps, errors), where errors holds per
-    row None or the SteadyStateError that row raised (its populations and
-    residual are then NaN).  A LinAlgError from the stacked SVD is raised
-    for the whole stack.
+    Returns (populations, residuals, errors), where errors holds per row
+    None or the SteadyStateError that row raised (its populations and
+    residual are then NaN).  Uniqueness is decided once per distinct
+    edge pattern, since closed classes depend on nothing else.  The
+    unique rows are solved together by LU with row 0 replaced by ones;
+    a row that comes out negative, unbalanced or not finite (or all rows,
+    if the stacked LU meets an exactly singular pivot) is solved again by
+    state reduction on its closed class.
     """
     rows, dim = chi.shape[:2]
     errors: list = [None] * rows
-    if dim == 1:
-        return (np.ones((rows, 1)), np.zeros(rows), np.full(rows, np.inf),
-                errors)
-    _, svals, vt = np.linalg.svd(chi)
-    scale = np.where(svals[:, 0] > 0, svals[:, 0], 1.0)
-    with np.errstate(divide="ignore"):
-        gap = np.where(svals[:, -1] > 0, svals[:, -2] / svals[:, -1], np.inf)
-    unique = svals[:, -2] > 1e-10 * scale
-    for r in np.flatnonzero(~unique):
-        comps = _rate_graph_components(chi[r])
+    members: list = [None] * rows
+    edges = chi > 0
+    classes: dict[bytes, list[list[int]]] = {}
+    for r in range(rows):
+        pattern = edges[r].tobytes()
+        if pattern not in classes:
+            classes[pattern] = _closed_classes(chi[r])
+        found = classes[pattern]
+        members[r] = found[0]
+        if len(found) > 1:
+            errors[r] = SteadyStateError(
+                f"degenerate steady state: rate graph has {len(found)} "
+                f"disconnected closed classes {found}", components=found)
+    ok = np.flatnonzero([error is None for error in errors])
+    unique = chi[ok]
+    bordered = unique.copy()
+    bordered[:, 0] = 1.0
+    rhs = np.zeros((ok.size, dim, 1))
+    rhs[:, 0] = 1.0
+    try:
+        p = np.linalg.solve(bordered, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        p = np.full((ok.size, dim), np.nan)
+    accepted = _acceptable(unique, p)
+    redo = np.flatnonzero(~accepted)
+    for i in redo:
+        p[i] = _reduce_states(unique[i], members[ok[i]])
+    accepted[redo] = _acceptable(unique[redo], p[redo])
+    for r, value in zip(ok[~accepted], p[~accepted].min(axis=1)):
         errors[r] = SteadyStateError(
-            f"degenerate null space: rate graph has {len(comps)} "
-            f"disconnected components {comps}", components=comps)
-    ok = np.flatnonzero(unique)
-    p = vt[ok, -1]
-    p = np.where(p.sum(axis=1, keepdims=True) < 0, -p, p)
-    p = p / p.sum(axis=1, keepdims=True)
-    lowest = p.min(axis=1)
-    negative = lowest < -_CLIP_TOL
-    for r, value in zip(ok[negative], lowest[negative]):
-        errors[r] = SteadyStateError(
-            f"null vector has negative entries below tolerance "
-            f"({value:.3e} < -{_CLIP_TOL:g})")
-    ok, p = ok[~negative], np.clip(p[~negative], 0.0, None)
+            f"no nonnegative, flux-balanced steady state found (smallest "
+            f"population {value:.3e})")
+    ok, unique = ok[accepted], unique[accepted]
+    p = np.clip(p[accepted], 0.0, None)
     populations = np.full((rows, dim), np.nan)
     populations[ok] = p / p.sum(axis=1, keepdims=True)
     residual = np.full(rows, np.nan)
-    residual[ok] = np.abs(chi[ok] @ populations[ok, :, None]).max(axis=(1, 2))
-    return populations, residual, gap, errors
+    residual[ok] = np.abs(unique @ populations[ok, :, None]).max(axis=(1, 2))
+    return populations, residual, errors
 
 
 def steady_current(populations: np.ndarray, rates: RateMatrix) -> float:
@@ -197,7 +267,7 @@ def solve_steady_state(rates: RateMatrix, method_label: str = "pme"
                        ) -> SteadyStateReport:
     """Build the generator, solve it, and assemble the full report."""
     gen = build_generator(rates)
-    populations, residual, gap = steady_state(gen)
+    populations, residual = steady_state(gen)
     current = steady_current(populations, rates)
     fluxes = flux_report(populations, rates)
     ground = float(populations[0])
@@ -208,6 +278,6 @@ def solve_steady_state(rates: RateMatrix, method_label: str = "pme"
             "rates", stacklevel=2)
     return SteadyStateReport(
         populations=populations, current=current, fluxes=fluxes,
-        residual=residual, uniqueness_gap=gap, ground_population=ground,
+        residual=residual, ground_population=ground,
         method=method_label,
     )

@@ -90,7 +90,7 @@ def test_criterion_03_thermal_state():
                             gamma_ext=0.0)
     es, channels = pipeline("mono", 5, 1.0, env=env)
     rates = transition_matrix(es, channels)
-    p, _, _ = steady_state(build_generator(rates.w[1:, 1:]))
+    p, _ = steady_state(build_generator(rates.w[1:, 1:]))
     energies = es.excited_energies
     gibbs = np.exp(-(energies - energies[0]) / ENV.temperature)
     gibbs /= gibbs.sum()
@@ -182,7 +182,7 @@ def test_criterion_08_time_integration_oracle():
     for kind, n_cells in (("mono", 2), ("prism", 5)):
         es, channels = pipeline(kind, n_cells, 1.0)
         gen = build_generator(transition_matrix(es, channels))
-        p_null, _, _ = steady_state(gen)
+        p_null, _ = steady_state(gen)
         chi = gen.chi
         p = np.zeros(gen.dimension)
         p[0] = 1.0

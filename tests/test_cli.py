@@ -135,6 +135,44 @@ def test_config_file_strings_parse_like_flags(tmp_path):
         _resolve(["disorder", "--config", str(path)])
 
 
+def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n_cells": 3.7}))
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(config), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "'n_cells'" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"jb": True}, "jb"),
+    ({"jb_values": [1.0, False]}, "jb_values"),
+    ({"geometries": ["prism", 3]}, "geometries"),
+    ({"geometry": 2}, "geometry"),
+    ({"n_min": "2.5"}, "n_min"),
+    ({"jobs": None}, "jobs"),
+    ({"method": "exact"}, "method"),
+])
+def test_config_values_are_checked_against_their_fields(tmp_path, settings,
+                                                        key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(settings))
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        _resolve(["length-sweep", "--config", str(path)])
+
+
+def test_config_numbers_take_their_field_type(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"jb": 3, "jb_values": [1, 2.5],
+                                "bath_peak": None, "n_cells": 7}))
+    config = _resolve(["length-sweep", "--config", str(path)])
+    assert type(config.jb) is float and config.jb == 3.0
+    assert [type(v) for v in config.jb_values] == [float, float]
+    assert config.bath_peak is None and config.n_cells == 7
+
+
 def test_length_sweep_outputs_and_determinism(tmp_path):
     args = ["length-sweep", "--geometries", "dimer", "--jb-values", "1",
             "--n-min", "2", "--n-max", "6", "--fit-min-cells", "2",

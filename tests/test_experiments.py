@@ -205,8 +205,7 @@ def test_ensembles_count_solver_failures_and_propagate_bugs(monkeypatch):
 
     def unsolvable(chi):
         rows, dim = chi.shape[:2]
-        nan = np.full(rows, np.nan)
-        return (np.full((rows, dim), np.nan), nan, nan,
+        return (np.full((rows, dim), np.nan), np.full(rows, np.nan),
                 [SteadyStateError("injected")] * rows)
 
     # a programming error inside a realization is not a failed solve
@@ -291,10 +290,10 @@ def test_linalg_failure_on_a_chunk_marks_only_its_realization(monkeypatch):
 
     def flaky(chi):
         if len(chi) > 1:
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Singular matrix")
         single_calls.append(chi)
         if len(single_calls) == 3:
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Singular matrix")
         return real(chi)
 
     monkeypatch.setattr(experiments, "_steady_rows", flaky)

@@ -1,11 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from excitonchain import pme
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import build_geometry
-from excitonchain.pme import (SteadyStateError, build_generator,
+from excitonchain.pme import (Generator, SteadyStateError, _closed_classes,
+                              _generator_rows, _steady_rows, build_generator,
                               site_populations, solve_steady_state,
                               steady_current, steady_state)
 from excitonchain.spectral import diagonalize, transition_matrix
@@ -61,10 +65,10 @@ def test_generator_columns_sum_to_zero():
 
 def test_two_state_analytic_balance():
     gen = build_generator(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    p, residual, gap = steady_state(gen)
+    p, residual = steady_state(gen)
     np.testing.assert_allclose(p, [1 / 3, 2 / 3], rtol=1e-14)
     assert residual < 1e-15
-    assert gap > 1e6
+    assert _closed_classes(gen.chi) == [[0, 1]]
 
 
 def test_disconnected_rate_graph_reports_components():
@@ -83,7 +87,7 @@ def test_phonon_only_excited_manifold_thermalizes():
     # ground is disconnected without the one-way channels: solve the
     # excited block on its own
     gen = build_generator(rates.w[1:, 1:])
-    p, _, _ = steady_state(gen)
+    p, _ = steady_state(gen)
     energies = es.excited_energies
     gibbs = np.exp(-(energies - energies[0])
                    / EnvironmentParams().temperature)
@@ -106,7 +110,7 @@ def test_phonon_only_full_system_is_degenerate():
 def test_steady_state_matches_time_integration():
     rates, _ = make_rates("mono", 2)
     gen = build_generator(rates)
-    p_null, _, _ = steady_state(gen)
+    p_null, _ = steady_state(gen)
     p_time = integrate_to_steady(gen.chi)
     assert np.abs(p_null - p_time).max() < 1e-8
 
@@ -120,7 +124,7 @@ def test_zero_extraction_means_zero_current():
 
 def test_current_equals_site_population_formula():
     rates, es = make_rates("prism", 4, jb=10.0)
-    p, _, _ = steady_state(build_generator(rates))
+    p, _ = steady_state(build_generator(rates))
     current = steady_current(p, rates)
     geo = es.geometry
     gamma_ext = EnvironmentParams().gamma_ext
@@ -172,10 +176,10 @@ def test_current_never_increases_with_radiative_rate():
 
 def test_steady_state_invariant_under_relabeling(rng):
     rates, _ = make_rates("dimer", 4, jb=2.0)
-    p, _, _ = steady_state(build_generator(rates))
+    p, _ = steady_state(build_generator(rates))
     perm = rng.permutation(rates.w.shape[0])
     w_perm = rates.w[np.ix_(perm, perm)]
-    p_perm, _, _ = steady_state(build_generator(w_perm))
+    p_perm, _ = steady_state(build_generator(w_perm))
     np.testing.assert_allclose(p_perm, p[perm], atol=1e-12)
 
 
@@ -200,3 +204,102 @@ def test_report_serializes_to_plain_json_types():
     assert payload["method"] == "pme"
     assert isinstance(payload["fluxes"]["extraction"], float)
     assert len(payload["populations"]) == 5
+
+
+@pytest.mark.parametrize("kind, n_cells", [("mono", 100), ("prism", 30)])
+def test_current_matches_a_40_digit_solve_of_the_same_generator(kind,
+                                                                n_cells):
+    # dark-chain currents here are 4e-20 (mono) and 5e-10 (prism)
+    rates, _ = make_rates(kind, n_cells, jb=0.1)
+    chi = build_generator(rates).chi
+    dim = chi.shape[0]
+    with mpmath.workdps(40):
+        a = mpmath.matrix(chi.tolist())
+        for j in range(dim):
+            a[0, j] = 1
+        rhs = mpmath.matrix(dim, 1)
+        rhs[0] = 1
+        p = mpmath.lu_solve(a, rhs)
+        extraction = rates.blocks["extraction"][0]
+        exact = float(mpmath.fsum(extraction[m] * p[m]
+                                  for m in range(1, dim)))
+    current = solve_steady_state(rates).current
+    assert current == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def test_state_reduction_resolves_what_the_lu_cancels():
+    # 0 -> 2 at 1e-5 and 1 -> 0 at 1e-30 beside a fast 1 <-> 2 pair: the
+    # row-replaced LU returns p0 = -4.6e-12 through cancellation
+    w = np.array([[0.0, 1e-30, 0.0], [0.0, 0.0, 1.0], [1e-5, 1.0, 0.0]])
+    p, _ = steady_state(build_generator(w))
+    np.testing.assert_allclose(p, np.array([1e-25, 1.0, 1.0]) / (2 + 1e-25),
+                               rtol=1e-14, atol=0)
+    # a transient state 0 whose exit rate vanishes beside 1 makes the LU
+    # pivot exactly zero
+    w[0, 1], w[2, 0] = 0.0, 1e-17
+    p, _ = steady_state(build_generator(w))
+    np.testing.assert_array_equal(p, [0.0, 0.5, 0.5])
+
+
+def test_uniqueness_is_decided_once_per_edge_pattern(monkeypatch):
+    rates, _ = make_rates("dimer", 3)
+    w = rates.w * np.linspace(1.0, 2.0, 6)[:, None, None]
+    w[3, 0, 1] = 0.0  # a second edge pattern, still one closed class
+    calls = []
+    real = pme._closed_classes
+    monkeypatch.setattr(pme, "_closed_classes",
+                        lambda m: calls.append(m) or real(m))
+    _, _, errors = _steady_rows(_generator_rows(w))
+    assert errors == [None] * 6
+    assert len(calls) == 2
+
+
+def _closed_class_count(w):
+    """Closed classes by transitive closure: a state is recurrent when
+    every state it reaches reaches it back."""
+    n = len(w)
+    reach = (w.T > 0) | np.eye(n, dtype=bool)  # reach[i, j]: i -> j
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    recurrent = [i for i in range(n) if reach[reach[i], i].all()]
+    return len({reach[i].tobytes() for i in recurrent})
+
+
+# rates are exactly zero or log-uniform over 32 decades
+RATES = st.one_of(st.just(0.0), st.floats(-30.0, 2.0).map(lambda e: 10**e))
+RATE_MATRICES = st.integers(2, 12).flatmap(
+    lambda n: st.lists(RATES, min_size=n * n, max_size=n * n).map(
+        lambda values: np.array(values).reshape(n, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(RATE_MATRICES)
+def test_generator_and_steady_state_properties(w):
+    chi = _generator_rows(w[None])[0]
+    off = ~np.eye(len(w), dtype=bool)
+    assert np.all(chi[off] >= 0)
+    assert np.all(np.abs(chi.sum(axis=0))
+                  <= 1e-14 * np.abs(chi).sum(axis=0))
+    n_closed = _closed_class_count(w)
+    if n_closed > 1:
+        with pytest.raises(SteadyStateError, match="disconnected") as err:
+            steady_state(Generator(chi))
+        assert len(err.value.components) == n_closed
+        return
+    p, _ = steady_state(Generator(chi))
+    assert np.all(p >= 0)
+    assert p.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
+    # flux balance state by state; the solver accepts populations at 1e-10
+    # before clipping and normalizing them
+    rates = np.where(off, w, 0.0)
+    inflow = rates @ p
+    outflow = rates.sum(axis=0) * p
+    assert np.all(np.abs(inflow - outflow) <= 1e-9 * (inflow + outflow))
+
+
+def test_negative_populations_are_judged_against_the_largest():
+    # zero rates keep every row in flux balance; only the sign test acts
+    chi = np.zeros((3, 3, 3))
+    p = np.array([[1.0, 0.0, -5e-13], [1e-3, 0.0, -5e-13],
+                  [1.0, np.nan, 0.0]])
+    assert pme._acceptable(chi, p).tolist() == [True, False, False]
