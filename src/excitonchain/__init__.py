@@ -18,7 +18,7 @@ from .experiments import DisorderEnsembleSpec, FitResult, SweepSpec, \
     fit_exponential, length_sweep, population_profile, regime_grid, \
     solve_point
 from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
-    apply_disorder, build_hamiltonian, dipole_coupling
+    apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
 from .pme import Generator, SteadyStateReport, build_generator, \
     flux_report, site_populations, solve_steady_state, steady_current, \
@@ -37,7 +37,6 @@ __all__ = [
     "Hamiltonian",
     "DisorderSpec",
     "build_hamiltonian",
-    "dipole_coupling",
     "apply_disorder",
     "EnvironmentParams",
     "Channel",

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .brme import build_liouvillian, brme_steady_state
-from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
+from .defaults import (DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS,
+                       MIN_GROUND_POPULATION)
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
                           build_hamiltonian)
@@ -94,8 +95,8 @@ class SweepSpec:
                 "base_seed": self.disorder.base_seed,
             },
         }
-        for name in ("delta_e", "e0", "eg", "ja", "jb"):
-            out[name] = getattr(self.ham, name)
+        out.update(delta_e=self.ham.delta_e, e0=self.ham.e0, eg=self.ham.eg,
+                   ja=DEFAULTS["ja"], jb=self.ham.jb)
         for name in ("gamma_rad", "gamma_nr", "gamma_phonon", "gamma_inj",
                      "gamma_ext", "temperature", "bath_width", "bath_peak"):
             out[name] = getattr(self.env, name)
@@ -303,9 +304,7 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
     channels)``, which returns one (value, error) pair per row of the
     stacked eigensystems.  Returns one (value, error) pair per
     realization, in index order: value is None for a failed realization
-    and error is None for a good one.  If a LAPACK call in ``measure``
-    raises LinAlgError on a chunk, the chunk is re-run row by row so that
-    only the failing realization carries it.
+    and error is None for a good one.
     """
     _, h, _, channels = system
     n_sites = h.geometry.n_sites
@@ -323,12 +322,7 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
         good = [r for r, error in enumerate(errors) if error is None]
         if not good:
             return out
-        try:
-            measured = measure(energies[good], vectors[good], channels)
-        except np.linalg.LinAlgError as exc:
-            if len(indices) == 1:
-                return [(None, exc)]
-            return [pair for r in indices for pair in run([r])]
+        measured = measure(energies[good], vectors[good], channels)
         for r, pair in zip(good, measured):
             out[r] = pair
         return out

@@ -7,12 +7,12 @@ energies decrease linearly down the chain: a site in cell mu sits at
 gradient and extraction at cell N drains the bottom.
 
 Coherent couplings follow an inverse-cube law.  Within a cell every site
-pair is coupled with scale ``jb``; between different cells only
-corresponding slots (the same position in each cell) are coupled, with
-scale ``ja``, so the network is a bundle of parallel chains tied together
-by the intra-cell coupling.  With ``jb = 0`` the chains decouple exactly.
-In dipole mode the scalar 1/r^3 factor is replaced by the orientation-
-dependent point-dipole interaction.
+pair is coupled with scale ``jb``: N per-cell (n x n) blocks.  Between cells
+only corresponding slots are coupled, with the fixed scale ``DEFAULTS["ja"]``
+= 1: n per-slot (N x N) chains.  The network is a bundle of parallel chains
+tied together by the intra-cell coupling; with ``jb = 0`` they decouple
+exactly.  In dipole mode the scalar 1/r^3 factor is replaced by the
+orientation-dependent point-dipole interaction.
 """
 
 from __future__ import annotations
@@ -36,16 +36,8 @@ class HamiltonianParams:
     delta_e: float = DEFAULTS["delta_e"]
     e0: float = DEFAULTS["e0"]
     eg: float = DEFAULTS["eg"]
-    ja: float = DEFAULTS["ja"]
     jb: float = DEFAULTS["jb"]
     dipole_mode: bool = False
-
-    def __post_init__(self):
-        if self.ja != 1.0:
-            raise HamiltonianError(
-                "ja is fixed to 1 by the dimensionless rescaling; "
-                f"got {self.ja}"
-            )
 
 
 @dataclass(frozen=True)
@@ -91,61 +83,66 @@ class DisorderSpec:
         return rng.normal(0.0, self.sigma, n_sites)
 
 
-def dipole_coupling(r_i, d_i, r_j, d_j, j: float) -> float:
-    """Point-dipole coupling between two sites.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, summed in the order of 1-D ``@``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
-    Returns j * [d_i . d_j - 3 (d_i . rhat)(d_j . rhat)] / |r_i - r_j|^3
-    with rhat the unit vector along the separation.  Both dipoles must be
-    unit vectors.
+
+def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
+                    scale: float) -> np.ndarray:
+    """Couplings of every site pair along axis -2 of (..., m, 3) arrays.
+
+    Entry [..., i, j] is scale / r^3 for separation pos[i] - pos[j], or with
+    dipoles scale * [d_i . d_j - 3 (d_i . rhat)(d_j . rhat)] / r^3.  Self
+    pairs come out non-finite.
     """
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    d_i = np.asarray(d_i, dtype=float)
-    d_j = np.asarray(d_j, dtype=float)
-    sep = r_i - r_j
-    dist = np.linalg.norm(sep)
-    if dist < 1e-12:
-        raise HamiltonianError("coincident sites have no finite coupling")
-    for d in (d_i, d_j):
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise HamiltonianError("dipole vectors must have unit norm")
-    rhat = sep / dist
-    angular = d_i @ d_j - 3.0 * (d_i @ rhat) * (d_j @ rhat)
-    return j * angular / dist**3
+    sep = pos[..., :, None, :] - pos[..., None, :, :]
+    dist = np.sqrt(_dot(sep, sep))
+    if dip is None:
+        return scale / dist**3
+    rhat = sep / dist[..., None]
+    d_i, d_j = dip[..., :, None, :], dip[..., None, :, :]
+    angular = _dot(d_i, d_j) - 3.0 * _dot(d_i, rhat) * _dot(d_j, rhat)
+    return scale * angular / dist**3
 
 
 def build_hamiltonian(geometry: Geometry,
                       params: HamiltonianParams) -> Hamiltonian:
     """Assemble the dense Hamiltonian for a geometry.
 
-    In dipole mode every site must carry a dipole vector; the same pairs
-    are coupled as in scalar mode, with the point-dipole form replacing
-    the plain 1/r^3 factor.
+    The (cell, slot, cell, slot) view of the excited block takes the N
+    in-cell blocks and the n same-slot chains; its strict upper triangle is
+    kept and mirrored.  Dipole mode needs a unit dipole on every site and
+    replaces the 1/r^3 factor by the point-dipole form.
     """
-    if params.dipole_mode and geometry.dipoles is None:
-        raise HamiltonianError("dipole_mode requires dipoles on every site")
-    n = geometry.sites_per_cell
+    n_cells, n = geometry.n_cells, geometry.sites_per_cell
     ns = geometry.n_sites
-    pos = geometry.positions
+    dip = None
+    if params.dipole_mode:
+        if geometry.dipoles is None:
+            raise HamiltonianError("dipole_mode needs dipoles on every site")
+        norms = np.linalg.norm(geometry.dipoles, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise HamiltonianError("dipole vectors must have unit norm")
+        dip = geometry.dipoles.reshape(n_cells, n, 3)
+    pos = geometry.positions.reshape(n_cells, n, 3)
+    chain_dip = None if dip is None else dip.swapaxes(0, 1)
+    blocks = np.zeros((n_cells, n, n_cells, n))
+    cells, slots = np.arange(n_cells), np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blocks[cells, :, cells, :] = _pair_couplings(pos, dip, params.jb)
+        blocks[:, slots, :, slots] = _pair_couplings(
+            pos.swapaxes(0, 1), chain_dip, DEFAULTS["ja"])
+    upper = np.triu_indices(ns, 1)
+    couplings = blocks.reshape(ns, ns)[upper]
+    if not np.all(np.isfinite(couplings)):
+        raise HamiltonianError("coincident sites have no finite coupling")
     h = np.zeros((ns + 1, ns + 1))
     h[0, 0] = params.eg
-    cells = geometry.cells
-    diag = (geometry.n_cells - cells) * params.delta_e + params.e0
-    h[np.arange(1, ns + 1), np.arange(1, ns + 1)] = diag
-    for a in range(ns):
-        for b in range(a + 1, ns):
-            same_cell = a // n == b // n
-            same_slot = a % n == b % n
-            if not same_cell and not same_slot:
-                continue
-            scale = params.jb if same_cell else params.ja
-            if params.dipole_mode:
-                v = dipole_coupling(pos[a], geometry.dipoles[a],
-                                    pos[b], geometry.dipoles[b], scale)
-            else:
-                dist = np.linalg.norm(pos[a] - pos[b])
-                v = scale / dist**3
-            h[a + 1, b + 1] = h[b + 1, a + 1] = v
+    excited = h[1:, 1:]
+    excited[np.diag_indices(ns)] = ((n_cells - geometry.cells)
+                                    * params.delta_e + params.e0)
+    excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
     return Hamiltonian(matrix=h, geometry=geometry, params=params)
 

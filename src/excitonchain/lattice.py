@@ -97,26 +97,6 @@ class Geometry:
         base = (cell - 1) * self.sites_per_cell
         return np.arange(base, base + self.sites_per_cell)
 
-    def to_json_dict(self) -> dict:
-        sites = []
-        for k in range(self.n_sites):
-            sites.append(
-                {
-                    "cell": int(self.cells[k]),
-                    "slot": int(self.slots[k]),
-                    "pos": [float(x) for x in self.positions[k]],
-                    "dipole": None
-                    if self.dipoles is None
-                    else [float(x) for x in self.dipoles[k]],
-                }
-            )
-        return {
-            "kind": self.kind,
-            "n_cells": self.n_cells,
-            "sites_per_cell": self.sites_per_cell,
-            "sites": sites,
-        }
-
 
 def build_geometry(
     kind: str,

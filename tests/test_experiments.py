@@ -284,29 +284,6 @@ def test_ensemble_engine_isolates_failed_realizations():
     assert failed == 2
 
 
-def test_linalg_failure_on_a_chunk_marks_only_its_realization(monkeypatch):
-    real = experiments._steady_rows
-    single_calls = []
-
-    def flaky(chi):
-        if len(chi) > 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        single_calls.append(chi)
-        if len(single_calls) == 3:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(chi)
-
-    monkeypatch.setattr(experiments, "_steady_rows", flaky)
-    system = build_system("dimer", 3, 1.0, HAM, ENV)
-    currents, errors = experiments._disorder_currents(system, 0.9, 7, 5)
-    assert errors == ["", "", "LinAlgError", "", ""]
-    assert np.isnan(currents[2])
-    for r in (0, 1, 3, 4):
-        reference = solve_point("dimer", 3, 1.0, HAM, ENV,
-                                disorder_spec=DisorderSpec(0.9, 7, r))
-        assert currents[r] == reference.current
-
-
 def test_low_ground_populations_are_counted_in_one_warning():
     env = EnvironmentParams(gamma_inj=0.05)
     spec = small_spec(n_cells_values=(3,), env=env,

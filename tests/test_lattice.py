@@ -129,15 +129,3 @@ def test_per_site_dipoles_validated():
     out = assign_dipoles(geo, [[2.0, 0, 0], [0, 3.0, 0]])
     np.testing.assert_allclose(out.dipoles, [[1, 0, 0], [0, 1, 0]],
                                atol=1e-15)
-
-
-def test_json_export_schema():
-    geo = assign_dipoles(build_geometry("dimer", 2), "transport")
-    payload = geo.to_json_dict()
-    assert payload["kind"] == "dimer"
-    assert payload["n_cells"] == 2
-    assert len(payload["sites"]) == 4
-    first = payload["sites"][0]
-    assert set(first) == {"cell", "slot", "pos", "dipole"}
-    bare = build_geometry("mono", 1).to_json_dict()
-    assert bare["sites"][0]["dipole"] is None
