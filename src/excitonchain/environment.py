@@ -157,12 +157,6 @@ class EnvironmentParams:
         return float(np.sqrt(max(delta_e**2 - self.bath_width**2, 0.0)))
 
 
-def _site_weights(n_sites: int, site: int) -> np.ndarray:
-    w = np.zeros(n_sites)
-    w[site] = 1.0
-    return w
-
-
 def build_channels(geometry: Geometry, params: EnvironmentParams,
                    delta_e: float = DEFAULTS["delta_e"],
                    injection_mode: str = "site") -> list[Channel]:
@@ -196,55 +190,39 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
     bath = DrudeLorentzBath(coupling=params.gamma_phonon,
                             width=params.bath_width, peak=peak,
                             temperature=params.temperature)
-    channels: list[Channel] = []
+    # unit site weights are rows of one shared, read-only identity
+    unit = np.eye(ns)
+    unit.setflags(write=False)
+    channels = [Channel(kind="phonon", spectral=bath, operator=unit[s],
+                        site=s) for s in range(ns)]
 
-    for s in range(ns):
-        channels.append(Channel(kind="phonon", spectral=bath,
-                                operator=_site_weights(ns, s), site=s))
-
+    radiative = FlatStep(params.gamma_rad, "up")
     if geometry.dipoles is not None:
-        for axis in range(3):
-            channels.append(Channel(
-                kind="radiative",
-                spectral=FlatStep(params.gamma_rad, "up"),
-                operator=geometry.dipoles[:, axis].copy(),
-            ))
+        channels.extend(Channel(kind="radiative", spectral=radiative,
+                                operator=geometry.dipoles[:, axis].copy())
+                        for axis in range(3))
     else:
-        channels.append(Channel(
-            kind="radiative",
-            spectral=FlatStep(params.gamma_rad, "up"),
-            operator=np.ones(ns),
-        ))
+        channels.append(Channel(kind="radiative", spectral=radiative,
+                                operator=np.ones(ns)))
 
-    for s in range(ns):
-        channels.append(Channel(
-            kind="nonradiative",
-            spectral=FlatStep(params.gamma_nr, "up"),
-            operator=_site_weights(ns, s),
-            site=s,
-        ))
+    nonradiative = FlatStep(params.gamma_nr, "up")
+    channels.extend(Channel(kind="nonradiative", spectral=nonradiative,
+                            operator=unit[s], site=s) for s in range(ns))
 
+    extraction = FlatStep(params.gamma_ext, "up")
     if injection_mode == "eigen":
         channels.append(Channel(kind="injection",
                                 spectral=FlatStep(params.gamma_inj, "down"),
                                 eigen_target="highest"))
-        channels.append(Channel(kind="extraction",
-                                spectral=FlatStep(params.gamma_ext, "up"),
+        channels.append(Channel(kind="extraction", spectral=extraction,
                                 eigen_target="lowest"))
         return channels
 
-    for s in geometry.cell_sites(1):
-        channels.append(Channel(
-            kind="injection",
-            spectral=FlatStep(params.gamma_inj / n, "down"),
-            operator=_site_weights(ns, s),
-            site=int(s),
-        ))
-    for s in geometry.cell_sites(geometry.n_cells):
-        channels.append(Channel(
-            kind="extraction",
-            spectral=FlatStep(params.gamma_ext, "up"),
-            operator=_site_weights(ns, s),
-            site=int(s),
-        ))
+    injection = FlatStep(params.gamma_inj / n, "down")
+    channels.extend(Channel(kind="injection", spectral=injection,
+                            operator=unit[s], site=int(s))
+                    for s in geometry.cell_sites(1))
+    channels.extend(Channel(kind="extraction", spectral=extraction,
+                            operator=unit[s], site=int(s))
+                    for s in geometry.cell_sites(geometry.n_cells))
     return channels

@@ -2,7 +2,19 @@
 
 Diagonalization keeps the ground state as an exact basis vector (it is
 coherently decoupled) and returns excited eigenstates in ascending energy
-order with a deterministic basis:
+order.  It takes one of two paths:
+
+- a clean chain of identical cells has the excited block
+  T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
+  cell block; the block is tested for that form exactly and then solved
+  from eigh(T) and eigh(B): energies t_i + b_j, vectors U_i (x) W_j;
+- every other block (disorder, per-site dipoles, layouts that are not
+  exact translates) goes through one full-space eigh.  So does a clean
+  chain whose centroid rule below leaves a tie unsplit across distinct
+  levels of B: the full-space solver's arbitrary mixture there is the
+  basis that stored results pin.
+
+Both paths then fix a deterministic basis:
 
 - within every numerically degenerate multiplet the basis is fixed by
   diagonalizing the in-plane centroid operators (y, then z among remaining
@@ -11,7 +23,7 @@ order with a deterministic basis:
   arbitrary LAPACK mixture;
 - degenerate partners are then ordered by their (x, y, z) site-support
   centroids and every eigenvector's largest-magnitude component is made
-  positive.
+  positive (the first site among exactly equal magnitudes).
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
@@ -86,50 +98,72 @@ def _group_ranges(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
+def _degeneracy_tol(eps: np.ndarray) -> float:
+    return _DEGENERACY_RTOL * max(1.0, float(np.abs(eps).max()))
+
+
 def _resolve_degeneracies(eps: np.ndarray, vecs: np.ndarray,
-                          positions: np.ndarray) -> np.ndarray:
+                          positions: np.ndarray
+                          ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Fix a canonical eigenbasis inside each degenerate multiplet.
 
-    Spectra without a multiplet (disorder almost always lifts them) are
-    returned unchanged after one vectorized spacing test.
+    Returns the vectors and the ties the centroid rule left unsplit, as
+    (lo, hi) column ranges.  Multiplets of one size are rotated together,
+    one stacked ``eigh`` per size and axis.  Spectra without a multiplet
+    (disorder almost always lifts them) are returned unchanged after one
+    vectorized spacing test.
     """
-    tol = _DEGENERACY_RTOL * max(1.0, float(np.abs(eps).max()))
+    tol = _degeneracy_tol(eps)
     if not np.any(np.diff(eps) <= tol):
-        return vecs
-    groups = _group_ranges(eps, tol)
+        return vecs, []
+    multiplets = [(lo, hi) for lo, hi in _group_ranges(eps, tol)
+                  if hi - lo > 1]
+    ties = multiplets
     for axis in (1, 2):
         coords = positions[:, axis]
-        refined = []
-        for lo, hi in groups:
-            if hi - lo < 2:
-                refined.append((lo, hi))
-                continue
-            block = vecs[:, lo:hi]
-            centroid_op = block.T @ (coords[:, None] * block)
+        starts_by_size: dict[int, list[int]] = {}
+        for lo, hi in ties:
+            starts_by_size.setdefault(hi - lo, []).append(lo)
+        ties = []
+        for size, starts in starts_by_size.items():
+            cols = np.add.outer(starts, np.arange(size))
+            block = vecs[:, cols].transpose(1, 0, 2)
+            centroid_op = block.transpose(0, 2, 1) @ (coords[:, None] * block)
             centroid_vals, rot = np.linalg.eigh(centroid_op)
-            vecs[:, lo:hi] = block @ rot
-            refined.extend((lo + a, lo + b)
-                           for a, b in _group_ranges(centroid_vals, 1e-9))
-        groups = refined
-    # order any residual ties by centroid along the transport axis, then
-    # in-plane, for reproducible exports
-    for lo, hi in _group_ranges(eps, tol):
-        if hi - lo < 2:
-            continue
-        block = vecs[:, lo:hi]
-        keys = [(block[:, j] ** 2) @ positions for j in range(hi - lo)]
-        order = sorted(range(hi - lo),
-                       key=lambda j: tuple(np.round(keys[j], 9)))
-        vecs[:, lo:hi] = block[:, order]
-    return vecs
+            vecs[:, cols] = (block @ rot).transpose(1, 0, 2)
+            apart = np.all(np.diff(centroid_vals, axis=1) > 1e-9, axis=1)
+            for r in np.flatnonzero(~apart):
+                ties.extend((starts[r] + a, starts[r] + b)
+                            for a, b in _group_ranges(centroid_vals[r], 1e-9)
+                            if b - a > 1)
+    # order the states of each multiplet by centroid along the transport
+    # axis, then in-plane, for reproducible exports
+    cols = np.concatenate([np.arange(lo, hi) for lo, hi in multiplets])
+    squares = np.ascontiguousarray((vecs[:, cols] ** 2).T)
+    keys = np.round((squares[:, None, :] @ positions)[:, 0, :], 9)
+    owner = np.repeat(np.arange(len(multiplets)),
+                      [hi - lo for lo, hi in multiplets])
+    vecs[:, cols] = vecs[:, cols[np.lexsort((*keys.T[::-1], owner))]]
+    return vecs, sorted(ties)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Make each eigenvector's largest-magnitude component positive."""
+    """Make each eigenvector's largest-magnitude component positive.
+
+    Among components of exactly equal magnitude the first site leads.
+    """
     lead = np.argmax(np.abs(vecs), axis=-2)
     signs = np.sign(np.take_along_axis(vecs, lead[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return vecs * signs
+
+
+def _gap_error(eps0: float, eg: float) -> SpectralError | None:
+    if eps0 > eg:
+        return None
+    return SpectralError(
+        f"lowest excited eigenvalue {eps0:g} does not exceed the "
+        f"ground-state energy {eg:g}; increase the manifold offset")
 
 
 def _eigen_rows(blocks: np.ndarray, eg: float, positions: np.ndarray
@@ -156,22 +190,71 @@ def _eigen_rows(blocks: np.ndarray, eg: float, positions: np.ndarray
                 f"eigendecomposition failed (condition number {cond:.3e})")
             errors[r].__cause__ = exc
             continue
-        if eps[0] <= eg:
-            errors[r] = SpectralError(
-                f"lowest excited eigenvalue {eps[0]:g} does not exceed the "
-                f"ground-state energy {eg:g}; increase the manifold offset")
+        errors[r] = _gap_error(eps[0], eg)
+        if errors[r] is not None:
             continue
         energies[r, 1:] = eps
-        full[r, 1:, 1:] = _resolve_degeneracies(eps, vecs, positions)
+        full[r, 1:, 1:] = _resolve_degeneracies(eps, vecs, positions)[0]
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
     full[:, 1:, 1:] = _fix_signs(full[:, 1:, 1:])
     return energies, full, errors
 
 
+def _sector_eigen(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
+    """Excited energies and vectors of a clean chain from its blocks.
+
+    In the (cell, slot, cell, slot) view the excited block is tested for
+    the Kronecker sum T (x) 1_n + 1_N (x) B, with T slot 0's chain and B
+    cell 0's block less T[0, 0] on its diagonal.  Its eigenpairs are
+    t_i + b_j and U[:, i] (x) W[:, j], stably sorted, then put through
+    the centroid rule.  Returns None when the block is not such a sum,
+    or when the rule leaves a tie unsplit across distinct levels of B:
+    the general path's basis there is LAPACK's mixture, which stored
+    results pin.
+    """
+    geometry = h.geometry
+    n_cells, n = geometry.n_cells, geometry.sites_per_cell
+    x = h.excited_block.reshape(n_cells, n, n_cells, n)
+    chain = x[:, 0, :, 0]
+    cell = x[0, :, 0, :] - chain[0, 0] * np.eye(n)
+    kron_sum = (chain[:, None, :, None] * np.eye(n)[:, None, :]
+                + np.eye(n_cells)[:, None, :, None] * cell[:, None, :])
+    if not np.array_equal(kron_sum, x):
+        return None
+    try:
+        t, u = scipy.linalg.eigh(chain)
+        b, w = scipy.linalg.eigh(cell)
+    except scipy.linalg.LinAlgError:  # pragma: no cover - general path reports
+        return None
+    eps = (t[:, None] + b).ravel()
+    order = np.argsort(eps, kind="stable")
+    eps = eps[order]
+    error = _gap_error(eps[0], h.matrix[0, 0])
+    if error is not None:
+        raise error
+    vecs, ties = _resolve_degeneracies(eps, np.kron(u, w)[:, order],
+                                       geometry.positions)
+    levels = [lo for lo, _ in _group_ranges(b, _degeneracy_tol(eps))]
+    if ties and len(levels) > 1:
+        # weight of each tie's span on each level of B: the span is made of
+        # whole states of each level, so a weight is an integer up to rounding
+        cols = np.concatenate([np.arange(lo, hi) for lo, hi in ties])
+        modes = w.T @ vecs[:, cols].reshape(n_cells, n, -1)
+        per_level = np.add.reduceat((modes**2).sum(axis=0), levels, axis=0)
+        starts = np.cumsum([0] + [hi - lo for lo, hi in ties[:-1]])
+        per_tie = np.add.reduceat(per_level, starts, axis=1)
+        if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
+            return None
+    return eps, _fix_signs(vecs)
+
+
 def diagonalize(h: Hamiltonian) -> EigenSystem:
     """Diagonalize the excited block and assemble the full eigensystem.
 
+    A clean chain is solved from its chain and cell blocks
+    (:func:`_sector_eigen`); every other block, and a chain that block
+    solve hands back, goes through the general path of :func:`_eigen_rows`.
     Raises SpectralError if the solver fails or if any excited eigenvalue
     does not exceed the ground-state energy (the one-way ground <-> excited
     channels assume a strictly positive gap).
@@ -179,11 +262,20 @@ def diagonalize(h: Hamiltonian) -> EigenSystem:
     sym_dev = float(np.abs(h.matrix - h.matrix.T).max())
     if sym_dev > 0.0:
         raise SpectralError(f"Hamiltonian not symmetric (max dev {sym_dev:g})")
-    energies, vectors, errors = _eigen_rows(
-        h.excited_block[None], h.matrix[0, 0], h.geometry.positions)
-    if errors[0] is not None:
-        raise errors[0]
-    return EigenSystem(energies=energies[0], vectors=vectors[0],
+    eg = h.matrix[0, 0]
+    sector = _sector_eigen(h)
+    if sector is None:
+        energies, vectors, errors = _eigen_rows(
+            h.excited_block[None], eg, h.geometry.positions)
+        if errors[0] is not None:
+            raise errors[0]
+        return EigenSystem(energies=energies[0], vectors=vectors[0],
+                           hamiltonian=h)
+    eps, vecs = sector
+    vectors = np.zeros((h.dimension, h.dimension))
+    vectors[0, 0] = 1.0
+    vectors[1:, 1:] = vecs
+    return EigenSystem(energies=np.concatenate([[eg], eps]), vectors=vectors,
                        hamiltonian=h)
 
 
@@ -234,9 +326,10 @@ def transition_matrix(es: EigenSystem,
     Phonon channels (single-site projectors) sharing a spectral density
     are summed in one product over their sites; every other channel
     couples the ground state to the excited states through its site
-    weights.  Channels with ``eigen_target`` set couple the ground state
-    directly to the highest ("highest") or lowest ("lowest") excited
-    eigenstate with unit matrix element.
+    weights, summed in one product per kind and spectral density.
+    Channels with ``eigen_target`` set couple the ground state directly to
+    the highest ("highest") or lowest ("lowest") excited eigenstate with
+    unit matrix element.
     """
     w, blocks = _rate_rows(es.energies[None], es.vectors[None], channels)
     return RateMatrix(w=w[0], blocks={k: b[0] for k, b in blocks.items()},
@@ -283,8 +376,9 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
 
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
-    # many channels share one spectral density: evaluate each once
-    densities: dict[object, tuple[np.ndarray, np.ndarray]] = {}
+    # ground <-> site channels of one kind and spectral density share one
+    # product: sum_c (amp @ w_c)^2
+    site_groups: dict[tuple[str, object], list[np.ndarray]] = {}
     for ch in channels:
         if ch.kind == "phonon":
             continue
@@ -297,13 +391,12 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
             target[:, 0, idx] += ch.spectral(omega_down)
             target[:, idx, 0] += ch.spectral(-omega_down)
             continue
-        if ch.spectral not in densities:
-            densities[ch.spectral] = (ch.spectral(omega_from_excited),
-                                      ch.spectral(omega_into_excited))
-        from_excited, into_excited = densities[ch.spectral]
-        alpha_sq = (amp @ weights_of(ch)) ** 2
-        target[:, 0, 1:] += from_excited * alpha_sq
-        target[:, 1:, 0] += into_excited * alpha_sq
+        site_groups.setdefault((ch.kind, ch.spectral), []).append(
+            weights_of(ch))
+    for (kind, spectral), group_rows in site_groups.items():
+        alpha_sq = ((amp @ np.array(group_rows).T) ** 2).sum(-1)
+        blocks[kind][:, 0, 1:] += spectral(omega_from_excited) * alpha_sq
+        blocks[kind][:, 1:, 0] += spectral(omega_into_excited) * alpha_sq
 
     w = np.zeros((rows, dim, dim))
     for b in blocks.values():

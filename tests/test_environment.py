@@ -127,6 +127,18 @@ def test_operators_are_site_weight_vectors():
             np.testing.assert_array_equal(ch.operator, unit[ch.site])
 
 
+def test_channels_of_a_kind_share_one_spectrum_and_one_identity():
+    geo = build_geometry("prism", 3)
+    channels = build_channels(geo, EnvironmentParams())
+    unit = channels[0].operator.base
+    assert unit.shape == (geo.n_sites, geo.n_sites)
+    assert not unit.flags.writeable
+    for kind in ("phonon", "nonradiative", "injection", "extraction"):
+        group = [ch for ch in channels if ch.kind == kind]
+        assert all(ch.spectral is group[0].spectral for ch in group)
+        assert all(ch.operator.base is unit for ch in group)
+
+
 def test_phonon_operators_are_site_projectors():
     geo = build_geometry("dimer", 2)
     channels = [c for c in build_channels(geo, EnvironmentParams())

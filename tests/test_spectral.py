@@ -1,12 +1,20 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from excitonchain.environment import EnvironmentParams, build_channels
-from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
+from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
+                                      apply_disorder, build_hamiltonian)
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.spectral import (SpectralError, brightness,
+from excitonchain.pme import solve_steady_state
+from excitonchain.spectral import (EigenSystem, SpectralError, _eigen_rows,
+                                   _sector_eigen, brightness,
                                    classify_bright_dark, diagonalize,
                                    eigenstructure_tables, relaxation_profile,
                                    transition_matrix)
@@ -177,6 +185,13 @@ def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
                                rtol=1e-12)
 
 
+def test_rates_do_not_depend_on_shared_spectrum_objects():
+    es, channels = make_system("prism", 4, jb=3.0)
+    own = [replace(ch, spectral=replace(ch.spectral)) for ch in channels]
+    np.testing.assert_array_equal(transition_matrix(es, own).w,
+                                  transition_matrix(es, channels).w)
+
+
 def test_phonon_channel_must_act_on_a_single_site():
     es, channels = make_system("mono", 2)
     spread = replace(channels[0], operator=np.ones(2))
@@ -311,3 +326,117 @@ def test_eigenstructure_tables_shapes():
     assert len(amplitudes) == 20 * 20
     assert set(states[0]) == {"state_index", "energy", "brightness"}
     assert {"site_index", "amplitude"} <= set(amplitudes[0])
+
+
+# A clean chain's excited block is the Kronecker sum T (x) 1_n + 1_N (x) B
+# of its chain block T and cell block B; diagonalize solves it from the two.
+KINDS = ("mono", "dimer", "trimer", "prism", "cuboid")
+DIPOLES = {"scalar": None, "transport": "transport",
+           "vector": [1.0, 2.0, 0.5]}
+
+
+def chain_and_cell_blocks(h):
+    geo = h.geometry
+    x = h.excited_block.reshape(geo.n_cells, geo.sites_per_cell,
+                                geo.n_cells, geo.sites_per_cell)
+    chain = x[:, 0, :, 0]
+    return chain, x[0, :, 0, :] - chain[0, 0] * np.eye(geo.sites_per_cell)
+
+
+def general_eigensystem(h):
+    energies, vectors, errors = _eigen_rows(
+        h.excited_block[None], h.matrix[0, 0], h.geometry.positions)
+    assert errors[0] is None
+    return EigenSystem(energies=energies[0], vectors=vectors[0],
+                       hamiltonian=h)
+
+
+def pme_current(es, channels):
+    return solve_steady_state(transition_matrix(es, channels)).current
+
+
+@pytest.mark.parametrize("dipoles", DIPOLES.values(), ids=DIPOLES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_sector_spectrum_is_the_sorted_sum_of_block_levels(kind, dipoles):
+    for n_cells in (1, 2, 7, 30):
+        for jb in (0.1, 10.0):
+            es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
+            h = es.hamiltonian
+            assert _sector_eigen(h) is not None
+            chain, cell = chain_and_cell_blocks(h)
+            sums = np.sort((np.linalg.eigvalsh(chain)[:, None]
+                            + np.linalg.eigvalsh(cell)).ravel())
+            np.testing.assert_allclose(es.excited_energies, sums,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                es.excited_energies, np.linalg.eigvalsh(h.excited_block),
+                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dipoles", DIPOLES.values(), ids=DIPOLES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_sector_currents_match_the_general_path(kind, dipoles):
+    for n_cells in (1, 2, 7, 30):
+        for jb in (0.1, 1.0, 10.0):
+            es, channels = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
+            expected = pme_current(general_eigensystem(es.hamiltonian),
+                                   channels)
+            assert pme_current(es, channels) == pytest.approx(
+                expected, rel=1e-12, abs=0)
+
+
+def disordered(h):
+    return apply_disorder(h, DisorderSpec(sigma=0.9, seed=5))
+
+
+@pytest.mark.parametrize("kind,n_cells,jb,dipoles,perturb", [
+    ("dimer", 30, 1.0, None, None),
+    ("prism", 7, 10.0, "per-site", None),
+    ("cuboid", 7, 1.0, None, disordered),
+], ids=["unsplit-tie", "per-site-dipoles", "disorder"])
+def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
+                                          perturb, rng):
+    if dipoles == "per-site":
+        dipoles = rng.normal(size=(build_geometry(kind, n_cells).n_sites, 3))
+    es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
+    h = es.hamiltonian if perturb is None else perturb(es.hamiltonian)
+    assert _sector_eigen(h) is None
+    es, expected = diagonalize(h), general_eigensystem(h)
+    np.testing.assert_array_equal(es.energies, expected.energies)
+    np.testing.assert_array_equal(es.vectors, expected.vectors)
+
+
+REFERENCE_FILE = (Path(__file__).resolve().parents[1] / "perfbench"
+                  / "reference_currents.json")
+# the clean points whose centroid rule leaves a tie across cell levels, so
+# their basis is the general path's, plus the two largest sector systems
+PINNED_POINTS = ([("dimer", 1.0, n) for n in range(24, 41)]
+                 + [("cuboid", 1.0, n) for n in range(27, 41)]
+                 + [("cuboid", 10.0, 40), ("prism", 0.1, 100)])
+PINNED_SCRIPT = """
+import json, sys
+from excitonchain import EnvironmentParams, HamiltonianParams
+from excitonchain.experiments import solve_point
+print(json.dumps([solve_point(kind, n_cells, jb, HamiltonianParams(),
+                              EnvironmentParams()).current
+                  for kind, jb, n_cells in json.loads(sys.argv[1])]))
+"""
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+
+
+def test_pinned_basis_reproduces_the_stored_reference_currents():
+    # LAPACK's mixture inside a tie the centroid rule leaves unsplit depends
+    # on the BLAS thread count; the references were solved on one thread
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    run = subprocess.run(
+        [sys.executable, "-c", PINNED_SCRIPT, json.dumps(PINNED_POINTS)],
+        env=env, capture_output=True, text=True, check=True)
+    with open(REFERENCE_FILE) as handle:
+        stored = {(p["geometry"], float(p["jb"]), int(p["n_cells"])):
+                  float(p["current"]) for p in json.load(handle)["points"]}
+    for point, current in zip(PINNED_POINTS, json.loads(run.stdout)):
+        assert current == pytest.approx(stored[point], rel=1e-10,
+                                        abs=0), point
