@@ -4,14 +4,23 @@ Every experiment is a pure function of its spec: runs are keyed by
 (geometry, coupling, size, realization) and aggregated in deterministic
 order, so identical specs reproduce identical tables.
 
-Disorder ensembles share one engine.  Per grid point it builds the clean
-geometry, Hamiltonian and channels once; disorder only shifts the excited
-diagonal, so each realization is the clean excited block plus its seeded
-draw (the same numbers ``apply_disorder`` adds).  Realizations go through
-the stack-aware eigen, rate and steady-state kernels of ``spectral`` and
-``pme`` in fixed-size chunks, which ``jobs`` threads share out.  A
-realization that fails a check is recorded with its error class and the
-others are unaffected.
+Sweeps and disorder ensembles share one engine: the stack-aware rate
+and steady-state kernels of ``spectral`` and ``pme``, fed fixed-size
+chunks (:func:`_chunk_size`) that ``jobs`` threads share out.
+
+- A length sweep solves its population (PME) points per chain: each
+  (geometry, N) builds its geometry and channels once, diagonalizes one
+  Hamiltonian per coupling jb, and solves those eigensystems as one
+  stack.  Its rows equal :func:`solve_point`'s reports exactly, and a
+  failing point raises what :func:`solve_point` raises there (the first
+  such point in grid order).  Density-matrix points are solved one by
+  one.
+- A disorder ensemble builds the clean geometry, Hamiltonian and
+  channels once per grid point; disorder only shifts the excited
+  diagonal, so each realization is the clean excited block plus its
+  seeded draw (the same numbers ``apply_disorder`` adds), diagonalized in
+  stacks.  A realization that fails a check is recorded with its error
+  class and the others are unaffected.
 """
 
 from __future__ import annotations
@@ -29,16 +38,23 @@ from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
                           build_hamiltonian)
 from .lattice import assign_dipoles, build_geometry
-from .pme import (SteadyStateReport, _extraction_flux, _generator_rows,
-                  _steady_rows, site_populations, solve_steady_state)
-from .spectral import (_brightness_rows, _dark_mask, _eigen_rows,
-                       _rate_rows, brightness, diagonalize, transition_matrix)
+from .pme import (SteadyStateReport, _generator_rows, _ground_flux,
+                  _steady_reports, _steady_rows, site_populations,
+                  solve_steady_state)
+from .spectral import (EigenSystem, SpectralError, _brightness_rows,
+                       _dark_mask, _eigen_rows, _rate_rows, brightness,
+                       diagonalize, transition_matrix)
 
-# realizations per stacked chunk: each (R, dim, dim) array stays near
-# 32768 doubles (256 KiB), 8 realizations at dimension 61; about a dozen
-# such arrays are alive at once, so larger chunks raise peak memory while
-# saving little per-realization overhead
+# rows per stacked chunk: each (R, dim, dim) array stays near 32768
+# doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
+# alive at once, so larger chunks raise peak memory while saving little
+# per-row overhead
 _CHUNK_ELEMENTS = 32768
+
+
+def _chunk_size(dim: int) -> int:
+    """Rows of (dim, dim) arrays per stacked chunk, at least one."""
+    return max(1, _CHUNK_ELEMENTS // dim**2)
 
 
 @dataclass(frozen=True)
@@ -151,17 +167,31 @@ def build_system(kind: str, n_cells: int, jb: float,
                  injection_mode: str = "site",
                  disorder_spec: DisorderSpec | None = None):
     """Assemble geometry, Hamiltonian, eigensystem and channels for one run."""
-    geometry = build_geometry(kind, n_cells)
-    params = replace(ham, jb=jb, dipole_mode=dipole_scheme is not None)
-    if dipole_scheme is not None:
-        geometry = assign_dipoles(geometry, dipole_scheme)
-    h = build_hamiltonian(geometry, params)
+    geometry, channels = _chain(kind, n_cells, ham, env, dipole_scheme,
+                                injection_mode)
+    h = _hamiltonian(geometry, jb, ham, dipole_scheme)
     if disorder_spec is not None and disorder_spec.sigma > 0:
         h = apply_disorder(h, disorder_spec)
-    es = diagonalize(h)
-    channels = build_channels(geometry, env, delta_e=params.delta_e,
+    return geometry, h, diagonalize(h), channels
+
+
+def _chain(kind: str, n_cells: int, ham: HamiltonianParams,
+           env: EnvironmentParams, dipole_scheme: str | None,
+           injection_mode: str) -> tuple:
+    """The geometry (with its dipoles) and the channels of one chain,
+    which do not depend on the coupling jb."""
+    geometry = build_geometry(kind, n_cells)
+    if dipole_scheme is not None:
+        geometry = assign_dipoles(geometry, dipole_scheme)
+    channels = build_channels(geometry, env, delta_e=ham.delta_e,
                               injection_mode=injection_mode)
-    return geometry, h, es, channels
+    return geometry, channels
+
+
+def _hamiltonian(geometry, jb: float, ham: HamiltonianParams,
+                 dipole_scheme: str | None):
+    return build_hamiltonian(geometry, replace(
+        ham, jb=jb, dipole_mode=dipole_scheme is not None))
 
 
 def solve_point(kind: str, n_cells: int, jb: float,
@@ -240,14 +270,38 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                     if method == "brme" and n > spec.brme_max_cells:
                         continue
                     points.append((kind, jb, n, method))
+    # tasks of point indices: the PME points of one (geometry, N) together,
+    # each BRME point alone; a task's first point orders the tasks
+    tasks: dict[tuple, list[int]] = {}
+    for i, (kind, _, n, method) in enumerate(points):
+        key = (kind, n) if method == "pme" else (i,)
+        tasks.setdefault(key, []).append(i)
 
-    def one(point):
-        kind, jb, n, method = point
-        report = solve_point(kind, n, jb, spec.ham, spec.env,
-                             dipole_scheme=spec.dipole_scheme,
-                             injection_mode=spec.injection_mode,
-                             method=method)
-        return {
+    def run(indices) -> list:
+        kind, _, n, method = points[indices[0]]
+        jbs = [points[i][1] for i in indices]
+        try:
+            if method == "pme":
+                return _pme_reports(spec, kind, n, jbs)
+            return [solve_point(kind, n, jbs[0], spec.ham, spec.env,
+                                dipole_scheme=spec.dipole_scheme,
+                                injection_mode=spec.injection_mode,
+                                method=method)]
+        except Exception as exc:  # raised below, first failure in grid order
+            return [exc] * len(indices)
+
+    groups = list(tasks.values())
+    reports: list = [None] * len(points)
+    for indices, outcome in zip(groups, _run_map(run, groups, spec.jobs)):
+        for i, report in zip(indices, outcome):
+            reports[i] = report
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+
+    rows = []
+    for (kind, jb, n, method), report in zip(points, reports):
+        rows.append({
             "geometry": kind, "jb": jb, "n_cells": n, "method": method,
             "current": report.current,
             "ground_population": report.ground_population,
@@ -256,11 +310,8 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
             "flux_extraction": report.fluxes.get("extraction", 0.0),
             "flux_radiative": report.fluxes.get("radiative", 0.0),
             "flux_nonradiative": report.fluxes.get("nonradiative", 0.0),
-        }
-
-    rows = _run_map(one, points, spec.jobs)
-    for run_id, row in enumerate(rows):
-        row["run_id"] = run_id
+            "run_id": len(rows),
+        })
     fits = []
     for kind in spec.geometries:
         for jb in spec.jb_values:
@@ -287,6 +338,42 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     return rows, fits
 
 
+def _pme_reports(spec: SweepSpec, kind: str, n_cells: int, jbs: list) -> list:
+    """PME reports of one clean chain at each coupling in ``jbs``.
+
+    The geometry and channels are built once; the couplings are solved in
+    stacked chunks.  Returns per coupling its report or the SpectralError
+    or SteadyStateError that :func:`solve_point` raises there.
+    """
+    geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
+                                spec.dipole_scheme, spec.injection_mode)
+    size = _chunk_size(geometry.n_sites + 1)
+    return [report for lo in range(0, len(jbs), size)
+            for report in _pme_stack(spec, geometry, channels,
+                                     jbs[lo:lo + size])]
+
+
+def _pme_stack(spec: SweepSpec, geometry, channels, jbs: list) -> list:
+    """:func:`_pme_reports` of one chunk: one :func:`diagonalize` per
+    coupling, then one stacked rate and steady-state solve.  (A function
+    of its own, so that a chunk's arrays are freed before the next.)"""
+    systems: list = []
+    for jb in jbs:
+        try:
+            systems.append(diagonalize(_hamiltonian(geometry, jb, spec.ham,
+                                                    spec.dipole_scheme)))
+        except SpectralError as exc:
+            systems.append(exc)
+    solved = [es for es in systems if isinstance(es, EigenSystem)]
+    if not solved:
+        return systems
+    w, blocks = _rate_rows(np.stack([es.energies for es in solved]),
+                           np.stack([es.vectors for es in solved]), channels)
+    reports = iter(_steady_reports(w, blocks))
+    return [next(reports) if isinstance(es, EigenSystem) else es
+            for es in systems]
+
+
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Stable per-grid-point seed derived from the base seed."""
     state = np.random.SeedSequence([int(base_seed), *map(int, indices)])
@@ -309,7 +396,7 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
     _, h, _, channels = system
     n_sites = h.geometry.n_sites
     sites = np.arange(n_sites)
-    size = max(1, _CHUNK_ELEMENTS // h.dimension**2)
+    size = _chunk_size(h.dimension)
 
     def run(indices) -> list[tuple]:
         # adding to the diagonal keeps the clean block's checked symmetry
@@ -336,7 +423,7 @@ def _measure_currents(energies, vectors, channels) -> list[tuple]:
     """((current, ground population), None) or (None, error) per row."""
     w, blocks = _rate_rows(energies, vectors, channels)
     populations, _, errors = _steady_rows(_generator_rows(w))
-    currents = _extraction_flux(blocks.get("extraction"), populations)
+    currents = _ground_flux(blocks.get("extraction"), populations)
     return [((float(current), float(ground)), None) if error is None
             else (None, error)
             for current, ground, error in zip(currents, populations[:, 0],

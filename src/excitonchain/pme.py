@@ -7,7 +7,9 @@ unique exactly when the rate graph has one closed communicating class;
 more than one is reported as an error naming the classes.  A unique
 steady state solves chi P = 0 with sum(P) = 1, which is one LU solve of
 chi with row 0 replaced by ones against e0; stacks of generators are
-solved in one batched call.  A solution that is negative or out of flux
+solved in one batched call, and their reports (current, fluxes,
+residual, ground population) assembled together: one steady state is a
+stack of one.  A solution that is negative or out of flux
 balance at some state (cancellation in the LU, when rates span many
 decades) is redone by state reduction, which subtracts nothing.
 """
@@ -228,16 +230,30 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 def steady_current(populations: np.ndarray, rates: RateMatrix) -> float:
     """Steady exciton current: total extraction flux into the ground state."""
-    return float(_extraction_flux(rates.blocks.get("extraction"),
-                                  populations))
+    return float(_ground_flux(rates.blocks.get("extraction"), populations))
 
 
-def _extraction_flux(ext: np.ndarray | None, populations: np.ndarray
-                     ) -> np.ndarray:
-    """Extraction flux of populations (..., dim) under blocks (..., dim, dim)."""
-    if ext is None:
+def _ground_flux(block: np.ndarray | None, populations: np.ndarray
+                 ) -> np.ndarray:
+    """Flux into the ground state of populations (..., dim) under one
+    kind's rate blocks (..., dim, dim); zero without a block."""
+    if block is None:
         return np.zeros(populations.shape[:-1])
-    return (ext[..., 0, None, 1:] @ populations[..., 1:, None])[..., 0, 0]
+    return (block[..., 0, None, 1:] @ populations[..., 1:, None])[..., 0, 0]
+
+
+def _flux_rows(populations: np.ndarray, blocks: dict[str, np.ndarray]
+               ) -> dict[str, np.ndarray]:
+    """:func:`flux_report` of stacked populations (R, dim) under stacked
+    per-kind blocks (R, dim, dim): one (R,) array per kind."""
+    fluxes = {}
+    for kind, block in blocks.items():
+        if kind == "phonon":
+            continue
+        fluxes[kind] = (block[:, 1:, 0].sum(axis=1) * populations[:, 0]
+                        if kind == "injection"
+                        else _ground_flux(block, populations))
+    return fluxes
 
 
 def flux_report(populations: np.ndarray, rates: RateMatrix) -> dict[str, float]:
@@ -247,14 +263,9 @@ def flux_report(populations: np.ndarray, rates: RateMatrix) -> dict[str, float]:
     loss and extraction channels flow back.  In a steady state injection
     balances extraction + radiative + non-radiative exactly.
     """
-    fluxes = {}
-    for kind, block in rates.blocks.items():
-        if kind == "phonon":
-            continue
-        into_excited = float(block[1:, 0].sum() * populations[0])
-        into_ground = float(block[0, 1:] @ populations[1:])
-        fluxes[kind] = into_excited if kind == "injection" else into_ground
-    return fluxes
+    fluxes = _flux_rows(populations[None],
+                        {k: b[None] for k, b in rates.blocks.items()})
+    return {kind: float(flux[0]) for kind, flux in fluxes.items()}
 
 
 def site_populations(populations: np.ndarray, es: EigenSystem) -> np.ndarray:
@@ -263,21 +274,42 @@ def site_populations(populations: np.ndarray, es: EigenSystem) -> np.ndarray:
     return amp2.T @ populations[1:]
 
 
-def solve_steady_state(rates: RateMatrix, method_label: str = "pme"
-                       ) -> SteadyStateReport:
-    """Build the generator, solve it, and assemble the full report."""
-    gen = build_generator(rates)
-    populations, residual = steady_state(gen)
-    current = steady_current(populations, rates)
-    fluxes = flux_report(populations, rates)
-    ground = float(populations[0])
-    if ground <= MIN_GROUND_POPULATION:
-        warnings.warn(
-            f"ground population {ground:.4f} <= {MIN_GROUND_POPULATION}; "
-            "the single-excitation treatment may not be justified at these "
-            "rates", stacklevel=2)
-    return SteadyStateReport(
-        populations=populations, current=current, fluxes=fluxes,
-        residual=residual, ground_population=ground,
-        method=method_label,
-    )
+def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:
+    """Build the generator, solve it, and assemble the full report.
+
+    Raises SteadyStateError as :func:`steady_state` does.
+    """
+    report = _steady_reports(rates.w[None],
+                             {k: b[None] for k, b in rates.blocks.items()})[0]
+    if isinstance(report, SteadyStateError):
+        raise report
+    return report
+
+
+def _steady_reports(w: np.ndarray, blocks: dict[str, np.ndarray]) -> list:
+    """:func:`solve_steady_state` of stacked rate matrices (R, dim, dim)
+    and their per-kind blocks.
+
+    Returns per row its SteadyStateReport or the SteadyStateError it
+    raised.  Each row whose ground population is at or below
+    ``MIN_GROUND_POPULATION`` warns once.
+    """
+    populations, residual, errors = _steady_rows(_generator_rows(w))
+    fluxes = _flux_rows(populations, blocks)
+    currents = _ground_flux(blocks.get("extraction"), populations)
+    reports: list = []
+    for r, error in enumerate(errors):
+        if error is not None:
+            reports.append(error)
+            continue
+        ground = float(populations[r, 0])
+        if ground <= MIN_GROUND_POPULATION:
+            warnings.warn(
+                f"ground population {ground:.4f} <= {MIN_GROUND_POPULATION}; "
+                "the single-excitation treatment may not be justified at "
+                "these rates", stacklevel=3)
+        reports.append(SteadyStateReport(
+            populations=populations[r], current=float(currents[r]),
+            fluxes={kind: float(flux[r]) for kind, flux in fluxes.items()},
+            residual=float(residual[r]), ground_population=ground))
+    return reports

@@ -105,6 +105,78 @@ def test_both_methods_respect_the_brme_cap():
     assert abs(brme[2] - pme[2]) / pme[2] < 0.05
 
 
+# (geometries, n_cells, sweep settings) of length sweeps whose rows must
+# equal per-point solves; prism N=35 (dimension 106) is one chain whose
+# three couplings the chunk rule splits into stacks of two and one
+SWEEP_CASES = {
+    "site": (("mono", "dimer", "prism"), (2, 3, 7), {"jobs": 2}),
+    "eigen": (("mono", "dimer", "prism"), (2, 3, 7),
+              {"injection_mode": "eigen"}),
+    "dipoles": (("mono", "dimer", "prism"), (2, 3, 7),
+                {"dipole_scheme": "transport"}),
+    "eigen-dipoles": (("mono", "dimer", "prism"), (2, 3, 7),
+                      {"injection_mode": "eigen",
+                       "dipole_scheme": "transport", "jobs": 2}),
+    "split-chain": (("prism",), (35,), {}),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES.values(), ids=SWEEP_CASES)
+def test_length_sweep_rows_equal_per_point_solves(case):
+    geometries, n_cells, settings = case
+    spec = SweepSpec(geometries=geometries, n_cells_values=n_cells,
+                     jb_values=(0.1, 1.0, 10.0), ham=HAM, env=ENV,
+                     **settings)
+    if n_cells == (35,):
+        assert experiments._chunk_size(3 * 35 + 1) == 2
+    rows, _ = length_sweep(spec)
+    points = [(kind, jb, n) for kind in geometries
+              for jb in spec.jb_values for n in n_cells]
+    assert [(r["geometry"], r["jb"], r["n_cells"]) for r in rows] == points
+    assert [r["run_id"] for r in rows] == list(range(len(points)))
+    per_point = {"dipole_scheme": spec.dipole_scheme,
+                 "injection_mode": spec.injection_mode}
+    for row, (kind, jb, n) in zip(rows, points):
+        report = solve_point(kind, n, jb, HAM, ENV, **per_point)
+        for column in ("current", "ground_population", "residual"):
+            assert row[column] == getattr(report, column), column
+        for flux in ("injection", "extraction", "radiative",
+                     "nonradiative"):
+            assert row[f"flux_{flux}"] == report.fluxes.get(flux, 0.0), flux
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_length_sweep_raises_the_first_failing_point_in_grid_order(jobs):
+    # at e0 = 10.65 the dimer's lowest level falls below the ground state
+    # at (jb 10, N 4) and (jb 12, N 2) but not at (jb 10, N 2): the chain
+    # N=2 is solved first, yet (jb 10, N 4) comes first in grid order
+    ham = replace(HAM, e0=10.65)
+    spec = small_spec(n_cells_values=(2, 4), jb_values=(10.0, 12.0),
+                      ham=ham, jobs=jobs)
+    solve_point("dimer", 2, 10.0, ham, ENV)
+    with pytest.raises(SpectralError) as expected:
+        solve_point("dimer", 4, 10.0, ham, ENV)
+    with pytest.raises(SpectralError) as raised:
+        length_sweep(spec)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_length_sweep_warns_once_per_low_ground_population_point():
+    spec = small_spec(n_cells_values=(2, 3), jb_values=(1.0, 10.0),
+                      env=EnvironmentParams(gamma_inj=0.05))
+    with pytest.warns(UserWarning) as swept:
+        length_sweep(spec)
+    with pytest.warns(UserWarning) as single:
+        for jb in spec.jb_values:
+            for n in spec.n_cells_values:
+                solve_point("dimer", n, jb, HAM, spec.env)
+    messages = sorted(str(w.message) for w in swept)
+    assert len(messages) == 4
+    assert all(m.startswith("ground population") for m in messages)
+    assert messages == sorted(str(w.message) for w in single)
+
+
 def test_population_profile_normalization_and_trend():
     gammas = [1e-4, 1e-3, 1e-2, 1e-1]
     rows = population_profile("mono", 10, 1.0, gammas, HAM, ENV)
