@@ -216,10 +216,16 @@ def _solve_system(system, method: str = "pme") -> SteadyStateReport:
 
 
 def _run_map(fn, items, jobs: int) -> list:
+    return list(_map_in_order(fn, items, jobs))
+
+
+def _map_in_order(fn, items, jobs: int):
+    """Yield fn(item) in item order; with one job, only as it is asked for."""
     if jobs <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def population_profile(kind: str, n_cells: int, jb: float,
@@ -259,6 +265,9 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     solved with both solvers (the density-matrix one only up to
     ``brme_max_cells``) and rows are tagged by method; fits are computed
     per (geometry, jb, method) over points with n_cells >= fit_min_cells.
+    A failing point raises what :func:`solve_point` raises there, for the
+    first such point in grid order; with one job, no chain is solved
+    after the one that settles which point that is.
     """
     methods = {"pme": ["pme"], "brme": ["brme"],
                "both": ["pme", "brme"]}[spec.method]
@@ -290,14 +299,21 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
         except Exception as exc:  # raised below, first failure in grid order
             return [exc] * len(indices)
 
+    # a failure is the first in grid order once every task that starts
+    # before it is done; with one job the later tasks are then not run
     groups = list(tasks.values())
     reports: list = [None] * len(points)
-    for indices, outcome in zip(groups, _run_map(run, groups, spec.jobs)):
-        for i, report in zip(indices, outcome):
+    first_failure = len(points)
+    outcomes = _map_in_order(run, groups, spec.jobs)
+    for indices in groups:
+        if indices[0] > first_failure:
+            break
+        for i, report in zip(indices, next(outcomes)):
             reports[i] = report
-    for report in reports:
-        if isinstance(report, Exception):
-            raise report
+            if isinstance(report, Exception):
+                first_failure = min(first_failure, i)
+    if first_failure < len(points):
+        raise reports[first_failure]
 
     rows = []
     for (kind, jb, n, method), report in zip(points, reports):

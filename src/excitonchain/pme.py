@@ -181,9 +181,9 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     residual are then NaN).  Uniqueness is decided once per distinct
     edge pattern, since closed classes depend on nothing else.  The
     unique rows are solved together by LU with row 0 replaced by ones;
-    a row that comes out negative, unbalanced or not finite (or all rows,
-    if the stacked LU meets an exactly singular pivot) is solved again by
-    state reduction on its closed class.
+    a row that comes out negative, unbalanced or not finite, or whose LU
+    meets an exactly singular pivot, is solved again by state reduction
+    on its closed class.
     """
     rows, dim = chi.shape[:2]
     errors: list = [None] * rows
@@ -206,10 +206,7 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     bordered[:, 0] = 1.0
     rhs = np.zeros((ok.size, dim, 1))
     rhs[:, 0] = 1.0
-    try:
-        p = np.linalg.solve(bordered, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        p = np.full((ok.size, dim), np.nan)
+    p = _bordered_solve(bordered, rhs)
     accepted = _acceptable(unique, p)
     redo = np.flatnonzero(~accepted)
     for i in redo:
@@ -226,6 +223,22 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     residual = np.full(rows, np.nan)
     residual[ok] = np.abs(unique @ populations[ok, :, None]).max(axis=(1, 2))
     return populations, residual, errors
+
+
+def _bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions (R, dim) of the stacked systems, NaN for a singular one.
+
+    One exactly singular pivot fails a whole batched solve, so a failed
+    stack is solved again row by row; every other row then keeps the
+    bits its own solve gives.
+    """
+    try:
+        return np.linalg.solve(bordered, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(bordered) == 1:
+            return np.full(bordered.shape[:2], np.nan)
+        return np.concatenate([_bordered_solve(b[None], r[None])
+                               for b, r in zip(bordered, rhs)])
 
 
 def steady_current(populations: np.ndarray, rates: RateMatrix) -> float:

@@ -367,12 +367,11 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
         excited = np.arange(dim - 1)
         for spectral, group_rows in phonon_groups.items():
             weights = np.array(group_rows)
-            sites = _single_sites(weights)
-            if sites is None:
+            if np.any(np.count_nonzero(weights, axis=1) != 1):
                 raise SpectralError("phonon channel must act on a single site")
+            group, sites = np.nonzero(weights)
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            csq = amp[:, :, sites] ** 2 * np.abs(
-                weights[np.arange(sites.size), sites])
+            csq = amp[:, :, sites] ** 2 * np.abs(weights[group, sites])
             overlap = csq @ csq.transpose(0, 2, 1)
             rates = spectral(omega_exc) * overlap
             rates[:, excited, excited] = 0.0
@@ -381,8 +380,7 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
     # ground <-> site channels of one kind and spectral density share one
-    # product, sum_c (amp @ w_c)^2, which for single-site channels is a
-    # gather of their sites' amplitudes
+    # product: sum_c (amp @ w_c)^2
     site_groups: dict[tuple[str, object], list[np.ndarray]] = {}
     for ch in channels:
         if ch.kind == "phonon":
@@ -399,17 +397,7 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
         site_groups.setdefault((ch.kind, ch.spectral), []).append(
             weights_of(ch))
     for (kind, spectral), group_rows in site_groups.items():
-        weights = np.array(group_rows)
-        sites = _single_sites(weights)
-        if sites is None:
-            coupling = amp @ weights.T
-        else:
-            # C order, like the product's: the sum over channels then
-            # runs in the same order
-            coupling = np.multiply(amp[:, :, sites],
-                                   weights[np.arange(sites.size), sites],
-                                   order="C")
-        alpha_sq = np.square(coupling, out=coupling).sum(-1)
+        alpha_sq = ((amp @ np.array(group_rows).T) ** 2).sum(-1)
         blocks[kind][:, 0, 1:] += spectral(omega_from_excited) * alpha_sq
         blocks[kind][:, 1:, 0] += spectral(omega_into_excited) * alpha_sq
 
@@ -417,15 +405,6 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     for b in blocks.values():
         w += b
     return w, blocks
-
-
-def _single_sites(weights: np.ndarray) -> np.ndarray | None:
-    """The site of each row of ``weights`` when every row has exactly one
-    nonzero weight, else None."""
-    nonzero = weights != 0
-    if not np.all(nonzero.sum(axis=1) == 1):
-        return None
-    return nonzero.argmax(axis=1)
 
 
 @dataclass(frozen=True)

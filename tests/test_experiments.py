@@ -162,6 +162,23 @@ def test_length_sweep_raises_the_first_failing_point_in_grid_order(jobs):
     assert str(raised.value) == str(expected.value)
 
 
+def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
+        monkeypatch):
+    # the dimer chains fail as above; the prism chains after them are not
+    # solved once the first failure in grid order is known
+    ham = replace(HAM, e0=10.65)
+    spec = small_spec(geometries=("dimer", "prism"), n_cells_values=(2, 4),
+                      jb_values=(10.0, 12.0), ham=ham)
+    solved = []
+    real = experiments._pme_reports
+    monkeypatch.setattr(experiments, "_pme_reports",
+                        lambda spec, kind, n, jbs: solved.append(kind)
+                        or real(spec, kind, n, jbs))
+    with pytest.raises(SpectralError):
+        length_sweep(spec)
+    assert solved == ["dimer", "dimer"]
+
+
 def test_length_sweep_warns_once_per_low_ground_population_point():
     spec = small_spec(n_cells_values=(2, 3), jb_values=(1.0, 10.0),
                       env=EnvironmentParams(gamma_inj=0.05))

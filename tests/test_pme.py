@@ -241,6 +241,26 @@ def test_state_reduction_resolves_what_the_lu_cancels():
     np.testing.assert_array_equal(p, [0.0, 0.5, 0.5])
 
 
+def test_a_singular_row_sends_only_itself_to_state_reduction(monkeypatch):
+    # the transient-state generator above makes the LU pivot exactly zero;
+    # stacked beside it, a regular generator keeps its own LU solution
+    singular = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                         [1e-17, 1.0, 0.0]])
+    regular = np.array([[0.0, 0.3, 0.2], [0.5, 0.0, 0.7], [0.1, 0.4, 0.0]])
+    alone, alone_residual, _ = _steady_rows(_generator_rows(regular[None]))
+    calls = []
+    real = pme._reduce_states
+    monkeypatch.setattr(pme, "_reduce_states",
+                        lambda *args: calls.append(args) or real(*args))
+    p, residual, errors = _steady_rows(
+        _generator_rows(np.stack([regular, singular])))
+    assert errors == [None, None]
+    assert len(calls) == 1
+    np.testing.assert_array_equal(p[0], alone[0])
+    assert residual[0] == alone_residual[0]
+    np.testing.assert_array_equal(p[1], [0.0, 0.5, 0.5])
+
+
 def test_uniqueness_is_decided_once_per_edge_pattern(monkeypatch):
     rates, _ = make_rates("dimer", 3)
     w = rates.w * np.linspace(1.0, 2.0, 6)[:, None, None]

@@ -185,28 +185,6 @@ def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
                                rtol=1e-12)
 
 
-def test_single_site_channels_gather_what_the_product_gives(rng):
-    # single-site ground <-> site channels gather their sites' amplitudes;
-    # the product amp @ W.T they replace is the bit-for-bit reference
-    es, channels = make_system("prism", 7, jb=3.0,
-                               env=EnvironmentParams(gamma_nr=0.003))
-    weighted = [ch if ch.kind in ("phonon", "radiative")
-                else replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
-                for ch in channels]
-    rates = transition_matrix(es, weighted)
-    amp = es.site_amplitudes[None]
-    down = es.energies[1:] - es.energies[0]
-    for kind in ("nonradiative", "injection", "extraction"):
-        group = [ch for ch in weighted if ch.kind == kind]
-        weights = np.array([ch.operator for ch in group])
-        alpha_sq = ((amp @ weights.T) ** 2).sum(-1)[0]
-        spectral = group[0].spectral
-        np.testing.assert_array_equal(rates.blocks[kind][0, 1:],
-                                      spectral(down) * alpha_sq)
-        np.testing.assert_array_equal(rates.blocks[kind][1:, 0],
-                                      spectral(-down) * alpha_sq)
-
-
 def test_rates_do_not_depend_on_shared_spectrum_objects():
     es, channels = make_system("prism", 4, jb=3.0)
     own = [replace(ch, spectral=replace(ch.spectral)) for ch in channels]
