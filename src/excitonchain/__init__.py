@@ -21,8 +21,7 @@ from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
 from .pme import Generator, SteadyStateReport, build_generator, \
-    flux_report, site_populations, solve_steady_state, steady_current, \
-    steady_state
+    site_populations, solve_steady_state, steady_current, steady_state
 from .spectral import BrightDarkCensus, EigenSystem, RateMatrix, \
     brightness, classify_bright_dark, diagonalize, eigenstructure_tables, \
     relaxation_profile, transition_matrix
@@ -59,7 +58,6 @@ __all__ = [
     "build_generator",
     "steady_state",
     "steady_current",
-    "flux_report",
     "site_populations",
     "solve_steady_state",
     "Liouvillian",

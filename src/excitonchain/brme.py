@@ -17,9 +17,9 @@ G_nm = S(eps_m - eps_n) A_nm) and real symmetric A,
 The normalization is fixed so that the secular (diagonal) part reproduces
 the golden-rule rates of the population equation exactly.
 
-No superoperator is formed.  In the eigenbasis a phonon channel w |s><s|
-is the rank-1 operator w u u^T with u the site's row of the eigenvectors,
-and every other channel is the rank-2 ground <-> site operator
+No superoperator is formed.  In the eigenbasis a phonon row w |s><s| is
+the rank-1 operator w u u^T with u the site's row of the eigenvectors,
+and every other row is the rank-2 ground <-> site operator
 e0 a^T + a e0^T with a = w @ V (a unit vector for eigenbasis targets).
 Applying the Liouvillian to a density matrix therefore costs
 O(n_sites dim^2): the phonon gain terms are three products with the
@@ -58,43 +58,45 @@ class BrmeError(RuntimeError):
     Krylov solve that does not converge."""
 
 
-def _coupling_vector(es: EigenSystem, ch: Channel) -> np.ndarray:
-    """The channel's coupling vector in the eigenbasis of ``es``.
+def _coupling_vectors(es: EigenSystem, ch: Channel) -> np.ndarray:
+    """The channel's coupling vectors in the eigenbasis of ``es``, one row
+    per operator row.
 
-    A phonon channel w |s><s| is w u u^T with u = V[s, :]; it is returned
-    as sqrt(|w|) u, because the dissipator is quadratic in the operator
-    and the sign of w drops out.  Every other channel is e0 a^T + a e0^T
-    and returns a.
+    A phonon row w |s><s| is w u u^T with u = V[s, :]; it is returned as
+    sqrt(|w|) u, because the dissipator is quadratic in the operator and
+    the sign of w drops out.  Every other row is e0 a^T + a e0^T and
+    returns a.
     """
     dim = es.dimension
     if ch.eigen_target is not None:
-        a = np.zeros(dim)
-        a[dim - 1 if ch.eigen_target == "highest" else 1] = 1.0
+        a = np.zeros((1, dim))
+        a[0, dim - 1 if ch.eigen_target == "highest" else 1] = 1.0
         return a
-    w = ch.operator
-    if w is None or w.shape != (dim - 1,):
+    weights = ch.operator
+    if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
         raise BrmeError(f"{ch.kind} channel operator has wrong dimension")
     if ch.kind != "phonon":
-        return w @ es.vectors[1:]
-    sites = np.flatnonzero(w)
-    if sites.size != 1:
+        return np.array([w @ es.vectors[1:] for w in weights])
+    if np.any(np.count_nonzero(weights, axis=1) != 1):
         raise BrmeError("phonon channel must act on a single site")
-    site = sites[0]
-    return np.sqrt(abs(w[site])) * es.vectors[site + 1]
+    group, sites = np.nonzero(weights)
+    return (np.sqrt(np.abs(weights[group, sites]))[:, None]
+            * es.vectors[sites + 1])
 
 
 @dataclass
 class Liouvillian:
     """The Liouvillian of an eigensystem and channel set, in factored form.
 
-    Row c of ``matrix`` is channel c's eigenbasis coupling vector (see
-    :func:`_coupling_vector`).  For ground <-> site channels, row c of
-    ``emission`` is S(eps_m - eps_0) a_m and of ``absorption``
-    S(eps_0 - eps_m) a_m (zero rows for phonon channels); ``phonon`` holds
-    one (S(omega), U) pair per phonon spectral density, with the coupling
-    vectors as the columns of U.  The (dim x dim) pieces :meth:`apply`
-    needs, the secular population rates and the diagonal of the
-    Liouvillian on the coherences are derived from these on construction.
+    Row c of ``matrix`` is the eigenbasis coupling vector of one operator
+    row (see :func:`_coupling_vectors`), and ``kinds[c]`` its channel
+    kind.  For ground <-> site rows, row c of ``emission`` is
+    S(eps_m - eps_0) a_m and of ``absorption`` S(eps_0 - eps_m) a_m (zero
+    rows for phonon rows); ``phonon`` holds one (S(omega), U) pair per
+    phonon channel, with its coupling vectors as the columns of U.  The
+    (dim x dim) pieces :meth:`apply` needs, the secular population rates
+    and the diagonal of the Liouvillian on the coherences are derived from
+    these on construction.
     """
 
     matrix: np.ndarray
@@ -102,7 +104,7 @@ class Liouvillian:
     absorption: np.ndarray = field(repr=False)
     phonon: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
     eigensystem: EigenSystem = field(repr=False)
-    channels: list[Channel] = field(repr=False)
+    kinds: list[str] = field(repr=False)
 
     def __post_init__(self):
         a, g, h = self.matrix, self.emission, self.absorption
@@ -157,29 +159,30 @@ def build_liouvillian(es: EigenSystem,
                       channels: list[Channel]) -> Liouvillian:
     """Factor the Liouvillian of a channel set in the eigenbasis of ``es``.
 
-    Stores one coupling vector per channel and a few (dim x dim) arrays;
-    the build takes O(n_channels dim^2) time.  Raises BrmeError for
-    a channel whose weights do not match the system or a phonon channel
+    Stores one coupling vector per operator row and a few (dim x dim)
+    arrays; the build takes O(n_rows dim^2) time.  Raises BrmeError for
+    a channel whose weights do not match the system or a phonon row
     acting on more than one site.
     """
     energies = es.energies
     omega = energies[None, :] - energies[:, None]
-    vectors = np.zeros((len(channels), es.dimension))
+    couplings = [_coupling_vectors(es, ch) for ch in channels]
+    vectors = np.concatenate([np.zeros((0, es.dimension)), *couplings])
     emission = np.zeros_like(vectors)
     absorption = np.zeros_like(vectors)
-    phonon_groups: dict[object, list[int]] = {}
-    for c, ch in enumerate(channels):
-        vectors[c] = _coupling_vector(es, ch)
+    phonon = []
+    kinds: list[str] = []
+    for ch, a in zip(channels, couplings):
+        rows = slice(len(kinds), len(kinds) + len(a))
+        kinds += [ch.kind] * len(a)
         if ch.kind == "phonon":
-            phonon_groups.setdefault(ch.spectral, []).append(c)
+            phonon.append((np.asarray(ch.spectral(omega), dtype=float), a.T))
         else:
-            emission[c] = ch.spectral(omega[0]) * vectors[c]
-            absorption[c] = ch.spectral(-omega[0]) * vectors[c]
-    phonon = [(np.asarray(spectral(omega), dtype=float), vectors[rows].T)
-              for spectral, rows in phonon_groups.items()]
+            emission[rows] = ch.spectral(omega[0]) * a
+            absorption[rows] = ch.spectral(-omega[0]) * a
     return Liouvillian(matrix=vectors, emission=emission,
                        absorption=absorption, phonon=phonon,
-                       eigensystem=es, channels=channels)
+                       eigensystem=es, kinds=kinds)
 
 
 def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
@@ -278,12 +281,12 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
                    - np.sum(a * liouvillian.absorption, axis=1)
                    * rho[0, 0].real)
     fluxes: dict[str, float] = {}
-    for ch, value in zip(liouvillian.channels, into_ground):
-        if ch.kind == "phonon":
+    for kind, value in zip(liouvillian.kinds, into_ground):
+        if kind == "phonon":
             continue
-        if ch.kind == "injection":
+        if kind == "injection":
             value = -value
-        fluxes[ch.kind] = fluxes.get(ch.kind, 0.0) + float(value)
+        fluxes[kind] = fluxes.get(kind, 0.0) + float(value)
     current = fluxes.get("extraction", 0.0)
 
     return SteadyStateReport(

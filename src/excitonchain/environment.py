@@ -1,13 +1,16 @@
 """Bath spectral densities and system-environment channels.
 
-Each channel pairs a coupling operator with a spectral density whose
-value at a transition frequency is the golden-rule rate density.  Every
-operator in the model has one of two shapes, so a channel stores only its
-site weights w (unit or dipole-weighted amplitudes): a phonon channel is
-the single-site projector diag(w), every other channel is the ground <->
-site operator sum_s w_s (|0><s| + |s><0|).  Rates are linear in every
-channel's rate parameter, which enters exactly once as the plateau of its
-spectral density.
+Each channel pairs the coupling operators of one kind with the spectral
+density they share, whose value at a transition frequency is the
+golden-rule rate density.  Every operator in the model has one of two
+shapes, so a channel stores only site weights: its ``operator`` is an
+(m, n_sites) array with one row w (unit or dipole-weighted amplitudes)
+per operator.  A phonon row is the single-site projector diag(w); every
+other row is the ground <-> site operator sum_s w_s (|0><s| + |s><0|).
+The rows' rates add.  :func:`build_channels` returns one channel per
+kind, so it alone decides which operators share a product.  Rates are
+linear in every channel's rate parameter, which enters exactly once as
+the plateau of its spectral density.
 
 Sign convention: a transition from state m into state n is evaluated at
 omega = eps_m - eps_n, so positive frequencies correspond to energy
@@ -96,27 +99,27 @@ class FlatStep:
 
 @dataclass(frozen=True)
 class Channel:
-    """One system-environment interaction.
+    """All system-environment operators of one kind and spectral density.
 
-    ``operator`` is the 1-D array of site weights w (length n_sites), or
-    None for eigenbasis-targeted injection/extraction, which is resolved
-    against the eigensystem when rates are built.  ``kind`` is one of
-    "phonon", "radiative", "nonradiative", "injection", "extraction" and
-    fixes how w couples: a phonon channel acts as diag(w) and must be
-    single-site; every other kind acts as the ground <-> site operator
-    sum_s w_s (|0><s| + |s><0|).
+    ``operator`` is an (m, n_sites) array of site weights, one row w per
+    operator, or None for eigenbasis-targeted injection/extraction, which
+    is resolved against the eigensystem when rates are built.  ``kind`` is
+    one of "phonon", "radiative", "nonradiative", "injection",
+    "extraction" and fixes how each row couples: a phonon row acts as
+    diag(w) and must be single-site; a row of every other kind acts as the
+    ground <-> site operator sum_s w_s (|0><s| + |s><0|).
     """
 
     kind: str
     spectral: object
     operator: np.ndarray | None = None
-    site: int | None = None
     eigen_target: str | None = None
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
-        if self.site is not None:
-            out["site"] = int(self.site)
+        if self.operator is not None:
+            out["sites"] = np.flatnonzero(
+                np.any(self.operator != 0, axis=0)).tolist()
         if self.eigen_target is not None:
             out["eigen_target"] = self.eigen_target
         sp = self.spectral
@@ -160,20 +163,20 @@ class EnvironmentParams:
 def build_channels(geometry: Geometry, params: EnvironmentParams,
                    delta_e: float = DEFAULTS["delta_e"],
                    injection_mode: str = "site") -> list[Channel]:
-    """Construct the complete channel set for a geometry.
+    """Construct the complete channel set for a geometry: one channel per kind.
 
-    Per site: one phonon channel (Drude-Lorentz, unit weight on that site)
-    and one non-radiative loss channel to the ground state.  One collective
-    radiative channel connects the ground state to every site with unit
-    weight, or three Cartesian channels weighted by the dipole components
-    when dipoles are assigned.
-    Injection channels act on every site of cell 1 with the total rate split
-    evenly (rate gamma_inj / n each) so the overall excitation rate is the
-    same for every cell kind; extraction channels act on every site of the
-    last cell at rate gamma_ext.
+    Phonon (Drude-Lorentz) and non-radiative loss channels carry one unit
+    row per site.  The collective radiative channel connects the ground
+    state to every site with one row of unit weights, or with three
+    Cartesian rows weighted by the dipole components when dipoles are
+    assigned.  The injection channel carries the unit rows of cell 1, each
+    at rate gamma_inj / n, so the overall excitation rate is the same for
+    every cell kind; the extraction channel carries the unit rows of the
+    last cell at rate gamma_ext.  Unit rows are rows of one shared,
+    read-only identity.
 
-    ``injection_mode = "eigen"`` instead returns single injection and
-    extraction channels targeting the highest- and lowest-energy excited
+    ``injection_mode = "eigen"`` instead returns injection and extraction
+    channels targeting the highest- and lowest-energy excited
     eigenstates; their operators are None and are resolved later, against
     the diagonalized system.
     """
@@ -190,39 +193,31 @@ def build_channels(geometry: Geometry, params: EnvironmentParams,
     bath = DrudeLorentzBath(coupling=params.gamma_phonon,
                             width=params.bath_width, peak=peak,
                             temperature=params.temperature)
-    # unit site weights are rows of one shared, read-only identity
     unit = np.eye(ns)
     unit.setflags(write=False)
-    channels = [Channel(kind="phonon", spectral=bath, operator=unit[s],
-                        site=s) for s in range(ns)]
-
-    radiative = FlatStep(params.gamma_rad, "up")
-    if geometry.dipoles is not None:
-        channels.extend(Channel(kind="radiative", spectral=radiative,
-                                operator=geometry.dipoles[:, axis].copy())
-                        for axis in range(3))
-    else:
-        channels.append(Channel(kind="radiative", spectral=radiative,
-                                operator=np.ones(ns)))
-
-    nonradiative = FlatStep(params.gamma_nr, "up")
-    channels.extend(Channel(kind="nonradiative", spectral=nonradiative,
-                            operator=unit[s], site=s) for s in range(ns))
-
+    radiative = (np.ones((1, ns)) if geometry.dipoles is None
+                 else geometry.dipoles.T.copy())
+    channels = [
+        Channel(kind="phonon", spectral=bath, operator=unit),
+        Channel(kind="radiative", spectral=FlatStep(params.gamma_rad, "up"),
+                operator=radiative),
+        Channel(kind="nonradiative", spectral=FlatStep(params.gamma_nr, "up"),
+                operator=unit),
+    ]
     extraction = FlatStep(params.gamma_ext, "up")
     if injection_mode == "eigen":
-        channels.append(Channel(kind="injection",
-                                spectral=FlatStep(params.gamma_inj, "down"),
-                                eigen_target="highest"))
-        channels.append(Channel(kind="extraction", spectral=extraction,
-                                eigen_target="lowest"))
-        return channels
-
-    injection = FlatStep(params.gamma_inj / n, "down")
-    channels.extend(Channel(kind="injection", spectral=injection,
-                            operator=unit[s], site=int(s))
-                    for s in geometry.cell_sites(1))
-    channels.extend(Channel(kind="extraction", spectral=extraction,
-                            operator=unit[s], site=int(s))
-                    for s in geometry.cell_sites(geometry.n_cells))
-    return channels
+        return channels + [
+            Channel(kind="injection",
+                    spectral=FlatStep(params.gamma_inj, "down"),
+                    eigen_target="highest"),
+            Channel(kind="extraction", spectral=extraction,
+                    eigen_target="lowest"),
+        ]
+    # cell 1 holds sites 0..n-1, the last cell the final n sites
+    return channels + [
+        Channel(kind="injection",
+                spectral=FlatStep(params.gamma_inj / n, "down"),
+                operator=unit[:n]),
+        Channel(kind="extraction", spectral=extraction,
+                operator=unit[ns - n:]),
+    ]

@@ -215,10 +215,6 @@ def _solve_system(system, method: str = "pme") -> SteadyStateReport:
     return solve_steady_state(transition_matrix(es, channels))
 
 
-def _run_map(fn, items, jobs: int) -> list:
-    return list(_map_in_order(fn, items, jobs))
-
-
 def _map_in_order(fn, items, jobs: int):
     """Yield fn(item) in item order; with one job, only as it is asked for."""
     if jobs <= 1:
@@ -235,8 +231,9 @@ def population_profile(kind: str, n_cells: int, jb: float,
 
     def one(gamma_rad: float) -> list[dict]:
         env_point = replace(env, gamma_rad=gamma_rad)
-        _, _, es, channels = build_system(kind, n_cells, jb, ham, env_point)
-        report = solve_steady_state(transition_matrix(es, channels))
+        system = build_system(kind, n_cells, jb, ham, env_point)
+        es = system[2]
+        report = _solve_system(system)
         per_site = site_populations(report.populations, es)
         reference = per_site[0]
         geometry = es.geometry
@@ -254,8 +251,8 @@ def population_profile(kind: str, n_cells: int, jb: float,
             })
         return rows
 
-    chunks = _run_map(one, list(gamma_rad_values), jobs)
-    return [row for chunk in chunks for row in chunk]
+    return [row for chunk in _map_in_order(one, list(gamma_rad_values), jobs)
+            for row in chunk]
 
 
 def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
@@ -432,7 +429,8 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
 
     chunks = [range(lo, min(lo + size, n_realizations))
               for lo in range(0, n_realizations, size)]
-    return [pair for chunk in _run_map(run, chunks, jobs) for pair in chunk]
+    return [pair for chunk in _map_in_order(run, chunks, jobs)
+            for pair in chunk]
 
 
 def _measure_currents(energies, vectors, channels) -> list[tuple]:

@@ -257,8 +257,14 @@ def _ground_flux(block: np.ndarray | None, populations: np.ndarray
 
 def _flux_rows(populations: np.ndarray, blocks: dict[str, np.ndarray]
                ) -> dict[str, np.ndarray]:
-    """:func:`flux_report` of stacked populations (R, dim) under stacked
-    per-kind blocks (R, dim, dim): one (R,) array per kind."""
+    """Ground <-> excited probability flux carried by each channel kind,
+    for stacked populations (R, dim) under stacked per-kind blocks
+    (R, dim, dim): one (R,) array per kind.
+
+    Injection flows from the ground state into the excited manifold; the
+    loss and extraction channels flow back.  In a steady state injection
+    balances extraction + radiative + non-radiative exactly.
+    """
     fluxes = {}
     for kind, block in blocks.items():
         if kind == "phonon":
@@ -267,18 +273,6 @@ def _flux_rows(populations: np.ndarray, blocks: dict[str, np.ndarray]
                         if kind == "injection"
                         else _ground_flux(block, populations))
     return fluxes
-
-
-def flux_report(populations: np.ndarray, rates: RateMatrix) -> dict[str, float]:
-    """Ground <-> excited probability flux carried by each channel kind.
-
-    Injection flows from the ground state into the excited manifold; the
-    loss and extraction channels flow back.  In a steady state injection
-    balances extraction + radiative + non-radiative exactly.
-    """
-    fluxes = _flux_rows(populations[None],
-                        {k: b[None] for k, b in rates.blocks.items()})
-    return {kind: float(flux[0]) for kind, flux in fluxes.items()}
 
 
 def site_populations(populations: np.ndarray, es: EigenSystem) -> np.ndarray:

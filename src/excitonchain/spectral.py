@@ -27,12 +27,13 @@ Both paths then fix a deterministic basis:
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
-density at eps_m - eps_n times the squared operator matrix element.
+density at eps_m - eps_n times the squared operator matrix element,
+summed over the channel's operator rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -304,7 +305,8 @@ def _brightness_rows(vectors: np.ndarray, channels: list[Channel]
     total = np.zeros(vectors.shape[:2])
     for ch in radiative:
         rate = ch.spectral.rate
-        total[:, 1:] += rate**2 * (amp @ ch.operator) ** 2
+        for w in ch.operator:
+            total[:, 1:] += rate**2 * (amp @ w) ** 2
     return total
 
 
@@ -319,24 +321,22 @@ class RateMatrix:
 
     w: np.ndarray
     blocks: dict[str, np.ndarray]
-    eigensystem: EigenSystem = field(repr=False)
 
 
 def transition_matrix(es: EigenSystem,
                       channels: list[Channel]) -> RateMatrix:
     """Build the full rate matrix from an eigensystem and a channel set.
 
-    Phonon channels (single-site projectors) sharing a spectral density
-    are summed in one product over their sites; every other channel
-    couples the ground state to the excited states through its site
-    weights, summed in one product per kind and spectral density.
-    Channels with ``eigen_target`` set couple the ground state directly to
-    the highest ("highest") or lowest ("lowest") excited eigenstate with
-    unit matrix element.
+    Each channel's rows share one product: the phonon rows (single-site
+    projectors) one overlap product over their sites, the rows of every
+    other channel, which couple the ground state to the excited states
+    through their site weights, one amplitude product.  Channels with
+    ``eigen_target`` set couple the ground state directly to the highest
+    ("highest") or lowest ("lowest") excited eigenstate with unit matrix
+    element.
     """
     w, blocks = _rate_rows(es.energies[None], es.vectors[None], channels)
-    return RateMatrix(w=w[0], blocks={k: b[0] for k, b in blocks.items()},
-                      eigensystem=es)
+    return RateMatrix(w=w[0], blocks={k: b[0] for k, b in blocks.items()})
 
 
 def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
@@ -349,57 +349,38 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     """
     rows, dim = energies.shape
     amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
-    blocks: dict[str, np.ndarray] = {}
-
-    def weights_of(ch: Channel) -> np.ndarray:
-        if ch.operator is None or ch.operator.shape != (dim - 1,):
-            raise SpectralError(
-                f"{ch.kind} channel operator has wrong dimension")
-        return ch.operator
-
-    phonon_groups: dict[object, list[np.ndarray]] = {}
-    for ch in channels:
-        if ch.kind == "phonon":
-            phonon_groups.setdefault(ch.spectral, []).append(weights_of(ch))
-    if phonon_groups:
-        omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
-        target = blocks["phonon"] = np.zeros((rows, dim, dim))
-        excited = np.arange(dim - 1)
-        for spectral, group_rows in phonon_groups.items():
-            weights = np.array(group_rows)
-            if np.any(np.count_nonzero(weights, axis=1) != 1):
-                raise SpectralError("phonon channel must act on a single site")
-            group, sites = np.nonzero(weights)
-            # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            csq = amp[:, :, sites] ** 2 * np.abs(weights[group, sites])
-            overlap = csq @ csq.transpose(0, 2, 1)
-            rates = spectral(omega_exc) * overlap
-            rates[:, excited, excited] = 0.0
-            target[:, 1:, 1:] += rates
-
+    omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
-    # ground <-> site channels of one kind and spectral density share one
-    # product: sum_c (amp @ w_c)^2
-    site_groups: dict[tuple[str, object], list[np.ndarray]] = {}
+    excited = np.arange(dim - 1)
+    blocks: dict[str, np.ndarray] = {}
     for ch in channels:
-        if ch.kind == "phonon":
-            continue
-        if ch.kind not in blocks:
-            blocks[ch.kind] = np.zeros((rows, dim, dim))
-        target = blocks[ch.kind]
+        target = blocks.setdefault(ch.kind, np.zeros((rows, dim, dim)))
         if ch.eigen_target is not None:
             idx = dim - 1 if ch.eigen_target == "highest" else 1
             omega_down = energies[:, idx] - energies[:, 0]
             target[:, 0, idx] += ch.spectral(omega_down)
             target[:, idx, 0] += ch.spectral(-omega_down)
             continue
-        site_groups.setdefault((ch.kind, ch.spectral), []).append(
-            weights_of(ch))
-    for (kind, spectral), group_rows in site_groups.items():
-        alpha_sq = ((amp @ np.array(group_rows).T) ** 2).sum(-1)
-        blocks[kind][:, 0, 1:] += spectral(omega_from_excited) * alpha_sq
-        blocks[kind][:, 1:, 0] += spectral(omega_into_excited) * alpha_sq
+        weights = ch.operator
+        if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
+            raise SpectralError(
+                f"{ch.kind} channel operator has wrong dimension")
+        if ch.kind == "phonon":
+            if np.any(np.count_nonzero(weights, axis=1) != 1):
+                raise SpectralError("phonon channel must act on a single site")
+            group, sites = np.nonzero(weights)
+            # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
+            csq = amp[:, :, sites] ** 2 * np.abs(weights[group, sites])
+            overlap = csq @ csq.transpose(0, 2, 1)
+            rates = ch.spectral(omega_exc) * overlap
+            rates[:, excited, excited] = 0.0
+            target[:, 1:, 1:] += rates
+            continue
+        # ground <-> site rows: sum_c (amp @ w_c)^2
+        alpha_sq = ((amp @ weights.T) ** 2).sum(-1)
+        target[:, 0, 1:] += ch.spectral(omega_from_excited) * alpha_sq
+        target[:, 1:, 0] += ch.spectral(omega_into_excited) * alpha_sq
 
     w = np.zeros((rows, dim, dim))
     for b in blocks.values():

@@ -73,17 +73,18 @@ def brute_force_liouvillian(es, channels, eigenbasis_operator):
     liouv = -1j * (np.kron(np.diag(energies), eye)
                    - np.kron(eye, np.diag(energies))).astype(complex)
     for ch in channels:
-        comps = frequency_decompose(es, eigenbasis_operator(es, ch))
-        for w, a_w in comps:
-            s_w = float(ch.spectral(w))
-            if s_w == 0.0:
-                continue
-            for _wp, a_wp in comps:
-                # S(w)/2 [A(w) rho A(w')^dag - A(w')^dag A(w) rho] + h.c.
-                liouv += s_w / 2 * (np.kron(a_w, a_wp)
-                                    - np.kron(a_wp.T @ a_w, eye))
-                liouv += s_w / 2 * (np.kron(a_wp, a_w)
-                                    - np.kron(eye, (a_w.T @ a_wp).T))
+        for op in eigenbasis_operator(es, ch):
+            comps = frequency_decompose(es, op)
+            for w, a_w in comps:
+                s_w = float(ch.spectral(w))
+                if s_w == 0.0:
+                    continue
+                for _wp, a_wp in comps:
+                    # S(w)/2 [A(w) rho A(w')^dag - A(w')^dag A(w) rho] + h.c.
+                    liouv += s_w / 2 * (np.kron(a_w, a_wp)
+                                        - np.kron(a_wp.T @ a_w, eye))
+                    liouv += s_w / 2 * (np.kron(a_wp, a_w)
+                                        - np.kron(eye, (a_w.T @ a_wp).T))
     return liouv
 
 
@@ -92,12 +93,14 @@ def test_frequency_components_recover_the_operator(eigenbasis_operator):
     # the solver's coupling vectors stand for (unit weights: u u^T for a
     # phonon channel, e0 a^T + a e0^T otherwise)
     es, channels = make_system("dimer", 2)
-    vectors = build_liouvillian(es, channels).matrix
+    liouv = build_liouvillian(es, channels)
+    ops = [op for ch in channels for op in eigenbasis_operator(es, ch)]
+    assert len(ops) == len(liouv.matrix) == len(liouv.kinds)
     e0 = np.eye(es.dimension)[0]
-    for ch, vec in zip(channels, vectors):
-        comps = frequency_decompose(es, eigenbasis_operator(es, ch))
+    for op, kind, vec in zip(ops, liouv.kinds, liouv.matrix):
+        comps = frequency_decompose(es, op)
         total = sum(mat for _w, mat in comps)
-        expected = (np.outer(vec, vec) if ch.kind == "phonon"
+        expected = (np.outer(vec, vec) if kind == "phonon"
                     else np.outer(e0, vec) + np.outer(vec, e0))
         assert np.abs(total - expected).max() < 1e-12
 
@@ -105,7 +108,7 @@ def test_frequency_components_recover_the_operator(eigenbasis_operator):
 def test_site_projector_frequencies_two_level(eigenbasis_operator):
     es, channels = make_system("mono", 2)
     projector = next(c for c in channels if c.kind == "phonon")
-    comps = frequency_decompose(es, eigenbasis_operator(es, projector))
+    comps = frequency_decompose(es, eigenbasis_operator(es, projector)[0])
     gap = es.energies[2] - es.energies[1]
     freqs = sorted(w for w, _ in comps)
     np.testing.assert_allclose(freqs, [-gap, 0.0, gap], atol=1e-9)
@@ -114,7 +117,7 @@ def test_site_projector_frequencies_two_level(eigenbasis_operator):
 def test_frequency_count_matches_pairwise_enumeration(eigenbasis_operator):
     es, channels = make_system("mono", 3)
     projector = next(c for c in channels if c.kind == "phonon")
-    comps = frequency_decompose(es, eigenbasis_operator(es, projector))
+    comps = frequency_decompose(es, eigenbasis_operator(es, projector)[0])
     # brute force: distinct pairwise differences of the excited energies
     eps = es.excited_energies
     diffs = {round(float(b - a), 9) for a in eps for b in eps}
@@ -143,13 +146,17 @@ def assert_apply_matches(liouv, brute, rng):
 
 def dense_ground_flux(es, ch, rho, eigenbasis_operator):
     """Net flow into the ground state through one channel, from the
-    dissipator's [0, 0] element with dense operators."""
-    a = eigenbasis_operator(es, ch)
+    dissipator's [0, 0] element with dense operators, summed over its
+    rows."""
     energies = es.energies
-    g = ch.spectral(energies[None, :] - energies[:, None]) * a
-    gain = g @ rho @ a + a @ rho @ g.T
-    loss = a @ g @ rho + rho @ g.T @ a
-    return float(np.real(gain - loss)[0, 0] / 2)
+    spectrum = ch.spectral(energies[None, :] - energies[:, None])
+    flux = 0.0
+    for a in eigenbasis_operator(es, ch):
+        g = spectrum * a
+        gain = g @ rho @ a + a @ rho @ g.T
+        loss = a @ g @ rho + rho @ g.T @ a
+        flux += float(np.real(gain - loss)[0, 0] / 2)
+    return flux
 
 
 @BRUTE_FORCE_CASES
@@ -181,10 +188,52 @@ def test_krylov_solve_matches_a_dense_solve(kind, n_cells, jb, options,
 
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
     es, channels = make_system("dimer", 2, jb=2.0)
-    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
+    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0,
+                                                 (len(ch.operator), 1))
+                        * ch.operator)
                 for ch in channels]
     brute = brute_force_liouvillian(es, weighted, eigenbasis_operator)
     assert_apply_matches(build_liouvillian(es, weighted), brute, rng)
+
+
+def one_row_channels(channels):
+    """The same operator rows, split into one channel per row."""
+    split = []
+    for ch in channels:
+        if ch.operator is None:
+            split.append(ch)
+        else:
+            split.extend(replace(ch, operator=w[None]) for w in ch.operator)
+    return split
+
+
+@pytest.mark.parametrize("kind,options", [
+    ("prism", {"dipole_scheme": "transport"}),
+    ("dimer", {"injection_mode": "eigen"}),
+], ids=["prism-transport", "dimer-eigen"])
+def test_bundling_rows_into_channels_changes_no_rate_or_liouvillian(
+        kind, options, rng):
+    # nonradiative loss switched on, so its rows are summed for real
+    es, channels = make_system(kind, 3, jb=2.0,
+                               env=EnvironmentParams(gamma_nr=0.003),
+                               **options)
+    split = one_row_channels(channels)
+    assert len(split) > len(channels)
+    bundled = transition_matrix(es, channels)
+    single = transition_matrix(es, split)
+    assert bundled.blocks["nonradiative"].max() > 0
+    assert single.blocks.keys() == bundled.blocks.keys()
+    for kind_name, block in bundled.blocks.items():
+        np.testing.assert_allclose(single.blocks[kind_name], block,
+                                   atol=1e-16, rtol=1e-12)
+    np.testing.assert_allclose(single.w, bundled.w, atol=1e-16, rtol=1e-12)
+    liouv = build_liouvillian(es, channels)
+    liouv_split = build_liouvillian(es, split)
+    assert liouv_split.kinds == liouv.kinds
+    for _ in range(5):
+        rho = random_complex(rng, es.dimension)
+        np.testing.assert_allclose(liouv_split.apply(rho), liouv.apply(rho),
+                                   atol=1e-16, rtol=1e-12)
 
 
 def test_trace_is_a_left_null_vector():
@@ -304,8 +353,10 @@ def test_eigen_mode_current_uses_the_target_state():
 ], ids=["transition_matrix", "build_liouvillian"])
 def test_operator_dimension_validation(build, error):
     es, _ = make_system("mono", 2)
-    # a dense (dim x dim) matrix is not a vector of the two site weights
-    bad = Channel(kind="radiative", spectral=FlatStep(0.01, "up"),
-                  operator=np.zeros((3, 3)))
-    with pytest.raises(error, match="dimension"):
-        build(es, [bad])
+    # neither a dense (dim x dim) matrix nor a bare vector of the two site
+    # weights is an (m, n_sites) array of weight rows
+    for operator in (np.zeros((3, 3)), np.ones(2)):
+        bad = Channel(kind="radiative", spectral=FlatStep(0.01, "up"),
+                      operator=operator)
+        with pytest.raises(error, match="dimension"):
+            build(es, [bad])

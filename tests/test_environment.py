@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -89,23 +90,25 @@ def test_step_spectrum_reference_points():
 def test_channel_census_for_prism():
     geo = build_geometry("prism", 2)
     channels = build_channels(geo, EnvironmentParams(gamma_inj=1e-6))
-    kinds = {}
-    for ch in channels:
-        kinds.setdefault(ch.kind, []).append(ch)
-    assert len(kinds["phonon"]) == 6
-    assert len(kinds["radiative"]) == 1
-    assert len(kinds["nonradiative"]) == 6
-    assert len(kinds["injection"]) == 3
-    assert len(kinds["extraction"]) == 3
-    for ch in kinds["injection"]:
-        assert isinstance(ch.spectral, FlatStep)
-        assert ch.spectral.rate == pytest.approx(1e-6 / 3)
-        assert ch.spectral.direction == "down"
-    for ch in kinds["extraction"]:
-        assert ch.spectral.direction == "up"
+    # one channel per kind, in a fixed order
+    assert [ch.kind for ch in channels] == [
+        "phonon", "radiative", "nonradiative", "injection", "extraction"]
+    kinds = {ch.kind: ch for ch in channels}
+    assert kinds["phonon"].operator.shape == (6, 6)
+    assert kinds["radiative"].operator.shape == (1, 6)
+    assert kinds["nonradiative"].operator.shape == (6, 6)
+    assert kinds["injection"].operator.shape == (3, 6)
+    assert kinds["extraction"].operator.shape == (3, 6)
+    injection = kinds["injection"].spectral
+    assert isinstance(injection, FlatStep)
+    assert injection.rate == pytest.approx(1e-6 / 3)
+    assert injection.direction == "down"
+    assert kinds["extraction"].spectral.direction == "up"
     # injection targets cell 1, extraction targets the last cell
-    assert sorted(ch.site for ch in kinds["injection"]) == [0, 1, 2]
-    assert sorted(ch.site for ch in kinds["extraction"]) == [3, 4, 5]
+    assert np.flatnonzero(kinds["injection"].operator.any(axis=0)).tolist() \
+        == [0, 1, 2]
+    assert np.flatnonzero(kinds["extraction"].operator.any(axis=0)).tolist() \
+        == [3, 4, 5]
 
 
 def test_all_operators_hermitian():
@@ -113,58 +116,64 @@ def test_all_operators_hermitian():
     # the site weights w are real
     geo = build_geometry("cuboid", 2)
     for ch in build_channels(geo, EnvironmentParams()):
-        assert ch.operator.shape == (geo.n_sites,)
+        assert ch.operator.ndim == 2
+        assert ch.operator.shape[1] == geo.n_sites
         assert np.isrealobj(ch.operator)
 
 
 def test_operators_are_site_weight_vectors():
     geo = build_geometry("cuboid", 2)
     unit = np.eye(geo.n_sites)
-    for ch in build_channels(geo, EnvironmentParams()):
-        if ch.kind == "radiative":
-            np.testing.assert_array_equal(ch.operator, np.ones(geo.n_sites))
-        else:
-            np.testing.assert_array_equal(ch.operator, unit[ch.site])
+    expected = {"phonon": unit, "radiative": np.ones((1, geo.n_sites)),
+                "nonradiative": unit, "injection": unit[:4],
+                "extraction": unit[4:]}
+    channels = build_channels(geo, EnvironmentParams())
+    assert len(channels) == len(expected)
+    for ch in channels:
+        np.testing.assert_array_equal(ch.operator, expected[ch.kind])
 
 
 def test_channels_of_a_kind_share_one_spectrum_and_one_identity():
     geo = build_geometry("prism", 3)
     channels = build_channels(geo, EnvironmentParams())
-    unit = channels[0].operator.base
+    unit = channels[0].operator
     assert unit.shape == (geo.n_sites, geo.n_sites)
     assert not unit.flags.writeable
-    for kind in ("phonon", "nonradiative", "injection", "extraction"):
-        group = [ch for ch in channels if ch.kind == kind]
-        assert all(ch.spectral is group[0].spectral for ch in group)
-        assert all(ch.operator.base is unit for ch in group)
+    assert len({ch.kind for ch in channels}) == len(channels)
+    for ch in channels:
+        if ch.kind == "radiative":
+            continue
+        assert ch.operator is unit or ch.operator.base is unit
 
 
 def test_phonon_operators_are_site_projectors():
     geo = build_geometry("dimer", 2)
-    channels = [c for c in build_channels(geo, EnvironmentParams())
-                if c.kind == "phonon"]
-    for ch in channels:
+    (phonon,) = [c for c in build_channels(geo, EnvironmentParams())
+                 if c.kind == "phonon"]
+    # row s is the projector onto site s: one unit weight on that site
+    for s, w in enumerate(phonon.operator):
         expected = np.zeros(4)
-        expected[ch.site] = 1.0
-        assert np.array_equal(ch.operator, expected)
+        expected[s] = 1.0
+        assert np.array_equal(w, expected)
 
 
 def test_zero_rate_channels_still_present():
     geo = build_geometry("mono", 3)
     channels = build_channels(geo, EnvironmentParams(gamma_nr=0.0))
-    nr = [c for c in channels if c.kind == "nonradiative"]
-    assert len(nr) == 3
-    assert all(c.spectral.rate == 0.0 for c in nr)
+    (nr,) = [c for c in channels if c.kind == "nonradiative"]
+    assert nr.operator.shape == (3, 3)
+    assert nr.spectral.rate == 0.0
 
 
 def test_dipole_mode_splits_radiative_into_cartesian_channels():
     geo = assign_dipoles(build_geometry("dimer", 1),
                          [[1.0, 0, 0], [0, 1.0, 0]])
     channels = build_channels(geo, EnvironmentParams())
-    rad = [c for c in channels if c.kind == "radiative"]
-    assert len(rad) == 3
-    amps = np.stack([c.operator for c in rad])
-    np.testing.assert_allclose(amps, [[1, 0], [0, 1], [0, 0]], atol=1e-15)
+    (rad,) = [c for c in channels if c.kind == "radiative"]
+    # one row per Cartesian component, weighted by the dipoles
+    np.testing.assert_allclose(rad.operator, [[1, 0], [0, 1], [0, 0]],
+                               atol=1e-15)
+    assert rad.operator.flags.c_contiguous
 
 
 def test_eigen_mode_defers_operator_resolution():
@@ -205,6 +214,16 @@ def test_channel_descriptions_are_json_friendly():
     geo = build_geometry("mono", 2)
     described = [c.describe() for c in build_channels(geo,
                                                       EnvironmentParams())]
-    assert all("kind" in d for d in described)
+    assert [d["kind"] for d in described] == [
+        "phonon", "radiative", "nonradiative", "injection", "extraction"]
+    json.dumps(described)
+    sites = {d["kind"]: d["sites"] for d in described}
+    assert sites == {"phonon": [0, 1], "radiative": [0, 1],
+                     "nonradiative": [0, 1], "injection": [0],
+                     "extraction": [1]}
     rad = next(d for d in described if d["kind"] == "radiative")
     assert rad["spectral"]["rate"] == 0.01
+    eigen = [c.describe() for c in build_channels(
+        geo, EnvironmentParams(), injection_mode="eigen")]
+    assert eigen[3]["eigen_target"] == "highest"
+    assert "sites" not in eigen[3] and "sites" not in eigen[4]

@@ -46,13 +46,14 @@ def brute_force_rates(es, channels, eigenbasis_operator):
     energies = es.energies
     blocks = {}
     for ch in channels:
-        op = eigenbasis_operator(es, ch)
         w = blocks.setdefault(ch.kind, np.zeros((dim, dim)))
-        for n in range(dim):
-            for m in range(dim):
-                if n == m:
-                    continue
-                w[n, m] += ch.spectral(energies[m] - energies[n]) * op[n, m]**2
+        for op in eigenbasis_operator(es, ch):
+            for n in range(dim):
+                for m in range(dim):
+                    if n == m:
+                        continue
+                    w[n, m] += (ch.spectral(energies[m] - energies[n])
+                                * op[n, m]**2)
     return blocks
 
 
@@ -177,7 +178,9 @@ def test_transition_matrix_matches_brute_force(kind, n_cells, jb, options,
 
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
     es, channels = make_system("prism", 2, jb=4.0)
-    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0) * ch.operator)
+    weighted = [replace(ch, operator=rng.uniform(0.5, 2.0,
+                                                 (len(ch.operator), 1))
+                        * ch.operator)
                 for ch in channels]
     rates = transition_matrix(es, weighted)
     expected = brute_force_rates(es, weighted, eigenbasis_operator)
@@ -194,7 +197,7 @@ def test_rates_do_not_depend_on_shared_spectrum_objects():
 
 def test_phonon_channel_must_act_on_a_single_site():
     es, channels = make_system("mono", 2)
-    spread = replace(channels[0], operator=np.ones(2))
+    spread = replace(channels[0], operator=np.ones((1, 2)))
     with pytest.raises(SpectralError, match="single site"):
         transition_matrix(es, [spread])
 
