@@ -21,10 +21,10 @@ from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
 from .pme import Generator, SteadyStateReport, build_generator, \
-    site_populations, solve_steady_state, steady_current, steady_state
+    site_populations, solve_steady_state, steady_state
 from .spectral import BrightDarkCensus, EigenSystem, RateMatrix, \
     brightness, classify_bright_dark, diagonalize, eigenstructure_tables, \
-    relaxation_profile, transition_matrix
+    transition_matrix
 
 __all__ = [
     "DEFAULTS",
@@ -50,14 +50,12 @@ __all__ = [
     "diagonalize",
     "brightness",
     "transition_matrix",
-    "relaxation_profile",
     "classify_bright_dark",
     "eigenstructure_tables",
     "Generator",
     "SteadyStateReport",
     "build_generator",
     "steady_state",
-    "steady_current",
     "site_populations",
     "solve_steady_state",
     "Liouvillian",

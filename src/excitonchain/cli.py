@@ -274,7 +274,7 @@ def _cmd_length_sweep(config: RunConfig, out: Path) -> None:
     write_csv(out / "length_sweep_fits.csv",
               ["geometry", "jb", "method", "alpha", "beta", "fit_residual",
                "n_min", "n_max", "n_points"], fits)
-    _write_meta(out, "length_sweep", config, sweep=spec.to_json_dict())
+    _write_meta(out, "length_sweep", config, sweep=asdict(spec))
 
 
 def _cmd_disorder(config: RunConfig, out: Path) -> None:
@@ -286,7 +286,7 @@ def _cmd_disorder(config: RunConfig, out: Path) -> None:
     if spec.keep_raw:
         write_csv(out / "disorder_raw.csv",
                   ["geometry", "jb", "realization", "current", "error"], raw)
-    _write_meta(out, "disorder", config, sweep=spec.to_json_dict())
+    _write_meta(out, "disorder", config, sweep=asdict(spec))
 
 
 def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
@@ -295,7 +295,7 @@ def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
     write_csv(out / "regime_grid.csv",
               ["geometry", "jb", "gamma_nr", "dipoles", "realization",
                "current", "error"], rows)
-    _write_meta(out, "regime_grid", config, sweep=spec.to_json_dict())
+    _write_meta(out, "regime_grid", config, sweep=asdict(spec))
 
 
 def _cmd_brme_check(config: RunConfig, out: Path) -> None:
@@ -320,7 +320,7 @@ def _cmd_brme_check(config: RunConfig, out: Path) -> None:
     write_csv(out / "brme_check.csv",
               ["geometry", "jb", "n_cells", "current_pme", "current_brme",
                "rel_difference"], table)
-    _write_meta(out, "brme_check", config, sweep=spec.to_json_dict())
+    _write_meta(out, "brme_check", config, sweep=asdict(spec))
 
 
 # command name -> (handler, help text)

@@ -4,17 +4,19 @@ Every experiment is a pure function of its spec: runs are keyed by
 (geometry, coupling, size, realization) and aggregated in deterministic
 order, so identical specs reproduce identical tables.
 
-Sweeps and disorder ensembles share one engine: the stack-aware rate
-and steady-state kernels of ``spectral`` and ``pme``, fed fixed-size
-chunks (:func:`_chunk_size`) that ``jobs`` threads share out.
+Sweeps and disorder ensembles share one engine: stacks of eigensystems
+of one geometry go through the rate and steady-state kernels of
+``spectral`` and ``pme`` (:func:`_pme_rows`) in fixed-size chunks
+(:func:`_chunk_size`) that ``jobs`` threads share out, and every row
+comes back as its report or the error it failed with.
 
-- A length sweep solves its population (PME) points per chain: each
-  (geometry, N) builds its geometry and channels once, diagonalizes one
-  Hamiltonian per coupling jb, and solves those eigensystems as one
-  stack.  Its rows equal :func:`solve_point`'s reports exactly, and a
-  failing point raises what :func:`solve_point` raises there (the first
-  such point in grid order).  Density-matrix points are solved one by
-  one.
+- A length sweep solves each chain (geometry, N) as one task: the
+  geometry and channels are built once, each coupling jb is diagonalized
+  once, and that eigensystem feeds both the stacked population (PME)
+  solve and the density-matrix (BRME) solve.  Its rows equal
+  :func:`solve_point`'s reports exactly.  A failing point raises what
+  :func:`solve_point` raises there: the first such point of its
+  geometry in grid order.
 - A disorder ensemble builds the clean geometry, Hamiltonian and
   channels once per grid point; disorder only shifts the excited
   diagonal, so each realization is the clean excited block plus its
@@ -32,18 +34,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .brme import build_liouvillian, brme_steady_state
-from .defaults import (DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS,
-                       MIN_GROUND_POPULATION)
+from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
                           build_hamiltonian)
 from .lattice import assign_dipoles, build_geometry
-from .pme import (SteadyStateReport, _generator_rows, _ground_flux,
-                  _steady_reports, _steady_rows, site_populations,
-                  solve_steady_state)
-from .spectral import (EigenSystem, SpectralError, _brightness_rows,
-                       _dark_mask, _eigen_rows, _rate_rows, brightness,
-                       diagonalize, transition_matrix)
+from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
+                  site_populations, solve_steady_state)
+from .spectral import (SpectralError, _brightness_rows, _dark_mask,
+                       _eigen_rows, _rate_rows, brightness, diagonalize,
+                       transition_matrix)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
 # doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
@@ -92,31 +92,6 @@ class SweepSpec:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "geometries": list(self.geometries),
-            "n_cells_values": [int(v) for v in self.n_cells_values],
-            "jb_values": [float(v) for v in self.jb_values],
-            "dipole_scheme": self.dipole_scheme,
-            "injection_mode": self.injection_mode,
-            "method": self.method,
-            "fit_min_cells": self.fit_min_cells,
-            "brme_max_cells": self.brme_max_cells,
-            "dark_threshold": self.dark_threshold,
-            "keep_raw": self.keep_raw,
-            "disorder": {
-                "sigma": self.disorder.sigma,
-                "n_realizations": self.disorder.n_realizations,
-                "base_seed": self.disorder.base_seed,
-            },
-        }
-        out.update(delta_e=self.ham.delta_e, e0=self.ham.e0, eg=self.ham.eg,
-                   ja=DEFAULTS["ja"], jb=self.ham.jb)
-        for name in ("gamma_rad", "gamma_nr", "gamma_phonon", "gamma_inj",
-                     "gamma_ext", "temperature", "bath_width", "bath_peak"):
-            out[name] = getattr(self.env, name)
-        return out
 
 
 @dataclass(frozen=True)
@@ -215,13 +190,12 @@ def _solve_system(system, method: str = "pme") -> SteadyStateReport:
     return solve_steady_state(transition_matrix(es, channels))
 
 
-def _map_in_order(fn, items, jobs: int):
-    """Yield fn(item) in item order; with one job, only as it is asked for."""
+def _map_in_order(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], shared out to ``jobs`` threads."""
     if jobs <= 1:
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items)
+        return list(pool.map(fn, items))
 
 
 def population_profile(kind: str, n_cells: int, jb: float,
@@ -262,58 +236,39 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     solved with both solvers (the density-matrix one only up to
     ``brme_max_cells``) and rows are tagged by method; fits are computed
     per (geometry, jb, method) over points with n_cells >= fit_min_cells.
-    A failing point raises what :func:`solve_point` raises there, for the
-    first such point in grid order; with one job, no chain is solved
-    after the one that settles which point that is.
+    Failures are settled per geometry: once all chains of a geometry are
+    solved, its first failing point in grid order raises what
+    :func:`solve_point` raises there, and no later geometry is solved.
     """
     methods = {"pme": ["pme"], "brme": ["brme"],
                "both": ["pme", "brme"]}[spec.method]
-    points = []
+
+    def run(chain: tuple):
+        try:
+            return _chain_reports(spec, *chain, methods)
+        except Exception as exc:  # raised below, in grid order
+            return exc
+
+    solved = []
     for kind in spec.geometries:
+        ns = [n for n in spec.n_cells_values
+              if "pme" in methods or n <= spec.brme_max_cells]
+        chains = dict(zip(ns, _map_in_order(run, [(kind, n) for n in ns],
+                                            spec.jobs)))
         for jb in spec.jb_values:
             for n in spec.n_cells_values:
                 for method in methods:
                     if method == "brme" and n > spec.brme_max_cells:
                         continue
-                    points.append((kind, jb, n, method))
-    # tasks of point indices: the PME points of one (geometry, N) together,
-    # each BRME point alone; a task's first point orders the tasks
-    tasks: dict[tuple, list[int]] = {}
-    for i, (kind, _, n, method) in enumerate(points):
-        key = (kind, n) if method == "pme" else (i,)
-        tasks.setdefault(key, []).append(i)
-
-    def run(indices) -> list:
-        kind, _, n, method = points[indices[0]]
-        jbs = [points[i][1] for i in indices]
-        try:
-            if method == "pme":
-                return _pme_reports(spec, kind, n, jbs)
-            return [solve_point(kind, n, jbs[0], spec.ham, spec.env,
-                                dipole_scheme=spec.dipole_scheme,
-                                injection_mode=spec.injection_mode,
-                                method=method)]
-        except Exception as exc:  # raised below, first failure in grid order
-            return [exc] * len(indices)
-
-    # a failure is the first in grid order once every task that starts
-    # before it is done; with one job the later tasks are then not run
-    groups = list(tasks.values())
-    reports: list = [None] * len(points)
-    first_failure = len(points)
-    outcomes = _map_in_order(run, groups, spec.jobs)
-    for indices in groups:
-        if indices[0] > first_failure:
-            break
-        for i, report in zip(indices, next(outcomes)):
-            reports[i] = report
-            if isinstance(report, Exception):
-                first_failure = min(first_failure, i)
-    if first_failure < len(points):
-        raise reports[first_failure]
+                    chain = chains[n]
+                    report = (chain if isinstance(chain, Exception)
+                              else chain[(jb, method)])
+                    if isinstance(report, Exception):
+                        raise report
+                    solved.append((kind, jb, n, method, report))
 
     rows = []
-    for (kind, jb, n, method), report in zip(points, reports):
+    for kind, jb, n, method, report in solved:
         rows.append({
             "geometry": kind, "jb": jb, "n_cells": n, "method": method,
             "current": report.current,
@@ -351,40 +306,64 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     return rows, fits
 
 
-def _pme_reports(spec: SweepSpec, kind: str, n_cells: int, jbs: list) -> list:
-    """PME reports of one clean chain at each coupling in ``jbs``.
+def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
+                   methods: list[str]) -> dict:
+    """Reports of one clean chain at every coupling of a sweep.
 
     The geometry and channels are built once; the couplings are solved in
-    stacked chunks.  Returns per coupling its report or the SpectralError
-    or SteadyStateError that :func:`solve_point` raises there.
+    chunks (:func:`_chunk_reports`), BRME only up to ``brme_max_cells``.
+    Returns {(jb, method): report or the SpectralError, SteadyStateError
+    or BRME failure that :func:`solve_point` raises there}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
+    if n_cells > spec.brme_max_cells:
+        methods = [m for m in methods if m != "brme"]
+    jbs = spec.jb_values
     size = _chunk_size(geometry.n_sites + 1)
-    return [report for lo in range(0, len(jbs), size)
-            for report in _pme_stack(spec, geometry, channels,
-                                     jbs[lo:lo + size])]
+    reports: dict = {}
+    for lo in range(0, len(jbs), size):
+        reports.update(_chunk_reports(spec, geometry, channels,
+                                      jbs[lo:lo + size], methods))
+    return reports
 
 
-def _pme_stack(spec: SweepSpec, geometry, channels, jbs: list) -> list:
-    """:func:`_pme_reports` of one chunk: one :func:`diagonalize` per
-    coupling, then one stacked rate and steady-state solve.  (A function
-    of its own, so that a chunk's arrays are freed before the next.)"""
-    systems: list = []
+def _chunk_reports(spec: SweepSpec, geometry, channels, jbs: list,
+                   methods: list[str]) -> dict:
+    """:func:`_chain_reports` of one chunk: one :func:`diagonalize` per
+    coupling, whose eigensystem feeds one stacked PME solve of the chunk
+    and its own BRME solve.  (A function of its own, so that a chunk's
+    eigensystems are freed before the next.)"""
+    systems: dict = {}
+    reports: dict = {}
     for jb in jbs:
         try:
-            systems.append(diagonalize(_hamiltonian(geometry, jb, spec.ham,
-                                                    spec.dipole_scheme)))
+            systems[jb] = diagonalize(_hamiltonian(geometry, jb, spec.ham,
+                                                   spec.dipole_scheme))
         except SpectralError as exc:
-            systems.append(exc)
-    solved = [es for es in systems if isinstance(es, EigenSystem)]
-    if not solved:
-        return systems
-    w, blocks = _rate_rows(np.stack([es.energies for es in solved]),
-                           np.stack([es.vectors for es in solved]), channels)
-    reports = iter(_steady_reports(w, blocks))
-    return [next(reports) if isinstance(es, EigenSystem) else es
-            for es in systems]
+            reports.update(((jb, method), exc) for method in methods)
+    if "pme" in methods and systems:
+        solved = _pme_rows(np.stack([es.energies for es in systems.values()]),
+                           np.stack([es.vectors for es in systems.values()]),
+                           channels)
+        for jb, report in zip(systems, solved):
+            if isinstance(report, SteadyStateReport):
+                _warn_low_ground(report)
+            reports[(jb, "pme")] = report
+    if "brme" in methods:
+        for jb, es in systems.items():
+            try:
+                reports[(jb, "brme")] = brme_steady_state(
+                    build_liouvillian(es, channels))
+            except Exception as exc:  # raised by length_sweep, in grid order
+                reports[(jb, "brme")] = exc
+    return reports
+
+
+def _pme_rows(energies, vectors, channels) -> list:
+    """Per row of stacked eigensystems its PME report or the
+    SteadyStateError it failed with."""
+    return _steady_reports(*_rate_rows(energies, vectors, channels))
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -394,54 +373,40 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 
 def _ensemble(system, sigma: float, seed: int, n_realizations: int,
-              jobs: int, measure) -> list[tuple]:
+              jobs: int, measure) -> list:
     """Evaluate seeded disorder realizations of a clean system in chunks.
 
     ``system`` is a clean :func:`build_system` result.  Realization r adds
     ``DisorderSpec(sigma, seed, r).draw(n_sites)`` to the clean excited
     diagonal, exactly as ``apply_disorder`` does.  Chunks of realizations
     are diagonalized together and handed to ``measure(energies, vectors,
-    channels)``, which returns one (value, error) pair per row of the
-    stacked eigensystems.  Returns one (value, error) pair per
-    realization, in index order: value is None for a failed realization
-    and error is None for a good one.
+    channels)``, which returns per row of the stacked eigensystems its
+    value or the error it failed with.  Returns per realization, in index
+    order, its value or the error it failed with.
     """
     _, h, _, channels = system
     n_sites = h.geometry.n_sites
     sites = np.arange(n_sites)
     size = _chunk_size(h.dimension)
 
-    def run(indices) -> list[tuple]:
+    def run(indices) -> list:
         # adding to the diagonal keeps the clean block's checked symmetry
         blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
         blocks[:, sites, sites] += np.array(
             [DisorderSpec(sigma, seed, r).draw(n_sites) for r in indices])
-        energies, vectors, errors = _eigen_rows(blocks, h.matrix[0, 0],
-                                                h.geometry.positions)
-        out = [(None, error) for error in errors]
-        good = [r for r, error in enumerate(errors) if error is None]
-        if not good:
-            return out
-        measured = measure(energies[good], vectors[good], channels)
-        for r, pair in zip(good, measured):
-            out[r] = pair
+        energies, vectors, out = _eigen_rows(blocks, h.matrix[0, 0],
+                                             h.geometry.positions)
+        good = [r for r, error in enumerate(out) if error is None]
+        if good:
+            for r, value in zip(good, measure(energies[good], vectors[good],
+                                              channels)):
+                out[r] = value
         return out
 
     chunks = [range(lo, min(lo + size, n_realizations))
               for lo in range(0, n_realizations, size)]
-    return [pair for chunk in _map_in_order(run, chunks, jobs)
-            for pair in chunk]
-
-
-def _measure_currents(energies, vectors, channels) -> list[tuple]:
-    """((current, ground population), None) or (None, error) per row."""
-    w, blocks = _rate_rows(energies, vectors, channels)
-    populations, _, errors = _steady_rows(_generator_rows(w))
-    currents = _ground_flux(blocks.get("extraction"), populations)
-    return [((float(current), float(ground)), None) if error is None
-            else (None, error)
-            for current, ground, error in zip(currents, populations[:, 0],
-                                              errors)]
+    return [value for chunk in _map_in_order(run, chunks, jobs)
+            for value in chunk]
 
 
 def _disorder_currents(system, sigma: float, seed: int, n_realizations: int,
@@ -453,19 +418,19 @@ def _disorder_currents(system, sigma: float, seed: int, n_realizations: int,
     the realizations whose ground population is at or below
     ``MIN_GROUND_POPULATION``.
     """
-    results = _ensemble(system, sigma, seed, n_realizations, jobs,
-                        _measure_currents)
-    low = sum(value is not None and value[1] <= MIN_GROUND_POPULATION
-              for value, _ in results)
+    results = _ensemble(system, sigma, seed, n_realizations, jobs, _pme_rows)
+    solved = [isinstance(report, SteadyStateReport) for report in results]
+    low = sum(report.ground_population <= MIN_GROUND_POPULATION
+              for report, ok in zip(results, solved) if ok)
     if low:
         warnings.warn(
             f"{low} of {n_realizations} disorder realizations have a ground "
             f"population <= {MIN_GROUND_POPULATION}; the single-excitation "
             "treatment may not be justified at these rates", stacklevel=3)
-    currents = [np.nan if value is None else value[0]
-                for value, _ in results]
-    errors = ["" if error is None else type(error).__name__
-              for _, error in results]
+    currents = [report.current if ok else np.nan
+                for report, ok in zip(results, solved)]
+    errors = ["" if ok else type(report).__name__
+              for report, ok in zip(results, solved)]
     return currents, errors
 
 
@@ -573,7 +538,7 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     def measure(energies, vectors, channels) -> list[tuple]:
         b = _brightness_rows(vectors, channels)
         n_dark = _dark_mask(b[:, 1:], spec.dark_threshold)[0].sum(axis=1)
-        return [((row, b.shape[1] - 1 - dark, dark), None)
+        return [(row, b.shape[1] - 1 - dark, dark)
                 for row, dark in zip(b, n_dark.tolist())]
 
     for gi, kind in enumerate(spec.geometries):
@@ -586,7 +551,8 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                                 derive_seed(spec.disorder.base_seed, gi, ji),
                                 spec.disorder.n_realizations, spec.jobs,
                                 measure)
-            solved = [value[0] for value, error in results if error is None]
+            solved = [value[0] for value in results
+                      if not isinstance(value, Exception)]
             all_b = (np.stack(solved) if solved
                      else np.full((1, clean_b.size), np.nan))
             for k in range(1, all_b.shape[1]):
@@ -599,10 +565,11 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                     "min": float(all_b[:, k].min()),
                     "max": float(all_b[:, k].max()),
                 })
-            for r, (value, error) in enumerate(results):
-                _, n_bright, n_dark = value or (None, None, None)
+            for r, value in enumerate(results):
+                failed = isinstance(value, Exception)
+                _, n_bright, n_dark = (None,) * 3 if failed else value
                 census_rows.append({
                     "geometry": kind, "jb": jb, "realization": r,
                     "n_bright": n_bright, "n_dark": n_dark,
-                    "error": "" if error is None else type(error).__name__})
+                    "error": type(value).__name__ if failed else ""})
     return state_rows, census_rows

@@ -12,6 +12,11 @@ residual, ground population) assembled together: one steady state is a
 stack of one.  A solution that is negative or out of flux
 balance at some state (cancellation in the LU, when rates span many
 decades) is redone by state reduction, which subtracts nothing.
+
+Stacked reports do not warn; whoever reads them decides.  A single solve
+(:func:`solve_steady_state`, or a length sweep's point) warns once per
+report whose ground population is at or below ``MIN_GROUND_POPULATION``
+(:func:`_warn_low_ground`), and an ensemble counts those in one warning.
 """
 
 from __future__ import annotations
@@ -241,11 +246,6 @@ def _bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                for b, r in zip(bordered, rhs)])
 
 
-def steady_current(populations: np.ndarray, rates: RateMatrix) -> float:
-    """Steady exciton current: total extraction flux into the ground state."""
-    return float(_ground_flux(rates.blocks.get("extraction"), populations))
-
-
 def _ground_flux(block: np.ndarray | None, populations: np.ndarray
                  ) -> np.ndarray:
     """Flux into the ground state of populations (..., dim) under one
@@ -284,39 +284,43 @@ def site_populations(populations: np.ndarray, es: EigenSystem) -> np.ndarray:
 def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:
     """Build the generator, solve it, and assemble the full report.
 
-    Raises SteadyStateError as :func:`steady_state` does.
+    Raises SteadyStateError as :func:`steady_state` does, and warns as
+    :func:`_warn_low_ground` does.
     """
     report = _steady_reports(rates.w[None],
                              {k: b[None] for k, b in rates.blocks.items()})[0]
     if isinstance(report, SteadyStateError):
         raise report
+    _warn_low_ground(report)
     return report
+
+
+def _warn_low_ground(report: SteadyStateReport) -> None:
+    """Warn, on behalf of the caller's caller, when a report's ground
+    population is at or below ``MIN_GROUND_POPULATION``."""
+    ground = report.ground_population
+    if ground <= MIN_GROUND_POPULATION:
+        warnings.warn(
+            f"ground population {ground:.4f} <= {MIN_GROUND_POPULATION}; "
+            "the single-excitation treatment may not be justified at "
+            "these rates", stacklevel=3)
 
 
 def _steady_reports(w: np.ndarray, blocks: dict[str, np.ndarray]) -> list:
     """:func:`solve_steady_state` of stacked rate matrices (R, dim, dim)
-    and their per-kind blocks.
+    and their per-kind blocks, without its warning.
 
     Returns per row its SteadyStateReport or the SteadyStateError it
-    raised.  Each row whose ground population is at or below
-    ``MIN_GROUND_POPULATION`` warns once.
+    raised.
     """
     populations, residual, errors = _steady_rows(_generator_rows(w))
     fluxes = _flux_rows(populations, blocks)
     currents = _ground_flux(blocks.get("extraction"), populations)
     reports: list = []
     for r, error in enumerate(errors):
-        if error is not None:
-            reports.append(error)
-            continue
-        ground = float(populations[r, 0])
-        if ground <= MIN_GROUND_POPULATION:
-            warnings.warn(
-                f"ground population {ground:.4f} <= {MIN_GROUND_POPULATION}; "
-                "the single-excitation treatment may not be justified at "
-                "these rates", stacklevel=3)
-        reports.append(SteadyStateReport(
+        reports.append(error if error is not None else SteadyStateReport(
             populations=populations[r], current=float(currents[r]),
             fluxes={kind: float(flux[r]) for kind, flux in fluxes.items()},
-            residual=float(residual[r]), ground_population=ground))
+            residual=float(residual[r]),
+            ground_population=float(populations[r, 0])))
     return reports

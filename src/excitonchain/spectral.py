@@ -389,42 +389,6 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
 
 
 @dataclass(frozen=True)
-class RelaxationProfile:
-    """Total downhill phonon rate out of each eigenstate."""
-
-    downhill_rates: np.ndarray
-    bottleneck_index: int | None
-
-
-def relaxation_profile(rates: RateMatrix,
-                       es: EigenSystem) -> RelaxationProfile:
-    """Sum the phonon rates from each state into all lower-energy states.
-
-    The bottleneck is the state with the smallest downhill sum among
-    states that have at least one strictly lower-energy partner (the
-    globally lowest state trivially has none and is skipped).
-    """
-    phonon = rates.blocks.get("phonon")
-    if phonon is None:
-        phonon = np.zeros_like(rates.w)
-    energies = es.energies
-    dim = es.dimension
-    downhill = np.zeros(dim)
-    has_lower = np.zeros(dim, dtype=bool)
-    for n in range(1, dim):
-        below = np.flatnonzero(energies < energies[n])
-        below = below[below >= 1]
-        if below.size:
-            has_lower[n] = True
-            downhill[n] = phonon[below, n].sum()
-    candidates = np.flatnonzero(has_lower)
-    bottleneck = (int(candidates[np.argmin(downhill[candidates])])
-                  if candidates.size else None)
-    return RelaxationProfile(downhill_rates=downhill,
-                             bottleneck_index=bottleneck)
-
-
-@dataclass(frozen=True)
 class BrightDarkCensus:
     """Partition of the excited states by collective optical weight.
 

@@ -107,7 +107,8 @@ def test_both_methods_respect_the_brme_cap():
 
 # (geometries, n_cells, sweep settings) of length sweeps whose rows must
 # equal per-point solves; prism N=35 (dimension 106) is one chain whose
-# three couplings the chunk rule splits into stacks of two and one
+# three couplings the chunk rule splits into stacks of two and one, and
+# the BRME rows reuse the eigensystems their chain's PME rows are solved on
 SWEEP_CASES = {
     "site": (("mono", "dimer", "prism"), (2, 3, 7), {"jobs": 2}),
     "eigen": (("mono", "dimer", "prism"), (2, 3, 7),
@@ -118,6 +119,11 @@ SWEEP_CASES = {
                       {"injection_mode": "eigen",
                        "dipole_scheme": "transport", "jobs": 2}),
     "split-chain": (("prism",), (35,), {}),
+    "both": (("mono", "dimer", "prism"), (2, 3, 7),
+             {"method": "both", "jobs": 2, "brme_max_cells": 3}),
+    "brme": (("mono", "dimer", "prism"), (2, 3, 7),
+             {"method": "brme", "injection_mode": "eigen",
+              "dipole_scheme": "transport", "brme_max_cells": 3}),
 }
 
 
@@ -130,14 +136,18 @@ def test_length_sweep_rows_equal_per_point_solves(case):
     if n_cells == (35,):
         assert experiments._chunk_size(3 * 35 + 1) == 2
     rows, _ = length_sweep(spec)
-    points = [(kind, jb, n) for kind in geometries
-              for jb in spec.jb_values for n in n_cells]
-    assert [(r["geometry"], r["jb"], r["n_cells"]) for r in rows] == points
+    methods = ["pme", "brme"] if spec.method == "both" else [spec.method]
+    points = [(kind, jb, n, method) for kind in geometries
+              for jb in spec.jb_values for n in n_cells for method in methods
+              if method == "pme" or n <= spec.brme_max_cells]
+    assert [(r["geometry"], r["jb"], r["n_cells"], r["method"])
+            for r in rows] == points
     assert [r["run_id"] for r in rows] == list(range(len(points)))
     per_point = {"dipole_scheme": spec.dipole_scheme,
                  "injection_mode": spec.injection_mode}
-    for row, (kind, jb, n) in zip(rows, points):
-        report = solve_point(kind, n, jb, HAM, ENV, **per_point)
+    for row, (kind, jb, n, method) in zip(rows, points):
+        report = solve_point(kind, n, jb, HAM, ENV, method=method,
+                             **per_point)
         for column in ("current", "ground_population", "residual"):
             assert row[column] == getattr(report, column), column
         for flux in ("injection", "extraction", "radiative",
@@ -165,15 +175,15 @@ def test_length_sweep_raises_the_first_failing_point_in_grid_order(jobs):
 def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
         monkeypatch):
     # the dimer chains fail as above; the prism chains after them are not
-    # solved once the first failure in grid order is known
+    # solved once a failing point of the dimer geometry is known
     ham = replace(HAM, e0=10.65)
     spec = small_spec(geometries=("dimer", "prism"), n_cells_values=(2, 4),
                       jb_values=(10.0, 12.0), ham=ham)
     solved = []
-    real = experiments._pme_reports
-    monkeypatch.setattr(experiments, "_pme_reports",
-                        lambda spec, kind, n, jbs: solved.append(kind)
-                        or real(spec, kind, n, jbs))
+    real = experiments._chain_reports
+    monkeypatch.setattr(experiments, "_chain_reports",
+                        lambda spec, kind, n, methods: solved.append(kind)
+                        or real(spec, kind, n, methods))
     with pytest.raises(SpectralError):
         length_sweep(spec)
     assert solved == ["dimer", "dimer"]
@@ -289,22 +299,20 @@ def test_ensembles_count_solver_failures_and_propagate_bugs(monkeypatch):
                       disorder=DisorderEnsembleSpec(sigma=0.9,
                                                     n_realizations=2))
 
-    def bug(chi):
+    def bug(w, blocks):
         raise TypeError("injected")
 
-    def unsolvable(chi):
-        rows, dim = chi.shape[:2]
-        return (np.full((rows, dim), np.nan), np.full(rows, np.nan),
-                [SteadyStateError("injected")] * rows)
+    def unsolvable(w, blocks):
+        return [SteadyStateError("injected")] * len(w)
 
     # a programming error inside a realization is not a failed solve
-    monkeypatch.setattr(experiments, "_steady_rows", bug)
+    monkeypatch.setattr(experiments, "_steady_reports", bug)
     with pytest.raises(TypeError, match="injected"):
         disorder_ensemble(spec)
     with pytest.raises(TypeError, match="injected"):
         regime_grid(spec, gamma_nr_factors=(1.0,))
     # a numerical failure is counted and the ensemble goes on
-    monkeypatch.setattr(experiments, "_steady_rows", unsolvable)
+    monkeypatch.setattr(experiments, "_steady_reports", unsolvable)
     stats, raw = disorder_ensemble(spec)
     assert stats[0]["n_failed"] == 2
     assert np.isfinite(stats[0]["clean_current"])

@@ -11,7 +11,7 @@ from excitonchain.lattice import build_geometry
 from excitonchain.pme import (Generator, SteadyStateError, _closed_classes,
                               _generator_rows, _steady_rows, build_generator,
                               site_populations, solve_steady_state,
-                              steady_current, steady_state)
+                              steady_state)
 from excitonchain.spectral import diagonalize, transition_matrix
 
 
@@ -124,8 +124,8 @@ def test_zero_extraction_means_zero_current():
 
 def test_current_equals_site_population_formula():
     rates, es = make_rates("prism", 4, jb=10.0)
-    p, _ = steady_state(build_generator(rates))
-    current = steady_current(p, rates)
+    report = solve_steady_state(rates)
+    p, current = report.populations, report.current
     geo = es.geometry
     gamma_ext = EnvironmentParams().gamma_ext
     per_site = site_populations(p, es)

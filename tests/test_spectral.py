@@ -16,8 +16,7 @@ from excitonchain.pme import solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError, _eigen_rows,
                                    _sector_eigen, brightness,
                                    classify_bright_dark, diagonalize,
-                                   eigenstructure_tables, relaxation_profile,
-                                   transition_matrix)
+                                   eigenstructure_tables, transition_matrix)
 
 GAMMA_RAD = EnvironmentParams().gamma_rad
 
@@ -252,35 +251,6 @@ def test_saturated_step_channels_at_default_offset():
     es, _ = make_system("prism", 20, jb=10.0)
     gaps = es.excited_energies - es.energies[0]
     assert gaps.min() > 50.0
-
-
-def test_relaxation_profile_matches_brute_force_loop():
-    es, channels = make_system("mono", 3)
-    rates = transition_matrix(es, channels)
-    profile = relaxation_profile(rates, es)
-    ph = rates.blocks["phonon"]
-    for n in range(es.dimension):
-        expected = sum(ph[m, n] for m in range(1, es.dimension)
-                       if es.energies[m] < es.energies[n])
-        assert profile.downhill_rates[n] == pytest.approx(expected, abs=1e-20)
-    # lowest excited state has nothing below it
-    assert profile.downhill_rates[1] == 0.0
-    assert profile.bottleneck_index != 1
-
-
-def test_prism_bottleneck_sits_in_the_bright_band():
-    es, channels = make_system("prism", 10, jb=10.0)
-    brightness(es, channels)
-    census = classify_bright_dark(es, 1e-6)
-    rates = transition_matrix(es, channels)
-    profile = relaxation_profile(rates, es)
-    # drop the global lowest state, whose downhill sum is trivially zero
-    bright = [i for i in census.bright_indices if i != 1]
-    dark = [i for i in census.dark_indices if i != 1]
-    min_bright = min(profile.downhill_rates[i] for i in bright)
-    median_dark = np.median([profile.downhill_rates[i] for i in dark])
-    assert min_bright < median_dark / 10.0
-    assert profile.bottleneck_index in census.bright_indices
 
 
 @pytest.mark.parametrize("kind,expected_bright,expected_dark", [
