@@ -14,8 +14,10 @@ G_nm = S(eps_m - eps_n) A_nm) and real symmetric A,
 
     D[rho] = (G rho A + A rho G^T - A G rho - rho G^T A) / 2.
 
-The normalization is fixed so that the secular (diagonal) part reproduces
-the golden-rule rates of the population equation exactly.
+The secular (diagonal) part is the golden-rule rate matrix of the
+population equation by construction: coupling vectors and secular rates
+are read from the rate kernel of :mod:`excitonchain.spectral`, the only
+code that decides how a channel's rows act in the eigenbasis.
 
 No superoperator is formed.  In the eigenbasis a phonon row w |s><s| is
 the rank-1 operator w u u^T with u the site's row of the eigenvectors,
@@ -44,7 +46,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .environment import Channel
 from .pme import SteadyStateReport, _closed_classes, _generator_rows
-from .spectral import EigenSystem
+from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
 # secular start; restarts bound the Krylov memory at large dimension.
@@ -58,45 +60,19 @@ class BrmeError(RuntimeError):
     Krylov solve that does not converge."""
 
 
-def _coupling_vectors(es: EigenSystem, ch: Channel) -> np.ndarray:
-    """The channel's coupling vectors in the eigenbasis of ``es``, one row
-    per operator row.
-
-    A phonon row w |s><s| is w u u^T with u = V[s, :]; it is returned as
-    sqrt(|w|) u, because the dissipator is quadratic in the operator and
-    the sign of w drops out.  Every other row is e0 a^T + a e0^T and
-    returns a.
-    """
-    dim = es.dimension
-    if ch.eigen_target is not None:
-        a = np.zeros((1, dim))
-        a[0, dim - 1 if ch.eigen_target == "highest" else 1] = 1.0
-        return a
-    weights = ch.operator
-    if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
-        raise BrmeError(f"{ch.kind} channel operator has wrong dimension")
-    if ch.kind != "phonon":
-        return np.array([w @ es.vectors[1:] for w in weights])
-    if np.any(np.count_nonzero(weights, axis=1) != 1):
-        raise BrmeError("phonon channel must act on a single site")
-    group, sites = np.nonzero(weights)
-    return (np.sqrt(np.abs(weights[group, sites]))[:, None]
-            * es.vectors[sites + 1])
-
-
 @dataclass
 class Liouvillian:
     """The Liouvillian of an eigensystem and channel set, in factored form.
 
     Row c of ``matrix`` is the eigenbasis coupling vector of one operator
-    row (see :func:`_coupling_vectors`), and ``kinds[c]`` its channel
-    kind.  For ground <-> site rows, row c of ``emission`` is
-    S(eps_m - eps_0) a_m and of ``absorption`` S(eps_0 - eps_m) a_m (zero
-    rows for phonon rows); ``phonon`` holds one (S(omega), U) pair per
-    phonon channel, with its coupling vectors as the columns of U.  The
-    (dim x dim) pieces :meth:`apply` needs, the secular population rates
-    and the diagonal of the Liouvillian on the coherences are derived from
-    these on construction.
+    row (a zero ground entry, then its ``spectral._couplings`` column),
+    and ``kinds[c]`` its channel kind.  For ground <-> site rows, row c of
+    ``emission`` is S(eps_m - eps_0) a_m and of ``absorption``
+    S(eps_0 - eps_m) a_m (zero rows for phonon rows); ``phonon`` holds one
+    (S(omega), U) pair per phonon channel, with its coupling vectors as
+    the columns of U.  ``rates`` are the population equation's rates.
+    The (dim x dim) pieces :meth:`apply` needs and the diagonal of the
+    Liouvillian on the coherences are derived from these on construction.
     """
 
     matrix: np.ndarray
@@ -105,31 +81,24 @@ class Liouvillian:
     phonon: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
     eigensystem: EigenSystem = field(repr=False)
     kinds: list[str] = field(repr=False)
+    rates: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a, g, h = self.matrix, self.emission, self.absorption
         energies = self.eigensystem.energies
-        dim = energies.shape[0]
         loss = a.T @ g
         loss[0, 0] += np.sum(a * h)
-        # rates[n, m]: secular rate from population m into population n
-        rates = np.zeros((dim, dim))
-        rates[0] = np.sum(a * g, axis=0)
-        rates[:, 0] += np.sum(a * h, axis=0)
-        dephasing = np.zeros((dim, dim))
+        dephasing = np.zeros_like(loss)
         for s, u in self.phonon:
             loss += u @ (u * (s.T @ u**2)).T
-            overlap = u**2 @ (u**2).T
-            rates += s * overlap
             # G_aa A_bb on the coherences: s[0, 0] = S(0)
-            dephasing += s[0, 0] * overlap
+            dephasing += s[0, 0] * (u**2 @ (u**2).T)
         decay = np.diag(loss)
         self._bohr = 1j * (energies[None, :] - energies[:, None])
         self._loss = loss
         self._transfer = a.T @ g + h.T @ a
         self._emission_form = g.T @ a + a.T @ g
         self._pump = h.T @ a + a.T @ h
-        self.rates = rates
         self.coherence_diagonal = (self._bohr + dephasing
                                    - 0.5 * (decay[:, None] + decay[None, :]))
 
@@ -160,21 +129,28 @@ def build_liouvillian(es: EigenSystem,
     """Factor the Liouvillian of a channel set in the eigenbasis of ``es``.
 
     Stores one coupling vector per operator row and a few (dim x dim)
-    arrays; the build takes O(n_rows dim^2) time.  Raises BrmeError for
-    a channel whose weights do not match the system or a phonon row
-    acting on more than one site.
+    arrays; the build takes O(n_rows dim^2) time.  The coupling vectors
+    and the secular rates come from the population equation's rate kernel.
+    Raises BrmeError for a channel whose weights do not match the system
+    or a phonon row acting on more than one site.
     """
     energies = es.energies
     omega = energies[None, :] - energies[:, None]
-    couplings = [_coupling_vectors(es, ch) for ch in channels]
-    vectors = np.concatenate([np.zeros((0, es.dimension)), *couplings])
+    try:
+        couplings = [_couplings(es.vectors[None], ch)[0].T for ch in channels]
+        rates = _rate_rows(energies[None], es.vectors[None], channels)[0][0]
+    except SpectralError as exc:
+        raise BrmeError(str(exc)) from exc
+    vectors = np.zeros((sum(len(c) for c in couplings), es.dimension))
     emission = np.zeros_like(vectors)
     absorption = np.zeros_like(vectors)
     phonon = []
     kinds: list[str] = []
-    for ch, a in zip(channels, couplings):
-        rows = slice(len(kinds), len(kinds) + len(a))
-        kinds += [ch.kind] * len(a)
+    for ch, c in zip(channels, couplings):
+        rows = slice(len(kinds), len(kinds) + len(c))
+        kinds += [ch.kind] * len(c)
+        vectors[rows, 1:] = c
+        a = vectors[rows]
         if ch.kind == "phonon":
             phonon.append((np.asarray(ch.spectral(omega), dtype=float), a.T))
         else:
@@ -182,7 +158,7 @@ def build_liouvillian(es: EigenSystem,
             absorption[rows] = ch.spectral(-omega[0]) * a
     return Liouvillian(matrix=vectors, emission=emission,
                        absorption=absorption, phonon=phonon,
-                       eigensystem=es, kinds=kinds)
+                       eigensystem=es, kinds=kinds, rates=rates)
 
 
 def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:

@@ -7,10 +7,12 @@ shapes, so a channel stores only site weights: its ``operator`` is an
 (m, n_sites) array with one row w (unit or dipole-weighted amplitudes)
 per operator.  A phonon row is the single-site projector diag(w); every
 other row is the ground <-> site operator sum_s w_s (|0><s| + |s><0|).
-The rows' rates add.  :func:`build_channels` returns one channel per
-kind, so it alone decides which operators share a product.  Rates are
-linear in every channel's rate parameter, which enters exactly once as
-the plateau of its spectral density.
+The rows' rates add.  Their coupling vectors in an eigenbasis are worked
+out only in :mod:`excitonchain.spectral`, which both solvers read.
+:func:`build_channels` returns one channel per kind, so it alone decides
+which operators share a product.  Rates are linear in every channel's
+rate parameter, which enters exactly once as the plateau of its spectral
+density.
 
 Sign convention: a transition from state m into state n is evaluated at
 omega = eps_m - eps_n, so positive frequencies correspond to energy

@@ -65,6 +65,10 @@ class DisorderEnsembleSpec:
     n_realizations: int = 1
     base_seed: int = 0
 
+    def __post_init__(self):
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:

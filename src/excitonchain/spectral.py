@@ -28,7 +28,10 @@ Both paths then fix a deterministic basis:
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
 density at eps_m - eps_n times the squared operator matrix element,
-summed over the channel's operator rows.
+summed over the channel's operator rows.  How a channel's rows act in the
+eigenbasis is decided here only, by :func:`_couplings`: the rates, the
+brightness and the density-matrix solver's coupling vectors are all read
+from it, so the secular part of that solver is this rate matrix.
 """
 
 from __future__ import annotations
@@ -301,13 +304,40 @@ def _brightness_rows(vectors: np.ndarray, channels: list[Channel]
     radiative = [ch for ch in channels if ch.kind == "radiative"]
     if not radiative:
         raise SpectralError("no radiative channel supplied")
-    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
     total = np.zeros(vectors.shape[:2])
     for ch in radiative:
-        rate = ch.spectral.rate
-        for w in ch.operator:
-            total[:, 1:] += rate**2 * (amp @ w) ** 2
+        total[:, 1:] += ch.spectral.rate**2 * (
+            _couplings(vectors, ch) ** 2).sum(-1)
     return total
+
+
+def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
+    """A channel's operator rows in a stack of eigenbases (R, dim, dim).
+
+    Returns (R, n_excited, m): column c is operator row c's amplitude on
+    each excited state.  A ground <-> site row w gives amp @ w (its
+    ground entry is zero and not stored).  A phonon row w |s><s| gives
+    sqrt(|w|) amp[:, s]: rates and dissipator are quadratic in it, so the
+    sign of w drops out.  An eigenbasis target gives the unit column of
+    the highest or lowest excited state.  This is the only place that
+    reads a channel's operator or target.
+    """
+    rows, dim = vectors.shape[:2]
+    if channel.eigen_target is not None:
+        unit = np.zeros((rows, dim - 1, 1))
+        unit[:, -1 if channel.eigen_target == "highest" else 0] = 1.0
+        return unit
+    weights = channel.operator
+    if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
+        raise SpectralError(
+            f"{channel.kind} channel operator has wrong dimension")
+    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
+    if channel.kind != "phonon":
+        return amp @ weights.T
+    if np.any(np.count_nonzero(weights, axis=1) != 1):
+        raise SpectralError("phonon channel must act on a single site")
+    group, sites = np.nonzero(weights)
+    return np.sqrt(np.abs(weights[group, sites])) * amp[:, :, sites]
 
 
 @dataclass
@@ -327,13 +357,10 @@ def transition_matrix(es: EigenSystem,
                       channels: list[Channel]) -> RateMatrix:
     """Build the full rate matrix from an eigensystem and a channel set.
 
-    Each channel's rows share one product: the phonon rows (single-site
-    projectors) one overlap product over their sites, the rows of every
-    other channel, which couple the ground state to the excited states
-    through their site weights, one amplitude product.  Channels with
-    ``eigen_target`` set couple the ground state directly to the highest
-    ("highest") or lowest ("lowest") excited eigenstate with unit matrix
-    element.
+    Each channel's rows share one product of their eigenbasis couplings
+    (:func:`_couplings`): the phonon rows one overlap product of the
+    squared couplings, the rows of every other channel, which couple the
+    ground state to the excited states, one sum of squared couplings.
     """
     w, blocks = _rate_rows(es.energies[None], es.vectors[None], channels)
     return RateMatrix(w=w[0], blocks={k: b[0] for k, b in blocks.items()})
@@ -348,7 +375,6 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     total rates and the per-kind blocks, each (R, dim, dim).
     """
     rows, dim = energies.shape
-    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
     omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
@@ -356,29 +382,15 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     blocks: dict[str, np.ndarray] = {}
     for ch in channels:
         target = blocks.setdefault(ch.kind, np.zeros((rows, dim, dim)))
-        if ch.eigen_target is not None:
-            idx = dim - 1 if ch.eigen_target == "highest" else 1
-            omega_down = energies[:, idx] - energies[:, 0]
-            target[:, 0, idx] += ch.spectral(omega_down)
-            target[:, idx, 0] += ch.spectral(-omega_down)
-            continue
-        weights = ch.operator
-        if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
-            raise SpectralError(
-                f"{ch.kind} channel operator has wrong dimension")
+        csq = _couplings(vectors, ch) ** 2
         if ch.kind == "phonon":
-            if np.any(np.count_nonzero(weights, axis=1) != 1):
-                raise SpectralError("phonon channel must act on a single site")
-            group, sites = np.nonzero(weights)
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            csq = amp[:, :, sites] ** 2 * np.abs(weights[group, sites])
-            overlap = csq @ csq.transpose(0, 2, 1)
-            rates = ch.spectral(omega_exc) * overlap
+            rates = ch.spectral(omega_exc) * (csq @ csq.transpose(0, 2, 1))
             rates[:, excited, excited] = 0.0
             target[:, 1:, 1:] += rates
             continue
-        # ground <-> site rows: sum_c (amp @ w_c)^2
-        alpha_sq = ((amp @ weights.T) ** 2).sum(-1)
+        # ground <-> excited rows: sum over the channel's couplings squared
+        alpha_sq = csq.sum(-1)
         target[:, 0, 1:] += ch.spectral(omega_from_excited) * alpha_sq
         target[:, 1:, 0] += ch.spectral(omega_into_excited) * alpha_sq
 
@@ -414,7 +426,8 @@ def classify_bright_dark(es: EigenSystem,
                          threshold_fraction: float = DARK_THRESHOLD
                          ) -> BrightDarkCensus:
     """Label each excited state dark iff its brightness is below
-    ``threshold_fraction`` times the maximum brightness."""
+    ``threshold_fraction`` times the maximum brightness, or when that
+    maximum is zero (no state radiates)."""
     if es.brightness is None:
         raise SpectralError("compute brightness before classifying")
     b = es.brightness[1:]
@@ -444,7 +457,8 @@ def _dark_mask(b: np.ndarray, threshold_fraction: float
     if not 0.0 < threshold_fraction < 1.0:
         raise SpectralError("threshold_fraction must lie in (0, 1)")
     cutoff = threshold_fraction * b.max(axis=-1, keepdims=True)
-    return b < cutoff, cutoff[..., 0]
+    # with no brightness at all no state radiates: every state is dark
+    return (b < cutoff) | (cutoff == 0), cutoff[..., 0]
 
 
 def eigenstructure_tables(es: EigenSystem) -> tuple[list[dict], list[dict]]:

@@ -236,6 +236,23 @@ def test_bundling_rows_into_channels_changes_no_rate_or_liouvillian(
                                    atol=1e-16, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind,options", [
+    ("prism", {}),
+    ("dimer", {"injection_mode": "eigen"}),
+    ("prism", {"dipole_scheme": "transport"}),
+], ids=["prism-site", "dimer-eigen", "prism-transport"])
+def test_secular_rates_are_the_population_rates(kind, options):
+    # one rate kernel serves both solvers, so the secular rates equal the
+    # population equation's bit for bit
+    es, channels = make_system(kind, 4, jb=2.0,
+                               env=EnvironmentParams(gamma_nr=0.003),
+                               **options)
+    rates = build_liouvillian(es, channels).rates
+    w = transition_matrix(es, channels).w
+    off = ~np.eye(es.dimension, dtype=bool)
+    assert np.array_equal(rates[off], w[off])
+
+
 def test_trace_is_a_left_null_vector():
     es, channels = make_system("prism", 5, jb=10.0)
     liouv = build_liouvillian(es, channels)

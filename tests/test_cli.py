@@ -266,6 +266,15 @@ def test_no_temporary_files_left_behind(tmp_path):
     assert leftovers == []
 
 
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    assert main(["disorder", "--seed", "-1", "--n-realizations", "2",
+                 "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "seed must be >= 0, got -1"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solver_failure_produces_error_record(tmp_path, capsys):
     # eigen-target channels need at least one excited level above ground;
     # a tiny manifold offset with a huge ground energy breaks the gap

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from excitonchain.brme import BrmeError, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian)
@@ -84,6 +85,15 @@ def test_mono_states_all_generically_bright():
     census = classify_bright_dark(es, 1e-6)
     assert census.n_dark == 0
     assert np.all(b[1:] > 0)
+
+
+def test_without_radiative_coupling_every_state_is_dark():
+    es, channels = make_system("dimer", 3, jb=10.0,
+                               env=EnvironmentParams(gamma_rad=0.0))
+    assert np.all(brightness(es, channels) == 0.0)
+    census = classify_bright_dark(es)
+    assert (census.n_bright, census.n_dark) == (0, es.n_excited)
+    assert census.band_gap is None
 
 
 def test_orthonormality_and_reconstruction():
@@ -194,11 +204,15 @@ def test_rates_do_not_depend_on_shared_spectrum_objects():
                                   transition_matrix(es, channels).w)
 
 
-def test_phonon_channel_must_act_on_a_single_site():
+@pytest.mark.parametrize("build,error", [
+    (transition_matrix, SpectralError),
+    (build_liouvillian, BrmeError),
+], ids=["transition_matrix", "build_liouvillian"])
+def test_phonon_channel_must_act_on_a_single_site(build, error):
     es, channels = make_system("mono", 2)
     spread = replace(channels[0], operator=np.ones((1, 2)))
-    with pytest.raises(SpectralError, match="single site"):
-        transition_matrix(es, [spread])
+    with pytest.raises(error, match="single site"):
+        build(es, [spread])
 
 
 def test_phonon_detailed_balance_on_the_built_matrix():
@@ -217,13 +231,16 @@ def test_phonon_detailed_balance_on_the_built_matrix():
 
 
 def test_radiative_rates_fold_in_the_plateau_and_stay_one_way():
-    es, channels = make_system("dimer", 4, jb=1.0)
-    b = brightness(es, channels)
-    rates = transition_matrix(es, channels)
-    rad = rates.blocks["radiative"]
-    np.testing.assert_allclose(rad[0, 1:], b[1:] / GAMMA_RAD, rtol=1e-12,
-                               atol=1e-30)
-    assert np.all(rad[1:, 0] == 0.0)
+    # scalar coupling (one radiative row) and transport dipoles (three)
+    for dipoles in (None, "transport"):
+        es, channels = make_system("dimer", 4, jb=1.0, dipoles=dipoles)
+        assert len(channels[1].operator) == (1 if dipoles is None else 3)
+        b = brightness(es, channels)
+        rates = transition_matrix(es, channels)
+        rad = rates.blocks["radiative"]
+        np.testing.assert_allclose(rad[0, 1:], b[1:] / GAMMA_RAD,
+                                   rtol=1e-12, atol=1e-30)
+        assert np.all(rad[1:, 0] == 0.0)
 
 
 def test_rates_nonnegative_and_phonon_avoids_ground():
