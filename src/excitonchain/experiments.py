@@ -4,11 +4,12 @@ Every experiment is a pure function of its spec: runs are keyed by
 (geometry, coupling, size, realization) and aggregated in deterministic
 order, so identical specs reproduce identical tables.
 
-Sweeps and disorder ensembles share one engine: stacks of eigensystems
-of one geometry go through the rate and steady-state kernels of
-``spectral`` and ``pme`` (:func:`_pme_rows`) in fixed-size chunks
-(:func:`_chunk_size`) that ``jobs`` threads share out, and every row
-comes back as its report or the error it failed with.
+Sweeps and disorder ensembles share one chunk runner, :func:`_solve_chunk`:
+fixed-size stacks (:func:`_chunk_size`) of excited blocks of one geometry
+go through the one diagonalizer ``spectral._eigen_rows``, then a measure
+such as the stacked PME solve (``pme._steady_reports``).  ``jobs`` threads
+share out the chains or chunks; every row comes back as its value or the
+error it failed with.
 
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
@@ -41,7 +42,7 @@ from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
 from .lattice import assign_dipoles, build_geometry
 from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
                   site_populations, solve_steady_state)
-from .spectral import (SpectralError, _brightness_rows, _dark_mask,
+from .spectral import (EigenSystem, _brightness_rows, _dark_mask,
                        _eigen_rows, _rate_rows, brightness, diagonalize,
                        transition_matrix)
 
@@ -96,6 +97,10 @@ class SweepSpec:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
+        if (self.method == "brme"
+                and min(self.n_cells_values) > self.brme_max_cells):
+            raise ValueError("method 'brme' needs a chain length at or below "
+                             f"brme_max_cells = {self.brme_max_cells}")
 
 
 @dataclass(frozen=True)
@@ -189,9 +194,17 @@ def solve_point(kind: str, n_cells: int, jb: float,
 
 def _solve_system(system, method: str = "pme") -> SteadyStateReport:
     _, _, es, channels = system
+    if method == "pme":
+        return solve_steady_state(transition_matrix(es, channels))
     if method == "brme":
         return brme_steady_state(build_liouvillian(es, channels))
-    return solve_steady_state(transition_matrix(es, channels))
+    raise ValueError(f"a point solves with 'pme' or 'brme', not {method!r}")
+
+
+def _pme_only(spec: SweepSpec, study: str) -> None:
+    if spec.method != "pme":
+        raise ValueError(f"{study} solves with 'pme' only, "
+                         f"not {spec.method!r}")
 
 
 def _map_in_order(fn, items, jobs: int) -> list:
@@ -246,67 +259,58 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """
     methods = {"pme": ["pme"], "brme": ["brme"],
                "both": ["pme", "brme"]}[spec.method]
+    # the methods solved at each chain length, BRME only up to its cap
+    at = {n: [m for m in methods if m == "pme" or n <= spec.brme_max_cells]
+          for n in spec.n_cells_values}
+    ns = [n for n in at if at[n]]
 
     def run(chain: tuple):
         try:
-            return _chain_reports(spec, *chain, methods)
+            return _chain_reports(spec, *chain, at[chain[1]])
         except Exception as exc:  # raised below, in grid order
             return exc
 
-    solved = []
+    rows: list[dict] = []
+    fits: list[dict] = []
     for kind in spec.geometries:
-        ns = [n for n in spec.n_cells_values
-              if "pme" in methods or n <= spec.brme_max_cells]
         chains = dict(zip(ns, _map_in_order(run, [(kind, n) for n in ns],
                                             spec.jobs)))
+        series: dict = {}
         for jb in spec.jb_values:
             for n in spec.n_cells_values:
-                for method in methods:
-                    if method == "brme" and n > spec.brme_max_cells:
-                        continue
+                for method in at[n]:
                     chain = chains[n]
                     report = (chain if isinstance(chain, Exception)
                               else chain[(jb, method)])
                     if isinstance(report, Exception):
                         raise report
-                    solved.append((kind, jb, n, method, report))
-
-    rows = []
-    for kind, jb, n, method, report in solved:
-        rows.append({
-            "geometry": kind, "jb": jb, "n_cells": n, "method": method,
-            "current": report.current,
-            "ground_population": report.ground_population,
-            "residual": report.residual,
-            "flux_injection": report.fluxes.get("injection", 0.0),
-            "flux_extraction": report.fluxes.get("extraction", 0.0),
-            "flux_radiative": report.fluxes.get("radiative", 0.0),
-            "flux_nonradiative": report.fluxes.get("nonradiative", 0.0),
-            "run_id": len(rows),
-        })
-    fits = []
-    for kind in spec.geometries:
-        for jb in spec.jb_values:
-            for method in methods:
-                sel = [r for r in rows
-                       if r["geometry"] == kind and r["jb"] == jb
-                       and r["method"] == method]
-                if len(sel) < 2:
-                    continue
-                ns = [r["n_cells"] for r in sel]
-                cur = [r["current"] for r in sel]
-                try:
-                    fit = fit_exponential(ns, cur,
-                                          min_cells=spec.fit_min_cells)
-                except ValueError:
-                    continue
-                fits.append({
-                    "geometry": kind, "jb": jb, "method": method,
-                    "alpha": fit.alpha, "beta": fit.beta,
-                    "fit_residual": fit.residual_norm,
-                    "n_min": fit.n_range[0], "n_max": fit.n_range[1],
-                    "n_points": fit.n_points,
-                })
+                    rows.append({
+                        "geometry": kind, "jb": jb, "n_cells": n,
+                        "method": method, "current": report.current,
+                        "ground_population": report.ground_population,
+                        "residual": report.residual,
+                        **{f"flux_{flux}": report.fluxes.get(flux, 0.0)
+                           for flux in ("injection", "extraction",
+                                        "radiative", "nonradiative")},
+                        "run_id": len(rows),
+                    })
+                    series.setdefault((jb, method), []).append(
+                        (n, report.current))
+        for (jb, method), points in series.items():
+            if len(points) < 2:
+                continue
+            try:
+                fit = fit_exponential(*zip(*points),
+                                      min_cells=spec.fit_min_cells)
+            except ValueError:
+                continue
+            fits.append({
+                "geometry": kind, "jb": jb, "method": method,
+                "alpha": fit.alpha, "beta": fit.beta,
+                "fit_residual": fit.residual_norm,
+                "n_min": fit.n_range[0], "n_max": fit.n_range[1],
+                "n_points": fit.n_points,
+            })
     return rows, fits
 
 
@@ -314,60 +318,62 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
                    methods: list[str]) -> dict:
     """Reports of one clean chain at every coupling of a sweep.
 
-    The geometry and channels are built once; the couplings are solved in
-    chunks (:func:`_chunk_reports`), BRME only up to ``brme_max_cells``.
-    Returns {(jb, method): report or the SpectralError, SteadyStateError
-    or BRME failure that :func:`solve_point` raises there}.
+    The geometry and channels are built once and the couplings solved in
+    chunks (:func:`_solve_chunk`): each eigensystem feeds its chunk's
+    stacked PME solve and its own BRME solve.  Returns {(jb, method):
+    report or the error :func:`solve_point` raises there}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    if n_cells > spec.brme_max_cells:
-        methods = [m for m in methods if m != "brme"]
     jbs = spec.jb_values
     size = _chunk_size(geometry.n_sites + 1)
     reports: dict = {}
     for lo in range(0, len(jbs), size):
-        reports.update(_chunk_reports(spec, geometry, channels,
-                                      jbs[lo:lo + size], methods))
+        chunk = jbs[lo:lo + size]
+        hams = [_hamiltonian(geometry, jb, spec.ham, spec.dipole_scheme)
+                for jb in chunk]
+
+        def measure(energies, vectors, rows) -> list[dict]:
+            solved: list[dict] = [{} for _ in rows]
+            if "pme" in methods:
+                pme = _steady_reports(*_rate_rows(energies, vectors, channels))
+                for out, report in zip(solved, pme):
+                    if isinstance(report, SteadyStateReport):
+                        _warn_low_ground(report)
+                    out["pme"] = report
+            if "brme" in methods:
+                for out, eps, vecs, r in zip(solved, energies, vectors, rows):
+                    es = EigenSystem(energies=eps, vectors=vecs,
+                                     hamiltonian=hams[r])
+                    try:
+                        out["brme"] = brme_steady_state(
+                            build_liouvillian(es, channels))
+                    except Exception as exc:  # raised by length_sweep
+                        out["brme"] = exc
+            return solved
+
+        values = _solve_chunk(np.stack([h.excited_block for h in hams]),
+                              hams[0].matrix[0, 0], geometry, measure)
+        for jb, value in zip(chunk, values):
+            for method in methods:
+                reports[(jb, method)] = (value if isinstance(value, Exception)
+                                         else value[method])
     return reports
 
 
-def _chunk_reports(spec: SweepSpec, geometry, channels, jbs: list,
-                   methods: list[str]) -> dict:
-    """:func:`_chain_reports` of one chunk: one :func:`diagonalize` per
-    coupling, whose eigensystem feeds one stacked PME solve of the chunk
-    and its own BRME solve.  (A function of its own, so that a chunk's
-    eigensystems are freed before the next.)"""
-    systems: dict = {}
-    reports: dict = {}
-    for jb in jbs:
-        try:
-            systems[jb] = diagonalize(_hamiltonian(geometry, jb, spec.ham,
-                                                   spec.dipole_scheme))
-        except SpectralError as exc:
-            reports.update(((jb, method), exc) for method in methods)
-    if "pme" in methods and systems:
-        solved = _pme_rows(np.stack([es.energies for es in systems.values()]),
-                           np.stack([es.vectors for es in systems.values()]),
-                           channels)
-        for jb, report in zip(systems, solved):
-            if isinstance(report, SteadyStateReport):
-                _warn_low_ground(report)
-            reports[(jb, "pme")] = report
-    if "brme" in methods:
-        for jb, es in systems.items():
-            try:
-                reports[(jb, "brme")] = brme_steady_state(
-                    build_liouvillian(es, channels))
-            except Exception as exc:  # raised by length_sweep, in grid order
-                reports[(jb, "brme")] = exc
-    return reports
-
-
-def _pme_rows(energies, vectors, channels) -> list:
-    """Per row of stacked eigensystems its PME report or the
-    SteadyStateError it failed with."""
-    return _steady_reports(*_rate_rows(energies, vectors, channels))
+def _solve_chunk(blocks, eg: float, geometry, measure) -> list:
+    """Per row of a stack of excited blocks (R, n, n) of one geometry, its
+    value or the error it failed with: the stack is diagonalized together,
+    and ``measure(energies, vectors, rows)`` gives the values of the rows
+    that diagonalized, ``rows`` being their indices in the stack."""
+    energies, vectors, out = _eigen_rows(blocks, eg, geometry)
+    del blocks  # so that a sweep frees its stack before the measure
+    good = [r for r, error in enumerate(out) if error is None]
+    if good:
+        for r, value in zip(good, measure(energies[good], vectors[good],
+                                          good)):
+            out[r] = value
+    return out
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -382,11 +388,9 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
 
     ``system`` is a clean :func:`build_system` result.  Realization r adds
     ``DisorderSpec(sigma, seed, r).draw(n_sites)`` to the clean excited
-    diagonal, exactly as ``apply_disorder`` does.  Chunks of realizations
-    are diagonalized together and handed to ``measure(energies, vectors,
-    channels)``, which returns per row of the stacked eigensystems its
-    value or the error it failed with.  Returns per realization, in index
-    order, its value or the error it failed with.
+    diagonal, exactly as ``apply_disorder`` does.  Returns per realization,
+    in index order, what ``measure(energies, vectors, channels)`` makes of
+    it in its chunk (:func:`_solve_chunk`) or the error it failed with.
     """
     _, h, _, channels = system
     n_sites = h.geometry.n_sites
@@ -398,14 +402,9 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
         blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
         blocks[:, sites, sites] += np.array(
             [DisorderSpec(sigma, seed, r).draw(n_sites) for r in indices])
-        energies, vectors, out = _eigen_rows(blocks, h.matrix[0, 0],
-                                             h.geometry.positions)
-        good = [r for r, error in enumerate(out) if error is None]
-        if good:
-            for r, value in zip(good, measure(energies[good], vectors[good],
-                                              channels)):
-                out[r] = value
-        return out
+        return _solve_chunk(blocks, h.matrix[0, 0], h.geometry,
+                            lambda energies, vectors, _: measure(
+                                energies, vectors, channels))
 
     chunks = [range(lo, min(lo + size, n_realizations))
               for lo in range(0, n_realizations, size)]
@@ -422,7 +421,9 @@ def _disorder_currents(system, sigma: float, seed: int, n_realizations: int,
     the realizations whose ground population is at or below
     ``MIN_GROUND_POPULATION``.
     """
-    results = _ensemble(system, sigma, seed, n_realizations, jobs, _pme_rows)
+    results = _ensemble(system, sigma, seed, n_realizations, jobs,
+                        lambda energies, vectors, channels: _steady_reports(
+                            *_rate_rows(energies, vectors, channels)))
     solved = [isinstance(report, SteadyStateReport) for report in results]
     low = sum(report.ground_population <= MIN_GROUND_POPULATION
               for report, ok in zip(results, solved) if ok)
@@ -447,6 +448,7 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     produce a unique steady state are counted and excluded.  Raw rows are
     retained when ``spec.keep_raw`` is set.
     """
+    _pme_only(spec, "a disorder ensemble")
     stats: list[dict] = []
     raw: list[dict] = []
     n_cells = spec.n_cells_values[0]
@@ -496,6 +498,7 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
     the transport axis.  Each row's ``error`` names the error class of a
     failed realization (its current is NaN) and is empty otherwise.
     """
+    _pme_only(spec, "a regime grid")
     rows: list[dict] = []
     n_cells = spec.n_cells_values[0]
     for gi, kind in enumerate(spec.geometries):

@@ -2,7 +2,8 @@
 
 Diagonalization keeps the ground state as an exact basis vector (it is
 coherently decoupled) and returns excited eigenstates in ascending energy
-order.  It takes one of two paths:
+order.  One diagonalizer, :func:`_eigen_rows`, solves every stack of
+excited blocks, and picks one of two paths per row:
 
 - a clean chain of identical cells has the excited block
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
@@ -162,64 +163,71 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def _gap_error(eps0: float, eg: float) -> SpectralError | None:
-    if eps0 > eg:
-        return None
-    return SpectralError(
-        f"lowest excited eigenvalue {eps0:g} does not exceed the "
-        f"ground-state energy {eg:g}; increase the manifold offset")
-
-
-def _eigen_rows(blocks: np.ndarray, eg: float, positions: np.ndarray
+def _eigen_rows(blocks: np.ndarray, eg: float, geometry
                 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Diagonalize a stack of excited blocks (R, n, n) sharing one geometry.
 
-    Returns (energies, vectors, errors): energies (R, n + 1) with the
-    ground energy first, eigenvectors (R, n + 1, n + 1) in the ground +
-    site basis, and per row None or the SpectralError that row raised
-    (its energies and vectors are then NaN).  Each row goes through
-    LAPACK's symmetric solver on its own.
+    Each row is solved from its blocks (:func:`_sector_eigen`) if it can
+    be, and by one full-space eigh (:func:`_full_eigen`) otherwise; the
+    gap check and the sign rule then run here, once.  Returns (energies,
+    vectors, errors): energies (R, n + 1) with the ground energy first,
+    eigenvectors (R, n + 1, n + 1) in the ground + site basis, and per row
+    None or the SpectralError that row raised (its energies and vectors
+    are then NaN).
     """
     rows, n = blocks.shape[:2]
     energies = np.full((rows, n + 1), np.nan)
     full = np.zeros((rows, n + 1, n + 1))
     full[:, 1:, 1:] = np.nan
     errors: list = [None] * rows
-    for r in range(rows):
+    for r, block in enumerate(blocks):
         try:
-            eps, vecs = scipy.linalg.eigh(blocks[r])
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            cond = np.linalg.cond(blocks[r])
-            errors[r] = SpectralError(
-                f"eigendecomposition failed (condition number {cond:.3e})")
-            errors[r].__cause__ = exc
+            eps, vecs = (_sector_eigen(block, geometry)
+                         or _full_eigen(block, geometry.positions))
+        except SpectralError as exc:  # pragma: no cover - rare
+            errors[r] = exc
             continue
-        errors[r] = _gap_error(eps[0], eg)
-        if errors[r] is not None:
+        if not eps[0] > eg:
+            errors[r] = SpectralError(
+                f"lowest excited eigenvalue {eps[0]:g} does not exceed the "
+                f"ground-state energy {eg:g}; increase the manifold offset")
             continue
         energies[r, 1:] = eps
-        full[r, 1:, 1:] = _resolve_degeneracies(eps, vecs, positions)[0]
+        full[r, 1:, 1:] = vecs
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
     full[:, 1:, 1:] = _fix_signs(full[:, 1:, 1:])
     return energies, full, errors
 
 
-def _sector_eigen(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
+def _full_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
+    """Excited energies and vectors of one block from one full-space eigh,
+    put through the centroid rule."""
+    try:
+        eps, vecs = scipy.linalg.eigh(block)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise SpectralError("eigendecomposition failed (condition number "
+                            f"{np.linalg.cond(block):.3e})") from exc
+    return eps, _resolve_degeneracies(eps, vecs, positions)[0]
+
+
+def _sector_eigen(block: np.ndarray, geometry) -> tuple | None:
     """Excited energies and vectors of a clean chain from its blocks.
 
     In the (cell, slot, cell, slot) view the excited block is tested for
     the Kronecker sum T (x) 1_n + 1_N (x) B, with T slot 0's chain and B
-    cell 0's block less T[0, 0] on its diagonal.  Its eigenpairs are
-    t_i + b_j and U[:, i] (x) W[:, j], stably sorted, then put through
-    the centroid rule.  Returns None when the block is not such a sum,
-    or when the rule leaves a tie unsplit across distinct levels of B:
-    the general path's basis there is LAPACK's mixture, which stored
-    results pin.
+    cell 0's block less T[0, 0] on its diagonal (the diagonal first, which
+    turns disorder away cheaply).  Its eigenpairs are t_i + b_j and
+    U[:, i] (x) W[:, j], stably sorted, then put through the centroid
+    rule.  Returns None when the block is not such a sum, or when the rule
+    leaves a tie unsplit across distinct levels of B: the full-space basis
+    there is LAPACK's mixture, which stored results pin.
     """
-    geometry = h.geometry
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
-    x = h.excited_block.reshape(n_cells, n, n_cells, n)
+    diag = block.diagonal().reshape(n_cells, n)
+    if not (diag == diag[:, :1] + (diag[0] - diag[0, 0])).all():
+        return None
+    x = block.reshape(n_cells, n, n_cells, n)
     chain = x[:, 0, :, 0]
     cell = x[0, :, 0, :] - chain[0, 0] * np.eye(n)
     kron_sum = (chain[:, None, :, None] * np.eye(n)[:, None, :]
@@ -229,14 +237,11 @@ def _sector_eigen(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         t, u = scipy.linalg.eigh(chain)
         b, w = scipy.linalg.eigh(cell)
-    except scipy.linalg.LinAlgError:  # pragma: no cover - general path reports
+    except scipy.linalg.LinAlgError:  # pragma: no cover - full path reports
         return None
     eps = (t[:, None] + b).ravel()
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
-    error = _gap_error(eps[0], h.matrix[0, 0])
-    if error is not None:
-        raise error
     # column k is U[:, i] (x) W[:, j] for (i, j) = divmod(order[k], n)
     i, j = np.divmod(order, n)
     vecs, ties = _resolve_degeneracies(
@@ -253,36 +258,26 @@ def _sector_eigen(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
         per_tie = np.add.reduceat(per_level, starts, axis=1)
         if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
             return None
-    return eps, _fix_signs(vecs)
+    return eps, vecs
 
 
 def diagonalize(h: Hamiltonian) -> EigenSystem:
     """Diagonalize the excited block and assemble the full eigensystem.
 
-    A clean chain is solved from its chain and cell blocks
-    (:func:`_sector_eigen`); every other block, and a chain that block
-    solve hands back, goes through the general path of :func:`_eigen_rows`.
-    Raises SpectralError if the solver fails or if any excited eigenvalue
-    does not exceed the ground-state energy (the one-way ground <-> excited
-    channels assume a strictly positive gap).
+    The Hamiltonian is checked for symmetry and its excited block solved
+    as a stack of one by :func:`_eigen_rows`.  Raises SpectralError if the
+    solver fails or if any excited eigenvalue does not exceed the
+    ground-state energy (the one-way ground <-> excited channels assume a
+    strictly positive gap).
     """
     sym_dev = float(np.abs(h.matrix - h.matrix.T).max())
     if sym_dev > 0.0:
         raise SpectralError(f"Hamiltonian not symmetric (max dev {sym_dev:g})")
-    eg = h.matrix[0, 0]
-    sector = _sector_eigen(h)
-    if sector is None:
-        energies, vectors, errors = _eigen_rows(
-            h.excited_block[None], eg, h.geometry.positions)
-        if errors[0] is not None:
-            raise errors[0]
-        return EigenSystem(energies=energies[0], vectors=vectors[0],
-                           hamiltonian=h)
-    eps, vecs = sector
-    vectors = np.zeros((h.dimension, h.dimension))
-    vectors[0, 0] = 1.0
-    vectors[1:, 1:] = vecs
-    return EigenSystem(energies=np.concatenate([[eg], eps]), vectors=vectors,
+    energies, vectors, errors = _eigen_rows(h.excited_block[None],
+                                            h.matrix[0, 0], h.geometry)
+    if errors[0] is not None:
+        raise errors[0]
+    return EigenSystem(energies=energies[0], vectors=vectors[0],
                        hamiltonian=h)
 
 

@@ -275,6 +275,15 @@ def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys):
+    assert main(["steady", "--geometry", "mono", "--n-cells", "2",
+                 "--method", "both", "--out", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "'both'" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solver_failure_produces_error_record(tmp_path, capsys):
     # eigen-target channels need at least one excited level above ground;
     # a tiny manifold offset with a huge ground energy breaks the gap

@@ -66,6 +66,21 @@ def test_spec_validation():
         small_spec(method="exact")
     with pytest.raises(ValueError):
         small_spec(disorder=DisorderEnsembleSpec(n_realizations=0))
+    # an all-BRME sweep needs one chain length within the BRME cap
+    with pytest.raises(ValueError, match="brme_max_cells = 20"):
+        small_spec(n_cells_values=(25, 26), method="brme")
+    small_spec(n_cells_values=(20, 25), method="brme")
+    small_spec(n_cells_values=(25, 26), method="both")
+
+
+def test_a_method_that_does_not_apply_is_rejected_by_name():
+    with pytest.raises(ValueError, match="'brmee'"):
+        solve_point("mono", 2, 1.0, HAM, ENV, method="brmee")
+    spec = small_spec(n_cells_values=(3,), method="brme")
+    with pytest.raises(ValueError, match="'pme' only, not 'brme'"):
+        disorder_ensemble(spec)
+    with pytest.raises(ValueError, match="'pme' only, not 'brme'"):
+        regime_grid(spec)
 
 
 def test_length_sweep_rows_and_fits():
@@ -244,9 +259,8 @@ def test_disorder_ensemble_zero_sigma_collapses():
     stats, raw = disorder_ensemble(spec)
     entry = stats[0]
     assert entry["n_failed"] == 0
-    assert entry["min"] == pytest.approx(entry["max"], rel=1e-12, abs=0)
-    assert entry["median"] == pytest.approx(entry["clean_current"],
-                                            rel=1e-12, abs=0)
+    for key in ("min", "max", "median", "q1", "q3"):
+        assert entry[key] == entry["clean_current"], key
     assert len(raw) == 5
 
 
@@ -357,8 +371,7 @@ def test_ensemble_engine_matches_solve_point(case):
             disorder_spec=DisorderSpec(sigma, seed, row["realization"]),
             **settings)
         assert row["error"] == ""
-        assert row["current"] == pytest.approx(reference.current, rel=1e-12,
-                                               abs=0)
+        assert row["current"] == reference.current
 
 
 def test_ensemble_engine_isolates_failed_realizations():
@@ -438,9 +451,8 @@ def test_brightness_robustness_zero_sigma_is_zero_width():
     state_rows, census_rows = brightness_robustness(spec)
     assert len(state_rows) == 6
     for row in state_rows:
-        assert row["min"] == pytest.approx(row["max"], abs=1e-18)
-        assert row["median"] == pytest.approx(row["clean_brightness"],
-                                              abs=1e-18)
+        for key in ("min", "max", "median", "q25", "q75"):
+            assert row[key] == row["clean_brightness"], key
     assert len(census_rows) == 4
 
 

@@ -15,9 +15,10 @@ from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError, _eigen_rows,
-                                   _sector_eigen, brightness,
-                                   classify_bright_dark, diagonalize,
-                                   eigenstructure_tables, transition_matrix)
+                                   _fix_signs, _full_eigen, _sector_eigen,
+                                   brightness, classify_bright_dark,
+                                   diagonalize, eigenstructure_tables,
+                                   transition_matrix)
 
 GAMMA_RAD = EnvironmentParams().gamma_rad
 
@@ -334,11 +335,12 @@ def chain_and_cell_blocks(h):
 
 
 def general_eigensystem(h):
-    energies, vectors, errors = _eigen_rows(
-        h.excited_block[None], h.matrix[0, 0], h.geometry.positions)
-    assert errors[0] is None
-    return EigenSystem(energies=energies[0], vectors=vectors[0],
-                       hamiltonian=h)
+    # the full-space path alone, whichever path diagonalize picks
+    eps, vecs = _full_eigen(h.excited_block, h.geometry.positions)
+    vectors = np.eye(h.dimension)
+    vectors[1:, 1:] = _fix_signs(vecs)
+    return EigenSystem(energies=np.concatenate([[h.matrix[0, 0]], eps]),
+                       vectors=vectors, hamiltonian=h)
 
 
 def pme_current(es, channels):
@@ -352,7 +354,7 @@ def test_sector_spectrum_is_the_sorted_sum_of_block_levels(kind, dipoles):
         for jb in (0.1, 10.0):
             es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
             h = es.hamiltonian
-            assert _sector_eigen(h) is not None
+            assert _sector_eigen(h.excited_block, h.geometry) is not None
             chain, cell = chain_and_cell_blocks(h)
             sums = np.sort((np.linalg.eigvalsh(chain)[:, None]
                             + np.linalg.eigvalsh(cell)).ravel())
@@ -390,10 +392,23 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
         dipoles = rng.normal(size=(build_geometry(kind, n_cells).n_sites, 3))
     es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
     h = es.hamiltonian if perturb is None else perturb(es.hamiltonian)
-    assert _sector_eigen(h) is None
+    assert _sector_eigen(h.excited_block, h.geometry) is None
     es, expected = diagonalize(h), general_eigensystem(h)
     np.testing.assert_array_equal(es.energies, expected.energies)
     np.testing.assert_array_equal(es.vectors, expected.vectors)
+    # stacked with a clean chain of its geometry and a disordered row, each
+    # row takes its own path and comes out as diagonalize gives it alone
+    clean = build_hamiltonian(h.geometry, HamiltonianParams(jb=10.0))
+    assert _sector_eigen(clean.excited_block, clean.geometry) is not None
+    stack = [clean, h, disordered(h)]
+    energies, vectors, errors = _eigen_rows(
+        np.stack([m.excited_block for m in stack]), h.matrix[0, 0],
+        h.geometry)
+    assert errors == [None] * len(stack)
+    for row, m in enumerate(stack):
+        alone = diagonalize(m)
+        np.testing.assert_array_equal(energies[row], alone.energies)
+        np.testing.assert_array_equal(vectors[row], alone.vectors)
 
 
 REFERENCE_FILE = (Path(__file__).resolve().parents[1] / "perfbench"
