@@ -97,10 +97,6 @@ class SweepSpec:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.method == "brme"
-                and min(self.n_cells_values) > self.brme_max_cells):
-            raise ValueError("method 'brme' needs a chain length at or below "
-                             f"brme_max_cells = {self.brme_max_cells}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +259,9 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     at = {n: [m for m in methods if m == "pme" or n <= spec.brme_max_cells]
           for n in spec.n_cells_values}
     ns = [n for n in at if at[n]]
+    if not ns:
+        raise ValueError("method 'brme' needs a chain length at or below "
+                         f"brme_max_cells = {spec.brme_max_cells}")
 
     def run(chain: tuple):
         try:
@@ -352,8 +351,9 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
                         out["brme"] = exc
             return solved
 
-        values = _solve_chunk(np.stack([h.excited_block for h in hams]),
-                              hams[0].matrix[0, 0], geometry, measure)
+        values = _solve_chunk(
+            lambda: np.stack([h.excited_block for h in hams]),
+            hams[0].matrix[0, 0], geometry, measure)
         for jb, value in zip(chunk, values):
             for method in methods:
                 reports[(jb, method)] = (value if isinstance(value, Exception)
@@ -361,13 +361,12 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     return reports
 
 
-def _solve_chunk(blocks, eg: float, geometry, measure) -> list:
+def _solve_chunk(stack, eg: float, geometry, measure) -> list:
     """Per row of a stack of excited blocks (R, n, n) of one geometry, its
-    value or the error it failed with: the stack is diagonalized together,
-    and ``measure(energies, vectors, rows)`` gives the values of the rows
-    that diagonalized, ``rows`` being their indices in the stack."""
-    energies, vectors, out = _eigen_rows(blocks, eg, geometry)
-    del blocks  # so that a sweep frees its stack before the measure
+    value or the error it failed with.  The stack, made by ``stack()``, is
+    diagonalized and freed; ``measure(energies, vectors, rows)`` then gives
+    the values of the rows that diagonalized (``rows``: their indices)."""
+    energies, vectors, out = _eigen_rows(stack(), eg, geometry)
     good = [r for r, error in enumerate(out) if error is None]
     if good:
         for r, value in zip(good, measure(energies[good], vectors[good],
@@ -389,22 +388,23 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
     ``system`` is a clean :func:`build_system` result.  Realization r adds
     ``DisorderSpec(sigma, seed, r).draw(n_sites)`` to the clean excited
     diagonal, exactly as ``apply_disorder`` does.  Returns per realization,
-    in index order, what ``measure(energies, vectors, channels)`` makes of
-    it in its chunk (:func:`_solve_chunk`) or the error it failed with.
+    in index order, what ``measure(energies, vectors, rows)`` makes of it
+    in its chunk (:func:`_solve_chunk`) or the error it failed with.
     """
-    _, h, _, channels = system
-    n_sites = h.geometry.n_sites
-    sites = np.arange(n_sites)
+    h = system[1]
+    sites = np.arange(h.geometry.n_sites)
     size = _chunk_size(h.dimension)
 
     def run(indices) -> list:
-        # adding to the diagonal keeps the clean block's checked symmetry
-        blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
-        blocks[:, sites, sites] += np.array(
-            [DisorderSpec(sigma, seed, r).draw(n_sites) for r in indices])
-        return _solve_chunk(blocks, h.matrix[0, 0], h.geometry,
-                            lambda energies, vectors, _: measure(
-                                energies, vectors, channels))
+        def stack():
+            # adding to the diagonal keeps the clean block's checked symmetry
+            blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
+            blocks[:, sites, sites] += np.array(
+                [DisorderSpec(sigma, seed, r).draw(sites.size)
+                 for r in indices])
+            return blocks
+
+        return _solve_chunk(stack, h.matrix[0, 0], h.geometry, measure)
 
     chunks = [range(lo, min(lo + size, n_realizations))
               for lo in range(0, n_realizations, size)]
@@ -422,8 +422,8 @@ def _disorder_currents(system, sigma: float, seed: int, n_realizations: int,
     ``MIN_GROUND_POPULATION``.
     """
     results = _ensemble(system, sigma, seed, n_realizations, jobs,
-                        lambda energies, vectors, channels: _steady_reports(
-                            *_rate_rows(energies, vectors, channels)))
+                        lambda energies, vectors, _: _steady_reports(
+                            *_rate_rows(energies, vectors, system[3])))
     solved = [isinstance(report, SteadyStateReport) for report in results]
     low = sum(report.ground_population <= MIN_GROUND_POPULATION
               for report, ok in zip(results, solved) if ok)
@@ -541,19 +541,19 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     state_rows: list[dict] = []
     census_rows: list[dict] = []
     n_cells = spec.n_cells_values[0]
-
-    def measure(energies, vectors, channels) -> list[tuple]:
-        b = _brightness_rows(vectors, channels)
-        n_dark = _dark_mask(b[:, 1:], spec.dark_threshold)[0].sum(axis=1)
-        return [(row, b.shape[1] - 1 - dark, dark)
-                for row, dark in zip(b, n_dark.tolist())]
-
     for gi, kind in enumerate(spec.geometries):
         for ji, jb in enumerate(spec.jb_values):
             system = build_system(kind, n_cells, jb, spec.ham, spec.env,
                                   dipole_scheme=spec.dipole_scheme,
                                   injection_mode=spec.injection_mode)
             clean_b = brightness(system[2], system[3])
+
+            def measure(energies, vectors, _) -> list[tuple]:
+                b = _brightness_rows(vectors, system[3])
+                n_dark = _dark_mask(b[:, 1:], spec.dark_threshold)[0].sum(1)
+                return [(row, b.shape[1] - 1 - dark, dark)
+                        for row, dark in zip(b, n_dark.tolist())]
+
             results = _ensemble(system, spec.disorder.sigma,
                                 derive_seed(spec.disorder.base_seed, gi, ji),
                                 spec.disorder.n_realizations, spec.jobs,

@@ -12,8 +12,8 @@ excited blocks, and picks one of two paths per row:
 - every other block (disorder, per-site dipoles, layouts that are not
   exact translates) goes through one full-space eigh.  So does a clean
   chain whose centroid rule below leaves a tie unsplit across distinct
-  levels of B: the full-space solver's arbitrary mixture there is the
-  basis that stored results pin.
+  levels of B (the full-space solver's arbitrary mixture there is the
+  basis that stored results pin), and a chain of one site per cell.
 
 Both paths then fix a deterministic basis:
 
@@ -168,21 +168,22 @@ def _eigen_rows(blocks: np.ndarray, eg: float, geometry
     """Diagonalize a stack of excited blocks (R, n, n) sharing one geometry.
 
     Each row is solved from its blocks (:func:`_sector_eigen`) if it can
-    be, and by one full-space eigh (:func:`_full_eigen`) otherwise; the
-    gap check and the sign rule then run here, once.  Returns (energies,
-    vectors, errors): energies (R, n + 1) with the ground energy first,
-    eigenvectors (R, n + 1, n + 1) in the ground + site basis, and per row
-    None or the SpectralError that row raised (its energies and vectors
-    are then NaN).
+    be and has more than one site per cell (else T is the whole block), by
+    one full-space eigh (:func:`_full_eigen`) otherwise; the gap check and
+    the sign rule then run here, once.  Returns (energies, vectors,
+    errors): energies (R, n + 1) with the ground energy first, eigenvectors
+    (R, n + 1, n + 1) in the ground + site basis, and per row None or the
+    SpectralError that row raised (its energies and vectors are then NaN).
     """
     rows, n = blocks.shape[:2]
     energies = np.full((rows, n + 1), np.nan)
     full = np.zeros((rows, n + 1, n + 1))
     full[:, 1:, 1:] = np.nan
     errors: list = [None] * rows
+    cells = geometry.sites_per_cell > 1
     for r, block in enumerate(blocks):
         try:
-            eps, vecs = (_sector_eigen(block, geometry)
+            eps, vecs = ((cells and _sector_eigen(block, geometry))
                          or _full_eigen(block, geometry.positions))
         except SpectralError as exc:  # pragma: no cover - rare
             errors[r] = exc

@@ -66,11 +66,6 @@ def test_spec_validation():
         small_spec(method="exact")
     with pytest.raises(ValueError):
         small_spec(disorder=DisorderEnsembleSpec(n_realizations=0))
-    # an all-BRME sweep needs one chain length within the BRME cap
-    with pytest.raises(ValueError, match="brme_max_cells = 20"):
-        small_spec(n_cells_values=(25, 26), method="brme")
-    small_spec(n_cells_values=(20, 25), method="brme")
-    small_spec(n_cells_values=(25, 26), method="both")
 
 
 def test_a_method_that_does_not_apply_is_rejected_by_name():
@@ -81,6 +76,13 @@ def test_a_method_that_does_not_apply_is_rejected_by_name():
         disorder_ensemble(spec)
     with pytest.raises(ValueError, match="'pme' only, not 'brme'"):
         regime_grid(spec)
+    # beyond the BRME cap a PME-only study still names its own reason
+    spec = small_spec(n_cells_values=(25,), method="brme")
+    with pytest.raises(ValueError, match="'pme' only, not 'brme'"):
+        disorder_ensemble(spec)
+    # an all-BRME sweep needs one chain length within the BRME cap
+    with pytest.raises(ValueError, match="brme_max_cells = 20"):
+        length_sweep(small_spec(n_cells_values=(25, 26), method="brme"))
 
 
 def test_length_sweep_rows_and_fits():
