@@ -340,10 +340,12 @@ COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a resolved config; returns the process exit status."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    COMMANDS[config.command][0](config, out)
+    """Dispatch a resolved config; returns the process exit status.
+
+    The output directory is made by the first file written to it, so a
+    command that fails first leaves nothing behind.
+    """
+    COMMANDS[config.command][0](config, Path(config.out))
     return 0
 
 

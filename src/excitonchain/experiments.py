@@ -67,6 +67,7 @@ class DisorderEnsembleSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        DisorderSpec(self.sigma)  # rejects a negative or non-finite width
         if self.base_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
@@ -93,6 +94,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.geometries or not self.n_cells_values or not self.jb_values:
             raise ValueError("sweep grids must be non-empty")
+        for name in ("geometries", "n_cells_values", "jb_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.disorder.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):

@@ -75,8 +75,9 @@ class DisorderSpec:
     realization_index: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise HamiltonianError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise HamiltonianError(
+                f"sigma must be finite and >= 0, got {self.sigma}")
 
     def draw(self, n_sites: int) -> np.ndarray:
         rng = np.random.default_rng([self.seed, self.realization_index])

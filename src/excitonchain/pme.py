@@ -246,32 +246,23 @@ def _bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                                for b, r in zip(bordered, rhs)])
 
 
-def _ground_flux(block: np.ndarray | None, populations: np.ndarray
-                 ) -> np.ndarray:
-    """Flux into the ground state of populations (..., dim) under one
-    kind's rate blocks (..., dim, dim); zero without a block."""
-    if block is None:
-        return np.zeros(populations.shape[:-1])
-    return (block[..., 0, None, 1:] @ populations[..., 1:, None])[..., 0, 0]
-
-
-def _flux_rows(populations: np.ndarray, blocks: dict[str, np.ndarray]
+def _flux_rows(populations: np.ndarray, ground: dict[str, tuple]
                ) -> dict[str, np.ndarray]:
     """Ground <-> excited probability flux carried by each channel kind,
-    for stacked populations (R, dim) under stacked per-kind blocks
-    (R, dim, dim): one (R,) array per kind.
+    for stacked populations (R, dim) under each kind's (out, into) rate
+    vectors (R, dim - 1) (see ``spectral._rate_rows``): one (R,) array
+    per kind.
 
     Injection flows from the ground state into the excited manifold; the
     loss and extraction channels flow back.  In a steady state injection
     balances extraction + radiative + non-radiative exactly.
     """
     fluxes = {}
-    for kind, block in blocks.items():
-        if kind == "phonon":
-            continue
-        fluxes[kind] = (block[:, 1:, 0].sum(axis=1) * populations[:, 0]
-                        if kind == "injection"
-                        else _ground_flux(block, populations))
+    for kind, (out, into) in ground.items():
+        if kind == "injection":
+            fluxes[kind] = into.sum(axis=1) * populations[:, 0]
+        else:
+            fluxes[kind] = (out[:, None] @ populations[:, 1:, None])[:, 0, 0]
     return fluxes
 
 
@@ -287,8 +278,9 @@ def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:
     Raises SteadyStateError as :func:`steady_state` does, and warns as
     :func:`_warn_low_ground` does.
     """
-    report = _steady_reports(rates.w[None],
-                             {k: b[None] for k, b in rates.blocks.items()})[0]
+    ground = {kind: (block[None, 0, 1:], block[None, 1:, 0])
+              for kind, block in rates.blocks.items() if kind != "phonon"}
+    report = _steady_reports(rates.w[None], ground)[0]
     if isinstance(report, SteadyStateError):
         raise report
     _warn_low_ground(report)
@@ -306,16 +298,17 @@ def _warn_low_ground(report: SteadyStateReport) -> None:
             "these rates", stacklevel=3)
 
 
-def _steady_reports(w: np.ndarray, blocks: dict[str, np.ndarray]) -> list:
+def _steady_reports(w: np.ndarray, ground: dict[str, tuple]) -> list:
     """:func:`solve_steady_state` of stacked rate matrices (R, dim, dim)
-    and their per-kind blocks, without its warning.
+    and their per-kind ground <-> excited rate vectors (as
+    ``spectral._rate_rows`` returns them), without its warning.
 
     Returns per row its SteadyStateReport or the SteadyStateError it
     raised.
     """
     populations, residual, errors = _steady_rows(_generator_rows(w))
-    fluxes = _flux_rows(populations, blocks)
-    currents = _ground_flux(blocks.get("extraction"), populations)
+    fluxes = _flux_rows(populations, ground)
+    currents = fluxes.get("extraction", np.zeros(len(w)))
     reports: list = []
     for r, error in enumerate(errors):
         reports.append(error if error is not None else SteadyStateReport(

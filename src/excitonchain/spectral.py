@@ -3,19 +3,23 @@
 Diagonalization keeps the ground state as an exact basis vector (it is
 coherently decoupled) and returns excited eigenstates in ascending energy
 order.  One diagonalizer, :func:`_eigen_rows`, solves every stack of
-excited blocks, and picks one of two paths per row:
+excited blocks, and picks one of three paths per row:
 
 - a clean chain of identical cells has the excited block
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
   cell block; the block is tested for that form exactly and then solved
   from eigh(T) and eigh(B): energies t_i + b_j, vectors U_i (x) W_j;
 - every other block (disorder, per-site dipoles, layouts that are not
-  exact translates) goes through one full-space eigh.  So does a clean
-  chain whose centroid rule below leaves a tie unsplit across distinct
-  levels of B (the full-space solver's arbitrary mixture there is the
-  basis that stored results pin), and a chain of one site per cell.
+  exact translates, chains of one site per cell) is solved with the
+  other such rows of its stack by one stacked full-space eigh (LAPACK
+  syevd, divide and conquer); a block with a non-finite entry is
+  reported, not solved;
+- a clean chain whose centroid rule below leaves a tie unsplit across
+  distinct levels of B is solved alone by scipy's eigh (LAPACK syevr):
+  that solver's arbitrary mixture inside the tie is the basis that
+  stored results pin.
 
-Both paths then fix a deterministic basis:
+Every path then fixes a deterministic basis:
 
 - within every numerically degenerate multiplet the basis is fixed by
   diagonalizing the in-plane centroid operators (y, then z among remaining
@@ -32,7 +36,10 @@ density at eps_m - eps_n times the squared operator matrix element,
 summed over the channel's operator rows.  How a channel's rows act in the
 eigenbasis is decided here only, by :func:`_couplings`: the rates, the
 brightness and the density-matrix solver's coupling vectors are all read
-from it, so the secular part of that solver is this rate matrix.
+from it, so the secular part of that solver is this rate matrix.  Only
+phonon rates link excited states; every other channel's rates sit in
+row 0 and column 0, and the stacked kernel keeps them as two vectors per
+kind.
 """
 
 from __future__ import annotations
@@ -168,10 +175,11 @@ def _eigen_rows(blocks: np.ndarray, eg: float, geometry
     """Diagonalize a stack of excited blocks (R, n, n) sharing one geometry.
 
     Each row is solved from its blocks (:func:`_sector_eigen`) if it can
-    be and has more than one site per cell (else T is the whole block), by
-    one full-space eigh (:func:`_full_eigen`) otherwise; the gap check and
-    the sign rule then run here, once.  Returns (energies, vectors,
-    errors): energies (R, n + 1) with the ground energy first, eigenvectors
+    be and has more than one site per cell (else T is the whole block);
+    the other rows are solved together by :func:`_full_eigen`.  A row
+    with a non-finite entry is not solved.  The gap check and the sign
+    rule then run here, once.  Returns (energies, vectors, errors):
+    energies (R, n + 1) with the ground energy first, eigenvectors
     (R, n + 1, n + 1) in the ground + site basis, and per row None or the
     SpectralError that row raised (its energies and vectors are then NaN).
     """
@@ -180,30 +188,71 @@ def _eigen_rows(blocks: np.ndarray, eg: float, geometry
     full = np.zeros((rows, n + 1, n + 1))
     full[:, 1:, 1:] = np.nan
     errors: list = [None] * rows
+    finite = np.isfinite(blocks).all(axis=(1, 2))
     cells = geometry.sites_per_cell > 1
-    for r, block in enumerate(blocks):
+    general = []
+    for r in np.flatnonzero(finite):
         try:
-            eps, vecs = ((cells and _sector_eigen(block, geometry))
-                         or _full_eigen(block, geometry.positions))
+            solved = cells and _sector_eigen(blocks[r], geometry)
         except SpectralError as exc:  # pragma: no cover - rare
             errors[r] = exc
             continue
-        if not eps[0] > eg:
+        if solved:
+            energies[r, 1:], full[r, 1:, 1:] = solved
+        else:
+            general.append(r)
+    if general:
+        energies[general, 1:], full[general, 1:, 1:] = _full_eigen(
+            blocks[general], geometry.positions)
+    for r in range(rows):
+        if not finite[r]:
+            errors[r] = SpectralError("excited block has non-finite entries")
+        elif errors[r] is None and np.isnan(energies[r, 1]):
+            errors[r] = SpectralError("eigendecomposition did not converge")
+        elif errors[r] is None and not energies[r, 1] > eg:
             errors[r] = SpectralError(
-                f"lowest excited eigenvalue {eps[0]:g} does not exceed the "
-                f"ground-state energy {eg:g}; increase the manifold offset")
-            continue
-        energies[r, 1:] = eps
-        full[r, 1:, 1:] = vecs
+                f"lowest excited eigenvalue {energies[r, 1]:g} does not "
+                f"exceed the ground-state energy {eg:g}; increase the "
+                "manifold offset")
+            energies[r, 1:] = full[r, 1:, 1:] = np.nan
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
     full[:, 1:, 1:] = _fix_signs(full[:, 1:, 1:])
     return energies, full, errors
 
 
-def _full_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
-    """Excited energies and vectors of one block from one full-space eigh,
-    put through the centroid rule."""
+def _full_eigen(blocks: np.ndarray, positions: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Excited energies and vectors of a stack of finite blocks (R, n, n)
+    from one stacked full-space eigh (LAPACK syevd), each row put through
+    the centroid rule; NaN for a row LAPACK fails on.
+
+    One row that does not converge fails the whole stacked call, so a
+    failed stack is solved again row by row; every other row then keeps
+    the bits its own solve gives.
+    """
+    try:
+        eps, vecs = np.linalg.eigh(blocks)
+    except np.linalg.LinAlgError:
+        if len(blocks) == 1:
+            return np.full(blocks.shape[:2], np.nan), np.full(blocks.shape,
+                                                              np.nan)
+        rows = [_full_eigen(block[None], positions) for block in blocks]
+        return (np.concatenate([eps for eps, _ in rows]),
+                np.concatenate([vecs for _, vecs in rows]))
+    for r in range(len(blocks)):
+        vecs[r] = _resolve_degeneracies(eps[r], vecs[r], positions)[0]
+    return eps, vecs
+
+
+def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
+    """Excited energies and vectors of one block from scipy's full-space
+    eigh (LAPACK syevr), put through the centroid rule.
+
+    Only a clean chain whose centroid rule leaves a tie unsplit across
+    distinct levels of B comes here: the vectors inside that tie are
+    syevr's arbitrary mixture, which stored results pin.
+    """
     try:
         eps, vecs = scipy.linalg.eigh(block)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -220,9 +269,9 @@ def _sector_eigen(block: np.ndarray, geometry) -> tuple | None:
     cell 0's block less T[0, 0] on its diagonal (the diagonal first, which
     turns disorder away cheaply).  Its eigenpairs are t_i + b_j and
     U[:, i] (x) W[:, j], stably sorted, then put through the centroid
-    rule.  Returns None when the block is not such a sum, or when the rule
-    leaves a tie unsplit across distinct levels of B: the full-space basis
-    there is LAPACK's mixture, which stored results pin.
+    rule.  Returns None when the block is not such a sum.  When the rule
+    leaves a tie unsplit across distinct levels of B it returns
+    :func:`_pinned_eigen` of the block instead.
     """
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     diag = block.diagonal().reshape(n_cells, n)
@@ -258,7 +307,7 @@ def _sector_eigen(block: np.ndarray, geometry) -> tuple | None:
         starts = np.cumsum([0] + [hi - lo for lo, hi in ties[:-1]])
         per_tie = np.add.reduceat(per_level, starts, axis=1)
         if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
-            return None
+            return _pinned_eigen(block, geometry.positions)
     return eps, vecs
 
 
@@ -357,43 +406,67 @@ def transition_matrix(es: EigenSystem,
     (:func:`_couplings`): the phonon rows one overlap product of the
     squared couplings, the rows of every other channel, which couple the
     ground state to the excited states, one sum of squared couplings.
+    Only phonon rates link excited states, so the phonon block is the
+    excited corner of ``w``.
     """
-    w, blocks = _rate_rows(es.energies[None], es.vectors[None], channels)
-    return RateMatrix(w=w[0], blocks={k: b[0] for k, b in blocks.items()})
+    w, ground = _rate_rows(es.energies[None], es.vectors[None], channels)
+    w = w[0]
+    blocks = {}
+    for kind in dict.fromkeys(ch.kind for ch in channels):
+        block = blocks[kind] = np.zeros_like(w)
+        if kind == "phonon":
+            block[1:, 1:] = w[1:, 1:]
+        else:
+            out, into = ground[kind]
+            block[0, 1:], block[1:, 0] = out[0], into[0]
+    return RateMatrix(w=w, blocks=blocks)
 
 
 def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
                channels: list[Channel]
-               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """:func:`transition_matrix` of stacked eigensystems.
+               ) -> tuple[np.ndarray, dict[str, tuple]]:
+    """:func:`transition_matrix` of stacked eigensystems, without its
+    dense blocks.
 
-    ``energies`` is (R, dim) and ``vectors`` (R, dim, dim); returns the
-    total rates and the per-kind blocks, each (R, dim, dim).
+    ``energies`` is (R, dim) and ``vectors`` (R, dim, dim).  Returns the
+    total rates w (R, dim, dim) and, per ground <-> excited kind in
+    channel order, the pair (out, into) of (R, dim - 1) arrays: out[:, k]
+    is the rate from excited state k + 1 into the ground state (w[:, 0,
+    k + 1]), into[:, k] the rate back (w[:, k + 1, 0]).  Each kind's
+    channels are summed before the kinds are, in channel order, so w has
+    the bits of the sum of per-kind blocks.  A ground <-> excited channel
+    whose spectral density is zero at every transition (a loss channel
+    at rate 0) keeps its kind, with zero rates, and its coupling product
+    is skipped.
     """
     rows, dim = energies.shape
     omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
     excited = np.arange(dim - 1)
-    blocks: dict[str, np.ndarray] = {}
+    w = np.zeros((rows, dim, dim))
+    ground: dict[str, tuple] = {}
     for ch in channels:
-        target = blocks.setdefault(ch.kind, np.zeros((rows, dim, dim)))
-        csq = _couplings(vectors, ch) ** 2
         if ch.kind == "phonon":
+            csq = _couplings(vectors, ch) ** 2
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
             rates = ch.spectral(omega_exc) * (csq @ csq.transpose(0, 2, 1))
             rates[:, excited, excited] = 0.0
-            target[:, 1:, 1:] += rates
+            w[:, 1:, 1:] += rates
             continue
-        # ground <-> excited rows: sum over the channel's couplings squared
-        alpha_sq = csq.sum(-1)
-        target[:, 0, 1:] += ch.spectral(omega_from_excited) * alpha_sq
-        target[:, 1:, 0] += ch.spectral(omega_into_excited) * alpha_sq
-
-    w = np.zeros((rows, dim, dim))
-    for b in blocks.values():
-        w += b
-    return w, blocks
+        out, into = ground.setdefault(ch.kind, (np.zeros((rows, dim - 1)),
+                                                np.zeros((rows, dim - 1))))
+        emission = ch.spectral(omega_from_excited)
+        absorption = ch.spectral(omega_into_excited)
+        if emission.any() or absorption.any():
+            # ground <-> excited rows: sum over the channel's couplings squared
+            alpha_sq = (_couplings(vectors, ch) ** 2).sum(-1)
+            out += emission * alpha_sq
+            into += absorption * alpha_sq
+    for out, into in ground.values():
+        w[:, 0, 1:] += out
+        w[:, 1:, 0] += into
+    return w, ground
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,29 @@ def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_disorder_width_fails_before_any_output(tmp_path, capsys,
+                                                          sigma):
+    out = tmp_path / "out"
+    assert main(["disorder", "--geometries", "dimer", "--n-cells", "2",
+                 "--sigma", sigma, "--n-realizations", "2",
+                 "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "HamiltonianError"
+    assert "sigma" in record["message"]
+    assert not out.exists()
+
+
+def test_repeated_sweep_values_fail_by_name(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["length-sweep", "--geometries", "dimer", "--n-min", "2",
+                 "--n-max", "4", "--jb-values", "1,1", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "jb_values" in record["message"]
+    assert not out.exists()
+
+
 def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys):
     assert main(["steady", "--geometry", "mono", "--n-cells", "2",
                  "--method", "both", "--out", str(tmp_path)]) == 1

@@ -66,6 +66,20 @@ def test_spec_validation():
         small_spec(method="exact")
     with pytest.raises(ValueError):
         small_spec(disorder=DisorderEnsembleSpec(n_realizations=0))
+    for sigma in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="sigma"):
+            DisorderEnsembleSpec(sigma=sigma)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("geometries", ("dimer", "prism", "dimer")),
+    ("n_cells_values", (2, 3, 2)),
+    ("jb_values", (1.0, 1.0)),
+])
+def test_sweep_grids_reject_repeated_values_by_name(field, values):
+    # a repeated point would be solved twice and counted twice by a fit
+    with pytest.raises(ValueError, match=field):
+        small_spec(**{field: values})
 
 
 def test_a_method_that_does_not_apply_is_rejected_by_name():

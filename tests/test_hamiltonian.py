@@ -207,3 +207,9 @@ def test_disorder_sampling_statistics():
 def test_negative_sigma_rejected():
     with pytest.raises(HamiltonianError):
         DisorderSpec(sigma=-0.1)
+
+
+def test_non_finite_sigma_rejected():
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(HamiltonianError, match="sigma"):
+            DisorderSpec(sigma=sigma)

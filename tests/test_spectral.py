@@ -4,18 +4,21 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from excitonchain import spectral
 from excitonchain.brme import BrmeError, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian)
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import solve_steady_state
-from excitonchain.spectral import (EigenSystem, SpectralError, _eigen_rows,
-                                   _fix_signs, _full_eigen, _sector_eigen,
+from excitonchain.spectral import (EigenSystem, SpectralError, _couplings,
+                                   _eigen_rows, _fix_signs, _full_eigen,
+                                   _pinned_eigen, _sector_eigen,
                                    brightness, classify_bright_dark,
                                    diagonalize, eigenstructure_tables,
                                    transition_matrix)
@@ -56,6 +59,31 @@ def brute_force_rates(es, channels, eigenbasis_operator):
                     w[n, m] += (ch.spectral(energies[m] - energies[n])
                                 * op[n, m]**2)
     return blocks
+
+
+def dense_per_channel_rates(es, channels):
+    """The rate kernel with a dense (dim x dim) block per kind: each
+    channel's rates added into its kind's block, the blocks summed into w.
+
+    Returns (w, blocks).
+    """
+    dim = es.dimension
+    omega = es.energies[None, :] - es.energies[:, None]  # [n, m]: m -> n
+    blocks = {}
+    for ch in channels:
+        block = blocks.setdefault(ch.kind, np.zeros((dim, dim)))
+        csq = _couplings(es.vectors[None], ch)[0] ** 2
+        if ch.kind == "phonon":
+            rates = ch.spectral(omega[1:, 1:]) * (csq @ csq.T)
+            np.fill_diagonal(rates, 0.0)
+            block[1:, 1:] += rates
+        else:
+            block[0, 1:] += ch.spectral(omega[0, 1:]) * csq.sum(-1)
+            block[1:, 0] += ch.spectral(omega[1:, 0]) * csq.sum(-1)
+    w = np.zeros((dim, dim))
+    for block in blocks.values():
+        w += block
+    return w, blocks
 
 
 def test_dimer_single_cell_splitting_and_brightness():
@@ -184,6 +212,20 @@ def test_transition_matrix_matches_brute_force(kind, n_cells, jb, options,
                                    atol=1e-16, rtol=1e-12)
     total = sum(rates.blocks.values())
     np.testing.assert_allclose(rates.w, total, atol=0)
+    # the same bits as a dense block per kind, built channel by channel
+    dense_w, dense_blocks = dense_per_channel_rates(es, channels)
+    np.testing.assert_array_equal(rates.w, dense_w)
+    assert rates.blocks.keys() == dense_blocks.keys()
+    for kind_name, block in dense_blocks.items():
+        np.testing.assert_array_equal(rates.blocks[kind_name], block)
+    # a channel with zero rate keeps its kind, with no rate and no flux
+    fluxes = solve_steady_state(rates).fluxes
+    if options.get("env", EnvironmentParams()).gamma_nr == 0:
+        assert not rates.blocks["nonradiative"].any()
+        assert fluxes["nonradiative"] == 0.0
+    else:
+        assert rates.blocks["nonradiative"].max() > 0
+        assert fluxes["nonradiative"] > 0
 
 
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
@@ -334,9 +376,21 @@ def chain_and_cell_blocks(h):
     return chain, x[0, :, 0, :] - chain[0, 0] * np.eye(geo.sites_per_cell)
 
 
+def takes_pinned_path(h):
+    """Whether the sector path hands the block to the pinned syevr solve."""
+    pinned = object()
+    with mock.patch.object(spectral, "_pinned_eigen", return_value=pinned):
+        return _sector_eigen(h.excited_block, h.geometry) is pinned
+
+
 def general_eigensystem(h):
-    # the full-space path alone, whichever path diagonalize picks
-    eps, vecs = _full_eigen(h.excited_block, h.geometry.positions)
+    # the full-space path alone, whichever path diagonalize picks: the
+    # pinned syevr solve of an unsplit tie, else the stacked syevd solve
+    block, positions = h.excited_block, h.geometry.positions
+    if takes_pinned_path(h):
+        eps, vecs = _pinned_eigen(block, positions)
+    else:
+        (eps,), (vecs,) = _full_eigen(block[None], positions)
     vectors = np.eye(h.dimension)
     vectors[1:, 1:] = _fix_signs(vecs)
     return EigenSystem(energies=np.concatenate([[h.matrix[0, 0]], eps]),
@@ -381,18 +435,21 @@ def disordered(h):
     return apply_disorder(h, DisorderSpec(sigma=0.9, seed=5))
 
 
-@pytest.mark.parametrize("kind,n_cells,jb,dipoles,perturb", [
-    ("dimer", 30, 1.0, None, None),
-    ("prism", 7, 10.0, "per-site", None),
-    ("cuboid", 7, 1.0, None, disordered),
+@pytest.mark.parametrize("kind,n_cells,jb,dipoles,perturb,pinned", [
+    ("dimer", 30, 1.0, None, None, True),
+    ("prism", 7, 10.0, "per-site", None, False),
+    ("cuboid", 7, 1.0, None, disordered, False),
 ], ids=["unsplit-tie", "per-site-dipoles", "disorder"])
 def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
-                                          perturb, rng):
+                                          perturb, pinned, rng):
     if dipoles == "per-site":
         dipoles = rng.normal(size=(build_geometry(kind, n_cells).n_sites, 3))
     es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
     h = es.hamiltonian if perturb is None else perturb(es.hamiltonian)
-    assert _sector_eigen(h.excited_block, h.geometry) is None
+    # an unsplit tie takes the pinned syevr solve, the rest the stacked one
+    assert takes_pinned_path(h) is pinned
+    if not pinned:
+        assert _sector_eigen(h.excited_block, h.geometry) is None
     es, expected = diagonalize(h), general_eigensystem(h)
     np.testing.assert_array_equal(es.energies, expected.energies)
     np.testing.assert_array_equal(es.vectors, expected.vectors)
@@ -409,6 +466,40 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
         alone = diagonalize(m)
         np.testing.assert_array_equal(energies[row], alone.energies)
         np.testing.assert_array_equal(vectors[row], alone.vectors)
+
+
+def test_a_failing_row_of_the_stacked_solve_fails_alone(monkeypatch):
+    es, _ = make_system("prism", 5, jb=10.0)
+    h = es.hamiltonian
+    stack = np.stack(
+        [h.excited_block]
+        + [apply_disorder(h, DisorderSpec(0.9, 5, r)).excited_block
+           for r in range(4)])
+    stack[2, 3, 3] = np.nan
+    unsolvable = stack[3].copy()
+    eigh = np.linalg.eigh
+
+    def failing_eigh(blocks):
+        # LAPACK fails on one row, which fails every stacked call holding it
+        if any(np.array_equal(block, unsolvable) for block in blocks):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    eg = h.matrix[0, 0]
+    energies, vectors, errors = _eigen_rows(stack.copy(), eg, h.geometry)
+    assert [error is None for error in errors] == [True, True, False, False,
+                                                   True]
+    assert "non-finite" in str(errors[2])
+    assert "converge" in str(errors[3])
+    for row in (2, 3):
+        assert isinstance(errors[row], SpectralError)
+        assert np.isnan(energies[row, 1:]).all()
+        assert np.isnan(vectors[row, 1:, 1:]).all()
+    for row in (0, 1, 4):
+        alone = _eigen_rows(stack[row][None], eg, h.geometry)
+        np.testing.assert_array_equal(energies[row], alone[0][0])
+        np.testing.assert_array_equal(vectors[row], alone[1][0])
 
 
 REFERENCE_FILE = (Path(__file__).resolve().parents[1] / "perfbench"
