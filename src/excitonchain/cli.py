@@ -298,28 +298,36 @@ def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
     _write_meta(out, "regime_grid", config, sweep=asdict(spec))
 
 
+# the BRME report's solver diagnostics that brme_check.csv carries per row
+_BRME_DIAGNOSTICS = ("krylov_iterations", "coherence_fraction")
+
+
 def _cmd_brme_check(config: RunConfig, out: Path) -> None:
-    ns = [n for n in (2, 5, 10, 20) if config.n_min <= n <= config.n_max]
-    spec = config.sweep_spec(n_cells_values=ns or [config.n_cells],
-                             method="both")
+    ns = [n for n in (2, 5, 10, 20) if config.n_min <= n <= config.n_max
+          and n <= config.brme_max_cells]
+    if not ns:
+        raise ValueError(
+            f"brme-check solves N = 2, 5, 10, 20; none lies in "
+            f"[{config.n_min}, {config.n_max}] and at or below "
+            f"brme_max_cells = {config.brme_max_cells}")
+    spec = config.sweep_spec(n_cells_values=ns, method="both")
     rows, _ = length_sweep(spec)
     merged: dict[tuple, dict] = {}
     for row in rows:
         key = (row["geometry"], row["jb"], row["n_cells"])
-        merged.setdefault(key, {"geometry": key[0], "jb": key[1],
-                                "n_cells": key[2]})
-        merged[key][f"current_{row['method']}"] = row["current"]
-    table = []
-    for key in sorted(merged, key=lambda k: (k[0], k[1], k[2])):
-        entry = merged[key]
-        if "current_pme" in entry and "current_brme" in entry:
-            base = entry["current_pme"]
-            entry["rel_difference"] = (
-                abs(entry["current_brme"] - base) / base if base else None)
-        table.append(entry)
+        entry = merged.setdefault(key, {"geometry": key[0], "jb": key[1],
+                                        "n_cells": key[2]})
+        entry[f"current_{row['method']}"] = row["current"]
+        if row["method"] == "brme":
+            entry.update({k: row[k] for k in _BRME_DIAGNOSTICS})
+    table = [merged[key] for key in sorted(merged)]
+    for entry in table:
+        base = entry["current_pme"]
+        entry["rel_difference"] = (
+            abs(entry["current_brme"] - base) / base if base else None)
     write_csv(out / "brme_check.csv",
               ["geometry", "jb", "n_cells", "current_pme", "current_brme",
-               "rel_difference"], table)
+               "rel_difference", *_BRME_DIAGNOSTICS], table)
     _write_meta(out, "brme_check", config, sweep=asdict(spec))
 
 

@@ -254,6 +254,9 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     solved with both solvers (the density-matrix one only up to
     ``brme_max_cells``) and rows are tagged by method; fits are computed
     per (geometry, jb, method) over points with n_cells >= fit_min_cells.
+    A row also carries its report's ``extras``: none for a PME row, the
+    density-matrix diagnostics (Krylov iterations, coherence fraction,
+    ...) for a BRME row.
     Failures are settled per geometry: once all chains of a geometry are
     solved, its first failing point in grid order raises what
     :func:`solve_point` raises there, and no later geometry is solved.
@@ -296,6 +299,7 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                         **{f"flux_{flux}": report.fluxes.get(flux, 0.0)
                            for flux in ("injection", "extraction",
                                         "radiative", "nonradiative")},
+                        **report.extras,
                         "run_id": len(rows),
                     })
                     series.setdefault((jb, method), []).append(

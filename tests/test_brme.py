@@ -9,7 +9,7 @@ from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import solve_steady_state
+from excitonchain.pme import build_generator, solve_steady_state
 from excitonchain.spectral import SpectralError, diagonalize, \
     transition_matrix
 
@@ -137,6 +137,16 @@ def random_complex(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def random_hermitian(rng, dim):
+    raw = random_complex(rng, dim)
+    return raw + raw.conj().T
+
+
+def real_form(rho):
+    """S = Re rho + Im rho, the real form the Krylov solve works on."""
+    return rho.real + rho.imag
+
+
 def assert_apply_matches(liouv, brute, rng):
     for _ in range(5):
         rho = random_complex(rng, liouv.dimension)
@@ -184,6 +194,37 @@ def test_krylov_solve_matches_a_dense_solve(kind, n_cells, jb, options,
     report = brme_steady_state(build_liouvillian(es, channels))
     assert report.extras["krylov_iterations"] > 0
     assert report.current == pytest.approx(expected, rel=1e-10, abs=0)
+    assert (np.abs(report.density_matrix - rho).max()
+            <= 1e-10 * np.abs(rho).max())
+    assert np.array_equal(report.density_matrix,
+                          report.density_matrix.conj().T)
+
+
+@BRUTE_FORCE_CASES
+def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
+                                                eigenbasis_operator, rng):
+    es, channels = make_system(kind, n_cells, jb=jb, **options)
+    dim = es.dimension
+    brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
+    liouv = build_liouvillian(es, channels)
+    coherences = liouv.coherence_diagonal
+    coherences = np.where(coherences == 0, 1.0, coherences)
+    chi = build_generator(liouv.rates).chi
+    chi[0] += 1.0
+    precondition = brme._secular_inverse(liouv)
+    off = ~np.eye(dim, dtype=bool)
+    for _ in range(5):
+        rho = random_hermitian(rng, dim)
+        image = (brute @ rho.reshape(-1)).reshape(dim, dim)
+        assert (np.abs(liouv.apply_real(real_form(rho)) - real_form(image))
+                .max() < 1e-12)
+        # the coherences scale as r / c, the populations solve chi p = r
+        scaled = real_form(rho / coherences)
+        z = precondition(real_form(rho).reshape(-1)).reshape(dim, dim)
+        assert np.abs(z[off] - scaled[off]).max() <= 1e-12 * np.abs(
+            scaled).max()
+        np.testing.assert_allclose(z.diagonal(), np.linalg.solve(
+            chi, rho.diagonal().real), rtol=1e-12, atol=0)
 
 
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):

@@ -246,6 +246,34 @@ def test_brme_check_command(tmp_path):
     assert len(rows) == 2  # n = 2 and n = 5
     for row in rows:
         assert float(row["rel_difference"]) < 0.1
+        assert int(row["krylov_iterations"]) > 0
+        assert 0 < float(row["coherence_fraction"]) < 0.05
+
+
+def test_brme_check_keeps_only_lengths_at_or_below_the_cap(tmp_path):
+    run_ok(["brme-check", "--geometries", "mono", "--jb-values", "1",
+            "--n-max", "20", "--brme-max-cells", "5",
+            "--out", str(tmp_path)])
+    rows = read_csv(tmp_path / "brme_check.csv")
+    assert [row["n_cells"] for row in rows] == ["2", "5"]
+    assert all(row["current_brme"] for row in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-min", "30", "--n-max", "40"],
+    ["--n-min", "10", "--brme-max-cells", "5"],
+], ids=["outside-range", "above-cap"])
+def test_brme_check_without_a_length_fails_before_any_output(tmp_path,
+                                                             capsys, flags):
+    out = tmp_path / "out"
+    assert main(["brme-check", "--geometries", "mono", *flags,
+                 "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    n_min = flags[flags.index("--n-min") + 1]
+    assert f"[{n_min}, " in record["message"]
+    assert "brme_max_cells" in record["message"]
+    assert not out.exists()
 
 
 def test_eigeninj_sweep_command(tmp_path):
