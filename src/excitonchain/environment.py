@@ -23,7 +23,7 @@ spectrum carries a Bose-Einstein factor and satisfies detailed balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,12 +110,26 @@ class Channel:
     "extraction" and fixes how each row couples: a phonon row acts as
     diag(w) and must be single-site; a row of every other kind acts as the
     ground <-> site operator sum_s w_s (|0><s| + |s><0|).
+
+    ``projectors`` is resolved once from a phonon operator whose every row
+    acts on one site: (sqrt(|w|), site) per row; None otherwise.
     """
 
     kind: str
     spectral: object
     operator: np.ndarray | None = None
     eigen_target: str | None = None
+    projectors: tuple | None = field(init=False, default=None, repr=False,
+                                     compare=False)
+
+    def __post_init__(self):
+        w = self.operator
+        if (self.kind == "phonon" and isinstance(w, np.ndarray)
+                and w.ndim == 2
+                and np.all(np.count_nonzero(w, axis=1) == 1)):
+            rows, sites = np.nonzero(w)
+            object.__setattr__(self, "projectors",
+                               (np.sqrt(np.abs(w[rows, sites])), sites))
 
     def describe(self) -> dict:
         out = {"kind": self.kind}

@@ -14,7 +14,10 @@ error it failed with.
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
   once, and that eigensystem feeds both the stacked population (PME)
-  solve and the density-matrix (BRME) solve.  Its rows equal
+  solve and the density-matrix (BRME) solve.  A clean chain is solved
+  from its factors: the cell block once per (geometry, jb), before the
+  chains are shared out, the chain block once per chain, and a dense
+  Hamiltonian only for a row whose basis is pinned.  Its rows equal
   :func:`solve_point`'s reports exactly.  A failing point raises what
   :func:`solve_point` raises there: the first such point of its
   geometry in grid order.
@@ -38,13 +41,13 @@ from .brme import build_liouvillian, brme_steady_state
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
-                          build_hamiltonian)
+                          build_hamiltonian, cell_block, chain_block)
 from .lattice import assign_dipoles, build_geometry
 from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
                   site_populations, solve_steady_state)
 from .spectral import (EigenSystem, _brightness_rows, _dark_mask,
-                       _eigen_rows, _rate_rows, brightness, diagonalize,
-                       transition_matrix)
+                       _eigen_row, _eigen_rows, _factor_eigen, _rate_rows,
+                       brightness, diagonalize, transition_matrix)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
 # doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
@@ -154,7 +157,7 @@ def build_system(kind: str, n_cells: int, jb: float,
     """Assemble geometry, Hamiltonian, eigensystem and channels for one run."""
     geometry, channels = _chain(kind, n_cells, ham, env, dipole_scheme,
                                 injection_mode)
-    h = _hamiltonian(geometry, jb, ham, dipole_scheme)
+    h = build_hamiltonian(geometry, _params(ham, jb, dipole_scheme))
     if disorder_spec is not None and disorder_spec.sigma > 0:
         h = apply_disorder(h, disorder_spec)
     return geometry, h, diagonalize(h), channels
@@ -165,18 +168,22 @@ def _chain(kind: str, n_cells: int, ham: HamiltonianParams,
            injection_mode: str) -> tuple:
     """The geometry (with its dipoles) and the channels of one chain,
     which do not depend on the coupling jb."""
-    geometry = build_geometry(kind, n_cells)
-    if dipole_scheme is not None:
-        geometry = assign_dipoles(geometry, dipole_scheme)
+    geometry = _geometry(kind, n_cells, dipole_scheme)
     channels = build_channels(geometry, env, delta_e=ham.delta_e,
                               injection_mode=injection_mode)
     return geometry, channels
 
 
-def _hamiltonian(geometry, jb: float, ham: HamiltonianParams,
-                 dipole_scheme: str | None):
-    return build_hamiltonian(geometry, replace(
-        ham, jb=jb, dipole_mode=dipole_scheme is not None))
+def _geometry(kind: str, n_cells: int, dipole_scheme: str | None):
+    geometry = build_geometry(kind, n_cells)
+    if dipole_scheme is None:
+        return geometry
+    return assign_dipoles(geometry, dipole_scheme)
+
+
+def _params(ham: HamiltonianParams, jb: float,
+            dipole_scheme: str | None) -> HamiltonianParams:
+    return replace(ham, jb=jb, dipole_mode=dipole_scheme is not None)
 
 
 def solve_point(kind: str, n_cells: int, jb: float,
@@ -257,6 +264,8 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     A row also carries its report's ``extras``: none for a PME row, the
     density-matrix diagnostics (Krylov iterations, coherence fraction,
     ...) for a BRME row.
+    Each cell block is solved once per (geometry, jb), before the
+    geometry's chains are shared out (:func:`_cell_solves`).
     Failures are settled per geometry: once all chains of a geometry are
     solved, its first failing point in grid order raises what
     :func:`solve_point` raises there, and no later geometry is solved.
@@ -272,16 +281,18 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                          f"brme_max_cells = {spec.brme_max_cells}")
 
     def run(chain: tuple):
+        kind, n, cells = chain
         try:
-            return _chain_reports(spec, *chain, at[chain[1]])
+            return _chain_reports(spec, kind, n, at[n], cells)
         except Exception as exc:  # raised below, in grid order
             return exc
 
     rows: list[dict] = []
     fits: list[dict] = []
     for kind in spec.geometries:
-        chains = dict(zip(ns, _map_in_order(run, [(kind, n) for n in ns],
-                                            spec.jobs)))
+        cells = _cell_solves(spec, kind, ns[0])
+        chains = dict(zip(ns, _map_in_order(
+            run, [(kind, n, cells) for n in ns], spec.jobs)))
         series: dict = {}
         for jb in spec.jb_values:
             for n in spec.n_cells_values:
@@ -322,47 +333,82 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     return rows, fits
 
 
-def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
-                   methods: list[str]) -> dict:
-    """Reports of one clean chain at every coupling of a sweep.
+def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
+    """eigh(B) of the cell block at every coupling of a sweep, for the
+    clean chains of one kind, or None when they have one site per cell or
+    are not clean.  B does not depend on N, so one length's geometry
+    serves every chain."""
+    geometry = _geometry(kind, n_cells, spec.dipole_scheme)
+    if geometry.sites_per_cell == 1:
+        return None
+    cells = {}
+    for jb in spec.jb_values:
+        block = cell_block(geometry, _params(spec.ham, jb,
+                                             spec.dipole_scheme))
+        if block is None:
+            return None
+        cells[jb] = _factor_eigen(block)
+    return cells
 
-    The geometry and channels are built once and the couplings solved in
-    chunks (:func:`_solve_chunk`): each eigensystem feeds its chunk's
-    stacked PME solve and its own BRME solve.  Returns {(jb, method):
+
+def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
+                   methods: list[str], cells: dict | None) -> dict:
+    """Reports of one chain at every coupling of a sweep.
+
+    The geometry, channels and chain block T are built once and the
+    couplings solved in chunks (:func:`_solve_chunk`): each eigensystem
+    feeds its chunk's stacked PME solve and its own BRME solve.  A clean
+    chain's row is its factor solves: eigh(T), solved here once, and
+    eigh(B) of its coupling from ``cells`` (:func:`_cell_solves`); its
+    dense Hamiltonian is built only for a row whose basis is pinned.  With
+    one site per cell a row is T, the whole excited block; a chain that is
+    not clean gives its dense excited blocks.  Returns {(jb, method):
     report or the error :func:`solve_point` raises there}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
+    chain = chain_block(geometry, _params(spec.ham, spec.ham.jb,
+                                          spec.dipole_scheme))
+
+    def block(jb: float) -> np.ndarray:
+        return build_hamiltonian(geometry, _params(
+            spec.ham, jb, spec.dipole_scheme)).excited_block
+
+    factors = (_factor_eigen(chain) if chain is not None
+               and geometry.sites_per_cell > 1 else None)
+
+    def row(jb: float):
+        if chain is None:
+            return block(jb)
+        if factors is None:
+            return chain
+        return factors, cells[jb], lambda: block(jb)
+
+    def measure(energies, vectors, _) -> list[dict]:
+        solved: list[dict] = [{} for _ in energies]
+        if "pme" in methods:
+            pme = _steady_reports(*_rate_rows(energies, vectors, channels))
+            for out, report in zip(solved, pme):
+                if isinstance(report, SteadyStateReport):
+                    _warn_low_ground(report)
+                out["pme"] = report
+        if "brme" in methods:
+            for out, eps, vecs in zip(solved, energies, vectors):
+                es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
+                try:
+                    out["brme"] = brme_steady_state(
+                        build_liouvillian(es, channels))
+                except Exception as exc:  # raised by length_sweep
+                    out["brme"] = exc
+        return solved
+
     jbs = spec.jb_values
     size = _chunk_size(geometry.n_sites + 1)
     reports: dict = {}
     for lo in range(0, len(jbs), size):
         chunk = jbs[lo:lo + size]
-        hams = [_hamiltonian(geometry, jb, spec.ham, spec.dipole_scheme)
-                for jb in chunk]
-
-        def measure(energies, vectors, rows) -> list[dict]:
-            solved: list[dict] = [{} for _ in rows]
-            if "pme" in methods:
-                pme = _steady_reports(*_rate_rows(energies, vectors, channels))
-                for out, report in zip(solved, pme):
-                    if isinstance(report, SteadyStateReport):
-                        _warn_low_ground(report)
-                    out["pme"] = report
-            if "brme" in methods:
-                for out, eps, vecs, r in zip(solved, energies, vectors, rows):
-                    es = EigenSystem(energies=eps, vectors=vecs,
-                                     hamiltonian=hams[r])
-                    try:
-                        out["brme"] = brme_steady_state(
-                            build_liouvillian(es, channels))
-                    except Exception as exc:  # raised by length_sweep
-                        out["brme"] = exc
-            return solved
-
-        values = _solve_chunk(
-            lambda: np.stack([h.excited_block for h in hams]),
-            hams[0].matrix[0, 0], geometry, measure)
+        values = _solve_chunk(lambda: [row(jb) for jb in chunk],
+                              spec.ham.eg, geometry, measure)
         for jb, value in zip(chunk, values):
             for method in methods:
                 reports[(jb, method)] = (value if isinstance(value, Exception)
@@ -371,10 +417,11 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
 
 
 def _solve_chunk(stack, eg: float, geometry, measure) -> list:
-    """Per row of a stack of excited blocks (R, n, n) of one geometry, its
-    value or the error it failed with.  The stack, made by ``stack()``, is
-    diagonalized and freed; ``measure(energies, vectors, rows)`` then gives
-    the values of the rows that diagonalized (``rows``: their indices)."""
+    """Per row of a stack of rows of one geometry (excited blocks or factor
+    solves, see ``spectral._eigen_rows``), its value or the error it
+    failed with.  The stack, made by ``stack()``, is diagonalized and
+    freed; ``measure(energies, vectors, rows)`` then gives the values of
+    the rows that diagonalized (``rows``: their indices)."""
     energies, vectors, out = _eigen_rows(stack(), eg, geometry)
     good = [r for r, error in enumerate(out) if error is None]
     if good:
@@ -396,16 +443,21 @@ def _ensemble(system, sigma: float, seed: int, n_realizations: int,
 
     ``system`` is a clean :func:`build_system` result.  Realization r adds
     ``DisorderSpec(sigma, seed, r).draw(n_sites)`` to the clean excited
-    diagonal, exactly as ``apply_disorder`` does.  Returns per realization,
-    in index order, what ``measure(energies, vectors, rows)`` makes of it
-    in its chunk (:func:`_solve_chunk`) or the error it failed with.
+    diagonal, exactly as ``apply_disorder`` does; at ``sigma = 0`` it is
+    the clean system's row, so it reproduces the clean point.  Returns per
+    realization, in index order, what ``measure(energies, vectors, rows)``
+    makes of it in its chunk (:func:`_solve_chunk`) or the error it failed
+    with.
     """
     h = system[1]
     sites = np.arange(h.geometry.n_sites)
     size = _chunk_size(h.dimension)
+    clean = _eigen_row(h) if sigma == 0 else None
 
     def run(indices) -> list:
         def stack():
+            if clean is not None:
+                return [clean] * len(indices)
             # adding to the diagonal keeps the clean block's checked symmetry
             blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
             blocks[:, sites, sites] += np.array(

@@ -13,6 +13,12 @@ only corresponding slots are coupled, with the fixed scale ``DEFAULTS["ja"]``
 tied together by the intra-cell coupling; with ``jb = 0`` they decouple
 exactly.  In dipole mode the scalar 1/r^3 factor is replaced by the
 orientation-dependent point-dipole interaction.
+
+A clean chain (every cell the first one shifted along x, and no dipoles
+or one dipole on every site) has the excited block T (x) 1_n + 1_N (x) B:
+T, slot 1's chain with the gradient diagonal, does not depend on jb, and
+B, the in-cell couplings, not on N.  :func:`build_hamiltonian` records
+them; disorder drops them.
 """
 
 from __future__ import annotations
@@ -45,12 +51,16 @@ class Hamiltonian:
     """Dense symmetric Hamiltonian over the ground + site basis.
 
     ``matrix`` has dimension (n_sites + 1); row/column 0 is the decoupled
-    ground state.
+    ground state.  ``factors`` is (T, B) for a clean chain, whose excited
+    block is T (x) 1_n + 1_N (x) B (:func:`chain_block`,
+    :func:`cell_block`); it is None after disorder and for dipoles that
+    differ between sites.
     """
 
     matrix: np.ndarray
     geometry: Geometry
     params: HamiltonianParams
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dimension(self) -> int:
@@ -107,6 +117,71 @@ def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
     return scale * angular / dist**3
 
 
+def _dipoles(geometry: Geometry, params: HamiltonianParams
+             ) -> np.ndarray | None:
+    """The (N, n, 3) unit site dipoles in dipole mode, else None."""
+    if not params.dipole_mode:
+        return None
+    if geometry.dipoles is None:
+        raise HamiltonianError("dipole_mode needs dipoles on every site")
+    norms = np.linalg.norm(geometry.dipoles, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise HamiltonianError("dipole vectors must have unit norm")
+    return geometry.dipoles.reshape(geometry.n_cells,
+                                    geometry.sites_per_cell, 3)
+
+
+def _finite(couplings: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(couplings)):
+        raise HamiltonianError("coincident sites have no finite coupling")
+    return couplings
+
+
+def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
+    """Whether every cell is the first one shifted along x (one x per
+    cell, the same in-plane layout) and the dipoles, if used, are one
+    vector: then every in-cell block and every slot's chain are equal."""
+    pos = geometry.positions.reshape(geometry.n_cells,
+                                     geometry.sites_per_cell, 3)
+    return bool((pos[:, :, 1:] == pos[0, :, 1:]).all()
+                and (pos[:, :, 0] == pos[:, :1, 0]).all()
+                and (dip is None or (dip == dip[0, 0]).all()))
+
+
+def chain_block(geometry: Geometry, params: HamiltonianParams
+                ) -> np.ndarray | None:
+    """T: slot 1's (N x N) chain, the gradient energies on its diagonal
+    and the inter-cell couplings off it; None unless the chain is clean.
+    It does not depend on ``jb``."""
+    dip = _dipoles(geometry, params)
+    if not _clean(geometry, dip):
+        return None
+    n_cells = geometry.n_cells
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chain = _pair_couplings(
+            geometry.positions[::geometry.sites_per_cell],
+            None if dip is None else dip[:, 0], DEFAULTS["ja"])
+    chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
+                                       * params.delta_e + params.e0)
+    return chain
+
+
+def cell_block(geometry: Geometry, params: HamiltonianParams
+               ) -> np.ndarray | None:
+    """B: cell 1's (n x n) in-cell couplings at scale ``jb``, zero on the
+    diagonal; None unless the chain is clean.  It does not depend on N."""
+    dip = _dipoles(geometry, params)
+    if not _clean(geometry, dip):
+        return None
+    n = geometry.sites_per_cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cell = _pair_couplings(geometry.positions[:n],
+                               None if dip is None else dip[0], params.jb)
+    cell[np.diag_indices(n)] = 0.0
+    _finite(cell)
+    return cell
+
+
 def build_hamiltonian(geometry: Geometry,
                       params: HamiltonianParams) -> Hamiltonian:
     """Assemble the dense Hamiltonian for a geometry.
@@ -114,18 +189,12 @@ def build_hamiltonian(geometry: Geometry,
     The (cell, slot, cell, slot) view of the excited block takes the N
     in-cell blocks and the n same-slot chains; its strict upper triangle is
     kept and mirrored.  Dipole mode needs a unit dipole on every site and
-    replaces the 1/r^3 factor by the point-dipole form.
+    replaces the 1/r^3 factor by the point-dipole form.  A clean chain
+    also records its factors (T, B).
     """
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     ns = geometry.n_sites
-    dip = None
-    if params.dipole_mode:
-        if geometry.dipoles is None:
-            raise HamiltonianError("dipole_mode needs dipoles on every site")
-        norms = np.linalg.norm(geometry.dipoles, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise HamiltonianError("dipole vectors must have unit norm")
-        dip = geometry.dipoles.reshape(n_cells, n, 3)
+    dip = _dipoles(geometry, params)
     pos = geometry.positions.reshape(n_cells, n, 3)
     chain_dip = None if dip is None else dip.swapaxes(0, 1)
     blocks = np.zeros((n_cells, n, n_cells, n))
@@ -135,9 +204,7 @@ def build_hamiltonian(geometry: Geometry,
         blocks[:, slots, :, slots] = _pair_couplings(
             pos.swapaxes(0, 1), chain_dip, DEFAULTS["ja"])
     upper = np.triu_indices(ns, 1)
-    couplings = blocks.reshape(ns, ns)[upper]
-    if not np.all(np.isfinite(couplings)):
-        raise HamiltonianError("coincident sites have no finite coupling")
+    couplings = _finite(blocks.reshape(ns, ns)[upper])
     h = np.zeros((ns + 1, ns + 1))
     h[0, 0] = params.eg
     excited = h[1:, 1:]
@@ -145,7 +212,11 @@ def build_hamiltonian(geometry: Geometry,
                                     * params.delta_e + params.e0)
     excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
-    return Hamiltonian(matrix=h, geometry=geometry, params=params)
+    chain = chain_block(geometry, params)
+    factors = None if chain is None else (chain,
+                                          cell_block(geometry, params))
+    return Hamiltonian(matrix=h, geometry=geometry, params=params,
+                       factors=factors)
 
 
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:

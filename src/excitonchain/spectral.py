@@ -3,21 +3,24 @@
 Diagonalization keeps the ground state as an exact basis vector (it is
 coherently decoupled) and returns excited eigenstates in ascending energy
 order.  One diagonalizer, :func:`_eigen_rows`, solves every stack of
-excited blocks, and picks one of three paths per row:
+rows, and picks one of three paths per row:
 
 - a clean chain of identical cells has the excited block
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
-  cell block; the block is tested for that form exactly and then solved
-  from eigh(T) and eigh(B): energies t_i + b_j, vectors U_i (x) W_j;
-- every other block (disorder, per-site dipoles, layouts that are not
-  exact translates, chains of one site per cell) is solved with the
-  other such rows of its stack by one stacked full-space eigh (LAPACK
-  syevd, divide and conquer); a block with a non-finite entry is
-  reported, not solved;
+  cell block.  Clean is decided by construction (no disorder, no dipoles
+  or one dipole on every site: ``Hamiltonian.factors``), never by testing
+  the block.  Such a row comes as eigh(T) and eigh(B), which a sweep
+  solves once per chain length and once per coupling: energies
+  t_i + b_j, vectors U_i (x) W_j;
+- every other row comes as its excited block (disorder, per-site
+  dipoles, chains of one site per cell) and is solved with the other
+  such rows of its stack by one stacked full-space eigh (LAPACK syevd,
+  divide and conquer); a block with a non-finite entry is reported, not
+  solved;
 - a clean chain whose centroid rule below leaves a tie unsplit across
-  distinct levels of B is solved alone by scipy's eigh (LAPACK syevr):
-  that solver's arbitrary mixture inside the tie is the basis that
-  stored results pin.
+  distinct levels of B builds its excited block and is solved alone by
+  scipy's eigh (LAPACK syevr): that solver's arbitrary mixture inside
+  the tie is the basis that stored results pin.
 
 Every path then fixes a deterministic basis:
 
@@ -67,11 +70,12 @@ class EigenSystem:
     ``energies`` is ascending with the ground state first; column k of
     ``vectors`` is the k-th eigenstate in the ground + site basis.
     ``brightness`` is filled in by :func:`brightness` (ground slot 0).
+    ``hamiltonian`` is None for a sweep row, whose dense matrix is not built.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
-    hamiltonian: Hamiltonian
+    hamiltonian: Hamiltonian | None
     brightness: np.ndarray | None = None
 
     @property
@@ -170,51 +174,46 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def _eigen_rows(blocks: np.ndarray, eg: float, geometry
-                ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Diagonalize a stack of excited blocks (R, n, n) sharing one geometry.
+def _eigen_rows(rows, eg: float, geometry) -> tuple:
+    """Diagonalize a stack of R rows sharing one geometry.
 
-    Each row is solved from its blocks (:func:`_sector_eigen`) if it can
-    be and has more than one site per cell (else T is the whole block);
-    the other rows are solved together by :func:`_full_eigen`.  A row
-    with a non-finite entry is not solved.  The gap check and the sign
-    rule then run here, once.  Returns (energies, vectors, errors):
-    energies (R, n + 1) with the ground energy first, eigenvectors
-    (R, n + 1, n + 1) in the ground + site basis, and per row None or the
-    SpectralError that row raised (its energies and vectors are then NaN).
+    A row is an excited block (n, n), solved with the other blocks by
+    :func:`_full_eigen` if finite, or a clean chain's factor solves
+    (eigh(T), eigh(B), block), solved by :func:`_sector_eigen`.  Masks
+    over the stack then flag failed rows and rows whose lowest excited
+    energy does not exceed ``eg``; the sign rule runs once.  Returns
+    (energies, vectors, errors): energies (R, n + 1) with the ground
+    energy first, eigenvectors (R, n + 1, n + 1) in the ground + site
+    basis, and per row None or its SpectralError (its energies and
+    vectors are then NaN).
     """
-    rows, n = blocks.shape[:2]
-    energies = np.full((rows, n + 1), np.nan)
-    full = np.zeros((rows, n + 1, n + 1))
+    count, n = len(rows), geometry.n_sites
+    energies = np.full((count, n + 1), np.nan)
+    full = np.zeros((count, n + 1, n + 1))
     full[:, 1:, 1:] = np.nan
-    errors: list = [None] * rows
-    finite = np.isfinite(blocks).all(axis=(1, 2))
-    cells = geometry.sites_per_cell > 1
-    general = []
-    for r in np.flatnonzero(finite):
-        try:
-            solved = cells and _sector_eigen(blocks[r], geometry)
-        except SpectralError as exc:  # pragma: no cover - rare
-            errors[r] = exc
-            continue
-        if solved:
-            energies[r, 1:], full[r, 1:, 1:] = solved
-        else:
-            general.append(r)
-    if general:
-        energies[general, 1:], full[general, 1:, 1:] = _full_eigen(
-            blocks[general], geometry.positions)
-    for r in range(rows):
-        if not finite[r]:
-            errors[r] = SpectralError("excited block has non-finite entries")
-        elif errors[r] is None and np.isnan(energies[r, 1]):
-            errors[r] = SpectralError("eigendecomposition did not converge")
-        elif errors[r] is None and not energies[r, 1] > eg:
-            errors[r] = SpectralError(
-                f"lowest excited eigenvalue {energies[r, 1]:g} does not "
-                f"exceed the ground-state energy {eg:g}; increase the "
-                "manifold offset")
-            energies[r, 1:] = full[r, 1:, 1:] = np.nan
+    dense = [r for r, row in enumerate(rows) if not isinstance(row, tuple)]
+    for r in set(range(count)).difference(dense):
+        energies[r, 1:], full[r, 1:, 1:] = _sector_eigen(*rows[r],
+                                                         geometry.positions)
+    finite = np.ones(count, dtype=bool)
+    if dense:
+        blocks = np.asarray(rows if len(dense) == count
+                            else [rows[r] for r in dense])
+        finite[dense] = ok = np.isfinite(blocks).all(axis=(1, 2))
+        solved = np.asarray(dense)[ok]
+        energies[solved, 1:], full[solved, 1:, 1:] = _full_eigen(
+            blocks[ok], geometry.positions)
+    failed = np.isnan(energies[:, 1])
+    low = ~failed & ~(energies[:, 1] > eg)
+    errors: list = [None] * count
+    for r in np.flatnonzero(failed | low):
+        errors[r] = SpectralError(
+            "excited block has non-finite entries" if not finite[r]
+            else "eigendecomposition did not converge" if failed[r]
+            else f"lowest excited eigenvalue {energies[r, 1]:g} does not "
+                 f"exceed the ground-state energy {eg:g}; increase the "
+                 "manifold offset")
+    energies[low, 1:] = full[low, 1:, 1:] = np.nan
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
     full[:, 1:, 1:] = _fix_signs(full[:, 1:, 1:])
@@ -247,7 +246,7 @@ def _full_eigen(blocks: np.ndarray, positions: np.ndarray
 
 def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
     """Excited energies and vectors of one block from scipy's full-space
-    eigh (LAPACK syevr), put through the centroid rule.
+    eigh (LAPACK syevr), put through the centroid rule; NaN if it fails.
 
     Only a clean chain whose centroid rule leaves a tie unsplit across
     distinct levels of B comes here: the vectors inside that tie are
@@ -255,48 +254,40 @@ def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
     """
     try:
         eps, vecs = scipy.linalg.eigh(block)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise SpectralError("eigendecomposition failed (condition number "
-                            f"{np.linalg.cond(block):.3e})") from exc
+    except scipy.linalg.LinAlgError:  # pragma: no cover - rare
+        return np.full(len(block), np.nan), np.full(block.shape, np.nan)
     return eps, _resolve_degeneracies(eps, vecs, positions)[0]
 
 
-def _sector_eigen(block: np.ndarray, geometry) -> tuple | None:
-    """Excited energies and vectors of a clean chain from its blocks.
-
-    In the (cell, slot, cell, slot) view the excited block is tested for
-    the Kronecker sum T (x) 1_n + 1_N (x) B, with T slot 0's chain and B
-    cell 0's block less T[0, 0] on its diagonal (the diagonal first, which
-    turns disorder away cheaply).  Its eigenpairs are t_i + b_j and
-    U[:, i] (x) W[:, j], stably sorted, then put through the centroid
-    rule.  Returns None when the block is not such a sum.  When the rule
-    leaves a tie unsplit across distinct levels of B it returns
-    :func:`_pinned_eigen` of the block instead.
-    """
-    n_cells, n = geometry.n_cells, geometry.sites_per_cell
-    diag = block.diagonal().reshape(n_cells, n)
-    if not (diag == diag[:, :1] + (diag[0] - diag[0, 0])).all():
-        return None
-    x = block.reshape(n_cells, n, n_cells, n)
-    chain = x[:, 0, :, 0]
-    cell = x[0, :, 0, :] - chain[0, 0] * np.eye(n)
-    kron_sum = (chain[:, None, :, None] * np.eye(n)[:, None, :]
-                + np.eye(n_cells)[:, None, :, None] * cell[:, None, :])
-    if not np.array_equal(kron_sum, x):
-        return None
+def _factor_eigen(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh (LAPACK syevr) of a clean chain's chain block T or cell block B."""
+    if not np.isfinite(block).all():
+        raise SpectralError("excited block has non-finite entries")
     try:
-        t, u = scipy.linalg.eigh(chain)
-        b, w = scipy.linalg.eigh(cell)
-    except scipy.linalg.LinAlgError:  # pragma: no cover - full path reports
-        return None
+        return scipy.linalg.eigh(block, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise SpectralError("eigendecomposition did not converge") from exc
+
+
+def _sector_eigen(chain: tuple, cell: tuple, block, positions: np.ndarray
+                  ) -> tuple:
+    """Excited energies and vectors of a clean chain from its factor solves.
+
+    ``chain`` is eigh(T) and ``cell`` eigh(B) of the excited block
+    T (x) 1_n + 1_N (x) B.  Its eigenpairs are t_i + b_j and
+    U[:, i] (x) W[:, j], stably sorted, then put through the centroid
+    rule.  When the rule leaves a tie unsplit across distinct levels of B
+    it returns :func:`_pinned_eigen` of the excited block ``block()``.
+    """
+    (t, u), (b, w) = chain, cell
+    n_cells, n = len(t), len(b)
     eps = (t[:, None] + b).ravel()
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
     # column k is U[:, i] (x) W[:, j] for (i, j) = divmod(order[k], n)
     i, j = np.divmod(order, n)
     vecs, ties = _resolve_degeneracies(
-        eps, (u[:, None, i] * w[:, j]).reshape(n_cells * n, -1),
-        geometry.positions)
+        eps, (u[:, None, i] * w[:, j]).reshape(n_cells * n, -1), positions)
     levels = [lo for lo, _ in _group_ranges(b, _degeneracy_tol(eps))]
     if ties and len(levels) > 1:
         # weight of each tie's span on each level of B: the span is made of
@@ -307,24 +298,33 @@ def _sector_eigen(block: np.ndarray, geometry) -> tuple | None:
         starts = np.cumsum([0] + [hi - lo for lo, hi in ties[:-1]])
         per_tie = np.add.reduceat(per_level, starts, axis=1)
         if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
-            return _pinned_eigen(block, geometry.positions)
+            return _pinned_eigen(block(), positions)
     return eps, vecs
+
+
+def _eigen_row(h: Hamiltonian):
+    """The :func:`_eigen_rows` row of ``h``: its factor solves when it
+    records factors and has more than one site per cell (else T is the
+    whole block), as a sweep row; else its excited block."""
+    if h.factors is None or h.geometry.sites_per_cell == 1:
+        return h.excited_block
+    return (*map(_factor_eigen, h.factors), lambda: h.excited_block)
 
 
 def diagonalize(h: Hamiltonian) -> EigenSystem:
     """Diagonalize the excited block and assemble the full eigensystem.
 
-    The Hamiltonian is checked for symmetry and its excited block solved
-    as a stack of one by :func:`_eigen_rows`.  Raises SpectralError if the
-    solver fails or if any excited eigenvalue does not exceed the
-    ground-state energy (the one-way ground <-> excited channels assume a
-    strictly positive gap).
+    The Hamiltonian is checked for symmetry and its row
+    (:func:`_eigen_row`) solved as a stack of one by :func:`_eigen_rows`.
+    Raises SpectralError if the solver fails or if any excited eigenvalue
+    does not exceed the ground-state energy (the one-way ground <->
+    excited channels assume a strictly positive gap).
     """
     sym_dev = float(np.abs(h.matrix - h.matrix.T).max())
     if sym_dev > 0.0:
         raise SpectralError(f"Hamiltonian not symmetric (max dev {sym_dev:g})")
-    energies, vectors, errors = _eigen_rows(h.excited_block[None],
-                                            h.matrix[0, 0], h.geometry)
+    energies, vectors, errors = _eigen_rows([_eigen_row(h)], h.matrix[0, 0],
+                                            h.geometry)
     if errors[0] is not None:
         raise errors[0]
     return EigenSystem(energies=energies[0], vectors=vectors[0],
@@ -362,10 +362,10 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
     Returns (R, n_excited, m): column c is operator row c's amplitude on
     each excited state.  A ground <-> site row w gives amp @ w (its
     ground entry is zero and not stored).  A phonon row w |s><s| gives
-    sqrt(|w|) amp[:, s]: rates and dissipator are quadratic in it, so the
-    sign of w drops out.  An eigenbasis target gives the unit column of
-    the highest or lowest excited state.  This is the only place that
-    reads a channel's operator or target.
+    sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and dissipator are
+    quadratic in it, so the sign of w drops out.  An eigenbasis target
+    gives the unit column of the highest or lowest excited state.  This is
+    the only place that reads a channel's operator or target.
     """
     rows, dim = vectors.shape[:2]
     if channel.eigen_target is not None:
@@ -379,10 +379,10 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
     amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
     if channel.kind != "phonon":
         return amp @ weights.T
-    if np.any(np.count_nonzero(weights, axis=1) != 1):
+    if channel.projectors is None:
         raise SpectralError("phonon channel must act on a single site")
-    group, sites = np.nonzero(weights)
-    return np.sqrt(np.abs(weights[group, sites])) * amp[:, :, sites]
+    scale, sites = channel.projectors
+    return scale * amp[:, :, sites]
 
 
 @dataclass

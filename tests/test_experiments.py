@@ -150,6 +150,9 @@ SWEEP_CASES = {
                       {"injection_mode": "eigen",
                        "dipole_scheme": "transport", "jobs": 2}),
     "split-chain": (("prism",), (35,), {}),
+    # jb = 1 is a pinned point: its basis comes from the dense block
+    "pinned": (("dimer",), (24,), {"jobs": 2}),
+    "long-prism": (("prism",), (30,), {}),
     "both": (("mono", "dimer", "prism"), (2, 3, 7),
              {"method": "both", "jobs": 2, "brme_max_cells": 3}),
     "brme": (("mono", "dimer", "prism"), (2, 3, 7),
@@ -213,11 +216,51 @@ def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
     solved = []
     real = experiments._chain_reports
     monkeypatch.setattr(experiments, "_chain_reports",
-                        lambda spec, kind, n, methods: solved.append(kind)
-                        or real(spec, kind, n, methods))
+                        lambda spec, kind, *chain: solved.append(kind)
+                        or real(spec, kind, *chain))
     with pytest.raises(SpectralError):
         length_sweep(spec)
     assert solved == ["dimer", "dimer"]
+
+
+def spy(monkeypatch, name):
+    """The positional arguments of every call to experiments.<name>."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
+    # per geometry: B once per jb before the chains, then T once per N; a
+    # chain of one site per cell solves no factor
+    solves = spy(monkeypatch, "_factor_eigen")
+    spec = small_spec(geometries=("mono", "dimer", "prism"),
+                      n_cells_values=(4, 5, 6), jb_values=(0.1, 1.0, 10.0),
+                      jobs=jobs)
+    rows, _ = length_sweep(spec)
+    assert len(rows) == 27
+    sizes = [len(block) for block, in solves]
+    assert [sizes[:3], sorted(sizes[3:6]), sizes[6:9],
+            sorted(sizes[9:])] == [[2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
+
+
+def test_length_sweep_builds_a_dense_hamiltonian_only_for_a_pinned_row(
+        monkeypatch):
+    builds = spy(monkeypatch, "build_hamiltonian")
+    spec = small_spec(geometries=("mono", "dimer", "prism"),
+                      n_cells_values=(23, 24), jb_values=(1.0, 10.0))
+    rows, _ = length_sweep(spec)
+    assert len(rows) == 12
+    # dimer N=24, jb=1 is the only pinned point of this grid
+    assert [(geo.kind, geo.n_cells, params.jb)
+            for geo, params in builds] == [("dimer", 24, 1.0)]
 
 
 def test_length_sweep_warns_once_per_low_ground_population_point():

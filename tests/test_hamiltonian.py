@@ -3,7 +3,8 @@ import pytest
 
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams, apply_disorder,
-                                      build_hamiltonian)
+                                      build_hamiltonian, cell_block,
+                                      chain_block)
 from excitonchain.lattice import Geometry, assign_dipoles, build_geometry
 
 CUSTOM_LAYOUT = np.array([[0.0, 0.0], [1.3, 0.2], [0.4, 1.7], [-0.9, 0.8]])
@@ -162,6 +163,57 @@ def test_dipole_mode_reduces_to_scalar_when_orthogonal():
     dipolar = build_hamiltonian(geo, HamiltonianParams(jb=2.5,
                                                        dipole_mode=True))
     np.testing.assert_allclose(dipolar.matrix, scalar.matrix, atol=1e-14)
+
+
+@pytest.mark.parametrize("dipoles", [None, "transport", (1.0, 2.0, 0.5)],
+                         ids=["scalar", "transport", "vector"])
+@pytest.mark.parametrize("kind", ["mono", "dimer", "trimer", "prism",
+                                  "cuboid"])
+def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
+    # the excited block is exactly T (x) 1_n + 1_N (x) B; T does not depend
+    # on jb and B not on N, so a sweep may share their solves
+    first = build_geometry(kind, 1)
+    if dipoles is not None:
+        first = assign_dipoles(first, dipoles)
+    for n_cells in (1, 2, 7, 30, 100):
+        geo = build_geometry(kind, n_cells)
+        if dipoles is not None:
+            geo = assign_dipoles(geo, dipoles)
+        n = geo.sites_per_cell
+        for jb in (0.1, 3.7):
+            params = HamiltonianParams(jb=jb, dipole_mode=dipoles is not None)
+            h = build_hamiltonian(geo, params)
+            chain, cell = h.factors
+            assert np.array_equal(
+                h.excited_block,
+                np.kron(chain, np.eye(n)) + np.kron(np.eye(n_cells), cell))
+            assert np.array_equal(chain, chain_block(
+                geo, HamiltonianParams(jb=10.0,
+                                       dipole_mode=params.dipole_mode)))
+            assert np.array_equal(cell, cell_block(first, params))
+
+
+def test_disorder_and_differing_cells_record_no_factors():
+    geo = build_geometry("prism", 4)
+    h = build_hamiltonian(geo, HamiltonianParams())
+    assert h.factors is not None
+    assert apply_disorder(h, DisorderSpec(sigma=0.5, seed=1)).factors is None
+    rng = np.random.default_rng(4)
+    per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
+    dipolar = HamiltonianParams(dipole_mode=True)
+    assert build_hamiltonian(per_site, dipolar).factors is None
+    assert chain_block(per_site, dipolar) is None
+    assert cell_block(per_site, dipolar) is None
+    # dipoles the Hamiltonian does not use do not matter
+    assert build_hamiltonian(per_site, HamiltonianParams()).factors is not None
+    # a cell whose sites do not share one x, or a layout that is not
+    # repeated, gives no factors
+    assert build_hamiltonian(two_sites((1.0, 0.5, 0.0)),
+                             HamiltonianParams()).factors is None
+    moved = geo.positions.copy()
+    moved[-1, 1] += 0.25
+    assert build_hamiltonian(Geometry("custom", 4, 3, moved),
+                             HamiltonianParams()).factors is None
 
 
 def test_dipole_mode_requires_dipoles():

@@ -17,8 +17,9 @@ from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError, _couplings,
-                                   _eigen_rows, _fix_signs, _full_eigen,
-                                   _pinned_eigen, _sector_eigen,
+                                   _eigen_row, _eigen_rows, _factor_eigen,
+                                   _fix_signs, _full_eigen, _pinned_eigen,
+                                   _sector_eigen,
                                    brightness, classify_bright_dark,
                                    diagonalize, eigenstructure_tables,
                                    transition_matrix)
@@ -376,11 +377,17 @@ def chain_and_cell_blocks(h):
     return chain, x[0, :, 0, :] - chain[0, 0] * np.eye(geo.sites_per_cell)
 
 
+def sector_eigen(h):
+    """The sector path on a clean chain's factor solves."""
+    return _sector_eigen(*map(_factor_eigen, h.factors),
+                         lambda: h.excited_block, h.geometry.positions)
+
+
 def takes_pinned_path(h):
     """Whether the sector path hands the block to the pinned syevr solve."""
     pinned = object()
     with mock.patch.object(spectral, "_pinned_eigen", return_value=pinned):
-        return _sector_eigen(h.excited_block, h.geometry) is pinned
+        return h.factors is not None and sector_eigen(h) is pinned
 
 
 def general_eigensystem(h):
@@ -408,7 +415,7 @@ def test_sector_spectrum_is_the_sorted_sum_of_block_levels(kind, dipoles):
         for jb in (0.1, 10.0):
             es, _ = make_system(kind, n_cells, jb=jb, dipoles=dipoles)
             h = es.hamiltonian
-            assert _sector_eigen(h.excited_block, h.geometry) is not None
+            assert sector_eigen(h) is not None
             chain, cell = chain_and_cell_blocks(h)
             sums = np.sort((np.linalg.eigvalsh(chain)[:, None]
                             + np.linalg.eigvalsh(cell)).ravel())
@@ -449,18 +456,17 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
     # an unsplit tie takes the pinned syevr solve, the rest the stacked one
     assert takes_pinned_path(h) is pinned
     if not pinned:
-        assert _sector_eigen(h.excited_block, h.geometry) is None
+        assert h.factors is None
     es, expected = diagonalize(h), general_eigensystem(h)
     np.testing.assert_array_equal(es.energies, expected.energies)
     np.testing.assert_array_equal(es.vectors, expected.vectors)
     # stacked with a clean chain of its geometry and a disordered row, each
     # row takes its own path and comes out as diagonalize gives it alone
     clean = build_hamiltonian(h.geometry, HamiltonianParams(jb=10.0))
-    assert _sector_eigen(clean.excited_block, clean.geometry) is not None
+    assert sector_eigen(clean) is not None
     stack = [clean, h, disordered(h)]
     energies, vectors, errors = _eigen_rows(
-        np.stack([m.excited_block for m in stack]), h.matrix[0, 0],
-        h.geometry)
+        [_eigen_row(m) for m in stack], h.matrix[0, 0], h.geometry)
     assert errors == [None] * len(stack)
     for row, m in enumerate(stack):
         alone = diagonalize(m)
