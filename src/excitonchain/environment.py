@@ -158,7 +158,8 @@ class EnvironmentParams:
     ``bath_peak = None`` places the phonon spectral peak so that the
     spontaneous part is fastest at transition frequency ``delta_e``
     (peak^2 = delta_e^2 - width^2), the single-chain optimum; the same
-    peak is kept for every geometry so unit cells compare fairly.
+    peak is kept for every geometry so unit cells compare fairly.  Every
+    value given must be finite.
     """
 
     gamma_rad: float = DEFAULTS["gamma_rad"]
@@ -169,6 +170,11 @@ class EnvironmentParams:
     temperature: float = DEFAULTS["temperature"]
     bath_width: float = DEFAULTS["bath_width"]
     bath_peak: float | None = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not np.isfinite(value):
+                raise ChannelError(f"{name} must be finite, got {value}")
 
     def resolve_peak(self, delta_e: float) -> float:
         if self.bath_peak is not None:

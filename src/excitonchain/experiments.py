@@ -5,19 +5,19 @@ Every experiment is a pure function of its spec: runs are keyed by
 order, so identical specs reproduce identical tables.
 
 Sweeps and disorder ensembles share one chunk runner, :func:`_solve_chunk`:
-fixed-size stacks (:func:`_chunk_size`) of excited blocks of one geometry
-go through the one diagonalizer ``spectral._eigen_rows``, then a measure
-such as the stacked PME solve (``pme._steady_reports``).  ``jobs`` threads
-share out the chains or chunks; every row comes back as its value or the
-error it failed with.
+fixed-size stacks (:func:`_chunk_size`) of rows of one geometry (excited
+blocks or clean factor pairs) go through the one diagonalizer
+``spectral._eigen_rows``, then a measure such as the stacked PME solve
+(``pme._steady_reports``).  ``jobs`` threads share out the chains or
+chunks; every row comes back as its value or the error it failed with.
 
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
   once, and that eigensystem feeds both the stacked population (PME)
   solve and the density-matrix (BRME) solve.  A clean chain is solved
   from its factors: the cell block once per (geometry, jb), before the
-  chains are shared out, the chain block once per chain, and a dense
-  Hamiltonian only for a row whose basis is pinned.  Its rows equal
+  chains are shared out, and the chain block once per chain; no dense
+  Hamiltonian is built for it, one site per cell included.  Its rows equal
   :func:`solve_point`'s reports exactly.  A failing point raises what
   :func:`solve_point` raises there: the first such point of its
   geometry in grid order.
@@ -41,7 +41,7 @@ from .brme import build_liouvillian, brme_steady_state
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
-                          build_hamiltonian, cell_block, chain_block)
+                          build_hamiltonian, factor_blocks)
 from .lattice import assign_dipoles, build_geometry
 from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
                   site_populations, solve_steady_state)
@@ -101,6 +101,8 @@ class SweepSpec:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
+        for jb in self.jb_values:
+            replace(self.ham, jb=jb)  # rejects a non-finite coupling
         if self.disorder.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
@@ -334,20 +336,18 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
 
 
 def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
-    """eigh(B) of the cell block at every coupling of a sweep, for the
-    clean chains of one kind, or None when they have one site per cell or
-    are not clean.  B does not depend on N, so one length's geometry
+    """The cell block B with its eigh (:func:`_factor_eigen`) at every
+    coupling of a sweep, for the clean chains of one kind, or None when
+    they are not clean.  B does not depend on N, so one length's geometry
     serves every chain."""
     geometry = _geometry(kind, n_cells, spec.dipole_scheme)
-    if geometry.sites_per_cell == 1:
-        return None
     cells = {}
     for jb in spec.jb_values:
-        block = cell_block(geometry, _params(spec.ham, jb,
-                                             spec.dipole_scheme))
-        if block is None:
+        blocks = factor_blocks(geometry, _params(spec.ham, jb,
+                                                 spec.dipole_scheme))
+        if blocks is None:
             return None
-        cells[jb] = _factor_eigen(block)
+        cells[jb] = _factor_eigen(blocks[1])
     return cells
 
 
@@ -358,31 +358,23 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     The geometry, channels and chain block T are built once and the
     couplings solved in chunks (:func:`_solve_chunk`): each eigensystem
     feeds its chunk's stacked PME solve and its own BRME solve.  A clean
-    chain's row is its factor solves: eigh(T), solved here once, and
-    eigh(B) of its coupling from ``cells`` (:func:`_cell_solves`); its
-    dense Hamiltonian is built only for a row whose basis is pinned.  With
-    one site per cell a row is T, the whole excited block; a chain that is
-    not clean gives its dense excited blocks.  Returns {(jb, method):
-    report or the error :func:`solve_point` raises there}.
+    chain's row is its factor pair: T with its eigh, solved here once,
+    and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
+    Hamiltonian is built for it.  A chain that is not clean gives its
+    dense excited blocks.  Returns {(jb, method): report or the error
+    :func:`solve_point` raises there}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    chain = chain_block(geometry, _params(spec.ham, spec.ham.jb,
-                                          spec.dipole_scheme))
-
-    def block(jb: float) -> np.ndarray:
-        return build_hamiltonian(geometry, _params(
-            spec.ham, jb, spec.dipole_scheme)).excited_block
-
-    factors = (_factor_eigen(chain) if chain is not None
-               and geometry.sites_per_cell > 1 else None)
+    blocks = factor_blocks(geometry, _params(spec.ham, spec.ham.jb,
+                                             spec.dipole_scheme))
+    chain = None if blocks is None else _factor_eigen(blocks[0])
 
     def row(jb: float):
         if chain is None:
-            return block(jb)
-        if factors is None:
-            return chain
-        return factors, cells[jb], lambda: block(jb)
+            return build_hamiltonian(geometry, _params(
+                spec.ham, jb, spec.dipole_scheme)).excited_block
+        return chain, cells[jb]
 
     def measure(energies, vectors, _) -> list[dict]:
         solved: list[dict] = [{} for _ in energies]

@@ -17,8 +17,8 @@ orientation-dependent point-dipole interaction.
 A clean chain (every cell the first one shifted along x, and no dipoles
 or one dipole on every site) has the excited block T (x) 1_n + 1_N (x) B:
 T, slot 1's chain with the gradient diagonal, does not depend on jb, and
-B, the in-cell couplings, not on N.  :func:`build_hamiltonian` records
-them; disorder drops them.
+B, the in-cell couplings, not on N.  :func:`factor_blocks` builds the
+pair, :func:`build_hamiltonian` records it and disorder drops it.
 """
 
 from __future__ import annotations
@@ -37,13 +37,19 @@ class HamiltonianError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianParams:
-    """Energy and coupling scales, in units of the inter-cell coupling."""
+    """Energy and coupling scales, in units of the inter-cell coupling;
+    each must be finite."""
 
     delta_e: float = DEFAULTS["delta_e"]
     e0: float = DEFAULTS["e0"]
     eg: float = DEFAULTS["eg"]
     jb: float = DEFAULTS["jb"]
     dipole_mode: bool = False
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise HamiltonianError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,8 @@ class Hamiltonian:
 
     ``matrix`` has dimension (n_sites + 1); row/column 0 is the decoupled
     ground state.  ``factors`` is (T, B) for a clean chain, whose excited
-    block is T (x) 1_n + 1_N (x) B (:func:`chain_block`,
-    :func:`cell_block`); it is None after disorder and for dipoles that
-    differ between sites.
+    block is T (x) 1_n + 1_N (x) B (:func:`factor_blocks`); it is None
+    after disorder and for dipoles that differ between sites.
     """
 
     matrix: np.ndarray
@@ -148,38 +153,26 @@ def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
                 and (dip is None or (dip == dip[0, 0]).all()))
 
 
-def chain_block(geometry: Geometry, params: HamiltonianParams
-                ) -> np.ndarray | None:
-    """T: slot 1's (N x N) chain, the gradient energies on its diagonal
-    and the inter-cell couplings off it; None unless the chain is clean.
-    It does not depend on ``jb``."""
+def factor_blocks(geometry: Geometry, params: HamiltonianParams
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(T, B) of a clean chain, None unless it is clean.  T is slot 1's
+    (N x N) chain: the gradient energies on its diagonal, the inter-cell
+    couplings off it, and no ``jb``.  B is cell 1's (n x n) in-cell
+    couplings at scale ``jb``, zero on the diagonal, and no N."""
     dip = _dipoles(geometry, params)
     if not _clean(geometry, dip):
         return None
-    n_cells = geometry.n_cells
+    n_cells, n = geometry.n_cells, geometry.sites_per_cell
     with np.errstate(divide="ignore", invalid="ignore"):
-        chain = _pair_couplings(
-            geometry.positions[::geometry.sites_per_cell],
-            None if dip is None else dip[:, 0], DEFAULTS["ja"])
-    chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
-                                       * params.delta_e + params.e0)
-    return chain
-
-
-def cell_block(geometry: Geometry, params: HamiltonianParams
-               ) -> np.ndarray | None:
-    """B: cell 1's (n x n) in-cell couplings at scale ``jb``, zero on the
-    diagonal; None unless the chain is clean.  It does not depend on N."""
-    dip = _dipoles(geometry, params)
-    if not _clean(geometry, dip):
-        return None
-    n = geometry.sites_per_cell
-    with np.errstate(divide="ignore", invalid="ignore"):
+        chain = _pair_couplings(geometry.positions[::n],
+                                None if dip is None else dip[:, 0],
+                                DEFAULTS["ja"])
         cell = _pair_couplings(geometry.positions[:n],
                                None if dip is None else dip[0], params.jb)
+    chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
+                                       * params.delta_e + params.e0)
     cell[np.diag_indices(n)] = 0.0
-    _finite(cell)
-    return cell
+    return chain, _finite(cell)
 
 
 def build_hamiltonian(geometry: Geometry,
@@ -212,11 +205,8 @@ def build_hamiltonian(geometry: Geometry,
                                     * params.delta_e + params.e0)
     excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
-    chain = chain_block(geometry, params)
-    factors = None if chain is None else (chain,
-                                          cell_block(geometry, params))
     return Hamiltonian(matrix=h, geometry=geometry, params=params,
-                       factors=factors)
+                       factors=factor_blocks(geometry, params))
 
 
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:

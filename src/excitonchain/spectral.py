@@ -7,20 +7,21 @@ rows, and picks one of three paths per row:
 
 - a clean chain of identical cells has the excited block
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
-  cell block.  Clean is decided by construction (no disorder, no dipoles
-  or one dipole on every site: ``Hamiltonian.factors``), never by testing
-  the block.  Such a row comes as eigh(T) and eigh(B), which a sweep
-  solves once per chain length and once per coupling: energies
-  t_i + b_j, vectors U_i (x) W_j;
+  cell block (B = [[0]] for one site per cell).  Clean is decided by
+  construction (no disorder, no dipoles or one dipole on every site:
+  ``Hamiltonian.factors``), never by testing the block.  Such a row is
+  the factor pair ((T, t, U), (B, b, W)), each block with its eigh,
+  which a sweep solves once per chain length and once per coupling:
+  energies t_i + b_j, vectors U_i (x) W_j;
 - every other row comes as its excited block (disorder, per-site
-  dipoles, chains of one site per cell) and is solved with the other
-  such rows of its stack by one stacked full-space eigh (LAPACK syevd,
-  divide and conquer); a block with a non-finite entry is reported, not
-  solved;
+  dipoles) and is solved with the other such rows of its stack by one
+  stacked full-space eigh (LAPACK syevd, divide and conquer); a block
+  with a non-finite entry is reported, not solved;
 - a clean chain whose centroid rule below leaves a tie unsplit across
-  distinct levels of B builds its excited block and is solved alone by
-  scipy's eigh (LAPACK syevr): that solver's arbitrary mixture inside
-  the tie is the basis that stored results pin.
+  distinct levels of B is solved alone from the Kronecker sum of its
+  factors, which equals its excited block bit for bit, by scipy's eigh
+  (LAPACK syevr): that solver's arbitrary mixture inside the tie is the
+  basis that stored results pin.
 
 Every path then fixes a deterministic basis:
 
@@ -178,8 +179,8 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     """Diagonalize a stack of R rows sharing one geometry.
 
     A row is an excited block (n, n), solved with the other blocks by
-    :func:`_full_eigen` if finite, or a clean chain's factor solves
-    (eigh(T), eigh(B), block), solved by :func:`_sector_eigen`.  Masks
+    :func:`_full_eigen` if finite, or a clean chain's factor pair
+    ((T, t, U), (B, b, W)), solved by :func:`_sector_eigen`.  Masks
     over the stack then flag failed rows and rows whose lowest excited
     energy does not exceed ``eg``; the sign rule runs once.  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
@@ -259,27 +260,29 @@ def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
     return eps, _resolve_degeneracies(eps, vecs, positions)[0]
 
 
-def _factor_eigen(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh (LAPACK syevr) of a clean chain's chain block T or cell block B."""
+def _factor_eigen(block: np.ndarray) -> tuple:
+    """A clean chain's chain block T or cell block B with its eigh (LAPACK
+    syevr): the half (block, levels, vectors) of a factor-pair row."""
     if not np.isfinite(block).all():
         raise SpectralError("excited block has non-finite entries")
     try:
-        return scipy.linalg.eigh(block, check_finite=False)
+        return (block, *scipy.linalg.eigh(block, check_finite=False))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise SpectralError("eigendecomposition did not converge") from exc
 
 
-def _sector_eigen(chain: tuple, cell: tuple, block, positions: np.ndarray
+def _sector_eigen(chain: tuple, cell: tuple, positions: np.ndarray
                   ) -> tuple:
     """Excited energies and vectors of a clean chain from its factor solves.
 
-    ``chain`` is eigh(T) and ``cell`` eigh(B) of the excited block
-    T (x) 1_n + 1_N (x) B.  Its eigenpairs are t_i + b_j and
-    U[:, i] (x) W[:, j], stably sorted, then put through the centroid
-    rule.  When the rule leaves a tie unsplit across distinct levels of B
-    it returns :func:`_pinned_eigen` of the excited block ``block()``.
+    ``chain`` is (T, t, U) and ``cell`` (B, b, W) (:func:`_factor_eigen`)
+    of the excited block T (x) 1_n + 1_N (x) B.  Its eigenpairs are
+    t_i + b_j and U[:, i] (x) W[:, j], stably sorted, then put through the
+    centroid rule.  When the rule leaves a tie unsplit across distinct
+    levels of B it returns :func:`_pinned_eigen` of that Kronecker sum,
+    which equals the dense excited block bit for bit.
     """
-    (t, u), (b, w) = chain, cell
+    (t_block, t, u), (b_block, b, w) = chain, cell
     n_cells, n = len(t), len(b)
     eps = (t[:, None] + b).ravel()
     order = np.argsort(eps, kind="stable")
@@ -298,17 +301,18 @@ def _sector_eigen(chain: tuple, cell: tuple, block, positions: np.ndarray
         starts = np.cumsum([0] + [hi - lo for lo, hi in ties[:-1]])
         per_tie = np.add.reduceat(per_level, starts, axis=1)
         if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
-            return _pinned_eigen(block(), positions)
+            return _pinned_eigen(np.kron(t_block, np.eye(n))
+                                 + np.kron(np.eye(n_cells), b_block),
+                                 positions)
     return eps, vecs
 
 
 def _eigen_row(h: Hamiltonian):
     """The :func:`_eigen_rows` row of ``h``: its factor solves when it
-    records factors and has more than one site per cell (else T is the
-    whole block), as a sweep row; else its excited block."""
-    if h.factors is None or h.geometry.sites_per_cell == 1:
+    records factors, as a sweep row; else its excited block."""
+    if h.factors is None:
         return h.excited_block
-    return (*map(_factor_eigen, h.factors), lambda: h.excited_block)
+    return tuple(map(_factor_eigen, h.factors))
 
 
 def diagonalize(h: Hamiltonian) -> EigenSystem:

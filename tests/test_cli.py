@@ -316,6 +316,25 @@ def test_non_finite_disorder_width_fails_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,error", [
+    ("length-sweep", "--temperature", "ChannelError"),
+    ("eigen", "--temperature", "ChannelError"),
+    ("length-sweep", "--jb-values", "HamiltonianError"),
+    ("steady", "--gamma-inj", "ChannelError"),
+    ("disorder", "--bath-peak", "ChannelError"),
+    ("regime-grid", "--delta-e", "HamiltonianError"),
+])
+def test_non_finite_parameter_fails_by_name_before_any_output(
+        tmp_path, capsys, command, flag, error):
+    out = tmp_path / "out"
+    assert main([command, flag, "nan", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == error
+    name = flag[2:].replace("-", "_").removesuffix("_values")
+    assert record["message"] == f"{name} must be finite, got nan"
+    assert not out.exists()
+
+
 def test_repeated_sweep_values_fail_by_name(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["length-sweep", "--geometries", "dimer", "--n-min", "2",

@@ -197,6 +197,15 @@ def test_rate_validation_and_mode_validation():
         build_channels(geo, EnvironmentParams(), injection_mode="both")
 
 
+@pytest.mark.parametrize("name", ["gamma_rad", "gamma_nr", "gamma_phonon",
+                                  "gamma_inj", "gamma_ext", "temperature",
+                                  "bath_width", "bath_peak"])
+def test_non_finite_parameters_rejected_by_name(name):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ChannelError, match=f"^{name} must be finite"):
+            EnvironmentParams(**{name: value})
+
+
 def test_peak_rule_matches_detuning():
     env = EnvironmentParams(bath_width=0.4)
     assert env.resolve_peak(1.0) == pytest.approx(math.sqrt(0.84))

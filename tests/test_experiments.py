@@ -11,7 +11,8 @@ from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
                                       fit_exponential, length_sweep,
                                       population_profile, regime_grid,
                                       solve_point)
-from excitonchain.hamiltonian import DisorderSpec, HamiltonianParams
+from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
+                                      HamiltonianParams)
 from excitonchain.pme import SteadyStateError
 from excitonchain.spectral import SpectralError
 
@@ -82,6 +83,14 @@ def test_sweep_grids_reject_repeated_values_by_name(field, values):
         small_spec(**{field: values})
 
 
+def test_sweep_rejects_a_non_finite_coupling_before_any_solve():
+    # a later coupling of the grid fails the spec, not the sweep after
+    # the earlier couplings are solved
+    for jb in (np.nan, np.inf):
+        with pytest.raises(HamiltonianError, match="^jb must be finite"):
+            small_spec(jb_values=(1.0, jb))
+
+
 def test_a_method_that_does_not_apply_is_rejected_by_name():
     with pytest.raises(ValueError, match="'brmee'"):
         solve_point("mono", 2, 1.0, HAM, ENV, method="brmee")
@@ -150,7 +159,8 @@ SWEEP_CASES = {
                       {"injection_mode": "eigen",
                        "dipole_scheme": "transport", "jobs": 2}),
     "split-chain": (("prism",), (35,), {}),
-    # jb = 1 is a pinned point: its basis comes from the dense block
+    # jb = 1 is a pinned point: its basis comes from the syevr solve of
+    # its factors' Kronecker sum
     "pinned": (("dimer",), (24,), {"jobs": 2}),
     "long-prism": (("prism",), (30,), {}),
     "both": (("mono", "dimer", "prism"), (2, 3, 7),
@@ -238,8 +248,8 @@ def spy(monkeypatch, name):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
-    # per geometry: B once per jb before the chains, then T once per N; a
-    # chain of one site per cell solves no factor
+    # per geometry: B once per jb before the chains, then T once per N;
+    # a chain of one site per cell solves its 1 x 1 cell block B = [[0]]
     solves = spy(monkeypatch, "_factor_eigen")
     spec = small_spec(geometries=("mono", "dimer", "prism"),
                       n_cells_values=(4, 5, 6), jb_values=(0.1, 1.0, 10.0),
@@ -247,20 +257,20 @@ def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
     rows, _ = length_sweep(spec)
     assert len(rows) == 27
     sizes = [len(block) for block, in solves]
-    assert [sizes[:3], sorted(sizes[3:6]), sizes[6:9],
-            sorted(sizes[9:])] == [[2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
+    assert len(sizes) == 18
+    assert [sorted(sizes[k:k + 3]) for k in range(0, 18, 3)] == [
+        [1] * 3, [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
 
 
-def test_length_sweep_builds_a_dense_hamiltonian_only_for_a_pinned_row(
-        monkeypatch):
+def test_clean_length_sweep_builds_no_dense_hamiltonian(monkeypatch):
     builds = spy(monkeypatch, "build_hamiltonian")
     spec = small_spec(geometries=("mono", "dimer", "prism"),
                       n_cells_values=(23, 24), jb_values=(1.0, 10.0))
     rows, _ = length_sweep(spec)
     assert len(rows) == 12
-    # dimer N=24, jb=1 is the only pinned point of this grid
-    assert [(geo.kind, geo.n_cells, params.jb)
-            for geo, params in builds] == [("dimer", 24, 1.0)]
+    # dimer N=24, jb=1 is a pinned point: its block is the Kronecker sum
+    # of its factors, so no row of this grid builds a dense Hamiltonian
+    assert builds == []
 
 
 def test_length_sweep_warns_once_per_low_ground_population_point():
@@ -310,8 +320,10 @@ def test_lossless_profile_is_flattest():
     assert rel0 > rel1
 
 
-def test_disorder_ensemble_zero_sigma_collapses():
-    spec = small_spec(n_cells_values=(4,),
+@pytest.mark.parametrize("kind", ["mono", "dimer"])
+def test_disorder_ensemble_zero_sigma_collapses(kind):
+    # the sigma = 0 rows are the clean chain's factor pair
+    spec = small_spec(geometries=(kind,), n_cells_values=(4,),
                       disorder=DisorderEnsembleSpec(sigma=0.0,
                                                     n_realizations=5,
                                                     base_seed=3))

@@ -3,8 +3,7 @@ import pytest
 
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams, apply_disorder,
-                                      build_hamiltonian, cell_block,
-                                      chain_block)
+                                      build_hamiltonian, factor_blocks)
 from excitonchain.lattice import Geometry, assign_dipoles, build_geometry
 
 CUSTOM_LAYOUT = np.array([[0.0, 0.0], [1.3, 0.2], [0.4, 1.7], [-0.9, 0.8]])
@@ -171,11 +170,12 @@ def test_dipole_mode_reduces_to_scalar_when_orthogonal():
                                   "cuboid"])
 def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
     # the excited block is exactly T (x) 1_n + 1_N (x) B; T does not depend
-    # on jb and B not on N, so a sweep may share their solves
+    # on jb and B not on N, so a sweep may share their solves; N = 24 and
+    # 40 bound the pinned rows, whose block is formed as this sum
     first = build_geometry(kind, 1)
     if dipoles is not None:
         first = assign_dipoles(first, dipoles)
-    for n_cells in (1, 2, 7, 30, 100):
+    for n_cells in (1, 2, 7, 24, 30, 40, 100):
         geo = build_geometry(kind, n_cells)
         if dipoles is not None:
             geo = assign_dipoles(geo, dipoles)
@@ -187,10 +187,10 @@ def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
             assert np.array_equal(
                 h.excited_block,
                 np.kron(chain, np.eye(n)) + np.kron(np.eye(n_cells), cell))
-            assert np.array_equal(chain, chain_block(
+            assert np.array_equal(chain, factor_blocks(
                 geo, HamiltonianParams(jb=10.0,
-                                       dipole_mode=params.dipole_mode)))
-            assert np.array_equal(cell, cell_block(first, params))
+                                       dipole_mode=params.dipole_mode))[0])
+            assert np.array_equal(cell, factor_blocks(first, params)[1])
 
 
 def test_disorder_and_differing_cells_record_no_factors():
@@ -202,8 +202,7 @@ def test_disorder_and_differing_cells_record_no_factors():
     per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
     dipolar = HamiltonianParams(dipole_mode=True)
     assert build_hamiltonian(per_site, dipolar).factors is None
-    assert chain_block(per_site, dipolar) is None
-    assert cell_block(per_site, dipolar) is None
+    assert factor_blocks(per_site, dipolar) is None
     # dipoles the Hamiltonian does not use do not matter
     assert build_hamiltonian(per_site, HamiltonianParams()).factors is not None
     # a cell whose sites do not share one x, or a layout that is not
@@ -265,3 +264,10 @@ def test_non_finite_sigma_rejected():
     for sigma in (np.nan, np.inf):
         with pytest.raises(HamiltonianError, match="sigma"):
             DisorderSpec(sigma=sigma)
+
+
+@pytest.mark.parametrize("name", ["delta_e", "e0", "eg", "jb"])
+def test_non_finite_parameters_rejected_by_name(name):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(HamiltonianError, match=f"^{name} must be finite"):
+            HamiltonianParams(**{name: value})

@@ -380,7 +380,7 @@ def chain_and_cell_blocks(h):
 def sector_eigen(h):
     """The sector path on a clean chain's factor solves."""
     return _sector_eigen(*map(_factor_eigen, h.factors),
-                         lambda: h.excited_block, h.geometry.positions)
+                         h.geometry.positions)
 
 
 def takes_pinned_path(h):
