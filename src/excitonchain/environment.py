@@ -23,6 +23,7 @@ spectrum carries a Bose-Einstein factor and satisfies detailed balance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ class ChannelError(ValueError):
     """Raised for invalid channel parameters."""
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ChannelError(f"{name} must be finite, got {value}")
+
+
 def drude_lorentz(omega, coupling: float, width: float, peak: float,
                   temperature: float):
     """Thermalized Drude-Lorentz rate density.
@@ -44,8 +51,11 @@ def drude_lorentz(omega, coupling: float, width: float, peak: float,
 
     evaluated elementwise; the omega -> 0 limit is finite and equals
     pi * width * coupling * T / (width^2 + peak^2).  The spontaneous part
-    peaks at sqrt(peak^2 + width^2).
+    peaks at sqrt(peak^2 + width^2).  Every parameter must be finite, and
+    the width and temperature positive.
     """
+    _check_finite(coupling=coupling, width=width, peak=peak,
+                  temperature=temperature)
     if temperature <= 0 or width <= 0:
         raise ChannelError("temperature and width must be positive")
     omega = np.asarray(omega, dtype=float)
@@ -64,8 +74,9 @@ def step_spectrum(omega, rate: float, direction: str):
     """One-sided flat rate density: ``rate`` on one half-line, 0 elsewhere.
 
     The value at omega = 0 is 0 for both directions, so exact degeneracies
-    never drive these channels.
+    never drive these channels.  The rate must be finite and >= 0.
     """
+    _check_finite(rate=rate)
     if rate < 0:
         raise ChannelError(f"rate must be >= 0, got {rate}")
     omega = np.asarray(omega, dtype=float)
@@ -172,9 +183,8 @@ class EnvironmentParams:
     bath_peak: float | None = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if value is not None and not np.isfinite(value):
-                raise ChannelError(f"{name} must be finite, got {value}")
+        _check_finite(**{name: value for name, value in vars(self).items()
+                         if value is not None})
 
     def resolve_peak(self, delta_e: float) -> float:
         if self.bath_peak is not None:

@@ -4,12 +4,13 @@ Every experiment is a pure function of its spec: runs are keyed by
 (geometry, coupling, size, realization) and aggregated in deterministic
 order, so identical specs reproduce identical tables.
 
-Sweeps and disorder ensembles share one chunk runner, :func:`_solve_chunk`:
-fixed-size stacks (:func:`_chunk_size`) of rows of one geometry (excited
-blocks or clean factor pairs) go through the one diagonalizer
-``spectral._eigen_rows``, then a measure such as the stacked PME solve
-(``pme._steady_reports``).  ``jobs`` threads share out the chains or
-chunks; every row comes back as its value or the error it failed with.
+Sweeps and disorder ensembles share one row runner, :func:`_solve_rows`:
+it cuts a point's rows of one geometry (excited blocks or clean factor
+pairs) into fixed-size stacks (:func:`_chunk_size`), shares them out to
+``jobs`` threads, diagonalizes each with the one diagonalizer
+``spectral._eigen_rows`` and hands it to a measure such as the stacked
+PME solve (``pme._steady_reports``); every row comes back as its value
+or the error it failed with.
 
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
@@ -21,12 +22,15 @@ chunks; every row comes back as its value or the error it failed with.
   :func:`solve_point`'s reports exactly.  A failing point raises what
   :func:`solve_point` raises there: the first such point of its
   geometry in grid order.
-- A disorder ensemble builds the clean geometry, Hamiltonian and
-  channels once per grid point; disorder only shifts the excited
-  diagonal, so each realization is the clean excited block plus its
-  seeded draw (the same numbers ``apply_disorder`` adds), diagonalized in
-  stacks.  A realization that fails a check is recorded with its error
-  class and the others are unaffected.
+- An ensemble point (:func:`_ensemble`) builds its geometry, channels and
+  clean Hamiltonian once and solves the clean row first, on the same
+  runner and measure as its realizations, so the clean value is
+  :func:`solve_point`'s exactly; a failure there is raised.  Disorder
+  only shifts the excited diagonal, so each realization is the clean
+  excited block plus its seeded draw (the same numbers ``apply_disorder``
+  adds), diagonalized in stacks; at sigma = 0 every realization is the
+  clean value.  A realization that fails a check is recorded with its
+  error class and the others are unaffected.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
                   site_populations, solve_steady_state)
 from .spectral import (EigenSystem, _brightness_rows, _dark_mask,
                        _eigen_row, _eigen_rows, _factor_eigen, _rate_rows,
-                       brightness, diagonalize, transition_matrix)
+                       diagonalize, transition_matrix)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
 # doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
@@ -107,6 +112,8 @@ class SweepSpec:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -356,8 +363,8 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     """Reports of one chain at every coupling of a sweep.
 
     The geometry, channels and chain block T are built once and the
-    couplings solved in chunks (:func:`_solve_chunk`): each eigensystem
-    feeds its chunk's stacked PME solve and its own BRME solve.  A clean
+    couplings solved in stacks (:func:`_solve_rows`): each eigensystem
+    feeds its stack's PME solve and its own BRME solve.  A clean
     chain's row is its factor pair: T with its eigh, solved here once,
     and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
     Hamiltonian is built for it.  A chain that is not clean gives its
@@ -376,10 +383,10 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
                 spec.ham, jb, spec.dipole_scheme)).excited_block
         return chain, cells[jb]
 
-    def measure(energies, vectors, _) -> list[dict]:
+    def measure(energies, vectors) -> list[dict]:
         solved: list[dict] = [{} for _ in energies]
         if "pme" in methods:
-            pme = _steady_reports(*_rate_rows(energies, vectors, channels))
+            pme = _pme_rows(channels, energies, vectors)
             for out, report in zip(solved, pme):
                 if isinstance(report, SteadyStateReport):
                     _warn_low_ground(report)
@@ -395,32 +402,37 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
         return solved
 
     jbs = spec.jb_values
+    values = _solve_rows(lambda rows: [row(jbs[r]) for r in rows], len(jbs),
+                         spec.ham.eg, geometry, measure, 1)
+    return {(jb, method): value if isinstance(value, Exception)
+            else value[method] for jb, value in zip(jbs, values)
+            for method in methods}
+
+
+def _solve_rows(rows, count: int, eg: float, geometry, measure,
+                jobs: int) -> list:
+    """Per row 0..count-1 of one geometry, its value or the error it
+    failed with.
+
+    The row indices are cut into stacks of :func:`_chunk_size` rows, which
+    ``jobs`` threads share out.  ``rows(indices)`` makes a stack's rows
+    (excited blocks or clean factor pairs, see ``spectral._eigen_rows``);
+    the stack is diagonalized and freed, and ``measure(energies,
+    vectors)`` then gives the values of its rows that diagonalized.
+    """
     size = _chunk_size(geometry.n_sites + 1)
-    reports: dict = {}
-    for lo in range(0, len(jbs), size):
-        chunk = jbs[lo:lo + size]
-        values = _solve_chunk(lambda: [row(jb) for jb in chunk],
-                              spec.ham.eg, geometry, measure)
-        for jb, value in zip(chunk, values):
-            for method in methods:
-                reports[(jb, method)] = (value if isinstance(value, Exception)
-                                         else value[method])
-    return reports
 
+    def run(indices: range) -> list:
+        energies, vectors, out = _eigen_rows(rows(indices), eg, geometry)
+        good = [r for r, error in enumerate(out) if error is None]
+        if good:
+            for r, value in zip(good, measure(energies[good], vectors[good])):
+                out[r] = value
+        return out
 
-def _solve_chunk(stack, eg: float, geometry, measure) -> list:
-    """Per row of a stack of rows of one geometry (excited blocks or factor
-    solves, see ``spectral._eigen_rows``), its value or the error it
-    failed with.  The stack, made by ``stack()``, is diagonalized and
-    freed; ``measure(energies, vectors, rows)`` then gives the values of
-    the rows that diagonalized (``rows``: their indices)."""
-    energies, vectors, out = _eigen_rows(stack(), eg, geometry)
-    good = [r for r, error in enumerate(out) if error is None]
-    if good:
-        for r, value in zip(good, measure(energies[good], vectors[good],
-                                          good)):
-            out[r] = value
-    return out
+    stacks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+    return [value for values in _map_in_order(run, stacks, jobs)
+            for value in values]
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -429,67 +441,66 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return int(state.generate_state(1, dtype=np.uint64)[0])
 
 
-def _ensemble(system, sigma: float, seed: int, n_realizations: int,
-              jobs: int, measure) -> list:
-    """Evaluate seeded disorder realizations of a clean system in chunks.
+def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
+              measure) -> tuple:
+    """(clean value, per realization its value or error) of one grid
+    point at the spec's first chain length, each measured on
+    :func:`_solve_rows` by ``measure(channels, energies, vectors)``.
 
-    ``system`` is a clean :func:`build_system` result.  Realization r adds
-    ``DisorderSpec(sigma, seed, r).draw(n_sites)`` to the clean excited
-    diagonal, exactly as ``apply_disorder`` does; at ``sigma = 0`` it is
-    the clean system's row, so it reproduces the clean point.  Returns per
-    realization, in index order, what ``measure(energies, vectors, rows)``
-    makes of it in its chunk (:func:`_solve_chunk`) or the error it failed
-    with.
+    The clean row (``spectral._eigen_row``) is solved first, alone, and
+    its failure is raised.  Realization r adds ``DisorderSpec(sigma, seed,
+    r).draw(n_sites)`` to the clean excited diagonal, as ``apply_disorder``
+    does; at ``sigma = 0`` it is the clean value.
     """
-    h = system[1]
-    sites = np.arange(h.geometry.n_sites)
-    size = _chunk_size(h.dimension)
-    clean = _eigen_row(h) if sigma == 0 else None
+    geometry, channels = _chain(kind, spec.n_cells_values[0], spec.ham,
+                                spec.env, spec.dipole_scheme,
+                                spec.injection_mode)
+    h = build_hamiltonian(geometry, _params(spec.ham, jb, spec.dipole_scheme))
+    sigma, count = spec.disorder.sigma, spec.disorder.n_realizations
+    measure = partial(measure, channels)
+    [clean] = _solve_rows(lambda _: [_eigen_row(h)], 1, spec.ham.eg,
+                          geometry, measure, 1)
+    if isinstance(clean, Exception):
+        raise clean
+    if sigma == 0:
+        return clean, [clean] * count
+    sites = np.arange(geometry.n_sites)
 
-    def run(indices) -> list:
-        def stack():
-            if clean is not None:
-                return [clean] * len(indices)
-            # adding to the diagonal keeps the clean block's checked symmetry
-            blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
-            blocks[:, sites, sites] += np.array(
-                [DisorderSpec(sigma, seed, r).draw(sites.size)
-                 for r in indices])
-            return blocks
+    def stack(indices: range) -> np.ndarray:
+        # the built block is symmetric, and a diagonal shift keeps it so
+        blocks = np.repeat(h.excited_block[None], len(indices), axis=0)
+        blocks[:, sites, sites] += np.array(
+            [DisorderSpec(sigma, seed, r).draw(sites.size) for r in indices])
+        return blocks
 
-        return _solve_chunk(stack, h.matrix[0, 0], h.geometry, measure)
-
-    chunks = [range(lo, min(lo + size, n_realizations))
-              for lo in range(0, n_realizations, size)]
-    return [value for chunk in _map_in_order(run, chunks, jobs)
-            for value in chunk]
+    return clean, _solve_rows(stack, count, spec.ham.eg, geometry, measure,
+                              spec.jobs)
 
 
-def _disorder_currents(system, sigma: float, seed: int, n_realizations: int,
-                       jobs: int = 1) -> tuple[list[float], list[str]]:
-    """Steady currents of seeded disorder realizations of a clean system.
+def _pme_rows(channels, energies, vectors) -> list:
+    """PME reports (or errors) of a stack of eigensystems."""
+    return _steady_reports(*_rate_rows(energies, vectors, channels))
 
-    Returns (currents, errors): per realization its current and "", or NaN
-    and the name of the error class it failed with.  One warning counts
-    the realizations whose ground population is at or below
-    ``MIN_GROUND_POPULATION``.
-    """
-    results = _ensemble(system, sigma, seed, n_realizations, jobs,
-                        lambda energies, vectors, _: _steady_reports(
-                            *_rate_rows(energies, vectors, system[3])))
-    solved = [isinstance(report, SteadyStateReport) for report in results]
-    low = sum(report.ground_population <= MIN_GROUND_POPULATION
-              for report, ok in zip(results, solved) if ok)
+
+def _realization_rows(point: dict, reports: list) -> list[dict]:
+    """One row per realization: ``point``, the realization index, and its
+    current and "", or NaN and the name of the error class it failed
+    with.  One warning counts the realizations whose ground population is
+    at or below ``MIN_GROUND_POPULATION``."""
+    rows, low = [], 0
+    for r, report in enumerate(reports):
+        ok = isinstance(report, SteadyStateReport)
+        if ok and report.ground_population <= MIN_GROUND_POPULATION:
+            low += 1
+        rows.append({**point, "realization": r,
+                     "current": report.current if ok else np.nan,
+                     "error": "" if ok else type(report).__name__})
     if low:
         warnings.warn(
-            f"{low} of {n_realizations} disorder realizations have a ground "
+            f"{low} of {len(reports)} disorder realizations have a ground "
             f"population <= {MIN_GROUND_POPULATION}; the single-excitation "
             "treatment may not be justified at these rates", stacklevel=3)
-    currents = [report.current if ok else np.nan
-                for report, ok in zip(results, solved)]
-    errors = ["" if ok else type(report).__name__
-              for report, ok in zip(results, solved)]
-    return currents, errors
+    return rows
 
 
 def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
@@ -504,28 +515,23 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     _pme_only(spec, "a disorder ensemble")
     stats: list[dict] = []
     raw: list[dict] = []
-    n_cells = spec.n_cells_values[0]
     for gi, kind in enumerate(spec.geometries):
         for ji, jb in enumerate(spec.jb_values):
-            system = build_system(kind, n_cells, jb, spec.ham, spec.env,
-                                  dipole_scheme=spec.dipole_scheme,
-                                  injection_mode=spec.injection_mode)
-            clean = _solve_system(system)
-            currents, errors = _disorder_currents(
-                system, spec.disorder.sigma,
-                derive_seed(spec.disorder.base_seed, gi, ji),
-                spec.disorder.n_realizations, spec.jobs)
+            clean, reports = _ensemble(
+                spec, kind, jb, derive_seed(spec.disorder.base_seed, gi, ji),
+                _pme_rows)
+            _warn_low_ground(clean)
+            point = {"geometry": kind, "jb": jb}
+            rows = _realization_rows(point, reports)
             if spec.keep_raw:
-                raw.extend({"geometry": kind, "jb": jb, "realization": r,
-                            "current": current, "error": error}
-                           for r, (current, error)
-                           in enumerate(zip(currents, errors)))
-            solved = np.array([c for c, e in zip(currents, errors) if not e])
+                raw.extend(rows)
+            solved = np.array([row["current"] for row in rows
+                               if not row["error"]])
             entry = {
-                "geometry": kind, "jb": jb,
+                **point,
                 "sigma": spec.disorder.sigma,
                 "n_realizations": spec.disorder.n_realizations,
-                "n_failed": len(currents) - solved.size,
+                "n_failed": len(rows) - solved.size,
                 "clean_current": clean.current,
             }
             if solved.size:
@@ -553,32 +559,25 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
     """
     _pme_only(spec, "a regime grid")
     rows: list[dict] = []
-    n_cells = spec.n_cells_values[0]
     for gi, kind in enumerate(spec.geometries):
         for fi, factor in enumerate(gamma_nr_factors):
             env_point = replace(spec.env,
                                 gamma_nr=factor * spec.env.gamma_rad)
             for di, scheme in enumerate((None, "transport")):
+                point_spec = replace(spec, env=env_point, dipole_scheme=scheme)
                 for ji, jb in enumerate(spec.jb_values):
-                    system = build_system(kind, n_cells, jb, spec.ham,
-                                          env_point, dipole_scheme=scheme,
-                                          injection_mode=spec.injection_mode)
+                    clean, reports = _ensemble(
+                        point_spec, kind, jb,
+                        derive_seed(spec.disorder.base_seed, gi, fi, di, ji),
+                        _pme_rows)
+                    _warn_low_ground(clean)
                     point = {"geometry": kind, "jb": jb,
                              "gamma_nr": env_point.gamma_nr,
                              "dipoles": "on" if scheme else "off"}
                     rows.append({**point, "realization": -1,
-                                 "current": _solve_system(system).current,
-                                 "error": ""})
-                    if spec.disorder.sigma <= 0:
-                        continue
-                    currents, errors = _disorder_currents(
-                        system, spec.disorder.sigma,
-                        derive_seed(spec.disorder.base_seed, gi, fi, di, ji),
-                        spec.disorder.n_realizations, spec.jobs)
-                    rows.extend({**point, "realization": r,
-                                 "current": current, "error": error}
-                                for r, (current, error)
-                                in enumerate(zip(currents, errors)))
+                                 "current": clean.current, "error": ""})
+                    if spec.disorder.sigma > 0:
+                        rows.extend(_realization_rows(point, reports))
     return rows
 
 
@@ -593,26 +592,13 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """
     state_rows: list[dict] = []
     census_rows: list[dict] = []
-    n_cells = spec.n_cells_values[0]
     for gi, kind in enumerate(spec.geometries):
         for ji, jb in enumerate(spec.jb_values):
-            system = build_system(kind, n_cells, jb, spec.ham, spec.env,
-                                  dipole_scheme=spec.dipole_scheme,
-                                  injection_mode=spec.injection_mode)
-            clean_b = brightness(system[2], system[3])
-
-            def measure(energies, vectors, _) -> list[tuple]:
-                b = _brightness_rows(vectors, system[3])
-                n_dark = _dark_mask(b[:, 1:], spec.dark_threshold)[0].sum(1)
-                return [(row, b.shape[1] - 1 - dark, dark)
-                        for row, dark in zip(b, n_dark.tolist())]
-
-            results = _ensemble(system, spec.disorder.sigma,
-                                derive_seed(spec.disorder.base_seed, gi, ji),
-                                spec.disorder.n_realizations, spec.jobs,
-                                measure)
-            solved = [value[0] for value in results
-                      if not isinstance(value, Exception)]
+            clean_b, results = _ensemble(
+                spec, kind, jb, derive_seed(spec.disorder.base_seed, gi, ji),
+                lambda channels, _, vectors: list(
+                    _brightness_rows(vectors, channels)))
+            solved = [b for b in results if not isinstance(b, Exception)]
             all_b = (np.stack(solved) if solved
                      else np.full((1, clean_b.size), np.nan))
             for k in range(1, all_b.shape[1]):
@@ -625,11 +611,13 @@ def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                     "min": float(all_b[:, k].min()),
                     "max": float(all_b[:, k].max()),
                 })
-            for r, value in enumerate(results):
-                failed = isinstance(value, Exception)
-                _, n_bright, n_dark = (None,) * 3 if failed else value
+            for r, b in enumerate(results):
+                failed = isinstance(b, Exception)
+                dark = None if failed else int(
+                    _dark_mask(b[1:], spec.dark_threshold)[0].sum())
                 census_rows.append({
                     "geometry": kind, "jb": jb, "realization": r,
-                    "n_bright": n_bright, "n_dark": n_dark,
-                    "error": type(value).__name__ if failed else ""})
+                    "n_bright": None if failed else b.size - 1 - dark,
+                    "n_dark": dark,
+                    "error": type(b).__name__ if failed else ""})
     return state_rows, census_rows

@@ -345,6 +345,17 @@ def test_repeated_sweep_values_fail_by_name(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweeps_reject_fewer_than_one_job_by_name(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["length-sweep", "--geometries", "dimer", "--n-min", "2",
+                 "--n-max", "3", "--jobs", jobs, "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == f"jobs must be >= 1, got {jobs}"
+    assert not out.exists()
+
+
 def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys):
     assert main(["steady", "--geometry", "mono", "--n-cells", "2",
                  "--method", "both", "--out", str(tmp_path)]) == 1

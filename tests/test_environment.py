@@ -74,6 +74,34 @@ def test_drude_lorentz_input_validation():
         dl(1.0, width=0.0)
 
 
+@pytest.mark.parametrize("name", ["coupling", "width", "peak",
+                                  "temperature"])
+def test_drude_lorentz_rejects_non_finite_parameters_by_name(name):
+    # a NaN temperature used to give the zero-temperature spectrum silently
+    for value in (np.nan, np.inf, -np.inf):
+        args = {**DL_ARGS, name: value}
+        message = f"^{name} must be finite, got {value}$"
+        with pytest.raises(ChannelError, match=message):
+            drude_lorentz(-1.0, **args)
+        with pytest.raises(ChannelError, match=message):
+            DrudeLorentzBath(**args)(np.array([-1.0, 1.0]))
+    if name in ("width", "temperature"):
+        with pytest.raises(ChannelError, match="must be positive"):
+            dl(1.0, **{name: -1.0})
+
+
+def test_step_spectrum_rejects_a_non_finite_rate_by_name():
+    # a NaN rate used to give NaN rates
+    for value in (np.nan, np.inf, -np.inf):
+        message = f"^rate must be finite, got {value}$"
+        with pytest.raises(ChannelError, match=message):
+            step_spectrum(1.0, value, "up")
+        with pytest.raises(ChannelError, match=message):
+            FlatStep(value, "down")(np.array([-1.0, 1.0]))
+    with pytest.raises(ChannelError, match="^rate must be >= 0"):
+        step_spectrum(1.0, -0.1, "up")
+
+
 def test_step_spectrum_reference_points():
     assert step_spectrum(1.0, 0.021, "up") == 0.021
     assert step_spectrum(-1.0, 0.021, "up") == 0.0

@@ -14,7 +14,7 @@ from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams)
 from excitonchain.pme import SteadyStateError
-from excitonchain.spectral import SpectralError
+from excitonchain.spectral import SpectralError, brightness
 
 HAM = HamiltonianParams()
 ENV = EnvironmentParams()
@@ -322,7 +322,7 @@ def test_lossless_profile_is_flattest():
 
 @pytest.mark.parametrize("kind", ["mono", "dimer"])
 def test_disorder_ensemble_zero_sigma_collapses(kind):
-    # the sigma = 0 rows are the clean chain's factor pair
+    # at sigma = 0 every realization is the clean value
     spec = small_spec(geometries=(kind,), n_cells_values=(4,),
                       disorder=DisorderEnsembleSpec(sigma=0.0,
                                                     n_realizations=5,
@@ -378,26 +378,34 @@ def test_regime_grid_layout():
 
 
 def test_ensembles_count_solver_failures_and_propagate_bugs(monkeypatch):
-    # faults are injected at the ensemble engine's steady-state kernel; the
-    # clean solves go through pme's own binding and stay untouched
+    # faults are injected at the ensemble engine's steady-state kernel, into
+    # the realization stacks only: the clean row is solved alone, as a stack
+    # of one, and the two realizations share one stack
     spec = small_spec(n_cells_values=(3,),
                       disorder=DisorderEnsembleSpec(sigma=0.9,
                                                     n_realizations=2))
+    real = experiments._steady_reports
 
-    def bug(w, blocks):
+    def realizations_only(fault):
+        return lambda w, ground: (real(w, ground) if len(w) == 1
+                                  else fault(w))
+
+    def bug(w):
         raise TypeError("injected")
 
-    def unsolvable(w, blocks):
+    def unsolvable(w):
         return [SteadyStateError("injected")] * len(w)
 
     # a programming error inside a realization is not a failed solve
-    monkeypatch.setattr(experiments, "_steady_reports", bug)
+    monkeypatch.setattr(experiments, "_steady_reports",
+                        realizations_only(bug))
     with pytest.raises(TypeError, match="injected"):
         disorder_ensemble(spec)
     with pytest.raises(TypeError, match="injected"):
         regime_grid(spec, gamma_nr_factors=(1.0,))
     # a numerical failure is counted and the ensemble goes on
-    monkeypatch.setattr(experiments, "_steady_reports", unsolvable)
+    monkeypatch.setattr(experiments, "_steady_reports",
+                        realizations_only(unsolvable))
     stats, raw = disorder_ensemble(spec)
     assert stats[0]["n_failed"] == 2
     assert np.isfinite(stats[0]["clean_current"])
@@ -445,11 +453,64 @@ def test_ensemble_engine_matches_solve_point(case):
         assert row["current"] == reference.current
 
 
+@pytest.mark.parametrize("mode", ["site", "eigen"])
+@pytest.mark.parametrize("kind", ["mono", "dimer", "prism"])
+def test_clean_ensemble_values_equal_the_per_point_pipeline(kind, mode):
+    # each ensemble point solves its clean row on the realizations' runner
+    # and measure; that row equals solve_point and brightness exactly
+    spec = small_spec(geometries=(kind,), n_cells_values=(5,),
+                      jb_values=(1.0, 10.0), injection_mode=mode,
+                      disorder=DisorderEnsembleSpec(sigma=0.5,
+                                                    n_realizations=3))
+    stats, _ = disorder_ensemble(spec)
+    for entry in stats:
+        assert entry["clean_current"] == solve_point(
+            kind, 5, entry["jb"], HAM, ENV, injection_mode=mode).current
+    factors = (0.1, 10.0)
+    rows = regime_grid(spec, gamma_nr_factors=factors)
+    clean = [row for row in rows if row["realization"] == -1]
+    assert len(clean) == len(factors) * 2 * len(spec.jb_values)
+    for row in clean:
+        env = replace(ENV, gamma_nr=row["gamma_nr"])
+        scheme = "transport" if row["dipoles"] == "on" else None
+        assert row["current"] == solve_point(
+            kind, 5, row["jb"], HAM, env, dipole_scheme=scheme,
+            injection_mode=mode).current
+    state_rows, _ = brightness_robustness(spec)
+    for jb in spec.jb_values:
+        _, _, es, channels = build_system(kind, 5, jb, HAM, ENV,
+                                          injection_mode=mode)
+        expected = brightness(es, channels)[1:].tolist()
+        assert [row["clean_brightness"] for row in state_rows
+                if row["jb"] == jb] == expected
+
+
+def test_zero_sigma_ensembles_diagonalize_only_the_clean_row(monkeypatch):
+    # at sigma = 0 every realization is the clean value, solved once
+    solves = spy(monkeypatch, "_eigen_rows")
+    spec = small_spec(n_cells_values=(4,), jb_values=(1.0, 10.0),
+                      disorder=DisorderEnsembleSpec(sigma=0.0,
+                                                    n_realizations=8))
+    _, raw = disorder_ensemble(spec)
+    assert len(raw) == 16
+    assert [len(rows) for rows, _, _ in solves] == [1, 1]
+    solves.clear()
+    _, census_rows = brightness_robustness(spec)
+    assert len(census_rows) == 16
+    assert [len(rows) for rows, _, _ in solves] == [1, 1]
+
+
 def test_ensemble_engine_isolates_failed_realizations():
     # at sigma = 40 two of these 40 draws push a level below the ground
     # state, which solve_point rejects with SpectralError
-    system = build_system("dimer", 4, 10.0, HAM, ENV)
-    currents, errors = experiments._disorder_currents(system, 40.0, 3, 40)
+    spec = small_spec(n_cells_values=(4,), jb_values=(10.0,),
+                      disorder=DisorderEnsembleSpec(sigma=40.0,
+                                                    n_realizations=40))
+    _, reports = experiments._ensemble(spec, "dimer", 10.0, 3,
+                                       experiments._pme_rows)
+    rows = experiments._realization_rows({}, reports)
+    currents = [row["current"] for row in rows]
+    errors = [row["error"] for row in rows]
     failed = 0
     for r in range(40):
         try:
