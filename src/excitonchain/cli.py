@@ -85,6 +85,11 @@ class RunConfig:
     brme_max_cells: int = 20
     keep_raw: bool = True
 
+    def __post_init__(self):
+        # checked here, so every command rejects it before writing anything
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
     def ham_params(self) -> HamiltonianParams:
         return HamiltonianParams(delta_e=self.delta_e, e0=self.e0,
                                  eg=self.eg, jb=self.jb,

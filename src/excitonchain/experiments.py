@@ -42,7 +42,6 @@ from functools import partial
 
 import numpy as np
 
-from .brme import build_liouvillian, brme_steady_state
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
@@ -214,6 +213,8 @@ def _solve_system(system, method: str = "pme") -> SteadyStateReport:
     if method == "pme":
         return solve_steady_state(transition_matrix(es, channels))
     if method == "brme":
+        from .brme import brme_steady_state, build_liouvillian  # loads scipy
+
         return brme_steady_state(build_liouvillian(es, channels))
     raise ValueError(f"a point solves with 'pme' or 'brme', not {method!r}")
 
@@ -392,6 +393,8 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
                     _warn_low_ground(report)
                 out["pme"] = report
         if "brme" in methods:
+            from .brme import brme_steady_state, build_liouvillian
+
             for out, eps, vecs in zip(solved, energies, vectors):
                 es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
                 try:

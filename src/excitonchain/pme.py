@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .defaults import MIN_GROUND_POPULATION
 from .spectral import EigenSystem, RateMatrix
@@ -117,6 +116,9 @@ def _closed_classes(rates: np.ndarray) -> list[list[int]]:
     np.fill_diagonal(edges, False)
     if _reaches_all(edges) and _reaches_all(edges.T):
         return [list(range(edges.shape[0]))]
+    # only a graph that is not strongly connected loads scipy
+    from scipy.sparse.csgraph import connected_components
+
     n_classes, labels = connected_components(edges, directed=True,
                                              connection="strong")
     src, dst = np.nonzero(edges)

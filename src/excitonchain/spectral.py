@@ -10,9 +10,9 @@ rows, and picks one of three paths per row:
   cell block (B = [[0]] for one site per cell).  Clean is decided by
   construction (no disorder, no dipoles or one dipole on every site:
   ``Hamiltonian.factors``), never by testing the block.  Such a row is
-  the factor pair ((T, t, U), (B, b, W)), each block with its eigh,
-  which a sweep solves once per chain length and once per coupling:
-  energies t_i + b_j, vectors U_i (x) W_j;
+  the factor pair ((T, t, U), (B, b, W)), each block with its numpy eigh
+  (LAPACK syevd), which a sweep solves once per chain length and once per
+  coupling: energies t_i + b_j, vectors U_i (x) W_j;
 - every other row comes as its excited block (disorder, per-site
   dipoles) and is solved with the other such rows of its stack by one
   stacked full-space eigh (LAPACK syevd, divide and conquer); a block
@@ -21,7 +21,8 @@ rows, and picks one of three paths per row:
   distinct levels of B is solved alone from the Kronecker sum of its
   factors, which equals its excited block bit for bit, by scipy's eigh
   (LAPACK syevr): that solver's arbitrary mixture inside the tie is the
-  basis that stored results pin.
+  basis that stored results pin.  Only these rows load scipy here, at
+  their first solve.
 
 Every path then fixes a deterministic basis:
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .defaults import DARK_THRESHOLD
 from .environment import Channel
@@ -253,21 +253,24 @@ def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
     distinct levels of B comes here: the vectors inside that tie are
     syevr's arbitrary mixture, which stored results pin.
     """
+    import scipy.linalg  # only these rows load scipy, at their first solve
+
     try:
         eps, vecs = scipy.linalg.eigh(block)
-    except scipy.linalg.LinAlgError:  # pragma: no cover - rare
+    except np.linalg.LinAlgError:  # pragma: no cover - rare
         return np.full(len(block), np.nan), np.full(block.shape, np.nan)
     return eps, _resolve_degeneracies(eps, vecs, positions)[0]
 
 
 def _factor_eigen(block: np.ndarray) -> tuple:
-    """A clean chain's chain block T or cell block B with its eigh (LAPACK
-    syevr): the half (block, levels, vectors) of a factor-pair row."""
+    """A clean chain's chain block T or cell block B with its numpy eigh
+    (LAPACK syevd): the half (block, levels, vectors) of a factor-pair
+    row.  Only the pinned rows (:func:`_pinned_eigen`) use syevr."""
     if not np.isfinite(block).all():
         raise SpectralError("excited block has non-finite entries")
     try:
-        return (block, *scipy.linalg.eigh(block, check_finite=False))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        return (block, *np.linalg.eigh(block))
+    except np.linalg.LinAlgError as exc:
         raise SpectralError("eigendecomposition did not converge") from exc
 
 

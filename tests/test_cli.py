@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import pytest
@@ -356,6 +359,19 @@ def test_sweeps_reject_fewer_than_one_job_by_name(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["steady", "--geometry", "mono", "--n-cells", "2"],
+    ["eigen", "--geometry", "dimer", "--n-cells", "2"],
+], ids=["steady", "eigen"])
+def test_every_command_rejects_fewer_than_one_job(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--jobs", "0", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "jobs must be >= 1, got 0"
+    assert not out.exists()
+
+
 def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys):
     assert main(["steady", "--geometry", "mono", "--n-cells", "2",
                  "--method", "both", "--out", str(tmp_path)]) == 1
@@ -373,3 +389,54 @@ def test_solver_failure_produces_error_record(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SpectralError"
     assert not (tmp_path / "steady_state.json").exists()
+
+
+SCIPY_FREE_SCRIPT = """
+import json, sys
+from excitonchain import cli
+
+out = sys.argv[1]
+for args in (
+        ["disorder", "--geometries", "dimer,prism", "--n-cells", "6",
+         "--jb-values", "1,10", "--n-realizations", "5"],
+        ["steady", "--geometry", "prism", "--n-cells", "5"],
+        ["length-sweep", "--geometries", "mono,dimer,cuboid", "--n-min", "2",
+         "--n-max", "8"]):
+    assert cli.main([*args, "--jobs", "2", "--out", f"{out}/{args[0]}"]) == 0
+loaded = {"population": sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")}
+
+import excitonchain
+from excitonchain import EnvironmentParams, HamiltonianParams
+from excitonchain.experiments import solve_point
+
+pinned = solve_point("dimer", 24, 1.0, HamiltonianParams(),
+                     EnvironmentParams()).current
+loaded["pinned"] = "scipy.linalg" in sys.modules
+names = {}
+exec("from excitonchain import *", names)
+brme = solve_point("prism", 3, 1.0, HamiltonianParams(), EnvironmentParams(),
+                   method="brme").current
+print(json.dumps({**loaded, "pinned_current": pinned, "brme_current": brme,
+                  "resolves": callable(excitonchain.brme_steady_state),
+                  "unbound": sorted(set(excitonchain.__all__) - set(names))}))
+"""
+
+
+def test_population_runs_start_without_scipy(tmp_path):
+    # a fresh interpreter, so no other test's imports count
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT,
+                          str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    result = json.loads(run.stdout)
+    assert result["population"] == []
+    for name in ("disorder/disorder_raw.csv", "steady/steady_state.json",
+                 "length-sweep/length_sweep.csv"):
+        assert (tmp_path / name).stat().st_size > 0
+    # the pinned rows and the density-matrix solver load scipy when they run
+    assert result["pinned"]
+    assert result["pinned_current"] > 0
+    assert result["brme_current"] > 0
+    assert result["resolves"]
+    assert result["unbound"] == []

@@ -486,6 +486,9 @@ def test_a_failing_row_of_the_stacked_solve_fails_alone(monkeypatch):
     eigh = np.linalg.eigh
 
     def failing_eigh(blocks):
+        # only the stacked solve and its row-by-row retry come here: factor
+        # solves use the same numpy eigh, but this stack has no clean row
+        assert blocks.ndim == 3
         # LAPACK fails on one row, which fails every stacked call holding it
         if any(np.array_equal(block, unsolvable) for block in blocks):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -506,6 +509,19 @@ def test_a_failing_row_of_the_stacked_solve_fails_alone(monkeypatch):
         alone = _eigen_rows(stack[row][None], eg, h.geometry)
         np.testing.assert_array_equal(energies[row], alone[0][0])
         np.testing.assert_array_equal(vectors[row], alone[1][0])
+
+
+def test_a_factor_solve_that_does_not_converge_raises(monkeypatch):
+    chain, _ = build_hamiltonian(build_geometry("dimer", 4),
+                                 HamiltonianParams()).factors
+
+    def failing_eigh(block):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(SpectralError,
+                       match="^eigendecomposition did not converge$"):
+        _factor_eigen(chain)
 
 
 REFERENCE_FILE = (Path(__file__).resolve().parents[1] / "perfbench"
