@@ -92,8 +92,7 @@ class RunConfig:
 
     def ham_params(self) -> HamiltonianParams:
         return HamiltonianParams(delta_e=self.delta_e, e0=self.e0,
-                                 eg=self.eg, jb=self.jb,
-                                 dipole_mode=self.dipoles != "none")
+                                 eg=self.eg, jb=self.jb)
 
     def env_params(self) -> EnvironmentParams:
         return EnvironmentParams(

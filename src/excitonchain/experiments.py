@@ -165,7 +165,7 @@ def build_system(kind: str, n_cells: int, jb: float,
     """Assemble geometry, Hamiltonian, eigensystem and channels for one run."""
     geometry, channels = _chain(kind, n_cells, ham, env, dipole_scheme,
                                 injection_mode)
-    h = build_hamiltonian(geometry, _params(ham, jb, dipole_scheme))
+    h = build_hamiltonian(geometry, replace(ham, jb=jb))
     if disorder_spec is not None and disorder_spec.sigma > 0:
         h = apply_disorder(h, disorder_spec)
     return geometry, h, diagonalize(h), channels
@@ -187,11 +187,6 @@ def _geometry(kind: str, n_cells: int, dipole_scheme: str | None):
     if dipole_scheme is None:
         return geometry
     return assign_dipoles(geometry, dipole_scheme)
-
-
-def _params(ham: HamiltonianParams, jb: float,
-            dipole_scheme: str | None) -> HamiltonianParams:
-    return replace(ham, jb=jb, dipole_mode=dipole_scheme is not None)
 
 
 def solve_point(kind: str, n_cells: int, jb: float,
@@ -235,18 +230,18 @@ def _map_in_order(fn, items, jobs: int) -> list:
 
 def population_profile(kind: str, n_cells: int, jb: float,
                        gamma_rad_values, ham: HamiltonianParams,
-                       env: EnvironmentParams, jobs: int = 1) -> list[dict]:
-    """Per-site steady populations relative to site 1, per radiative rate."""
-
-    def one(gamma_rad: float) -> list[dict]:
-        env_point = replace(env, gamma_rad=gamma_rad)
-        system = build_system(kind, n_cells, jb, ham, env_point)
-        es = system[2]
-        report = _solve_system(system)
+                       env: EnvironmentParams) -> list[dict]:
+    """Per-site steady populations relative to site 1, per radiative rate,
+    all on one eigensystem of the chain (no dipoles, site injection)."""
+    geometry = build_geometry(kind, n_cells)
+    es = diagonalize(build_hamiltonian(geometry, replace(ham, jb=jb)))
+    rows = []
+    for gamma_rad in gamma_rad_values:
+        channels = build_channels(geometry, replace(env, gamma_rad=gamma_rad),
+                                  delta_e=ham.delta_e)
+        report = solve_steady_state(transition_matrix(es, channels))
         per_site = site_populations(report.populations, es)
         reference = per_site[0]
-        geometry = es.geometry
-        rows = []
         for s in range(geometry.n_sites):
             rows.append({
                 "gamma_rad": gamma_rad,
@@ -258,10 +253,7 @@ def population_profile(kind: str, n_cells: int, jb: float,
                 if reference > 0 else np.nan,
                 "ground_population": report.ground_population,
             })
-        return rows
-
-    return [row for chunk in _map_in_order(one, list(gamma_rad_values), jobs)
-            for row in chunk]
+    return rows
 
 
 def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
@@ -351,8 +343,7 @@ def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
     geometry = _geometry(kind, n_cells, spec.dipole_scheme)
     cells = {}
     for jb in spec.jb_values:
-        blocks = factor_blocks(geometry, _params(spec.ham, jb,
-                                                 spec.dipole_scheme))
+        blocks = factor_blocks(geometry, replace(spec.ham, jb=jb))
         if blocks is None:
             return None
         cells[jb] = _factor_eigen(blocks[1])
@@ -374,14 +365,13 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    blocks = factor_blocks(geometry, _params(spec.ham, spec.ham.jb,
-                                             spec.dipole_scheme))
+    blocks = factor_blocks(geometry, spec.ham)  # T does not depend on jb
     chain = None if blocks is None else _factor_eigen(blocks[0])
 
     def row(jb: float):
         if chain is None:
-            return build_hamiltonian(geometry, _params(
-                spec.ham, jb, spec.dipole_scheme)).excited_block
+            return build_hamiltonian(geometry,
+                                     replace(spec.ham, jb=jb)).excited_block
         return chain, cells[jb]
 
     def measure(energies, vectors) -> list[dict]:
@@ -447,18 +437,22 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
               measure) -> tuple:
     """(clean value, per realization its value or error) of one grid
-    point at the spec's first chain length, each measured on
-    :func:`_solve_rows` by ``measure(channels, energies, vectors)``.
+    point at the spec's one chain length, each measured on
+    :func:`_solve_rows` by ``measure(channels, energies, vectors)``; a
+    spec with more lengths is rejected before any solve.
 
     The clean row (``spectral._eigen_row``) is solved first, alone, and
     its failure is raised.  Realization r adds ``DisorderSpec(sigma, seed,
     r).draw(n_sites)`` to the clean excited diagonal, as ``apply_disorder``
     does; at ``sigma = 0`` it is the clean value.
     """
+    if len(spec.n_cells_values) != 1:
+        raise ValueError("an ensemble solves one chain length, not "
+                         f"n_cells_values = {spec.n_cells_values}")
     geometry, channels = _chain(kind, spec.n_cells_values[0], spec.ham,
                                 spec.env, spec.dipole_scheme,
                                 spec.injection_mode)
-    h = build_hamiltonian(geometry, _params(spec.ham, jb, spec.dipole_scheme))
+    h = build_hamiltonian(geometry, replace(spec.ham, jb=jb))
     sigma, count = spec.disorder.sigma, spec.disorder.n_realizations
     measure = partial(measure, channels)
     [clean] = _solve_rows(lambda _: [_eigen_row(h)], 1, spec.ham.eg,
@@ -509,7 +503,7 @@ def _realization_rows(point: dict, reports: list) -> list[dict]:
 def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     """Current distributions over seeded disorder realizations.
 
-    The chain length is the first entry of ``spec.n_cells_values``.
+    The chain length is the one entry of ``spec.n_cells_values``.
     Returns (stats, raw): stats hold the clean current plus median,
     quartiles and extrema per (geometry, jb); realizations that fail to
     produce a unique steady state are counted and excluded.  Raw rows are
@@ -557,8 +551,9 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
     system is solved (realization -1) together with the disorder ensemble
     from the spec.  The non-radiative rate is ``factor * gamma_rad`` with
     the radiative rate held fixed; "dipole on" aligns every dipole with
-    the transport axis.  Each row's ``error`` names the error class of a
-    failed realization (its current is NaN) and is empty otherwise.
+    the transport axis, for both the couplings and the emission.  Each
+    row's ``error`` names the error class of a failed realization (its
+    current is NaN) and is empty otherwise.
     """
     _pme_only(spec, "a regime grid")
     rows: list[dict] = []

@@ -11,8 +11,9 @@ pair is coupled with scale ``jb``: N per-cell (n x n) blocks.  Between cells
 only corresponding slots are coupled, with the fixed scale ``DEFAULTS["ja"]``
 = 1: n per-slot (N x N) chains.  The network is a bundle of parallel chains
 tied together by the intra-cell coupling; with ``jb = 0`` they decouple
-exactly.  In dipole mode the scalar 1/r^3 factor is replaced by the
-orientation-dependent point-dipole interaction.
+exactly.  A geometry that carries site dipoles replaces the scalar 1/r^3
+factor by the orientation-dependent point-dipole interaction; the same
+dipoles weight its radiative channel (``environment.build_channels``).
 
 A clean chain (every cell the first one shifted along x, and no dipoles
 or one dipole on every site) has the excited block T (x) 1_n + 1_N (x) B:
@@ -38,13 +39,13 @@ class HamiltonianError(ValueError):
 @dataclass(frozen=True)
 class HamiltonianParams:
     """Energy and coupling scales, in units of the inter-cell coupling;
-    each must be finite."""
+    each must be finite.  Whether couplings are scalar or dipolar is set
+    by the geometry's dipoles, not here."""
 
     delta_e: float = DEFAULTS["delta_e"]
     e0: float = DEFAULTS["e0"]
     eg: float = DEFAULTS["eg"]
     jb: float = DEFAULTS["jb"]
-    dipole_mode: bool = False
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -122,13 +123,10 @@ def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
     return scale * angular / dist**3
 
 
-def _dipoles(geometry: Geometry, params: HamiltonianParams
-             ) -> np.ndarray | None:
-    """The (N, n, 3) unit site dipoles in dipole mode, else None."""
-    if not params.dipole_mode:
-        return None
+def _dipoles(geometry: Geometry) -> np.ndarray | None:
+    """The (N, n, 3) unit site dipoles of the geometry, or None."""
     if geometry.dipoles is None:
-        raise HamiltonianError("dipole_mode needs dipoles on every site")
+        return None
     norms = np.linalg.norm(geometry.dipoles, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise HamiltonianError("dipole vectors must have unit norm")
@@ -144,7 +142,7 @@ def _finite(couplings: np.ndarray) -> np.ndarray:
 
 def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
     """Whether every cell is the first one shifted along x (one x per
-    cell, the same in-plane layout) and the dipoles, if used, are one
+    cell, the same in-plane layout) and the dipoles, if any, are one
     vector: then every in-cell block and every slot's chain are equal."""
     pos = geometry.positions.reshape(geometry.n_cells,
                                      geometry.sites_per_cell, 3)
@@ -159,7 +157,7 @@ def factor_blocks(geometry: Geometry, params: HamiltonianParams
     (N x N) chain: the gradient energies on its diagonal, the inter-cell
     couplings off it, and no ``jb``.  B is cell 1's (n x n) in-cell
     couplings at scale ``jb``, zero on the diagonal, and no N."""
-    dip = _dipoles(geometry, params)
+    dip = _dipoles(geometry)
     if not _clean(geometry, dip):
         return None
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
@@ -181,13 +179,13 @@ def build_hamiltonian(geometry: Geometry,
 
     The (cell, slot, cell, slot) view of the excited block takes the N
     in-cell blocks and the n same-slot chains; its strict upper triangle is
-    kept and mirrored.  Dipole mode needs a unit dipole on every site and
-    replaces the 1/r^3 factor by the point-dipole form.  A clean chain
+    kept and mirrored.  Dipoles on the geometry, each of unit norm,
+    replace the 1/r^3 factor by the point-dipole form.  A clean chain
     also records its factors (T, B).
     """
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     ns = geometry.n_sites
-    dip = _dipoles(geometry, params)
+    dip = _dipoles(geometry)
     pos = geometry.positions.reshape(n_cells, n, 3)
     chain_dip = None if dip is None else dip.swapaxes(0, 1)
     blocks = np.zeros((n_cells, n, n_cells, n))

@@ -3,7 +3,7 @@
 Diagonalization keeps the ground state as an exact basis vector (it is
 coherently decoupled) and returns excited eigenstates in ascending energy
 order.  One diagonalizer, :func:`_eigen_rows`, solves every stack of
-rows, and picks one of three paths per row:
+rows of one kind, and each row takes one of three paths:
 
 - a clean chain of identical cells has the excited block
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
@@ -33,7 +33,8 @@ Every path then fixes a deterministic basis:
   arbitrary LAPACK mixture;
 - degenerate partners are then ordered by their (x, y, z) site-support
   centroids and every eigenvector's largest-magnitude component is made
-  positive (the first site among exactly equal magnitudes).
+  positive (the first site among magnitudes within the degeneracy
+  tolerance of the largest).
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
@@ -167,9 +168,13 @@ def _resolve_degeneracies(eps: np.ndarray, vecs: np.ndarray,
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make each eigenvector's largest-magnitude component positive.
 
-    Among components of exactly equal magnitude the first site leads.
+    The first site whose magnitude is within ``_DEGENERACY_RTOL`` of the
+    largest leads, so mirror components that differ in the eigensolver's
+    last bits do not pick the sign.
     """
-    lead = np.argmax(np.abs(vecs), axis=-2)
+    mag = np.abs(vecs)
+    top = mag.max(axis=-2, keepdims=True) * (1.0 - _DEGENERACY_RTOL)
+    lead = np.argmax(mag >= top, axis=-2)
     signs = np.sign(np.take_along_axis(vecs, lead[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
     return vecs * signs
@@ -178,9 +183,9 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 def _eigen_rows(rows, eg: float, geometry) -> tuple:
     """Diagonalize a stack of R rows sharing one geometry.
 
-    A row is an excited block (n, n), solved with the other blocks by
-    :func:`_full_eigen` if finite, or a clean chain's factor pair
-    ((T, t, U), (B, b, W)), solved by :func:`_sector_eigen`.  Masks
+    The rows are all excited blocks (n, n), solved together by
+    :func:`_full_eigen` where finite, or all clean chains' factor pairs
+    ((T, t, U), (B, b, W)), each solved by :func:`_sector_eigen`.  Masks
     over the stack then flag failed rows and rows whose lowest excited
     energy does not exceed ``eg``; the sign rule runs once.  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
@@ -192,18 +197,16 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     energies = np.full((count, n + 1), np.nan)
     full = np.zeros((count, n + 1, n + 1))
     full[:, 1:, 1:] = np.nan
-    dense = [r for r, row in enumerate(rows) if not isinstance(row, tuple)]
-    for r in set(range(count)).difference(dense):
-        energies[r, 1:], full[r, 1:, 1:] = _sector_eigen(*rows[r],
-                                                         geometry.positions)
-    finite = np.ones(count, dtype=bool)
-    if dense:
-        blocks = np.asarray(rows if len(dense) == count
-                            else [rows[r] for r in dense])
-        finite[dense] = ok = np.isfinite(blocks).all(axis=(1, 2))
-        solved = np.asarray(dense)[ok]
-        energies[solved, 1:], full[solved, 1:, 1:] = _full_eigen(
-            blocks[ok], geometry.positions)
+    if isinstance(rows[0], tuple):
+        finite = np.ones(count, dtype=bool)
+        for r, (chain, cell) in enumerate(rows):
+            energies[r, 1:], full[r, 1:, 1:] = _sector_eigen(
+                chain, cell, geometry.positions)
+    else:
+        blocks = np.asarray(rows)
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        energies[finite, 1:], full[finite, 1:, 1:] = _full_eigen(
+            blocks[finite], geometry.positions)
     failed = np.isnan(energies[:, 1])
     low = ~failed & ~(energies[:, 1] > eg)
     errors: list = [None] * count

@@ -42,7 +42,7 @@ def pipeline(kind, n_cells, jb, env=ENV, dipoles=None, disorder=None,
     geo = build_geometry(kind, n_cells)
     if dipoles is not None:
         geo = assign_dipoles(geo, dipoles)
-    params = HamiltonianParams(jb=jb, dipole_mode=dipoles is not None)
+    params = HamiltonianParams(jb=jb)
     h = build_hamiltonian(geo, params)
     if disorder is not None:
         h = apply_disorder(h, disorder)

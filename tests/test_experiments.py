@@ -13,7 +13,7 @@ from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
                                       solve_point)
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams)
-from excitonchain.pme import SteadyStateError
+from excitonchain.pme import SteadyStateError, site_populations
 from excitonchain.spectral import SpectralError, brightness
 
 HAM = HamiltonianParams()
@@ -233,6 +233,17 @@ def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
     assert solved == ["dimer", "dimer"]
 
 
+@pytest.mark.parametrize("study", [disorder_ensemble, regime_grid,
+                                   brightness_robustness])
+def test_ensembles_reject_more_than_one_chain_length(monkeypatch, study):
+    solves = spy(monkeypatch, "_solve_rows")
+    with pytest.raises(ValueError, match=r"^an ensemble solves one chain "
+                                         r"length, not n_cells_values = "
+                                         r"\(3, 4\)$"):
+        study(small_spec(n_cells_values=(3, 4)))
+    assert solves == []
+
+
 def spy(monkeypatch, name):
     """The positional arguments of every call to experiments.<name>."""
     calls = []
@@ -305,6 +316,26 @@ def test_population_profile_normalization_and_trend():
                  ["relative_population"] for g, c in by_gamma.items()}
     values = [last_site[g] for g in gammas]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_population_profile_diagonalizes_its_chain_once(monkeypatch):
+    gammas = [0.0, 1e-3, 1e-2, 1e-1]
+    solves = spy(monkeypatch, "diagonalize")
+    rows = population_profile("prism", 5, 10.0, gammas, HAM, ENV)
+    assert len(solves) == 1
+    # every rate's rows equal its own build_system + _solve_system pipeline
+    expected = []
+    for gamma_rad in gammas:
+        system = build_system("prism", 5, 10.0, HAM,
+                              replace(ENV, gamma_rad=gamma_rad))
+        report = experiments._solve_system(system)
+        per_site = site_populations(report.populations, system[2])
+        expected += [(gamma_rad, s, float(p), float(p / per_site[0]),
+                      report.ground_population)
+                     for s, p in enumerate(per_site)]
+    assert [(r["gamma_rad"], r["site_index"], r["population"],
+             r["relative_population"], r["ground_population"])
+            for r in rows] == expected
 
 
 def test_lossless_profile_is_flattest():

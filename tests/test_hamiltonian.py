@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams, apply_disorder,
                                       build_hamiltonian, factor_blocks)
@@ -39,7 +40,7 @@ def pair_loop_matrix(geometry, params):
             if not same_cell and a % n != b % n:
                 continue
             scale = params.jb if same_cell else 1.0
-            if params.dipole_mode:
+            if dip is not None:
                 v = dipole_coupling(pos[a], dip[a], pos[b], dip[b], scale)
             else:
                 v = scale / np.linalg.norm(pos[a] - pos[b])**3
@@ -111,7 +112,7 @@ def test_build_matches_the_pair_loop_exactly(kind, dipoles):
             rng = np.random.default_rng([n_cells, geo.sites_per_cell])
             geo = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
         for jb in (0.1, 3.7):
-            params = HamiltonianParams(jb=jb, dipole_mode=dipoles != "scalar")
+            params = HamiltonianParams(jb=jb)
             assert np.array_equal(build_hamiltonian(geo, params).matrix,
                                   pair_loop_matrix(geo, params))
 
@@ -123,15 +124,15 @@ def test_build_matches_the_pair_loop_exactly(kind, dipoles):
 ])
 def test_dipole_coupling_reference_values(r_j, d_i, d_j, expected):
     h = build_hamiltonian(two_sites(r_j, d_i, d_j),
-                          HamiltonianParams(jb=1.0, dipole_mode=True))
+                          HamiltonianParams(jb=1.0))
     assert h.excited_block[0, 1] == pytest.approx(expected, abs=1e-15)
     assert h.excited_block[1, 0] == h.excited_block[0, 1]
 
 
 def test_dipole_coupling_rejects_bad_inputs():
-    dipole = HamiltonianParams(dipole_mode=True)
     with pytest.raises(HamiltonianError, match="coincident"):
-        build_hamiltonian(two_sites((0, 0, 0), (1, 0, 0), (1, 0, 0)), dipole)
+        build_hamiltonian(two_sites((0, 0, 0), (1, 0, 0), (1, 0, 0)),
+                          HamiltonianParams())
     with pytest.raises(HamiltonianError, match="coincident"):
         build_hamiltonian(two_sites((0, 0, 0)), HamiltonianParams())
     # two cells of one site each: the coincident pair is a chain pair
@@ -140,12 +141,13 @@ def test_dipole_coupling_rejects_bad_inputs():
     with pytest.raises(HamiltonianError, match="coincident"):
         build_hamiltonian(stacked, HamiltonianParams())
     with pytest.raises(HamiltonianError, match="unit norm"):
-        build_hamiltonian(two_sites((1, 0, 0), (2, 0, 0), (1, 0, 0)), dipole)
+        build_hamiltonian(two_sites((1, 0, 0), (2, 0, 0), (1, 0, 0)),
+                          HamiltonianParams())
 
 
 def test_transport_aligned_dipoles_double_the_inter_cell_coupling():
     geo = assign_dipoles(build_geometry("prism", 2), "transport")
-    h = build_hamiltonian(geo, HamiltonianParams(jb=4.0, dipole_mode=True))
+    h = build_hamiltonian(geo, HamiltonianParams(jb=4.0))
     a = geo.flat_index(1, 1)
     b = geo.flat_index(2, 1)
     assert h.excited_block[a, b] == pytest.approx(-2.0)
@@ -154,14 +156,29 @@ def test_transport_aligned_dipoles_double_the_inter_cell_coupling():
     assert h.excited_block[a, c] == pytest.approx(4.0)
 
 
-def test_dipole_mode_reduces_to_scalar_when_orthogonal():
+def test_dipoles_reduce_to_scalar_when_orthogonal():
     # trimer separations lie in the x-y plane; z dipoles are orthogonal to
     # every separation and mutually parallel
-    geo = assign_dipoles(build_geometry("trimer", 3), (0.0, 0.0, 1.0))
+    geo = build_geometry("trimer", 3)
     scalar = build_hamiltonian(geo, HamiltonianParams(jb=2.5))
-    dipolar = build_hamiltonian(geo, HamiltonianParams(jb=2.5,
-                                                       dipole_mode=True))
+    dipolar = build_hamiltonian(assign_dipoles(geo, (0.0, 0.0, 1.0)),
+                                HamiltonianParams(jb=2.5))
     np.testing.assert_allclose(dipolar.matrix, scalar.matrix, atol=1e-14)
+
+
+def test_dipoles_switch_couplings_and_emission_together():
+    # one input: the geometry's dipoles set both the point-dipole
+    # couplings and the Cartesian rows of the radiative channel
+    geo = assign_dipoles(build_geometry("prism", 5), "transport")
+    h = build_hamiltonian(geo, HamiltonianParams())
+    assert np.array_equal(h.matrix, pair_loop_matrix(geo, h.params))
+    # aligned along the chain, dipoles double the nearest chain coupling
+    # and flip its sign
+    assert h.excited_block[0, geo.sites_per_cell] == -2.0
+    [radiative] = [ch for ch in build_channels(geo, EnvironmentParams())
+                   if ch.kind == "radiative"]
+    assert radiative.operator.shape == (3, geo.n_sites)
+    assert np.array_equal(radiative.operator, geo.dipoles.T)
 
 
 @pytest.mark.parametrize("dipoles", [None, "transport", (1.0, 2.0, 0.5)],
@@ -181,15 +198,14 @@ def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
             geo = assign_dipoles(geo, dipoles)
         n = geo.sites_per_cell
         for jb in (0.1, 3.7):
-            params = HamiltonianParams(jb=jb, dipole_mode=dipoles is not None)
+            params = HamiltonianParams(jb=jb)
             h = build_hamiltonian(geo, params)
             chain, cell = h.factors
             assert np.array_equal(
                 h.excited_block,
                 np.kron(chain, np.eye(n)) + np.kron(np.eye(n_cells), cell))
             assert np.array_equal(chain, factor_blocks(
-                geo, HamiltonianParams(jb=10.0,
-                                       dipole_mode=params.dipole_mode))[0])
+                geo, HamiltonianParams(jb=10.0))[0])
             assert np.array_equal(cell, factor_blocks(first, params)[1])
 
 
@@ -200,11 +216,8 @@ def test_disorder_and_differing_cells_record_no_factors():
     assert apply_disorder(h, DisorderSpec(sigma=0.5, seed=1)).factors is None
     rng = np.random.default_rng(4)
     per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
-    dipolar = HamiltonianParams(dipole_mode=True)
-    assert build_hamiltonian(per_site, dipolar).factors is None
-    assert factor_blocks(per_site, dipolar) is None
-    # dipoles the Hamiltonian does not use do not matter
-    assert build_hamiltonian(per_site, HamiltonianParams()).factors is not None
+    assert build_hamiltonian(per_site, HamiltonianParams()).factors is None
+    assert factor_blocks(per_site, HamiltonianParams()) is None
     # a cell whose sites do not share one x, or a layout that is not
     # repeated, gives no factors
     assert build_hamiltonian(two_sites((1.0, 0.5, 0.0)),
@@ -213,11 +226,6 @@ def test_disorder_and_differing_cells_record_no_factors():
     moved[-1, 1] += 0.25
     assert build_hamiltonian(Geometry("custom", 4, 3, moved),
                              HamiltonianParams()).factors is None
-
-
-def test_dipole_mode_requires_dipoles():
-    with pytest.raises(HamiltonianError, match="dipole"):
-        build("mono", 2, dipole_mode=True)
 
 
 def test_zero_sigma_disorder_is_identity():
