@@ -13,9 +13,8 @@ from .defaults import DEFAULTS
 from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
     FlatStep, build_channels, drude_lorentz, step_spectrum
 from .experiments import DisorderEnsembleSpec, FitResult, SweepSpec, \
-    brightness_robustness, build_system, disorder_ensemble, \
-    fit_exponential, length_sweep, population_profile, regime_grid, \
-    solve_point
+    build_system, disorder_ensemble, fit_exponential, length_sweep, \
+    population_profile, regime_grid, solve_point
 from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
@@ -70,7 +69,6 @@ __all__ = [
     "length_sweep",
     "disorder_ensemble",
     "regime_grid",
-    "brightness_robustness",
 ]
 
 

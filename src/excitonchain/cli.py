@@ -3,10 +3,11 @@
 Every command resolves its parameters from (in increasing precedence)
 built-in defaults, an optional JSON config file, and explicit flags, then
 writes one or more CSV tables plus a JSON metadata sidecar into the
-output directory.  All files are written atomically and embed the fully
-resolved parameter set, so outputs with equal embedded parameters and
-seeds are identical; the sidecar timestamp is the only field that varies
-between reruns.
+output directory.  A command takes only the settings it reads
+(``COMMANDS``).  All files are written atomically and embed the resolved
+settings read, so outputs with equal embedded parameters and seeds are
+identical; the sidecar timestamp is the only field that varies between
+reruns.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def _setting(default=None, *, factory=None, **metadata):
 class RunConfig:
     """Fully resolved run parameters for one CLI command.
 
-    Every field but ``command`` is also a flag (``n_cells`` is
-    ``--n-cells``) and a config-file key; its annotation picks the parser.
+    Every field but ``command`` is a flag (``n_cells`` is ``--n-cells``)
+    and, but ``out``, a config key of the commands that read it.
     """
 
     command: str = ""
@@ -56,11 +57,10 @@ class RunConfig:
     geometries: list[str] = _setting(factory=lambda: ["mono"],
                                      metavar="A,B,...",
                                      help="cell kinds for sweep grids")
-    n_cells: int = _setting(20, help="chain length for single-point commands")
+    n_cells: int = _setting(20, help="chain length")
     n_min: int = _setting(2, help="smallest chain length in sweeps")
     n_max: int = _setting(40, help="largest chain length in sweeps")
-    jb: float = _setting(DEFAULTS["jb"],
-                         help="intra-cell coupling for single-point commands")
+    jb: float = _setting(DEFAULTS["jb"], help="intra-cell coupling")
     jb_values: list[float] = _setting(factory=lambda: [0.1, 1.0, 10.0],
                                       metavar="X,Y,...",
                                       help="couplings for sweep grids")
@@ -85,14 +85,9 @@ class RunConfig:
     brme_max_cells: int = 20
     keep_raw: bool = True
 
-    def __post_init__(self):
-        # checked here, so every command rejects it before writing anything
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
     def ham_params(self) -> HamiltonianParams:
         return HamiltonianParams(delta_e=self.delta_e, e0=self.e0,
-                                 eg=self.eg, jb=self.jb)
+                                 eg=self.eg)
 
     def env_params(self) -> EnvironmentParams:
         return EnvironmentParams(
@@ -167,18 +162,18 @@ def _config_value(key: str, hint, value):
     return float(value) if float in kinds and value is not None else value
 
 
-def load_config_file(path: str) -> dict:
-    """Settings from a JSON config file, each checked against its field's
-    annotation and choices (see :func:`_config_value`)."""
+def load_config_file(path: str, command: str) -> dict:
+    """Settings of ``command`` from a JSON config file, each read by it
+    and checked against its field (see :func:`_config_value`)."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     settable = {f.name: f for f in fields(RunConfig)
-                if f.name not in ("command", "out")}
+                if f.name in COMMANDS[command][2] and f.name != "out"}
     unknown = set(data) - set(settable)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{command} does not read {sorted(unknown)}")
     hints = typing.get_type_hints(RunConfig)
     settings = {}
     for key, value in data.items():
@@ -199,12 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     hints = typing.get_type_hints(RunConfig)
-    for name, (_, description) in COMMANDS.items():
-        p = sub.add_parser(name, help=description)
+    for name, (_, description, reads) in COMMANDS.items():
+        # no abbreviations: --jb must not pass for --jb-values
+        p = sub.add_parser(name, help=description, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (flags override it)")
         for f in fields(RunConfig):
-            if f.name == "command":
+            if f.name not in reads:
                 continue
             kind = ({"action": argparse.BooleanOptionalAction}
                     if hints[f.name] is bool
@@ -216,10 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by flags."""
-    settings = load_config_file(args.config) if args.config else {}
-    settings.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
-                    if getattr(args, f.name) is not None)
+    settings = load_config_file(args.config, args.command) if args.config \
+        else {}
+    settings.update((k, v) for k, v in vars(args).items()
+                    if k != "config" and v is not None)
     return replace(RunConfig(), **settings)
+
+
+def _parameters(config: RunConfig) -> dict:
+    """The command and the settings it read, for its output files."""
+    reads = COMMANDS[config.command][2] | {"command"}
+    return {k: v for k, v in asdict(config).items() if k in reads}
 
 
 def _write_meta(out: Path, stem: str, config: RunConfig, **extra) -> None:
@@ -227,7 +230,7 @@ def _write_meta(out: Path, stem: str, config: RunConfig, **extra) -> None:
         "tool": "excitonchain",
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "parameters": asdict(config),
+        "parameters": _parameters(config),
         **extra,
     })
 
@@ -261,7 +264,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
 def _cmd_steady(config: RunConfig, out: Path) -> None:
     system = _system(config)
     payload = _solve_system(system, config.method).to_json_dict()
-    payload["parameters"] = asdict(config)
+    payload["parameters"] = _parameters(config)
     payload["tool_version"] = __version__
     payload["channels"] = [ch.describe() for ch in system[3]]
     write_json(out / "steady_state.json", payload)
@@ -278,28 +281,29 @@ def _cmd_length_sweep(config: RunConfig, out: Path) -> None:
     write_csv(out / "length_sweep_fits.csv",
               ["geometry", "jb", "method", "alpha", "beta", "fit_residual",
                "n_min", "n_max", "n_points"], fits)
-    _write_meta(out, "length_sweep", config, sweep=asdict(spec))
+    _write_meta(out, "length_sweep", config)
 
 
 def _cmd_disorder(config: RunConfig, out: Path) -> None:
-    spec = config.sweep_spec(n_cells_values=[config.n_cells])
+    spec = config.sweep_spec(n_cells_values=[config.n_cells], method="pme")
     stats, raw = disorder_ensemble(spec)
     write_csv(out / "disorder_stats.csv",
               ["geometry", "jb", "sigma", "n_realizations", "n_failed",
                "clean_current", "median", "q1", "q3", "min", "max"], stats)
     if spec.keep_raw:
         write_csv(out / "disorder_raw.csv",
-                  ["geometry", "jb", "realization", "current", "error"], raw)
-    _write_meta(out, "disorder", config, sweep=asdict(spec))
+                  ["geometry", "jb", "realization", "current", "error",
+                   "n_dark"], raw)
+    _write_meta(out, "disorder", config)
 
 
 def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
-    spec = config.sweep_spec(n_cells_values=[config.n_cells])
+    spec = config.sweep_spec(n_cells_values=[config.n_cells], method="pme")
     rows = regime_grid(spec)
     write_csv(out / "regime_grid.csv",
               ["geometry", "jb", "gamma_nr", "dipoles", "realization",
                "current", "error"], rows)
-    _write_meta(out, "regime_grid", config, sweep=asdict(spec))
+    _write_meta(out, "regime_grid", config)
 
 
 # the BRME report's solver diagnostics that brme_check.csv carries per row
@@ -332,23 +336,37 @@ def _cmd_brme_check(config: RunConfig, out: Path) -> None:
     write_csv(out / "brme_check.csv",
               ["geometry", "jb", "n_cells", "current_pme", "current_brme",
                "rel_difference", *_BRME_DIAGNOSTICS], table)
-    _write_meta(out, "brme_check", config, sweep=asdict(spec))
+    _write_meta(out, "brme_check", config)
 
 
-# command name -> (handler, help text)
-COMMANDS = {
-    "eigen": (_cmd_eigen, "export the eigenstructure (energies, brightness, "
-                          "amplitudes) of one system"),
-    "steady": (_cmd_steady, "solve one steady state and write the report"),
-    "length-sweep": (_cmd_length_sweep,
-                     "current versus chain length with exponential fits"),
-    "disorder": (_cmd_disorder,
-                 "current distributions over seeded disorder ensembles"),
-    "regime-grid": (_cmd_regime_grid, "currents over loss-rate regimes and "
-                                      "dipole alignment"),
-    "brme-check": (_cmd_brme_check,
-                   "compare the population and density-matrix solvers"),
-}
+# command name -> (handler, help text, the RunConfig fields it reads: its
+# flags, config keys and sidecar parameters).  Every command reads the
+# output directory and the energy and environment scales but gamma_nr,
+# which regime-grid sets itself.
+COMMANDS = {name: (handler, description, frozenset(
+    "out delta_e e0 eg gamma_rad gamma_phonon gamma_inj gamma_ext "
+    f"temperature bath_width bath_peak injection_mode {reads}".split()))
+    for name, handler, description, reads in [
+        ("eigen", _cmd_eigen, "export the eigenstructure (energies, "
+         "brightness, amplitudes) of one system",
+         "geometry n_cells jb gamma_nr dipoles dark_threshold"),
+        ("steady", _cmd_steady, "solve one steady state and write the report",
+         "geometry n_cells jb gamma_nr dipoles method"),
+        ("length-sweep", _cmd_length_sweep,
+         "current versus chain length with exponential fits",
+         "jobs geometries n_min n_max jb_values gamma_nr dipoles method "
+         "fit_min_cells brme_max_cells"),
+        ("disorder", _cmd_disorder,
+         "current distributions over seeded disorder ensembles",
+         "jobs seed geometries n_cells jb_values gamma_nr dipoles sigma "
+         "n_realizations dark_threshold keep_raw"),
+        ("regime-grid", _cmd_regime_grid,
+         "currents over loss-rate regimes and dipole alignment",
+         "jobs seed geometries n_cells jb_values sigma n_realizations"),
+        ("brme-check", _cmd_brme_check,
+         "compare the population and density-matrix solvers",
+         "jobs geometries n_min n_max jb_values gamma_nr dipoles "
+         "brme_max_cells")]}
 
 
 def run(config: RunConfig) -> int:
@@ -363,7 +381,9 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        parser.error(f"{args.command} does not read {' '.join(unread)}")
     try:
         config = resolve_config(args)
         return run(config)

@@ -44,8 +44,8 @@ import numpy as np
 
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
-from .hamiltonian import (DisorderSpec, HamiltonianParams, apply_disorder,
-                          build_hamiltonian, factor_blocks)
+from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
+                          apply_disorder, build_hamiltonian, factor_blocks)
 from .lattice import assign_dipoles, build_geometry
 from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
                   site_populations, solve_steady_state)
@@ -81,7 +81,8 @@ class DisorderEnsembleSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of a batch of steady-state runs."""
+    """Declarative description of a batch of steady-state runs, at the
+    couplings ``jb_values``."""
 
     geometries: tuple[str, ...] = ("mono",)
     n_cells_values: tuple[int, ...] = tuple(range(2, 41))
@@ -106,13 +107,16 @@ class SweepSpec:
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
         for jb in self.jb_values:
-            replace(self.ham, jb=jb)  # rejects a non-finite coupling
+            _finite_scale("jb", jb)
         if self.disorder.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not 0 < self.dark_threshold < 1:
+            raise ValueError("dark_threshold must lie in (0, 1), got "
+                             f"{self.dark_threshold}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def build_system(kind: str, n_cells: int, jb: float,
     """Assemble geometry, Hamiltonian, eigensystem and channels for one run."""
     geometry, channels = _chain(kind, n_cells, ham, env, dipole_scheme,
                                 injection_mode)
-    h = build_hamiltonian(geometry, replace(ham, jb=jb))
+    h = build_hamiltonian(geometry, ham, jb)
     if disorder_spec is not None and disorder_spec.sigma > 0:
         h = apply_disorder(h, disorder_spec)
     return geometry, h, diagonalize(h), channels
@@ -234,7 +238,7 @@ def population_profile(kind: str, n_cells: int, jb: float,
     """Per-site steady populations relative to site 1, per radiative rate,
     all on one eigensystem of the chain (no dipoles, site injection)."""
     geometry = build_geometry(kind, n_cells)
-    es = diagonalize(build_hamiltonian(geometry, replace(ham, jb=jb)))
+    es = diagonalize(build_hamiltonian(geometry, ham, jb))
     rows = []
     for gamma_rad in gamma_rad_values:
         channels = build_channels(geometry, replace(env, gamma_rad=gamma_rad),
@@ -343,7 +347,7 @@ def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
     geometry = _geometry(kind, n_cells, spec.dipole_scheme)
     cells = {}
     for jb in spec.jb_values:
-        blocks = factor_blocks(geometry, replace(spec.ham, jb=jb))
+        blocks = factor_blocks(geometry, spec.ham, jb)
         if blocks is None:
             return None
         cells[jb] = _factor_eigen(blocks[1])
@@ -365,13 +369,12 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    blocks = factor_blocks(geometry, spec.ham)  # T does not depend on jb
+    blocks = factor_blocks(geometry, spec.ham, spec.jb_values[0])  # T: any jb
     chain = None if blocks is None else _factor_eigen(blocks[0])
 
     def row(jb: float):
         if chain is None:
-            return build_hamiltonian(geometry,
-                                     replace(spec.ham, jb=jb)).excited_block
+            return build_hamiltonian(geometry, spec.ham, jb).excited_block
         return chain, cells[jb]
 
     def measure(energies, vectors) -> list[dict]:
@@ -452,7 +455,7 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
     geometry, channels = _chain(kind, spec.n_cells_values[0], spec.ham,
                                 spec.env, spec.dipole_scheme,
                                 spec.injection_mode)
-    h = build_hamiltonian(geometry, replace(spec.ham, jb=jb))
+    h = build_hamiltonian(geometry, spec.ham, jb)
     sigma, count = spec.disorder.sigma, spec.disorder.n_realizations
     measure = partial(measure, channels)
     [clean] = _solve_rows(lambda _: [_eigen_row(h)], 1, spec.ham.eg,
@@ -479,11 +482,23 @@ def _pme_rows(channels, energies, vectors) -> list:
     return _steady_reports(*_rate_rows(energies, vectors, channels))
 
 
+def _census_rows(dark_threshold: float, channels, energies, vectors) -> list:
+    """:func:`_pme_rows`, each report's ``extras`` also holding
+    ``n_dark``: its eigensystem's count of excited states darker than
+    ``dark_threshold`` times the brightest (``spectral._dark_mask``)."""
+    reports = _pme_rows(channels, energies, vectors)
+    b = _brightness_rows(vectors, channels)[:, 1:]
+    for report, dark in zip(reports, _dark_mask(b, dark_threshold)[0]):
+        if isinstance(report, SteadyStateReport):
+            report.extras["n_dark"] = int(dark.sum())
+    return reports
+
+
 def _realization_rows(point: dict, reports: list) -> list[dict]:
     """One row per realization: ``point``, the realization index, and its
-    current and "", or NaN and the name of the error class it failed
-    with.  One warning counts the realizations whose ground population is
-    at or below ``MIN_GROUND_POPULATION``."""
+    current, report ``extras`` and "", or NaN and the name of the error
+    class it failed with.  One warning counts the realizations whose
+    ground population is at or below ``MIN_GROUND_POPULATION``."""
     rows, low = [], 0
     for r, report in enumerate(reports):
         ok = isinstance(report, SteadyStateReport)
@@ -491,6 +506,7 @@ def _realization_rows(point: dict, reports: list) -> list[dict]:
             low += 1
         rows.append({**point, "realization": r,
                      "current": report.current if ok else np.nan,
+                     **(report.extras if ok else {}),
                      "error": "" if ok else type(report).__name__})
     if low:
         warnings.warn(
@@ -507,7 +523,8 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     Returns (stats, raw): stats hold the clean current plus median,
     quartiles and extrema per (geometry, jb); realizations that fail to
     produce a unique steady state are counted and excluded.  Raw rows are
-    retained when ``spec.keep_raw`` is set.
+    retained when ``spec.keep_raw`` is set; each holds the current and the
+    census ``n_dark`` (:func:`_census_rows`), empty when it failed.
     """
     _pme_only(spec, "a disorder ensemble")
     stats: list[dict] = []
@@ -516,7 +533,7 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
         for ji, jb in enumerate(spec.jb_values):
             clean, reports = _ensemble(
                 spec, kind, jb, derive_seed(spec.disorder.base_seed, gi, ji),
-                _pme_rows)
+                partial(_census_rows, spec.dark_threshold))
             _warn_low_ground(clean)
             point = {"geometry": kind, "jb": jb}
             rows = _realization_rows(point, reports)
@@ -578,44 +595,3 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
                         rows.extend(_realization_rows(point, reports))
     return rows
 
-
-def brightness_robustness(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
-    """Distributions of per-state brightness under on-site disorder.
-
-    Returns (state_rows, census_rows): brightness quantiles per eigenstate
-    index over the realizations that diagonalized, and the bright/dark
-    census of every realization at the spec's dark threshold.  A census
-    row's ``error`` names the error class of a failed realization (its
-    counts are None) and is empty otherwise.
-    """
-    state_rows: list[dict] = []
-    census_rows: list[dict] = []
-    for gi, kind in enumerate(spec.geometries):
-        for ji, jb in enumerate(spec.jb_values):
-            clean_b, results = _ensemble(
-                spec, kind, jb, derive_seed(spec.disorder.base_seed, gi, ji),
-                lambda channels, _, vectors: list(
-                    _brightness_rows(vectors, channels)))
-            solved = [b for b in results if not isinstance(b, Exception)]
-            all_b = (np.stack(solved) if solved
-                     else np.full((1, clean_b.size), np.nan))
-            for k in range(1, all_b.shape[1]):
-                q25, q50, q75 = np.percentile(all_b[:, k], [25, 50, 75])
-                state_rows.append({
-                    "geometry": kind, "jb": jb, "state_index": k,
-                    "clean_brightness": float(clean_b[k]),
-                    "q25": float(q25), "median": float(q50),
-                    "q75": float(q75),
-                    "min": float(all_b[:, k].min()),
-                    "max": float(all_b[:, k].max()),
-                })
-            for r, b in enumerate(results):
-                failed = isinstance(b, Exception)
-                dark = None if failed else int(
-                    _dark_mask(b[1:], spec.dark_threshold)[0].sum())
-                census_rows.append({
-                    "geometry": kind, "jb": jb, "realization": r,
-                    "n_bright": None if failed else b.size - 1 - dark,
-                    "n_dark": dark,
-                    "error": type(b).__name__ if failed else ""})
-    return state_rows, census_rows

@@ -38,19 +38,22 @@ class HamiltonianError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianParams:
-    """Energy and coupling scales, in units of the inter-cell coupling;
-    each must be finite.  Whether couplings are scalar or dipolar is set
-    by the geometry's dipoles, not here."""
+    """The energy scales, in units of the inter-cell coupling; each must
+    be finite.  The in-cell coupling ``jb`` is an argument of the
+    builders, and the geometry's dipoles make the couplings dipolar."""
 
     delta_e: float = DEFAULTS["delta_e"]
     e0: float = DEFAULTS["e0"]
     eg: float = DEFAULTS["eg"]
-    jb: float = DEFAULTS["jb"]
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise HamiltonianError(f"{name} must be finite, got {value}")
+            _finite_scale(name, value)
+
+
+def _finite_scale(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise HamiltonianError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,13 @@ def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
                 and (dip is None or (dip == dip[0, 0]).all()))
 
 
-def factor_blocks(geometry: Geometry, params: HamiltonianParams
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
+def factor_blocks(geometry: Geometry, params: HamiltonianParams,
+                  jb: float) -> tuple[np.ndarray, np.ndarray] | None:
     """(T, B) of a clean chain, None unless it is clean.  T is slot 1's
     (N x N) chain: the gradient energies on its diagonal, the inter-cell
     couplings off it, and no ``jb``.  B is cell 1's (n x n) in-cell
     couplings at scale ``jb``, zero on the diagonal, and no N."""
+    _finite_scale("jb", jb)
     dip = _dipoles(geometry)
     if not _clean(geometry, dip):
         return None
@@ -166,16 +170,16 @@ def factor_blocks(geometry: Geometry, params: HamiltonianParams
                                 None if dip is None else dip[:, 0],
                                 DEFAULTS["ja"])
         cell = _pair_couplings(geometry.positions[:n],
-                               None if dip is None else dip[0], params.jb)
+                               None if dip is None else dip[0], jb)
     chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
                                        * params.delta_e + params.e0)
     cell[np.diag_indices(n)] = 0.0
     return chain, _finite(cell)
 
 
-def build_hamiltonian(geometry: Geometry,
-                      params: HamiltonianParams) -> Hamiltonian:
-    """Assemble the dense Hamiltonian for a geometry.
+def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
+                      jb: float) -> Hamiltonian:
+    """Assemble the dense Hamiltonian of a geometry at in-cell coupling jb.
 
     The (cell, slot, cell, slot) view of the excited block takes the N
     in-cell blocks and the n same-slot chains; its strict upper triangle is
@@ -183,6 +187,7 @@ def build_hamiltonian(geometry: Geometry,
     replace the 1/r^3 factor by the point-dipole form.  A clean chain
     also records its factors (T, B).
     """
+    factors = factor_blocks(geometry, params, jb)  # rejects a non-finite jb
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     ns = geometry.n_sites
     dip = _dipoles(geometry)
@@ -191,7 +196,7 @@ def build_hamiltonian(geometry: Geometry,
     blocks = np.zeros((n_cells, n, n_cells, n))
     cells, slots = np.arange(n_cells), np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        blocks[cells, :, cells, :] = _pair_couplings(pos, dip, params.jb)
+        blocks[cells, :, cells, :] = _pair_couplings(pos, dip, jb)
         blocks[:, slots, :, slots] = _pair_couplings(
             pos.swapaxes(0, 1), chain_dip, DEFAULTS["ja"])
     upper = np.triu_indices(ns, 1)
@@ -204,7 +209,7 @@ def build_hamiltonian(geometry: Geometry,
     excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
     return Hamiltonian(matrix=h, geometry=geometry, params=params,
-                       factors=factor_blocks(geometry, params))
+                       factors=factors)
 
 
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:

@@ -42,8 +42,8 @@ def pipeline(kind, n_cells, jb, env=ENV, dipoles=None, disorder=None,
     geo = build_geometry(kind, n_cells)
     if dipoles is not None:
         geo = assign_dipoles(geo, dipoles)
-    params = HamiltonianParams(jb=jb)
-    h = build_hamiltonian(geo, params)
+    params = HamiltonianParams()
+    h = build_hamiltonian(geo, params, jb)
     if disorder is not None:
         h = apply_disorder(h, disorder)
     es = diagonalize(h)

@@ -21,7 +21,7 @@ def make_system(kind, n_cells, jb=1.0, env=None, injection_mode="site",
     geo = build_geometry(kind, n_cells)
     if dipole_scheme is not None:
         geo = assign_dipoles(geo, dipole_scheme)
-    h = build_hamiltonian(geo, HamiltonianParams(jb=jb))
+    h = build_hamiltonian(geo, HamiltonianParams(), jb)
     es = diagonalize(h)
     channels = build_channels(geo, env or EnvironmentParams(),
                               injection_mode=injection_mode)

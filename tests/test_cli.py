@@ -7,7 +7,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from excitonchain.cli import RunConfig, build_parser, main, resolve_config
+from excitonchain.cli import (COMMANDS, RunConfig, build_parser, main,
+                              resolve_config)
 
 
 def read_csv(path):
@@ -93,16 +94,99 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["parameters"]["jb"] == 3.0
 
 
-def test_every_setting_is_one_flag():
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def test_each_command_takes_exactly_the_settings_it_reads():
+    settings = {f.name for f in fields(RunConfig)} - {"command"}
+    assert set().union(*(c[2] for c in COMMANDS.values())) == settings
     sub = build_parser()._subparsers._group_actions[0]
-    for command in sub.choices.values():
+    assert set(sub.choices) == set(COMMANDS)
+    for name, command in sub.choices.items():
         flags = [opt for action in command._actions
                  for opt in action.option_strings]
-        for f in fields(RunConfig):
-            if f.name != "command":
-                assert flags.count("--" + f.name.replace("_", "-")) == 1
-        # 30 settings, --no-keep-raw, --config, -h and --help
-        assert len(flags) == 34
+        reads = COMMANDS[name][2]
+        expected = [flag(f) for f in reads] + ["--config", "-h", "--help"]
+        if "keep_raw" in reads:
+            expected.append("--no-keep-raw")
+        assert sorted(flags) == sorted(expected), name
+
+
+# the settings each command does not read, 60 (command, flag) pairs
+UNREAD = {
+    "eigen": "jobs seed geometries n_min n_max jb_values method sigma "
+             "n_realizations fit_min_cells brme_max_cells keep_raw",
+    "steady": "jobs seed geometries n_min n_max jb_values dark_threshold "
+              "sigma n_realizations fit_min_cells brme_max_cells keep_raw",
+    "length-sweep": "seed geometry n_cells jb sigma n_realizations "
+                    "dark_threshold keep_raw",
+    "disorder": "geometry n_min n_max jb method fit_min_cells "
+                "brme_max_cells",
+    "regime-grid": "geometry n_min n_max jb gamma_nr dipoles method "
+                   "dark_threshold fit_min_cells brme_max_cells keep_raw",
+    "brme-check": "seed geometry n_cells jb method sigma n_realizations "
+                  "dark_threshold fit_min_cells keep_raw",
+}
+UNREAD_PAIRS = [(command, name) for command, names in UNREAD.items()
+                for name in names.split()]
+# a value of the right type for each of them, as a flag and as JSON
+VALUES = {"jobs": 2, "seed": 3, "geometry": "dimer", "geometries": "dimer",
+          "n_cells": 4, "n_min": 2, "n_max": 3, "jb": 5.0, "jb_values": "1",
+          "method": "pme", "sigma": 0.9, "n_realizations": 2,
+          "fit_min_cells": 2, "brme_max_cells": 5, "dark_threshold": 1e-3,
+          "keep_raw": True, "gamma_nr": 0.5, "dipoles": "transport"}
+
+
+def test_unread_settings_are_every_other_setting():
+    settings = {f.name for f in fields(RunConfig)} - {"command"}
+    assert len(UNREAD_PAIRS) == 60
+    for command, names in UNREAD.items():
+        assert set(names.split()) == settings - COMMANDS[command][2]
+
+
+@pytest.mark.parametrize("command, name", UNREAD_PAIRS)
+def test_a_setting_the_command_does_not_read_fails_by_name(
+        tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    value = VALUES[name]
+    args = [flag(name)] if value is True else [flag(name), str(value)]
+    with pytest.raises(SystemExit) as err:
+        main([command, *args, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"{command} does not read {flag(name)}" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({name: value}))
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == f"{command} does not read ['{name}']"
+    assert not out.exists()
+
+
+SMALL_RUNS = {
+    "eigen": ["--geometry", "dimer", "--n-cells", "2"],
+    "steady": ["--geometry", "dimer", "--n-cells", "2"],
+    "length-sweep": ["--geometries", "dimer", "--jb-values", "1",
+                     "--n-min", "2", "--n-max", "3", "--jobs", "1"],
+    "disorder": ["--geometries", "dimer", "--jb-values", "1", "--n-cells",
+                 "2", "--n-realizations", "2", "--jobs", "1"],
+    "regime-grid": ["--geometries", "dimer", "--jb-values", "1",
+                    "--n-cells", "2", "--n-realizations", "1", "--jobs", "1"],
+    "brme-check": ["--geometries", "mono", "--jb-values", "1", "--n-max",
+                   "2", "--jobs", "1"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_sidecars_hold_only_the_settings_the_command_read(tmp_path, command):
+    run_ok([command, *SMALL_RUNS[command], "--out", str(tmp_path)])
+    [sidecar] = [path for path in tmp_path.iterdir()
+                 if path.name.endswith("_meta.json")
+                 or path.name == "steady_state.json"]
+    meta = json.loads(sidecar.read_text())
+    assert set(meta["parameters"]) == {"command"} | COMMANDS[command][2]
+    assert "sweep" not in meta
 
 
 def _resolve(argv):
@@ -113,8 +197,8 @@ def test_config_file_of_a_config_resolves_to_it(tmp_path):
     config = RunConfig(command="disorder", seed=5, geometries=["dimer"],
                        jb_values=[0.5, 2.0], bath_peak=0.3, jobs=3,
                        dipoles="transport", keep_raw=False, gamma_nr=0.002)
-    settings = asdict(config)
-    del settings["command"], settings["out"]
+    reads = COMMANDS["disorder"][2] - {"out"}
+    settings = {k: v for k, v in asdict(config).items() if k in reads}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(settings))
     assert _resolve(["disorder", "--config", str(path)]) == config
@@ -123,11 +207,11 @@ def test_config_file_of_a_config_resolves_to_it(tmp_path):
 def test_config_file_strings_parse_like_flags(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"geometries": "prism", "jb_values": "0.5,2",
-                                "n_cells": "7", "bath_peak": "0.3"}))
+                                "n_min": "7", "bath_peak": "0.3"}))
     config = _resolve(["length-sweep", "--config", str(path)])
     assert config.geometries == ["prism"]
     assert config.jb_values == [0.5, 2.0]
-    assert config.n_cells == 7
+    assert config.n_min == 7
     assert config.bath_peak == 0.3
     path.write_text(json.dumps({"geometries": ["prism"], "jb_values": [1]}))
     config = _resolve(["length-sweep", "--config", str(path)])
@@ -160,20 +244,23 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys):
 ])
 def test_config_values_are_checked_against_their_fields(tmp_path, settings,
                                                         key):
+    # checked by the first command that reads the key
+    command = next(name for name, c in COMMANDS.items() if key in c[2])
     path = tmp_path / "run.json"
     path.write_text(json.dumps(settings))
-    with pytest.raises(ValueError, match=f"'{key}'"):
-        _resolve(["length-sweep", "--config", str(path)])
+    with pytest.raises(ValueError, match=f"^config key '{key}'"):
+        _resolve([command, "--config", str(path)])
 
 
 def test_config_numbers_take_their_field_type(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"jb": 3, "jb_values": [1, 2.5],
-                                "bath_peak": None, "n_cells": 7}))
-    config = _resolve(["length-sweep", "--config", str(path)])
+    path.write_text(json.dumps({"jb": 3, "bath_peak": None, "n_cells": 7}))
+    config = _resolve(["steady", "--config", str(path)])
     assert type(config.jb) is float and config.jb == 3.0
-    assert [type(v) for v in config.jb_values] == [float, float]
     assert config.bath_peak is None and config.n_cells == 7
+    path.write_text(json.dumps({"jb_values": [1, 2.5]}))
+    config = _resolve(["length-sweep", "--config", str(path)])
+    assert [type(v) for v in config.jb_values] == [float, float]
 
 
 def test_length_sweep_outputs_and_determinism(tmp_path):
@@ -230,6 +317,20 @@ def test_disorder_command(tmp_path):
     assert int(stats[0]["n_failed"]) == 0
     raw = read_csv(tmp_path / "disorder_raw.csv")
     assert len(raw) == 6
+    # the dimer census at the default threshold
+    assert {int(row["n_dark"]) for row in raw} <= set(range(11))
+
+
+def test_disorder_rejects_a_dark_threshold_before_any_output(tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    assert main(["disorder", "--geometries", "dimer", "--n-cells", "2",
+                 "--n-realizations", "2", "--dark-threshold", "2",
+                 "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "dark_threshold must lie in (0, 1), got 2.0"
+    assert not out.exists()
 
 
 def test_regime_grid_command(tmp_path):
@@ -286,7 +387,6 @@ def test_eigeninj_sweep_command(tmp_path):
     rows = read_csv(tmp_path / "length_sweep.csv")
     assert len(rows) == 4
     meta = json.loads((tmp_path / "length_sweep_meta.json").read_text())
-    assert meta["sweep"]["injection_mode"] == "eigen"
     assert meta["parameters"]["injection_mode"] == "eigen"
 
 
@@ -364,11 +464,12 @@ def test_sweeps_reject_fewer_than_one_job_by_name(tmp_path, capsys, jobs):
     ["eigen", "--geometry", "dimer", "--n-cells", "2"],
 ], ids=["steady", "eigen"])
 def test_every_command_rejects_fewer_than_one_job(tmp_path, capsys, command):
+    # single-point commands run no workers, so they take no --jobs at all
     out = tmp_path / "out"
-    assert main([*command, "--jobs", "0", "--out", str(out)]) == 1
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ValueError"
-    assert record["message"] == "jobs must be >= 1, got 0"
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--jobs", "0", "--out", str(out)])
+    assert err.value.code == 2
+    assert f"{command[0]} does not read --jobs 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -402,7 +503,8 @@ for args in (
         ["steady", "--geometry", "prism", "--n-cells", "5"],
         ["length-sweep", "--geometries", "mono,dimer,cuboid", "--n-min", "2",
          "--n-max", "8"]):
-    assert cli.main([*args, "--jobs", "2", "--out", f"{out}/{args[0]}"]) == 0
+    jobs = [] if args[0] == "steady" else ["--jobs", "2"]
+    assert cli.main([*args, *jobs, "--out", f"{out}/{args[0]}"]) == 0
 loaded = {"population": sorted(m for m in sys.modules
                                if m.split(".")[0] == "scipy")}
 

@@ -6,15 +6,15 @@ import pytest
 from excitonchain import experiments
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
-                                      brightness_robustness, build_system,
-                                      derive_seed, disorder_ensemble,
-                                      fit_exponential, length_sweep,
-                                      population_profile, regime_grid,
-                                      solve_point)
+                                      build_system, derive_seed,
+                                      disorder_ensemble, fit_exponential,
+                                      length_sweep, population_profile,
+                                      regime_grid, solve_point)
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams)
 from excitonchain.pme import SteadyStateError, site_populations
-from excitonchain.spectral import SpectralError, brightness
+from excitonchain.spectral import (SpectralError, brightness,
+                                   classify_bright_dark)
 
 HAM = HamiltonianParams()
 ENV = EnvironmentParams()
@@ -70,6 +70,13 @@ def test_spec_validation():
     for sigma in (np.nan, np.inf, -0.1):
         with pytest.raises(ValueError, match="sigma"):
             DisorderEnsembleSpec(sigma=sigma)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -1e-3, np.nan])
+def test_spec_rejects_a_dark_threshold_outside_the_unit_interval(threshold):
+    # checked with the spec, not when the census first runs mid-study
+    with pytest.raises(ValueError, match="^dark_threshold must lie in"):
+        small_spec(dark_threshold=threshold)
 
 
 @pytest.mark.parametrize("field, values", [
@@ -233,8 +240,7 @@ def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
     assert solved == ["dimer", "dimer"]
 
 
-@pytest.mark.parametrize("study", [disorder_ensemble, regime_grid,
-                                   brightness_robustness])
+@pytest.mark.parametrize("study", [disorder_ensemble, regime_grid])
 def test_ensembles_reject_more_than_one_chain_length(monkeypatch, study):
     solves = spy(monkeypatch, "_solve_rows")
     with pytest.raises(ValueError, match=r"^an ensemble solves one chain "
@@ -488,15 +494,24 @@ def test_ensemble_engine_matches_solve_point(case):
 @pytest.mark.parametrize("kind", ["mono", "dimer", "prism"])
 def test_clean_ensemble_values_equal_the_per_point_pipeline(kind, mode):
     # each ensemble point solves its clean row on the realizations' runner
-    # and measure; that row equals solve_point and brightness exactly
+    # and measure; that row equals solve_point exactly, and each
+    # realization's census equals its eigensystem's census
     spec = small_spec(geometries=(kind,), n_cells_values=(5,),
                       jb_values=(1.0, 10.0), injection_mode=mode,
                       disorder=DisorderEnsembleSpec(sigma=0.5,
-                                                    n_realizations=3))
-    stats, _ = disorder_ensemble(spec)
+                                                    n_realizations=3),
+                      dark_threshold=1e-3)
+    stats, raw = disorder_ensemble(spec)
     for entry in stats:
         assert entry["clean_current"] == solve_point(
             kind, 5, entry["jb"], HAM, ENV, injection_mode=mode).current
+    for row in raw:
+        seed = derive_seed(0, 0, spec.jb_values.index(row["jb"]))
+        _, _, es, channels = build_system(
+            kind, 5, row["jb"], HAM, ENV, injection_mode=mode,
+            disorder_spec=DisorderSpec(0.5, seed, row["realization"]))
+        brightness(es, channels)
+        assert row["n_dark"] == classify_bright_dark(es, 1e-3).n_dark
     factors = (0.1, 10.0)
     rows = regime_grid(spec, gamma_nr_factors=factors)
     clean = [row for row in rows if row["realization"] == -1]
@@ -507,13 +522,6 @@ def test_clean_ensemble_values_equal_the_per_point_pipeline(kind, mode):
         assert row["current"] == solve_point(
             kind, 5, row["jb"], HAM, env, dipole_scheme=scheme,
             injection_mode=mode).current
-    state_rows, _ = brightness_robustness(spec)
-    for jb in spec.jb_values:
-        _, _, es, channels = build_system(kind, 5, jb, HAM, ENV,
-                                          injection_mode=mode)
-        expected = brightness(es, channels)[1:].tolist()
-        assert [row["clean_brightness"] for row in state_rows
-                if row["jb"] == jb] == expected
 
 
 def test_zero_sigma_ensembles_diagonalize_only_the_clean_row(monkeypatch):
@@ -525,10 +533,8 @@ def test_zero_sigma_ensembles_diagonalize_only_the_clean_row(monkeypatch):
     _, raw = disorder_ensemble(spec)
     assert len(raw) == 16
     assert [len(rows) for rows, _, _ in solves] == [1, 1]
-    solves.clear()
-    _, census_rows = brightness_robustness(spec)
-    assert len(census_rows) == 16
-    assert [len(rows) for rows, _, _ in solves] == [1, 1]
+    # a dimer chain of 4 cells has 4 dark states
+    assert {row["n_dark"] for row in raw} == {4}
 
 
 def test_ensemble_engine_isolates_failed_realizations():
@@ -573,26 +579,25 @@ def test_low_ground_populations_are_counted_in_one_warning():
 
 def test_brightness_robustness_records_failed_realizations():
     # at sigma = 40 one draw (realization 19) pushes an excited level
-    # below the ground state
+    # below the ground state; its census is empty, the others are counted
     spec = SweepSpec(geometries=("dimer",), n_cells_values=(4,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
                      disorder=DisorderEnsembleSpec(sigma=40.0,
                                                    n_realizations=40,
                                                    base_seed=3))
-    state_rows, census_rows = brightness_robustness(spec)
-    failed = [row for row in census_rows if row["error"]]
+    stats, raw = disorder_ensemble(spec)
+    failed = [row for row in raw if row["error"]]
     assert [(row["realization"], row["error"]) for row in failed] == [
         (19, "SpectralError")]
-    assert failed[0]["n_bright"] is None and failed[0]["n_dark"] is None
-    assert sum(row["error"] == "" for row in census_rows) == 39
-    assert len(state_rows) == 8
-    assert all(np.isfinite(row["median"]) for row in state_rows)
-    # with every realization failed the quantiles are NaN
-    state_rows, census_rows = brightness_robustness(replace(
+    assert "n_dark" not in failed[0]
+    assert all(0 <= row["n_dark"] <= 8 for row in raw if not row["error"])
+    assert stats[0]["n_failed"] == 1
+    # with every realization failed no census is left
+    stats, raw = disorder_ensemble(replace(
         spec, disorder=DisorderEnsembleSpec(sigma=1e4, n_realizations=3)))
-    assert {row["error"] for row in census_rows} == {"SpectralError"}
-    assert len(state_rows) == 8
-    assert all(np.isnan(row["median"]) for row in state_rows)
+    assert {row["error"] for row in raw} == {"SpectralError"}
+    assert not any("n_dark" in row for row in raw)
+    assert stats[0]["n_failed"] == 3 and np.isnan(stats[0]["median"])
 
 
 def test_eigen_injection_single_cell_edge_case():
@@ -608,15 +613,15 @@ def test_eigen_injection_sweep_schema():
 
 
 def test_brightness_robustness_zero_sigma_is_zero_width():
+    # at sigma = 0 every realization's census is the clean one
     spec = small_spec(n_cells_values=(3,),
                       disorder=DisorderEnsembleSpec(sigma=0.0,
                                                     n_realizations=4))
-    state_rows, census_rows = brightness_robustness(spec)
-    assert len(state_rows) == 6
-    for row in state_rows:
-        for key in ("min", "max", "median", "q25", "q75"):
-            assert row[key] == row["clean_brightness"], key
-    assert len(census_rows) == 4
+    _, raw = disorder_ensemble(spec)
+    _, _, es, channels = build_system("dimer", 3, 1.0, HAM, ENV)
+    brightness(es, channels)
+    clean = classify_bright_dark(es, spec.dark_threshold).n_dark
+    assert [row["n_dark"] for row in raw] == [clean] * 4
 
 
 def test_brightness_robustness_census_counts():
@@ -631,11 +636,36 @@ def test_brightness_robustness_census_counts():
                                                    n_realizations=40,
                                                    base_seed=2),
                      dark_threshold=1e-3, jobs=4)
-    _, census_rows = brightness_robustness(spec)
-    expected = {"dimer": (20, 20), "prism": (20, 40)}
+    _, raw = disorder_ensemble(spec)
+    expected = {"dimer": 20, "prism": 40}  # 20 bright states each
     preserved = {kind: 0 for kind in expected}
-    for row in census_rows:
-        if (row["n_bright"], row["n_dark"]) == expected[row["geometry"]]:
+    for row in raw:
+        if row["n_dark"] == expected[row["geometry"]]:
             preserved[row["geometry"]] += 1
     assert preserved["prism"] >= 36  # >= 90% of draws
     assert preserved["dimer"] < preserved["prism"]
+
+
+@pytest.mark.parametrize("threshold", [1e-6, 1e-3])
+def test_disorder_census_matches_each_realization_solved_alone(threshold):
+    # n_dark of each realization is classify_bright_dark of that
+    # realization built and diagonalized alone; at sigma = 0 every row
+    # reads the clean prism's 40 dark states
+    spec = small_spec(geometries=("prism",), n_cells_values=(20,),
+                      jb_values=(10.0,), dark_threshold=threshold,
+                      disorder=DisorderEnsembleSpec(sigma=0.9,
+                                                    n_realizations=20,
+                                                    base_seed=4))
+    _, raw = disorder_ensemble(spec)
+    seed = derive_seed(4, 0, 0)
+    assert len(raw) == 20
+    for row in raw:
+        _, _, es, channels = build_system(
+            "prism", 20, 10.0, HAM, ENV,
+            disorder_spec=DisorderSpec(0.9, seed, row["realization"]))
+        brightness(es, channels)
+        census = classify_bright_dark(es, threshold)
+        assert row["n_dark"] == census.n_dark
+    _, raw = disorder_ensemble(replace(spec, disorder=DisorderEnsembleSpec(
+        sigma=0.0, n_realizations=20)))
+    assert [row["n_dark"] for row in raw] == [40] * 20

@@ -10,9 +10,9 @@ from excitonchain.lattice import Geometry, assign_dipoles, build_geometry
 CUSTOM_LAYOUT = np.array([[0.0, 0.0], [1.3, 0.2], [0.4, 1.7], [-0.9, 0.8]])
 
 
-def build(kind, n_cells, **kwargs):
+def build(kind, n_cells, jb=1.0, **kwargs):
     return build_hamiltonian(build_geometry(kind, n_cells),
-                             HamiltonianParams(**kwargs))
+                             HamiltonianParams(**kwargs), jb)
 
 
 def dipole_coupling(r_i, d_i, r_j, d_j, j):
@@ -26,7 +26,7 @@ def dipole_coupling(r_i, d_i, r_j, d_j, j):
     return j * angular / dist**3
 
 
-def pair_loop_matrix(geometry, params):
+def pair_loop_matrix(geometry, params, jb):
     """The Hamiltonian assembled one site pair at a time."""
     n, ns = geometry.sites_per_cell, geometry.n_sites
     pos, dip = geometry.positions, geometry.dipoles
@@ -39,7 +39,7 @@ def pair_loop_matrix(geometry, params):
             same_cell = a // n == b // n
             if not same_cell and a % n != b % n:
                 continue
-            scale = params.jb if same_cell else 1.0
+            scale = jb if same_cell else 1.0
             if dip is not None:
                 v = dipole_coupling(pos[a], dip[a], pos[b], dip[b], scale)
             else:
@@ -112,9 +112,9 @@ def test_build_matches_the_pair_loop_exactly(kind, dipoles):
             rng = np.random.default_rng([n_cells, geo.sites_per_cell])
             geo = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
         for jb in (0.1, 3.7):
-            params = HamiltonianParams(jb=jb)
-            assert np.array_equal(build_hamiltonian(geo, params).matrix,
-                                  pair_loop_matrix(geo, params))
+            params = HamiltonianParams()
+            assert np.array_equal(build_hamiltonian(geo, params, jb).matrix,
+                                  pair_loop_matrix(geo, params, jb))
 
 
 @pytest.mark.parametrize("r_j,d_i,d_j,expected", [
@@ -123,8 +123,7 @@ def test_build_matches_the_pair_loop_exactly(kind, dipoles):
     ((0, 2.0, 0), (1, 0, 0), (1, 0, 0), 1 / 8),
 ])
 def test_dipole_coupling_reference_values(r_j, d_i, d_j, expected):
-    h = build_hamiltonian(two_sites(r_j, d_i, d_j),
-                          HamiltonianParams(jb=1.0))
+    h = build_hamiltonian(two_sites(r_j, d_i, d_j), HamiltonianParams(), 1.0)
     assert h.excited_block[0, 1] == pytest.approx(expected, abs=1e-15)
     assert h.excited_block[1, 0] == h.excited_block[0, 1]
 
@@ -132,22 +131,22 @@ def test_dipole_coupling_reference_values(r_j, d_i, d_j, expected):
 def test_dipole_coupling_rejects_bad_inputs():
     with pytest.raises(HamiltonianError, match="coincident"):
         build_hamiltonian(two_sites((0, 0, 0), (1, 0, 0), (1, 0, 0)),
-                          HamiltonianParams())
+                          HamiltonianParams(), 1.0)
     with pytest.raises(HamiltonianError, match="coincident"):
-        build_hamiltonian(two_sites((0, 0, 0)), HamiltonianParams())
+        build_hamiltonian(two_sites((0, 0, 0)), HamiltonianParams(), 1.0)
     # two cells of one site each: the coincident pair is a chain pair
     stacked = Geometry(kind="custom", n_cells=2, sites_per_cell=1,
                        positions=np.zeros((2, 3)))
     with pytest.raises(HamiltonianError, match="coincident"):
-        build_hamiltonian(stacked, HamiltonianParams())
+        build_hamiltonian(stacked, HamiltonianParams(), 1.0)
     with pytest.raises(HamiltonianError, match="unit norm"):
         build_hamiltonian(two_sites((1, 0, 0), (2, 0, 0), (1, 0, 0)),
-                          HamiltonianParams())
+                          HamiltonianParams(), 1.0)
 
 
 def test_transport_aligned_dipoles_double_the_inter_cell_coupling():
     geo = assign_dipoles(build_geometry("prism", 2), "transport")
-    h = build_hamiltonian(geo, HamiltonianParams(jb=4.0))
+    h = build_hamiltonian(geo, HamiltonianParams(), 4.0)
     a = geo.flat_index(1, 1)
     b = geo.flat_index(2, 1)
     assert h.excited_block[a, b] == pytest.approx(-2.0)
@@ -160,9 +159,9 @@ def test_dipoles_reduce_to_scalar_when_orthogonal():
     # trimer separations lie in the x-y plane; z dipoles are orthogonal to
     # every separation and mutually parallel
     geo = build_geometry("trimer", 3)
-    scalar = build_hamiltonian(geo, HamiltonianParams(jb=2.5))
+    scalar = build_hamiltonian(geo, HamiltonianParams(), 2.5)
     dipolar = build_hamiltonian(assign_dipoles(geo, (0.0, 0.0, 1.0)),
-                                HamiltonianParams(jb=2.5))
+                                HamiltonianParams(), 2.5)
     np.testing.assert_allclose(dipolar.matrix, scalar.matrix, atol=1e-14)
 
 
@@ -170,8 +169,8 @@ def test_dipoles_switch_couplings_and_emission_together():
     # one input: the geometry's dipoles set both the point-dipole
     # couplings and the Cartesian rows of the radiative channel
     geo = assign_dipoles(build_geometry("prism", 5), "transport")
-    h = build_hamiltonian(geo, HamiltonianParams())
-    assert np.array_equal(h.matrix, pair_loop_matrix(geo, h.params))
+    h = build_hamiltonian(geo, HamiltonianParams(), 1.0)
+    assert np.array_equal(h.matrix, pair_loop_matrix(geo, h.params, 1.0))
     # aligned along the chain, dipoles double the nearest chain coupling
     # and flip its sign
     assert h.excited_block[0, geo.sites_per_cell] == -2.0
@@ -198,34 +197,34 @@ def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
             geo = assign_dipoles(geo, dipoles)
         n = geo.sites_per_cell
         for jb in (0.1, 3.7):
-            params = HamiltonianParams(jb=jb)
-            h = build_hamiltonian(geo, params)
+            params = HamiltonianParams()
+            h = build_hamiltonian(geo, params, jb)
             chain, cell = h.factors
             assert np.array_equal(
                 h.excited_block,
                 np.kron(chain, np.eye(n)) + np.kron(np.eye(n_cells), cell))
-            assert np.array_equal(chain, factor_blocks(
-                geo, HamiltonianParams(jb=10.0))[0])
-            assert np.array_equal(cell, factor_blocks(first, params)[1])
+            assert np.array_equal(chain, factor_blocks(geo, params, 10.0)[0])
+            assert np.array_equal(cell, factor_blocks(first, params, jb)[1])
 
 
 def test_disorder_and_differing_cells_record_no_factors():
     geo = build_geometry("prism", 4)
-    h = build_hamiltonian(geo, HamiltonianParams())
+    h = build_hamiltonian(geo, HamiltonianParams(), 1.0)
     assert h.factors is not None
     assert apply_disorder(h, DisorderSpec(sigma=0.5, seed=1)).factors is None
     rng = np.random.default_rng(4)
     per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
-    assert build_hamiltonian(per_site, HamiltonianParams()).factors is None
-    assert factor_blocks(per_site, HamiltonianParams()) is None
+    assert build_hamiltonian(per_site, HamiltonianParams(),
+                             1.0).factors is None
+    assert factor_blocks(per_site, HamiltonianParams(), 1.0) is None
     # a cell whose sites do not share one x, or a layout that is not
     # repeated, gives no factors
     assert build_hamiltonian(two_sites((1.0, 0.5, 0.0)),
-                             HamiltonianParams()).factors is None
+                             HamiltonianParams(), 1.0).factors is None
     moved = geo.positions.copy()
     moved[-1, 1] += 0.25
     assert build_hamiltonian(Geometry("custom", 4, 3, moved),
-                             HamiltonianParams()).factors is None
+                             HamiltonianParams(), 1.0).factors is None
 
 
 def test_zero_sigma_disorder_is_identity():
@@ -276,6 +275,19 @@ def test_non_finite_sigma_rejected():
 
 @pytest.mark.parametrize("name", ["delta_e", "e0", "eg", "jb"])
 def test_non_finite_parameters_rejected_by_name(name):
+    # jb is an argument of the builders, checked for clean chains and
+    # for geometries with no factors alike
+    clean = build_geometry("dimer", 2)
+    per_site = assign_dipoles(
+        clean, np.random.default_rng(4).normal(size=(clean.n_sites, 3)))
     for value in (np.nan, np.inf, -np.inf):
-        with pytest.raises(HamiltonianError, match=f"^{name} must be finite"):
-            HamiltonianParams(**{name: value})
+        match = f"^{name} must be finite"
+        if name != "jb":
+            with pytest.raises(HamiltonianError, match=match):
+                HamiltonianParams(**{name: value})
+            continue
+        for geo in (clean, per_site):
+            with pytest.raises(HamiltonianError, match=match):
+                build_hamiltonian(geo, HamiltonianParams(), value)
+            with pytest.raises(HamiltonianError, match=match):
+                factor_blocks(geo, HamiltonianParams(), value)

@@ -17,7 +17,7 @@ from excitonchain.spectral import diagonalize, transition_matrix
 
 def make_rates(kind, n_cells, jb=1.0, env=None, injection_mode="site"):
     geo = build_geometry(kind, n_cells)
-    h = build_hamiltonian(geo, HamiltonianParams(jb=jb))
+    h = build_hamiltonian(geo, HamiltonianParams(), jb)
     es = diagonalize(h)
     channels = build_channels(geo, env or EnvironmentParams(),
                               injection_mode=injection_mode)

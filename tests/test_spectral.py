@@ -32,8 +32,8 @@ def make_system(kind, n_cells, jb=1.0, dipoles=None, injection_mode="site",
     geo = build_geometry(kind, n_cells)
     if dipoles is not None:
         geo = assign_dipoles(geo, dipoles)
-    params = HamiltonianParams(jb=jb, **ham_kwargs)
-    h = build_hamiltonian(geo, params)
+    params = HamiltonianParams(**ham_kwargs)
+    h = build_hamiltonian(geo, params, jb)
     es = diagonalize(h)
     env = env or EnvironmentParams()
     channels = build_channels(geo, env, delta_e=params.delta_e,
@@ -204,7 +204,7 @@ def test_brightness_requires_radiative_channel():
 
 def test_rejects_asymmetric_and_overlapping_spectra():
     geo = build_geometry("mono", 2)
-    h = build_hamiltonian(geo, HamiltonianParams())
+    h = build_hamiltonian(geo, HamiltonianParams(), 1.0)
     bad = h.matrix.copy()
     bad[1, 2] = 2.0
     with pytest.raises(SpectralError, match="symmetric"):
@@ -364,9 +364,9 @@ def test_slot_permutation_preserves_the_spectrum():
     base = build_geometry("prism", 3)
     layout = base.positions[base.cell_sites(1)][:, 1:]
     permuted = build_geometry("custom", 3, custom_layout=layout[[2, 0, 1]])
-    params = HamiltonianParams(jb=7.0)
-    eps_a = diagonalize(build_hamiltonian(base, params)).energies
-    eps_b = diagonalize(build_hamiltonian(permuted, params)).energies
+    params = HamiltonianParams()
+    eps_a = diagonalize(build_hamiltonian(base, params, 7.0)).energies
+    eps_b = diagonalize(build_hamiltonian(permuted, params, 7.0)).energies
     np.testing.assert_allclose(np.sort(eps_a), np.sort(eps_b), atol=1e-9)
 
 
@@ -481,7 +481,7 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
     # with a clean chain of its layout and a disordered row, stacked per
     # kind of row, each row comes out as diagonalize gives it alone
     clean = build_hamiltonian(replace(h.geometry, dipoles=None),
-                              HamiltonianParams(jb=10.0))
+                              HamiltonianParams(), 10.0)
     assert sector_eigen(clean) is not None
     stack = [clean, h, disordered(h)]
     rows = [_eigen_row(m) for m in stack]
@@ -537,7 +537,7 @@ def test_a_failing_row_of_the_stacked_solve_fails_alone(monkeypatch):
 
 def test_a_factor_solve_that_does_not_converge_raises(monkeypatch):
     chain, _ = build_hamiltonian(build_geometry("dimer", 4),
-                                 HamiltonianParams()).factors
+                                 HamiltonianParams(), 1.0).factors
 
     def failing_eigh(block):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
