@@ -14,7 +14,7 @@ from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
     FlatStep, build_channels, drude_lorentz, step_spectrum
 from .experiments import DisorderEnsembleSpec, FitResult, SweepSpec, \
     build_system, disorder_ensemble, fit_exponential, length_sweep, \
-    population_profile, regime_grid, solve_point
+    regime_grid, solve_point
 from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
@@ -65,7 +65,6 @@ __all__ = [
     "fit_exponential",
     "build_system",
     "solve_point",
-    "population_profile",
     "length_sweep",
     "disorder_ensemble",
     "regime_grid",

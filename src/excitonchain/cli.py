@@ -28,7 +28,9 @@ from .environment import EnvironmentParams
 from .experiments import DisorderEnsembleSpec, SweepSpec, _solve_system, \
     build_system, disorder_ensemble, length_sweep, regime_grid
 from .hamiltonian import HamiltonianParams
-from .spectral import brightness, classify_bright_dark, eigenstructure_tables
+from .pme import site_populations
+from .spectral import _check_dark_threshold, brightness, \
+    classify_bright_dark, eigenstructure_tables
 
 
 def _setting(default=None, *, factory=None, **metadata):
@@ -243,6 +245,7 @@ def _system(config: RunConfig):
 
 
 def _cmd_eigen(config: RunConfig, out: Path) -> None:
+    _check_dark_threshold(config.dark_threshold)
     _, _, es, channels = _system(config)
     brightness(es, channels)
     census = classify_bright_dark(es, config.dark_threshold)
@@ -262,11 +265,13 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_steady(config: RunConfig, out: Path) -> None:
-    system = _system(config)
-    payload = _solve_system(system, config.method).to_json_dict()
+    (_, _, es, channels), report = _solve_system(
+        config.method, lambda: _system(config))
+    payload = report.to_json_dict()
+    payload["site_populations"] = site_populations(report, es).tolist()
     payload["parameters"] = _parameters(config)
     payload["tool_version"] = __version__
-    payload["channels"] = [ch.describe() for ch in system[3]]
+    payload["channels"] = [ch.describe() for ch in channels]
     write_json(out / "steady_state.json", payload)
 
 

@@ -12,13 +12,15 @@ pairs) into fixed-size stacks (:func:`_chunk_size`), shares them out to
 PME solve (``pme._steady_reports``); every row comes back as its value
 or the error it failed with.
 
+- A single point (:func:`solve_point`) is measured as a stack of one by
+  :func:`_measure`, which picks the solvers for every sweep row too.
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
-  once, and that eigensystem feeds both the stacked population (PME)
-  solve and the density-matrix (BRME) solve.  A clean chain is solved
-  from its factors: the cell block once per (geometry, jb), before the
-  chains are shared out, and the chain block once per chain; no dense
-  Hamiltonian is built for it, one site per cell included.  Its rows equal
+  once, and that eigensystem is measured with both solvers.  A clean
+  chain is solved from its factors: the cell block once per (geometry,
+  jb), before the chains are shared out, and the chain block once per
+  chain; no dense Hamiltonian is built for it, one site per cell
+  included.  Its rows equal
   :func:`solve_point`'s reports exactly.  A failing point raises what
   :func:`solve_point` raises there: the first such point of its
   geometry in grid order.
@@ -47,11 +49,10 @@ from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
                           apply_disorder, build_hamiltonian, factor_blocks)
 from .lattice import assign_dipoles, build_geometry
-from .pme import (SteadyStateReport, _steady_reports, _warn_low_ground,
-                  site_populations, solve_steady_state)
-from .spectral import (EigenSystem, _brightness_rows, _dark_mask,
-                       _eigen_row, _eigen_rows, _factor_eigen, _rate_rows,
-                       diagonalize, transition_matrix)
+from .pme import SteadyStateReport, _steady_reports, _warn_low_ground
+from .spectral import (EigenSystem, _brightness_rows, _check_dark_threshold,
+                       _dark_mask, _eigen_row, _eigen_rows, _factor_eigen,
+                       _rate_rows, diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
 # doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
@@ -114,9 +115,7 @@ class SweepSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if not 0 < self.dark_threshold < 1:
-            raise ValueError("dark_threshold must lie in (0, 1), got "
-                             f"{self.dark_threshold}")
+        _check_dark_threshold(self.dark_threshold)
 
 
 @dataclass(frozen=True)
@@ -200,22 +199,52 @@ def solve_point(kind: str, n_cells: int, jb: float,
                 disorder_spec: DisorderSpec | None = None,
                 method: str = "pme") -> SteadyStateReport:
     """Solve one steady state with either solver."""
-    system = build_system(kind, n_cells, jb, ham, env,
-                          dipole_scheme=dipole_scheme,
-                          injection_mode=injection_mode,
-                          disorder_spec=disorder_spec)
-    return _solve_system(system, method)
+    return _solve_system(method, partial(
+        build_system, kind, n_cells, jb, ham, env,
+        dipole_scheme=dipole_scheme, injection_mode=injection_mode,
+        disorder_spec=disorder_spec))[1]
 
 
-def _solve_system(system, method: str = "pme") -> SteadyStateReport:
+def _solve_system(method: str, build) -> tuple:
+    """(system, report) of one point: ``method`` is checked before
+    ``build()`` makes the :func:`build_system` tuple, whose eigensystem
+    :func:`_measure` then solves as a stack of one; its error is raised."""
+    if method not in ("pme", "brme"):
+        raise ValueError(f"a point solves with 'pme' or 'brme', not "
+                         f"{method!r}")
+    system = build()
     _, _, es, channels = system
-    if method == "pme":
-        return solve_steady_state(transition_matrix(es, channels))
-    if method == "brme":
+    report = _measure([method], channels, es.energies[None],
+                      es.vectors[None])[0][method]
+    if isinstance(report, Exception):
+        raise report
+    return system, report
+
+
+def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
+    """Per row of a stack of eigensystems, {method: its report or the
+    error it failed with} for each of ``methods``: "pme" from the stacked
+    population solve (:func:`_pme_rows`), each report warned about as
+    ``pme._warn_low_ground`` does, and "brme" from a density-matrix solve
+    per row."""
+    solved: list[dict] = [{} for _ in energies]
+    if "pme" in methods:
+        for out, report in zip(solved, _pme_rows(channels, energies,
+                                                 vectors)):
+            if isinstance(report, SteadyStateReport):
+                _warn_low_ground(report)
+            out["pme"] = report
+    if "brme" in methods:
         from .brme import brme_steady_state, build_liouvillian  # loads scipy
 
-        return brme_steady_state(build_liouvillian(es, channels))
-    raise ValueError(f"a point solves with 'pme' or 'brme', not {method!r}")
+        for out, eps, vecs in zip(solved, energies, vectors):
+            es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
+            try:
+                out["brme"] = brme_steady_state(
+                    build_liouvillian(es, channels))
+            except Exception as exc:  # raised by the caller
+                out["brme"] = exc
+    return solved
 
 
 def _pme_only(spec: SweepSpec, study: str) -> None:
@@ -230,34 +259,6 @@ def _map_in_order(fn, items, jobs: int) -> list:
         return list(map(fn, items))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-def population_profile(kind: str, n_cells: int, jb: float,
-                       gamma_rad_values, ham: HamiltonianParams,
-                       env: EnvironmentParams) -> list[dict]:
-    """Per-site steady populations relative to site 1, per radiative rate,
-    all on one eigensystem of the chain (no dipoles, site injection)."""
-    geometry = build_geometry(kind, n_cells)
-    es = diagonalize(build_hamiltonian(geometry, ham, jb))
-    rows = []
-    for gamma_rad in gamma_rad_values:
-        channels = build_channels(geometry, replace(env, gamma_rad=gamma_rad),
-                                  delta_e=ham.delta_e)
-        report = solve_steady_state(transition_matrix(es, channels))
-        per_site = site_populations(report.populations, es)
-        reference = per_site[0]
-        for s in range(geometry.n_sites):
-            rows.append({
-                "gamma_rad": gamma_rad,
-                "site_index": s,
-                "cell": int(geometry.cells[s]),
-                "slot": int(geometry.slots[s]),
-                "population": float(per_site[s]),
-                "relative_population": float(per_site[s] / reference)
-                if reference > 0 else np.nan,
-                "ground_population": report.ground_population,
-            })
-    return rows
 
 
 def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
@@ -276,8 +277,7 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     solved, its first failing point in grid order raises what
     :func:`solve_point` raises there, and no later geometry is solved.
     """
-    methods = {"pme": ["pme"], "brme": ["brme"],
-               "both": ["pme", "brme"]}[spec.method]
+    methods = ["pme", "brme"] if spec.method == "both" else [spec.method]
     # the methods solved at each chain length, BRME only up to its cap
     at = {n: [m for m in methods if m == "pme" or n <= spec.brme_max_cells]
           for n in spec.n_cells_values}
@@ -359,8 +359,8 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     """Reports of one chain at every coupling of a sweep.
 
     The geometry, channels and chain block T are built once and the
-    couplings solved in stacks (:func:`_solve_rows`): each eigensystem
-    feeds its stack's PME solve and its own BRME solve.  A clean
+    couplings solved in stacks (:func:`_solve_rows`) and measured by
+    :func:`_measure`, as :func:`solve_point` measures its point.  A clean
     chain's row is its factor pair: T with its eigh, solved here once,
     and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
     Hamiltonian is built for it.  A chain that is not clean gives its
@@ -377,29 +377,10 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
             return build_hamiltonian(geometry, spec.ham, jb).excited_block
         return chain, cells[jb]
 
-    def measure(energies, vectors) -> list[dict]:
-        solved: list[dict] = [{} for _ in energies]
-        if "pme" in methods:
-            pme = _pme_rows(channels, energies, vectors)
-            for out, report in zip(solved, pme):
-                if isinstance(report, SteadyStateReport):
-                    _warn_low_ground(report)
-                out["pme"] = report
-        if "brme" in methods:
-            from .brme import brme_steady_state, build_liouvillian
-
-            for out, eps, vecs in zip(solved, energies, vectors):
-                es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
-                try:
-                    out["brme"] = brme_steady_state(
-                        build_liouvillian(es, channels))
-                except Exception as exc:  # raised by length_sweep
-                    out["brme"] = exc
-        return solved
-
     jbs = spec.jb_values
     values = _solve_rows(lambda rows: [row(jbs[r]) for r in rows], len(jbs),
-                         spec.ham.eg, geometry, measure, 1)
+                         spec.ham.eg, geometry,
+                         partial(_measure, methods, channels), 1)
     return {(jb, method): value if isinstance(value, Exception)
             else value[method] for jb, value in zip(jbs, values)
             for method in methods}

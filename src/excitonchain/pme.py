@@ -14,9 +14,10 @@ balance at some state (cancellation in the LU, when rates span many
 decades) is redone by state reduction, which subtracts nothing.
 
 Stacked reports do not warn; whoever reads them decides.  A single solve
-(:func:`solve_steady_state`, or a length sweep's point) warns once per
-report whose ground population is at or below ``MIN_GROUND_POPULATION``
-(:func:`_warn_low_ground`), and an ensemble counts those in one warning.
+(:func:`solve_steady_state`, or a point or length-sweep row measured by
+``experiments._measure``) warns once per report whose ground population
+is at or below ``MIN_GROUND_POPULATION`` (:func:`_warn_low_ground`), and
+an ensemble counts those in one warning.
 """
 
 from __future__ import annotations
@@ -111,20 +112,21 @@ def _reaches_all(edges: np.ndarray) -> bool:
 
 def _closed_classes(rates: np.ndarray) -> list[list[int]]:
     """Members of each closed communicating class of a rate graph, where
-    ``rates[n, m]`` is the rate from m into n (a generator qualifies)."""
+    ``rates[n, m]`` is the rate from m into n (a generator qualifies),
+    ordered by their smallest member."""
     edges = rates.T > 0
     np.fill_diagonal(edges, False)
     if _reaches_all(edges) and _reaches_all(edges.T):
         return [list(range(edges.shape[0]))]
-    # only a graph that is not strongly connected loads scipy
-    from scipy.sparse.csgraph import connected_components
-
-    n_classes, labels = connected_components(edges, directed=True,
-                                             connection="strong")
-    src, dst = np.nonzero(edges)
-    leaving = set(labels[src][labels[src] != labels[dst]].tolist())
-    return [np.flatnonzero(labels == c).tolist()
-            for c in range(n_classes) if c not in leaving]
+    # reach[i, j]: i reaches j (Warshall's transitive closure)
+    reach = edges | np.eye(edges.shape[0], dtype=bool)
+    for k in range(reach.shape[0]):
+        reach |= reach[:, k, None] & reach[k]
+    mutual = reach & reach.T
+    # a state's class is closed when the state reaches only its class
+    classes = {mutual[i].tobytes(): np.flatnonzero(mutual[i]).tolist()
+               for i in np.flatnonzero((reach == mutual).all(axis=1))}
+    return list(classes.values())
 
 
 def _acceptable(chi: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -268,10 +270,14 @@ def _flux_rows(populations: np.ndarray, ground: dict[str, tuple]
     return fluxes
 
 
-def site_populations(populations: np.ndarray, es: EigenSystem) -> np.ndarray:
-    """Per-site excited populations implied by eigenstate populations."""
-    amp2 = es.site_amplitudes**2
-    return amp2.T @ populations[1:]
+def site_populations(report: SteadyStateReport, es: EigenSystem) -> np.ndarray:
+    """Excited population of each site in a solved state, diag(V rho V^T)
+    with V the eigenvectors of ``es``: sum_k V_sk^2 p_k for a population
+    report, and with the coherences of a density-matrix report's rho."""
+    if report.density_matrix is None:
+        return (es.site_amplitudes**2).T @ report.populations[1:]
+    vectors = es.vectors[1:]
+    return ((vectors @ report.density_matrix.real) * vectors).sum(axis=1)
 
 
 def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:

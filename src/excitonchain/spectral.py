@@ -533,11 +533,16 @@ def classify_bright_dark(es: EigenSystem,
 def _dark_mask(b: np.ndarray, threshold_fraction: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """Dark-state mask of excited brightnesses (..., n) and the cutoff."""
-    if not 0.0 < threshold_fraction < 1.0:
-        raise SpectralError("threshold_fraction must lie in (0, 1)")
+    _check_dark_threshold(threshold_fraction)
     cutoff = threshold_fraction * b.max(axis=-1, keepdims=True)
     # with no brightness at all no state radiates: every state is dark
     return (b < cutoff) | (cutoff == 0), cutoff[..., 0]
+
+
+def _check_dark_threshold(fraction: float) -> None:
+    """Reject a dark threshold outside (0, 1), naming the setting."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"dark_threshold must lie in (0, 1), got {fraction}")
 
 
 def eigenstructure_tables(es: EigenSystem) -> tuple[list[dict], list[dict]]:

@@ -9,7 +9,8 @@ from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import build_generator, solve_steady_state
+from excitonchain.pme import build_generator, site_populations, \
+    solve_steady_state
 from excitonchain.spectral import SpectralError, diagonalize, \
     transition_matrix
 
@@ -370,6 +371,24 @@ def test_current_agrees_with_site_population_formula():
     last = geo.cell_sites(geo.n_cells)
     expected = gamma_ext * np.trace(rho_sites[np.ix_(last, last)]).real
     assert report.current == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_site_populations_count_the_coherences():
+    # diag(V rho V^T): with rho_00 it sums to one, the extraction cell's
+    # sites give the current as the population solver's do, and the whole
+    # profile stays within brme-check's 2% of the population solver's
+    es, channels = make_system("prism", 5, jb=10.0)
+    report = brme_steady_state(build_liouvillian(es, channels))
+    sites = site_populations(report, es)
+    assert sites.sum() + report.density_matrix[0, 0].real == pytest.approx(
+        1.0, rel=0, abs=1e-12)
+    last = es.geometry.cell_sites(es.geometry.n_cells)
+    gamma_ext = EnvironmentParams().gamma_ext
+    assert gamma_ext * sites[last].sum() == pytest.approx(
+        report.current, rel=1e-12, abs=0)
+    pme_report = solve_steady_state(transition_matrix(es, channels))
+    np.testing.assert_allclose(sites, site_populations(pme_report, es),
+                               rtol=0.02, atol=0)
 
 
 def test_flux_conservation_in_the_density_matrix_solver():

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from excitonchain import cli
 from excitonchain.cli import (COMMANDS, RunConfig, build_parser, main,
                               resolve_config)
 
@@ -333,6 +334,19 @@ def test_disorder_rejects_a_dark_threshold_before_any_output(tmp_path,
     assert not out.exists()
 
 
+def test_eigen_rejects_a_dark_threshold_before_anything_is_built(
+        tmp_path, capsys, monkeypatch):
+    built = spy_builds(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["eigen", "--geometry", "dimer", "--n-cells", "2",
+                 "--dark-threshold", "2", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"] == "dark_threshold must lie in (0, 1), got 2.0"
+    assert built == []
+    assert not out.exists()
+
+
 def test_regime_grid_command(tmp_path):
     run_ok(["regime-grid", "--geometries", "mono", "--jb-values", "1",
             "--n-cells", "4", "--sigma", "0.9", "--n-realizations", "2",
@@ -473,12 +487,25 @@ def test_every_command_rejects_fewer_than_one_job(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys):
+def spy_builds(monkeypatch) -> list:
+    """The arguments of every system the CLI builds from now on."""
+    built = []
+    real = cli.build_system
+    monkeypatch.setattr(cli, "build_system",
+                        lambda *args, **kwargs: built.append(args)
+                        or real(*args, **kwargs))
+    return built
+
+
+def test_steady_rejects_a_method_that_does_not_apply(tmp_path, capsys,
+                                                     monkeypatch):
+    built = spy_builds(monkeypatch)
     assert main(["steady", "--geometry", "mono", "--n-cells", "2",
                  "--method", "both", "--out", str(tmp_path)]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValueError"
     assert "'both'" in record["message"]
+    assert built == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -505,6 +532,13 @@ for args in (
          "--n-max", "8"]):
     jobs = [] if args[0] == "steady" else ["--jobs", "2"]
     assert cli.main([*args, *jobs, "--out", f"{out}/{args[0]}"]) == 0
+from excitonchain.pme import SteadyStateError, build_generator, steady_state
+
+try:  # a rate graph with two closed classes, {0, 1} and {2}
+    steady_state(build_generator([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    raise AssertionError("two closed classes have no unique steady state")
+except SteadyStateError as exc:
+    assert exc.components == [[0, 1], [2]], exc.components
 loaded = {"population": sorted(m for m in sys.modules
                                if m.split(".")[0] == "scipy")}
 

@@ -1,15 +1,18 @@
+import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from excitonchain import experiments
+from excitonchain.cli import main
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
                                       build_system, derive_seed,
                                       disorder_ensemble, fit_exponential,
-                                      length_sweep, population_profile,
-                                      regime_grid, solve_point)
+                                      length_sweep, regime_grid,
+                                      solve_point)
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams)
 from excitonchain.pme import SteadyStateError, site_populations
@@ -305,56 +308,43 @@ def test_length_sweep_warns_once_per_low_ground_population_point():
     assert messages == sorted(str(w.message) for w in single)
 
 
-def test_population_profile_normalization_and_trend():
+def steady_sites(tmp_path, *flags) -> tuple[list, dict]:
+    """The site populations and the report of one ``steady`` run."""
+    out = tmp_path / "_".join(flags)
+    assert main(["steady", *flags, "--out", str(out)]) == 0
+    payload = json.loads((out / "steady_state.json").read_text())
+    return payload["site_populations"], payload
+
+
+def test_population_profile_normalization_and_trend(tmp_path):
+    # a profile is one steady run per radiative rate, relative to site 1
     gammas = [1e-4, 1e-3, 1e-2, 1e-1]
-    rows = population_profile("mono", 10, 1.0, gammas, HAM, ENV)
-    by_gamma = {}
-    for row in rows:
-        by_gamma.setdefault(row["gamma_rad"], []).append(row)
-    # absolute populations plus the ground population account for everything
-    for gamma, chunk in by_gamma.items():
-        total = sum(r["population"] for r in chunk)
-        assert total + chunk[0]["ground_population"] == pytest.approx(
+    tails = []
+    for gamma in gammas:
+        sites, payload = steady_sites(tmp_path, "--geometry", "mono",
+                                      "--n-cells", "10", "--gamma-rad",
+                                      str(gamma))
+        # the library's site populations, through the JSON bit for bit
+        system, report = experiments._solve_system("pme", partial(
+            build_system, "mono", 10, 1.0, HAM,
+            replace(ENV, gamma_rad=gamma)))
+        assert sites == site_populations(report, system[2]).tolist()
+        # site populations plus the ground population account for everything
+        assert len(sites) == 10
+        assert sum(sites) + payload["ground_population"] == pytest.approx(
             1.0, abs=1e-12)
-        assert chunk[0]["relative_population"] == pytest.approx(1.0)
+        tails.append(sites[-1] / sites[0])
     # increasing radiative loss steepens the relative decay profile
-    last_site = {g: max(c, key=lambda r: r["site_index"])
-                 ["relative_population"] for g, c in by_gamma.items()}
-    values = [last_site[g] for g in gammas]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    assert all(a > b for a, b in zip(tails, tails[1:]))
 
 
-def test_population_profile_diagonalizes_its_chain_once(monkeypatch):
-    gammas = [0.0, 1e-3, 1e-2, 1e-1]
-    solves = spy(monkeypatch, "diagonalize")
-    rows = population_profile("prism", 5, 10.0, gammas, HAM, ENV)
-    assert len(solves) == 1
-    # every rate's rows equal its own build_system + _solve_system pipeline
-    expected = []
-    for gamma_rad in gammas:
-        system = build_system("prism", 5, 10.0, HAM,
-                              replace(ENV, gamma_rad=gamma_rad))
-        report = experiments._solve_system(system)
-        per_site = site_populations(report.populations, system[2])
-        expected += [(gamma_rad, s, float(p), float(p / per_site[0]),
-                      report.ground_population)
-                     for s, p in enumerate(per_site)]
-    assert [(r["gamma_rad"], r["site_index"], r["population"],
-             r["relative_population"], r["ground_population"])
-            for r in rows] == expected
-
-
-def test_lossless_profile_is_flattest():
-    lossless = population_profile("mono", 6, 1.0, [0.0], HAM,
-                                  EnvironmentParams(gamma_rad=0.0,
-                                                    gamma_nr=0.0))
-    lossy = population_profile("mono", 6, 1.0, [0.01], HAM, ENV)
-    tail = max(r["site_index"] for r in lossless)
-    rel0 = next(r["relative_population"] for r in lossless
-                if r["site_index"] == tail)
-    rel1 = next(r["relative_population"] for r in lossy
-                if r["site_index"] == tail)
-    assert rel0 > rel1
+def test_lossless_profile_is_flattest(tmp_path):
+    tails = []
+    for gamma in ("0", "0.01"):
+        sites, _ = steady_sites(tmp_path, "--geometry", "mono", "--n-cells",
+                                "6", "--gamma-rad", gamma, "--gamma-nr", "0")
+        tails.append(sites[-1] / sites[0])
+    assert tails[0] > tails[1]
 
 
 @pytest.mark.parametrize("kind", ["mono", "dimer"])

@@ -125,10 +125,10 @@ def test_zero_extraction_means_zero_current():
 def test_current_equals_site_population_formula():
     rates, es = make_rates("prism", 4, jb=10.0)
     report = solve_steady_state(rates)
-    p, current = report.populations, report.current
+    current = report.current
     geo = es.geometry
     gamma_ext = EnvironmentParams().gamma_ext
-    per_site = site_populations(p, es)
+    per_site = site_populations(report, es)
     expected = gamma_ext * per_site[geo.cell_sites(geo.n_cells)].sum()
     assert current == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -315,6 +315,38 @@ def test_generator_and_steady_state_properties(w):
     inflow = rates @ p
     outflow = rates.sum(axis=0) * p
     assert np.all(np.abs(inflow - outflow) <= 1e-9 * (inflow + outflow))
+
+
+def _scipy_closed_classes(edges):
+    """Closed classes of a directed graph from scipy's strong components
+    (test oracle), sorted."""
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(edges, directed=True,
+                                         connection="strong")
+    src, dst = np.nonzero(edges)
+    leaving = set(labels[src][labels[src] != labels[dst]].tolist())
+    return sorted(np.flatnonzero(labels == c).tolist()
+                  for c in range(count) if c not in leaving)
+
+
+# directed graphs of 1..30 states as out-neighbour lists, many of them
+# short or empty
+GRAPHS = st.integers(1, 30).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(GRAPHS)
+def test_closed_classes_match_scipy_strong_components(targets):
+    n = len(targets)
+    edges = np.zeros((n, n), dtype=bool)
+    for i, row in enumerate(targets):
+        edges[i, row] = True
+    np.fill_diagonal(edges, False)
+    # rates[j, i] is the rate from i into j; classes come by smallest member
+    assert _closed_classes(edges.T.astype(float)) == \
+        _scipy_closed_classes(edges)
 
 
 def test_negative_populations_are_judged_against_the_largest():

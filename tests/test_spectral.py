@@ -353,7 +353,8 @@ def test_bright_dark_census_at_strong_intra_coupling(kind, expected_bright,
 def test_census_threshold_validation():
     es, channels = make_system("dimer", 2)
     brightness(es, channels)
-    with pytest.raises(SpectralError):
+    with pytest.raises(ValueError,
+                       match=r"^dark_threshold must lie in \(0, 1\), got 0.0$"):
         classify_bright_dark(es, 0.0)
     es2, _ = make_system("dimer", 2)
     with pytest.raises(SpectralError, match="brightness"):
