@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 
 from .defaults import DEFAULTS
 from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
-    FlatStep, build_channels, drude_lorentz, step_spectrum
-from .experiments import DisorderEnsembleSpec, FitResult, SweepSpec, \
-    build_system, disorder_ensemble, fit_exponential, length_sweep, \
-    regime_grid, solve_point
+    FlatStep, build_channels
+from .experiments import FitResult, SweepSpec, build_system, \
+    disorder_ensemble, fit_exponential, length_sweep, regime_grid, \
+    solve_point
 from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
@@ -39,8 +39,6 @@ __all__ = [
     "Channel",
     "DrudeLorentzBath",
     "FlatStep",
-    "drude_lorentz",
-    "step_spectrum",
     "build_channels",
     "EigenSystem",
     "RateMatrix",
@@ -60,7 +58,6 @@ __all__ = [
     "build_liouvillian",
     "brme_steady_state",
     "SweepSpec",
-    "DisorderEnsembleSpec",
     "FitResult",
     "fit_exponential",
     "build_system",

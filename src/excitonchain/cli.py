@@ -25,8 +25,8 @@ from . import __version__
 from ._io import write_csv, write_json
 from .defaults import DARK_THRESHOLD, DEFAULTS, FIT_MIN_CELLS
 from .environment import EnvironmentParams
-from .experiments import DisorderEnsembleSpec, SweepSpec, _solve_system, \
-    build_system, disorder_ensemble, length_sweep, regime_grid
+from .experiments import SweepSpec, _solve_system, build_system, \
+    disorder_ensemble, length_sweep, regime_grid
 from .hamiltonian import HamiltonianParams
 from .pme import site_populations
 from .spectral import _check_dark_threshold, brightness, \
@@ -111,14 +111,13 @@ class RunConfig:
             env=self.env_params(),
             dipole_scheme=self.dipole_scheme(),
             injection_mode=self.injection_mode,
-            disorder=DisorderEnsembleSpec(sigma=self.sigma,
-                                          n_realizations=self.n_realizations,
-                                          base_seed=self.seed),
+            sigma=self.sigma,
+            n_realizations=self.n_realizations,
+            seed=self.seed,
             method=method if method is not None else self.method,
             fit_min_cells=self.fit_min_cells,
             brme_max_cells=self.brme_max_cells,
             dark_threshold=self.dark_threshold,
-            keep_raw=self.keep_raw,
             jobs=self.jobs,
         )
 
@@ -247,9 +246,9 @@ def _system(config: RunConfig):
 def _cmd_eigen(config: RunConfig, out: Path) -> None:
     _check_dark_threshold(config.dark_threshold)
     _, _, es, channels = _system(config)
-    brightness(es, channels)
-    census = classify_bright_dark(es, config.dark_threshold)
-    states, amplitudes = eigenstructure_tables(es)
+    b = brightness(es, channels)
+    census = classify_bright_dark(es, b, config.dark_threshold)
+    states, amplitudes = eigenstructure_tables(es, b)
     write_csv(out / "eigen_states.csv",
               ["state_index", "energy", "brightness"], states)
     write_csv(out / "eigen_amplitudes.csv",
@@ -295,7 +294,7 @@ def _cmd_disorder(config: RunConfig, out: Path) -> None:
     write_csv(out / "disorder_stats.csv",
               ["geometry", "jb", "sigma", "n_realizations", "n_failed",
                "clean_current", "median", "q1", "q3", "min", "max"], stats)
-    if spec.keep_raw:
+    if config.keep_raw:
         write_csv(out / "disorder_raw.csv",
                   ["geometry", "jb", "realization", "current", "error",
                    "n_dark"], raw)

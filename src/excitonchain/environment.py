@@ -42,8 +42,8 @@ def _check_finite(**values) -> None:
             raise ChannelError(f"{name} must be finite, got {value}")
 
 
-def drude_lorentz(omega, coupling: float, width: float, peak: float,
-                  temperature: float):
+@dataclass(frozen=True)
+class DrudeLorentzBath:
     """Thermalized Drude-Lorentz rate density.
 
     S(omega) = pi |omega| width coupling / (width^2 + (|omega| - peak)^2)
@@ -54,60 +54,58 @@ def drude_lorentz(omega, coupling: float, width: float, peak: float,
     peaks at sqrt(peak^2 + width^2).  Every parameter must be finite, and
     the width and temperature positive.
     """
-    _check_finite(coupling=coupling, width=width, peak=peak,
-                  temperature=temperature)
-    if temperature <= 0 or width <= 0:
-        raise ChannelError("temperature and width must be positive")
-    omega = np.asarray(omega, dtype=float)
-    aw = np.abs(omega)
-    lorentz = np.pi * width * coupling / (width**2 + (aw - peak) ** 2)
-    x = aw / temperature
-    with np.errstate(divide="ignore", over="ignore"):
-        bose = np.where(x > 0, 1.0 / np.expm1(np.minimum(x, 700.0)), 0.0)
-    value = lorentz * aw * (bose + (omega > 0))
-    zero_limit = np.pi * width * coupling * temperature / (width**2 + peak**2)
-    value = np.where(aw == 0, zero_limit, value)
-    return value if value.ndim else float(value)
 
-
-def step_spectrum(omega, rate: float, direction: str):
-    """One-sided flat rate density: ``rate`` on one half-line, 0 elsewhere.
-
-    The value at omega = 0 is 0 for both directions, so exact degeneracies
-    never drive these channels.  The rate must be finite and >= 0.
-    """
-    _check_finite(rate=rate)
-    if rate < 0:
-        raise ChannelError(f"rate must be >= 0, got {rate}")
-    omega = np.asarray(omega, dtype=float)
-    if direction == "up":
-        value = rate * (omega > 0)
-    elif direction == "down":
-        value = rate * (omega < 0)
-    else:
-        raise ChannelError(f"direction must be 'up' or 'down', got {direction!r}")
-    return value if value.ndim else float(value)
-
-
-@dataclass(frozen=True)
-class DrudeLorentzBath:
     coupling: float
     width: float
     peak: float
     temperature: float
 
+    def __post_init__(self):
+        _check_finite(**vars(self))
+        if self.temperature <= 0 or self.width <= 0:
+            raise ChannelError("temperature and width must be positive")
+
     def __call__(self, omega):
-        return drude_lorentz(omega, self.coupling, self.width, self.peak,
-                             self.temperature)
+        coupling, width, peak = self.coupling, self.width, self.peak
+        temperature = self.temperature
+        omega = np.asarray(omega, dtype=float)
+        aw = np.abs(omega)
+        lorentz = np.pi * width * coupling / (width**2 + (aw - peak) ** 2)
+        x = aw / temperature
+        with np.errstate(divide="ignore", over="ignore"):
+            bose = np.where(x > 0, 1.0 / np.expm1(np.minimum(x, 700.0)), 0.0)
+        value = lorentz * aw * (bose + (omega > 0))
+        zero_limit = (np.pi * width * coupling * temperature
+                      / (width**2 + peak**2))
+        value = np.where(aw == 0, zero_limit, value)
+        return value if value.ndim else float(value)
 
 
 @dataclass(frozen=True)
 class FlatStep:
+    """One-sided flat rate density: ``rate`` on one half-line, 0 elsewhere.
+
+    ``direction`` "up" covers omega > 0 and "down" omega < 0; the value at
+    omega = 0 is 0 for both, so exact degeneracies never drive these
+    channels.  The rate must be finite and >= 0.
+    """
+
     rate: float
     direction: str
 
+    def __post_init__(self):
+        _check_finite(rate=self.rate)
+        if self.rate < 0:
+            raise ChannelError(f"rate must be >= 0, got {self.rate}")
+        if self.direction not in ("up", "down"):
+            raise ChannelError("direction must be 'up' or 'down', got "
+                               f"{self.direction!r}")
+
     def __call__(self, omega):
-        return step_spectrum(omega, self.rate, self.direction)
+        omega = np.asarray(omega, dtype=float)
+        value = self.rate * (omega > 0 if self.direction == "up"
+                             else omega < 0)
+        return value if value.ndim else float(value)
 
 
 @dataclass(frozen=True)

@@ -67,23 +67,10 @@ def _chunk_size(dim: int) -> int:
 
 
 @dataclass(frozen=True)
-class DisorderEnsembleSpec:
-    """Gaussian on-site disorder ensemble: width, size and base seed."""
-
-    sigma: float = 0.0
-    n_realizations: int = 1
-    base_seed: int = 0
-
-    def __post_init__(self):
-        DisorderSpec(self.sigma)  # rejects a negative or non-finite width
-        if self.base_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     """Declarative description of a batch of steady-state runs, at the
-    couplings ``jb_values``."""
+    couplings ``jb_values``; an ensemble draws ``n_realizations``
+    Gaussian on-site disorders of width ``sigma`` from the base ``seed``."""
 
     geometries: tuple[str, ...] = ("mono",)
     n_cells_values: tuple[int, ...] = tuple(range(2, 41))
@@ -92,15 +79,19 @@ class SweepSpec:
     env: EnvironmentParams = EnvironmentParams()
     dipole_scheme: str | None = None
     injection_mode: str = "site"
-    disorder: DisorderEnsembleSpec = DisorderEnsembleSpec()
+    sigma: float = 0.0
+    n_realizations: int = 1
+    seed: int = 0
     method: str = "pme"
     fit_min_cells: int = FIT_MIN_CELLS
     brme_max_cells: int = 20
     dark_threshold: float = DARK_THRESHOLD
-    keep_raw: bool = True
     jobs: int = 1
 
     def __post_init__(self):
+        DisorderSpec(self.sigma)  # rejects a negative or non-finite width
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.geometries or not self.n_cells_values or not self.jb_values:
             raise ValueError("sweep grids must be non-empty")
         for name in ("geometries", "n_cells_values", "jb_values"):
@@ -109,7 +100,7 @@ class SweepSpec:
                 raise ValueError(f"{name} repeats a value: {values}")
         for jb in self.jb_values:
             _finite_scale("jb", jb)
-        if self.disorder.n_realizations < 1:
+        if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -437,7 +428,7 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
                                 spec.env, spec.dipole_scheme,
                                 spec.injection_mode)
     h = build_hamiltonian(geometry, spec.ham, jb)
-    sigma, count = spec.disorder.sigma, spec.disorder.n_realizations
+    sigma, count = spec.sigma, spec.n_realizations
     measure = partial(measure, channels)
     [clean] = _solve_rows(lambda _: [_eigen_row(h)], 1, spec.ham.eg,
                           geometry, measure, 1)
@@ -503,9 +494,9 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     The chain length is the one entry of ``spec.n_cells_values``.
     Returns (stats, raw): stats hold the clean current plus median,
     quartiles and extrema per (geometry, jb); realizations that fail to
-    produce a unique steady state are counted and excluded.  Raw rows are
-    retained when ``spec.keep_raw`` is set; each holds the current and the
-    census ``n_dark`` (:func:`_census_rows`), empty when it failed.
+    produce a unique steady state are counted and excluded.  Raw rows hold
+    one realization each: its current and the census ``n_dark``
+    (:func:`_census_rows`), empty when it failed.
     """
     _pme_only(spec, "a disorder ensemble")
     stats: list[dict] = []
@@ -513,19 +504,18 @@ def disorder_ensemble(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     for gi, kind in enumerate(spec.geometries):
         for ji, jb in enumerate(spec.jb_values):
             clean, reports = _ensemble(
-                spec, kind, jb, derive_seed(spec.disorder.base_seed, gi, ji),
+                spec, kind, jb, derive_seed(spec.seed, gi, ji),
                 partial(_census_rows, spec.dark_threshold))
             _warn_low_ground(clean)
             point = {"geometry": kind, "jb": jb}
             rows = _realization_rows(point, reports)
-            if spec.keep_raw:
-                raw.extend(rows)
+            raw.extend(rows)
             solved = np.array([row["current"] for row in rows
                                if not row["error"]])
             entry = {
                 **point,
-                "sigma": spec.disorder.sigma,
-                "n_realizations": spec.disorder.n_realizations,
+                "sigma": spec.sigma,
+                "n_realizations": spec.n_realizations,
                 "n_failed": len(rows) - solved.size,
                 "clean_current": clean.current,
             }
@@ -564,7 +554,7 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
                 for ji, jb in enumerate(spec.jb_values):
                     clean, reports = _ensemble(
                         point_spec, kind, jb,
-                        derive_seed(spec.disorder.base_seed, gi, fi, di, ji),
+                        derive_seed(spec.seed, gi, fi, di, ji),
                         _pme_rows)
                     _warn_low_ground(clean)
                     point = {"geometry": kind, "jb": jb,
@@ -572,7 +562,7 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
                              "dipoles": "on" if scheme else "off"}
                     rows.append({**point, "realization": -1,
                                  "current": clean.current, "error": ""})
-                    if spec.disorder.sigma > 0:
+                    if spec.sigma > 0:
                         rows.extend(_realization_rows(point, reports))
     return rows
 

@@ -71,14 +71,12 @@ class EigenSystem:
 
     ``energies`` is ascending with the ground state first; column k of
     ``vectors`` is the k-th eigenstate in the ground + site basis.
-    ``brightness`` is filled in by :func:`brightness` (ground slot 0).
     ``hamiltonian`` is None for a sweep row, whose dense matrix is not built.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     hamiltonian: Hamiltonian | None
-    brightness: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -346,11 +344,10 @@ def brightness(es: EigenSystem, channels: list[Channel]) -> np.ndarray:
 
     For the scalar radiative channel this is rate^2 times the squared sum
     of site amplitudes; with dipole weighting it is rate^2 times the
-    squared Euclidean norm of the amplitude-weighted dipole sum.  The
-    array is cached on ``es`` (ground slot 0).
+    squared Euclidean norm of the amplitude-weighted dipole sum.  Returns
+    one value per state, the ground slot 0.
     """
-    es.brightness = _brightness_rows(es.vectors[None], channels)[0]
-    return es.brightness
+    return _brightness_rows(es.vectors[None], channels)[0]
 
 
 def _brightness_rows(vectors: np.ndarray, channels: list[Channel]
@@ -501,16 +498,13 @@ class BrightDarkCensus:
     band_gap_detrended: float | None
 
 
-def classify_bright_dark(es: EigenSystem,
+def classify_bright_dark(es: EigenSystem, brightness: np.ndarray,
                          threshold_fraction: float = DARK_THRESHOLD
                          ) -> BrightDarkCensus:
-    """Label each excited state dark iff its brightness is below
-    ``threshold_fraction`` times the maximum brightness, or when that
-    maximum is zero (no state radiates)."""
-    if es.brightness is None:
-        raise SpectralError("compute brightness before classifying")
-    b = es.brightness[1:]
-    dark_mask, cutoff = _dark_mask(b, threshold_fraction)
+    """Label each excited state dark iff its ``brightness`` (as returned
+    by :func:`brightness`) is below ``threshold_fraction`` times the
+    maximum brightness, or when that maximum is zero (no state radiates)."""
+    dark_mask, cutoff = _dark_mask(brightness[1:], threshold_fraction)
     dark = np.flatnonzero(dark_mask) + 1
     bright = np.flatnonzero(~dark_mask) + 1
     gap = gap_removed = None
@@ -545,17 +539,18 @@ def _check_dark_threshold(fraction: float) -> None:
         raise ValueError(f"dark_threshold must lie in (0, 1), got {fraction}")
 
 
-def eigenstructure_tables(es: EigenSystem) -> tuple[list[dict], list[dict]]:
-    """Flatten an eigensystem into per-state and per-amplitude rows.
+def eigenstructure_tables(es: EigenSystem, brightness: np.ndarray
+                          ) -> tuple[list[dict], list[dict]]:
+    """Flatten an eigensystem and its :func:`brightness` into per-state
+    and per-amplitude rows.
 
     Returns (states, amplitudes): one row per eigenstate with energy and
     brightness, and one row per (excited state, site) pair with the
     site-basis amplitude.
     """
-    b = es.brightness if es.brightness is not None else np.zeros(es.dimension)
     states = [
         {"state_index": k, "energy": float(es.energies[k]),
-         "brightness": float(b[k])}
+         "brightness": float(brightness[k])}
         for k in range(es.dimension)
     ]
     geometry = es.geometry
@@ -565,7 +560,7 @@ def eigenstructure_tables(es: EigenSystem) -> tuple[list[dict], list[dict]]:
         for s in range(geometry.n_sites):
             amplitudes.append(
                 {"state_index": n + 1, "energy": float(es.energies[n + 1]),
-                 "brightness": float(b[n + 1]), "site_index": s,
+                 "brightness": float(brightness[n + 1]), "site_index": s,
                  "cell": int(geometry.cells[s]),
                  "slot": int(geometry.slots[s]),
                  "amplitude": float(amp[n, s])}

@@ -15,9 +15,9 @@ from scipy.integrate import solve_ivp
 
 from excitonchain.brme import brme_steady_state, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
-from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
-                                      disorder_ensemble, length_sweep,
-                                      regime_grid, solve_point)
+from excitonchain.experiments import (SweepSpec, disorder_ensemble,
+                                      length_sweep, regime_grid,
+                                      solve_point)
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian)
 from excitonchain.lattice import assign_dipoles, build_geometry
@@ -142,8 +142,7 @@ def test_criterion_06_bright_dark_census():
     gaps = {}
     for kind, expected in (("dimer", (20, 20)), ("prism", (20, 40))):
         es, channels = pipeline(kind, 20, 10.0)
-        brightness(es, channels)
-        census = classify_bright_dark(es, 1e-6)
+        census = classify_bright_dark(es, brightness(es, channels), 1e-6)
         gaps[kind] = census.band_gap_detrended
         ok = ok and (census.n_bright, census.n_dark) == expected
         ok = ok and census.band_gap_detrended > 10.0 / 2
@@ -235,10 +234,7 @@ def test_criterion_10_disorder_robustness():
     started = time.monotonic()
     spec = SweepSpec(geometries=("dimer", "prism"), n_cells_values=(20,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
-                     disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                   n_realizations=1000,
-                                                   base_seed=1),
-                     keep_raw=True, jobs=JOBS)
+                     sigma=0.9, n_realizations=1000, seed=1, jobs=JOBS)
     stats, raw = disorder_ensemble(spec)
     elapsed = time.monotonic() - started
     by_kind = {s["geometry"]: s for s in stats}
@@ -272,10 +268,7 @@ def test_criterion_11_dipole_regimes():
     interior = 0 < peak < len(jb_grid) - 1
     spec = SweepSpec(geometries=("prism",), n_cells_values=(20,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
-                     disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                   n_realizations=200,
-                                                   base_seed=4),
-                     jobs=JOBS)
+                     sigma=0.9, n_realizations=200, seed=4, jobs=JOBS)
     rows = regime_grid(spec, gamma_nr_factors=(10.0,))
     medians = {}
     for setting in ("on", "off"):

@@ -6,8 +6,7 @@ import pytest
 
 from excitonchain.environment import (ChannelError, DrudeLorentzBath,
                                       EnvironmentParams, FlatStep,
-                                      build_channels, drude_lorentz,
-                                      step_spectrum)
+                                      build_channels)
 from excitonchain.lattice import assign_dipoles, build_geometry
 
 DL_ARGS = dict(coupling=0.01, width=0.4, peak=math.sqrt(0.84),
@@ -15,8 +14,7 @@ DL_ARGS = dict(coupling=0.01, width=0.4, peak=math.sqrt(0.84),
 
 
 def dl(omega, **overrides):
-    args = {**DL_ARGS, **overrides}
-    return drude_lorentz(omega, **args)
+    return DrudeLorentzBath(**{**DL_ARGS, **overrides})(omega)
 
 
 def test_detailed_balance_identity_single_point():
@@ -68,10 +66,10 @@ def test_zero_frequency_limit_is_finite():
 
 
 def test_drude_lorentz_input_validation():
-    with pytest.raises(ChannelError):
-        dl(1.0, temperature=0.0)
-    with pytest.raises(ChannelError):
-        dl(1.0, width=0.0)
+    for name in ("temperature", "width"):
+        with pytest.raises(ChannelError,
+                           match="^temperature and width must be positive$"):
+            DrudeLorentzBath(**{**DL_ARGS, name: 0.0})
 
 
 @pytest.mark.parametrize("name", ["coupling", "width", "peak",
@@ -79,40 +77,46 @@ def test_drude_lorentz_input_validation():
 def test_drude_lorentz_rejects_non_finite_parameters_by_name(name):
     # a NaN temperature used to give the zero-temperature spectrum silently
     for value in (np.nan, np.inf, -np.inf):
-        args = {**DL_ARGS, name: value}
         message = f"^{name} must be finite, got {value}$"
         with pytest.raises(ChannelError, match=message):
-            drude_lorentz(-1.0, **args)
-        with pytest.raises(ChannelError, match=message):
-            DrudeLorentzBath(**args)(np.array([-1.0, 1.0]))
+            DrudeLorentzBath(**{**DL_ARGS, name: value})
     if name in ("width", "temperature"):
         with pytest.raises(ChannelError, match="must be positive"):
-            dl(1.0, **{name: -1.0})
+            DrudeLorentzBath(**{**DL_ARGS, name: -1.0})
 
 
 def test_step_spectrum_rejects_a_non_finite_rate_by_name():
     # a NaN rate used to give NaN rates
     for value in (np.nan, np.inf, -np.inf):
         message = f"^rate must be finite, got {value}$"
-        with pytest.raises(ChannelError, match=message):
-            step_spectrum(1.0, value, "up")
-        with pytest.raises(ChannelError, match=message):
-            FlatStep(value, "down")(np.array([-1.0, 1.0]))
-    with pytest.raises(ChannelError, match="^rate must be >= 0"):
-        step_spectrum(1.0, -0.1, "up")
+        for direction in ("up", "down"):
+            with pytest.raises(ChannelError, match=message):
+                FlatStep(value, direction)
+    with pytest.raises(ChannelError, match="^rate must be >= 0, got -0.1$"):
+        FlatStep(-0.1, "up")
+
+
+def test_spectral_densities_check_their_parameters_when_built():
+    # a bad parameter fails at construction, before the first rate
+    with pytest.raises(ChannelError, match="^direction must be 'up' or "
+                                           "'down', got 'sideways'$"):
+        FlatStep(0.1, "sideways")
+    with pytest.raises(ChannelError,
+                       match="^temperature must be finite, got nan$"):
+        DrudeLorentzBath(**{**DL_ARGS, "temperature": math.nan})
 
 
 def test_step_spectrum_reference_points():
-    assert step_spectrum(1.0, 0.021, "up") == 0.021
-    assert step_spectrum(-1.0, 0.021, "up") == 0.0
-    assert step_spectrum(0.0, 0.021, "up") == 0.0
-    assert step_spectrum(-2.0, 0.5, "down") == 0.5
-    assert step_spectrum(2.0, 0.5, "down") == 0.0
-    assert step_spectrum(0.0, 0.5, "down") == 0.0
-    with pytest.raises(ChannelError):
-        step_spectrum(1.0, -0.1, "up")
-    with pytest.raises(ChannelError):
-        step_spectrum(1.0, 0.1, "sideways")
+    up, down = FlatStep(0.021, "up"), FlatStep(0.5, "down")
+    assert up(1.0) == 0.021
+    assert up(-1.0) == 0.0
+    assert up(0.0) == 0.0
+    assert down(-2.0) == 0.5
+    assert down(2.0) == 0.0
+    assert down(0.0) == 0.0
+    assert isinstance(up(1.0), float)
+    np.testing.assert_array_equal(up(np.array([-1.0, 0.0, 2.0])),
+                                  [0.0, 0.0, 0.021])
 
 
 def test_channel_census_for_prism():
@@ -241,10 +245,15 @@ def test_peak_rule_matches_detuning():
     assert pinned.resolve_peak(1.0) == 0.5
 
 
-def test_bath_dataclass_evaluates_like_the_function():
+def test_bath_evaluates_arrays_like_scalars():
+    # one expression serves both: an array is evaluated elementwise, bit
+    # for bit, with omega = 0 at its finite limit
     bath = DrudeLorentzBath(**DL_ARGS)
     omegas = np.linspace(-3, 3, 11)
-    np.testing.assert_array_equal(bath(omegas), dl(omegas))
+    values = bath(omegas)
+    assert values.shape == omegas.shape
+    assert values.tolist() == [bath(float(omega)) for omega in omegas]
+    assert values[5] == dl(0.0)
 
 
 def test_channel_descriptions_are_json_friendly():

@@ -8,8 +8,7 @@ import pytest
 from excitonchain import experiments
 from excitonchain.cli import main
 from excitonchain.environment import EnvironmentParams
-from excitonchain.experiments import (DisorderEnsembleSpec, SweepSpec,
-                                      build_system, derive_seed,
+from excitonchain.experiments import (SweepSpec, build_system, derive_seed,
                                       disorder_ensemble, fit_exponential,
                                       length_sweep, regime_grid,
                                       solve_point)
@@ -26,8 +25,7 @@ ENV = EnvironmentParams()
 def small_spec(**overrides):
     base = dict(geometries=("dimer",), n_cells_values=(2, 3, 4, 5),
                 jb_values=(1.0,), ham=HAM, env=ENV,
-                disorder=DisorderEnsembleSpec(sigma=0.9, n_realizations=8,
-                                              base_seed=11))
+                sigma=0.9, n_realizations=8, seed=11)
     base.update(overrides)
     return SweepSpec(**base)
 
@@ -68,11 +66,14 @@ def test_spec_validation():
         small_spec(geometries=())
     with pytest.raises(ValueError):
         small_spec(method="exact")
-    with pytest.raises(ValueError):
-        small_spec(disorder=DisorderEnsembleSpec(n_realizations=0))
+    with pytest.raises(ValueError, match="^n_realizations must be >= 1$"):
+        small_spec(n_realizations=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        small_spec(seed=-1)
     for sigma in (np.nan, np.inf, -0.1):
-        with pytest.raises(ValueError, match="sigma"):
-            DisorderEnsembleSpec(sigma=sigma)
+        message = f"^sigma must be finite and >= 0, got {sigma}$"
+        with pytest.raises(ValueError, match=message):
+            small_spec(sigma=sigma)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -1e-3, np.nan])
@@ -351,9 +352,7 @@ def test_lossless_profile_is_flattest(tmp_path):
 def test_disorder_ensemble_zero_sigma_collapses(kind):
     # at sigma = 0 every realization is the clean value
     spec = small_spec(geometries=(kind,), n_cells_values=(4,),
-                      disorder=DisorderEnsembleSpec(sigma=0.0,
-                                                    n_realizations=5,
-                                                    base_seed=3))
+                      sigma=0.0, n_realizations=5, seed=3)
     stats, raw = disorder_ensemble(spec)
     entry = stats[0]
     assert entry["n_failed"] == 0
@@ -368,11 +367,22 @@ def test_disorder_ensemble_is_seeded_and_parallel_safe():
     stats2, raw2 = disorder_ensemble(small_spec(n_cells_values=(4,), jobs=1))
     assert stats1 == stats2
     assert raw1 == raw2
-    other = disorder_ensemble(small_spec(
-        n_cells_values=(4,),
-        disorder=DisorderEnsembleSpec(sigma=0.9, n_realizations=8,
-                                      base_seed=12)))[0]
+    other = disorder_ensemble(small_spec(n_cells_values=(4,), seed=12))[0]
     assert other[0]["median"] != stats1[0]["median"]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.9])
+def test_disorder_ensemble_returns_every_raw_row(sigma):
+    # one raw row per (geometry, jb, realization), in grid order, whether
+    # or not the caller writes them
+    spec = small_spec(geometries=("mono", "dimer"), n_cells_values=(3,),
+                      jb_values=(1.0, 10.0), sigma=sigma, n_realizations=3)
+    stats, raw = disorder_ensemble(spec)
+    assert [(r["geometry"], r["jb"], r["realization"]) for r in raw] == [
+        (kind, jb, r) for kind in ("mono", "dimer") for jb in (1.0, 10.0)
+        for r in range(3)]
+    assert all(row["error"] == "" and "n_dark" in row for row in raw)
+    assert len(stats) == 4
 
 
 def test_derive_seed_is_stable():
@@ -382,8 +392,7 @@ def test_derive_seed_is_stable():
 
 def test_regime_grid_reduces_to_the_clean_pipeline_at_zero_loss():
     spec = small_spec(n_cells_values=(5,),
-                      disorder=DisorderEnsembleSpec(sigma=0.0,
-                                                    n_realizations=1))
+                      sigma=0.0, n_realizations=1)
     rows = regime_grid(spec, gamma_nr_factors=(0.0,))
     clean = [r for r in rows if r["realization"] == -1
              and r["dipoles"] == "off"]
@@ -393,9 +402,7 @@ def test_regime_grid_reduces_to_the_clean_pipeline_at_zero_loss():
 
 def test_regime_grid_layout():
     spec = small_spec(n_cells_values=(4,), jb_values=(1.0, 2.0),
-                      disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                    n_realizations=3,
-                                                    base_seed=7))
+                      sigma=0.9, n_realizations=3, seed=7)
     rows = regime_grid(spec, gamma_nr_factors=(0.1, 1.0))
     # 2 factors x 2 dipole settings x 2 jb x (1 clean + 3 realizations)
     assert len(rows) == 2 * 2 * 2 * 4
@@ -409,8 +416,7 @@ def test_ensembles_count_solver_failures_and_propagate_bugs(monkeypatch):
     # the realization stacks only: the clean row is solved alone, as a stack
     # of one, and the two realizations share one stack
     spec = small_spec(n_cells_values=(3,),
-                      disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                    n_realizations=2))
+                      sigma=0.9, n_realizations=2, seed=0)
     real = experiments._steady_reports
 
     def realizations_only(fault):
@@ -461,9 +467,7 @@ def test_ensemble_engine_matches_solve_point(case):
     kind, n_cells, jb, settings, sigma, count = case
     spec = SweepSpec(geometries=(kind,), n_cells_values=(n_cells,),
                      jb_values=(jb,), ham=HAM, env=ENV,
-                     disorder=DisorderEnsembleSpec(sigma=sigma,
-                                                   n_realizations=count,
-                                                   base_seed=5),
+                     sigma=sigma, n_realizations=count, seed=5,
                      **settings)
     if sigma == 0:
         es = build_system(kind, n_cells, jb, HAM, ENV)[2]
@@ -488,8 +492,7 @@ def test_clean_ensemble_values_equal_the_per_point_pipeline(kind, mode):
     # realization's census equals its eigensystem's census
     spec = small_spec(geometries=(kind,), n_cells_values=(5,),
                       jb_values=(1.0, 10.0), injection_mode=mode,
-                      disorder=DisorderEnsembleSpec(sigma=0.5,
-                                                    n_realizations=3),
+                      sigma=0.5, n_realizations=3, seed=0,
                       dark_threshold=1e-3)
     stats, raw = disorder_ensemble(spec)
     for entry in stats:
@@ -500,8 +503,8 @@ def test_clean_ensemble_values_equal_the_per_point_pipeline(kind, mode):
         _, _, es, channels = build_system(
             kind, 5, row["jb"], HAM, ENV, injection_mode=mode,
             disorder_spec=DisorderSpec(0.5, seed, row["realization"]))
-        brightness(es, channels)
-        assert row["n_dark"] == classify_bright_dark(es, 1e-3).n_dark
+        assert row["n_dark"] == classify_bright_dark(
+            es, brightness(es, channels), 1e-3).n_dark
     factors = (0.1, 10.0)
     rows = regime_grid(spec, gamma_nr_factors=factors)
     clean = [row for row in rows if row["realization"] == -1]
@@ -518,8 +521,7 @@ def test_zero_sigma_ensembles_diagonalize_only_the_clean_row(monkeypatch):
     # at sigma = 0 every realization is the clean value, solved once
     solves = spy(monkeypatch, "_eigen_rows")
     spec = small_spec(n_cells_values=(4,), jb_values=(1.0, 10.0),
-                      disorder=DisorderEnsembleSpec(sigma=0.0,
-                                                    n_realizations=8))
+                      sigma=0.0, n_realizations=8)
     _, raw = disorder_ensemble(spec)
     assert len(raw) == 16
     assert [len(rows) for rows, _, _ in solves] == [1, 1]
@@ -531,8 +533,7 @@ def test_ensemble_engine_isolates_failed_realizations():
     # at sigma = 40 two of these 40 draws push a level below the ground
     # state, which solve_point rejects with SpectralError
     spec = small_spec(n_cells_values=(4,), jb_values=(10.0,),
-                      disorder=DisorderEnsembleSpec(sigma=40.0,
-                                                    n_realizations=40))
+                      sigma=40.0, n_realizations=40)
     _, reports = experiments._ensemble(spec, "dimer", 10.0, 3,
                                        experiments._pme_rows)
     rows = experiments._realization_rows({}, reports)
@@ -556,8 +557,7 @@ def test_ensemble_engine_isolates_failed_realizations():
 def test_low_ground_populations_are_counted_in_one_warning():
     env = EnvironmentParams(gamma_inj=0.05)
     spec = small_spec(n_cells_values=(3,), env=env,
-                      disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                    n_realizations=5))
+                      sigma=0.9, n_realizations=5, seed=0)
     with pytest.warns(UserWarning) as record:
         stats, _ = disorder_ensemble(spec)
     assert stats[0]["n_failed"] == 0
@@ -572,9 +572,7 @@ def test_brightness_robustness_records_failed_realizations():
     # below the ground state; its census is empty, the others are counted
     spec = SweepSpec(geometries=("dimer",), n_cells_values=(4,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
-                     disorder=DisorderEnsembleSpec(sigma=40.0,
-                                                   n_realizations=40,
-                                                   base_seed=3))
+                     sigma=40.0, n_realizations=40, seed=3)
     stats, raw = disorder_ensemble(spec)
     failed = [row for row in raw if row["error"]]
     assert [(row["realization"], row["error"]) for row in failed] == [
@@ -584,7 +582,7 @@ def test_brightness_robustness_records_failed_realizations():
     assert stats[0]["n_failed"] == 1
     # with every realization failed no census is left
     stats, raw = disorder_ensemble(replace(
-        spec, disorder=DisorderEnsembleSpec(sigma=1e4, n_realizations=3)))
+        spec, sigma=1e4, n_realizations=3, seed=0))
     assert {row["error"] for row in raw} == {"SpectralError"}
     assert not any("n_dark" in row for row in raw)
     assert stats[0]["n_failed"] == 3 and np.isnan(stats[0]["median"])
@@ -605,12 +603,11 @@ def test_eigen_injection_sweep_schema():
 def test_brightness_robustness_zero_sigma_is_zero_width():
     # at sigma = 0 every realization's census is the clean one
     spec = small_spec(n_cells_values=(3,),
-                      disorder=DisorderEnsembleSpec(sigma=0.0,
-                                                    n_realizations=4))
+                      sigma=0.0, n_realizations=4)
     _, raw = disorder_ensemble(spec)
     _, _, es, channels = build_system("dimer", 3, 1.0, HAM, ENV)
-    brightness(es, channels)
-    clean = classify_bright_dark(es, spec.dark_threshold).n_dark
+    clean = classify_bright_dark(es, brightness(es, channels),
+                                 spec.dark_threshold).n_dark
     assert [row["n_dark"] for row in raw] == [clean] * 4
 
 
@@ -622,9 +619,7 @@ def test_brightness_robustness_census_counts():
     # to the bright band, loses its 1:1 census far more often.
     spec = SweepSpec(geometries=("dimer", "prism"), n_cells_values=(20,),
                      jb_values=(10.0,), ham=HAM, env=ENV,
-                     disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                   n_realizations=40,
-                                                   base_seed=2),
+                     sigma=0.9, n_realizations=40, seed=2,
                      dark_threshold=1e-3, jobs=4)
     _, raw = disorder_ensemble(spec)
     expected = {"dimer": 20, "prism": 40}  # 20 bright states each
@@ -643,9 +638,7 @@ def test_disorder_census_matches_each_realization_solved_alone(threshold):
     # reads the clean prism's 40 dark states
     spec = small_spec(geometries=("prism",), n_cells_values=(20,),
                       jb_values=(10.0,), dark_threshold=threshold,
-                      disorder=DisorderEnsembleSpec(sigma=0.9,
-                                                    n_realizations=20,
-                                                    base_seed=4))
+                      sigma=0.9, n_realizations=20, seed=4)
     _, raw = disorder_ensemble(spec)
     seed = derive_seed(4, 0, 0)
     assert len(raw) == 20
@@ -653,9 +646,8 @@ def test_disorder_census_matches_each_realization_solved_alone(threshold):
         _, _, es, channels = build_system(
             "prism", 20, 10.0, HAM, ENV,
             disorder_spec=DisorderSpec(0.9, seed, row["realization"]))
-        brightness(es, channels)
-        census = classify_bright_dark(es, threshold)
+        census = classify_bright_dark(es, brightness(es, channels),
+                                      threshold)
         assert row["n_dark"] == census.n_dark
-    _, raw = disorder_ensemble(replace(spec, disorder=DisorderEnsembleSpec(
-        sigma=0.0, n_realizations=20)))
+    _, raw = disorder_ensemble(replace(spec, sigma=0.0, n_realizations=20))
     assert [row["n_dark"] for row in raw] == [40] * 20

@@ -111,7 +111,7 @@ def test_trimer_middle_eigenstate_is_dark():
 def test_mono_states_all_generically_bright():
     es, channels = make_system("mono", 20)
     b = brightness(es, channels)
-    census = classify_bright_dark(es, 1e-6)
+    census = classify_bright_dark(es, b, 1e-6)
     assert census.n_dark == 0
     assert np.all(b[1:] > 0)
 
@@ -119,8 +119,9 @@ def test_mono_states_all_generically_bright():
 def test_without_radiative_coupling_every_state_is_dark():
     es, channels = make_system("dimer", 3, jb=10.0,
                                env=EnvironmentParams(gamma_rad=0.0))
-    assert np.all(brightness(es, channels) == 0.0)
-    census = classify_bright_dark(es)
+    b = brightness(es, channels)
+    assert np.all(b == 0.0)
+    census = classify_bright_dark(es, b)
     assert (census.n_bright, census.n_dark) == (0, es.n_excited)
     assert census.band_gap is None
 
@@ -194,6 +195,19 @@ def test_brightness_sum_rule_scalar_and_dipole(rng):
     es, channels = make_system("prism", 20, jb=10.0, dipoles=vecs)
     total = brightness(es, channels).sum()
     assert total == pytest.approx(GAMMA_RAD**2 * geo.n_sites, rel=1e-10)
+
+
+def test_brightness_leaves_the_eigensystem_unchanged():
+    # brightness is a value: it returns a new array and stores nothing
+    es, channels = make_system("prism", 4, jb=10.0)
+    state = dict(vars(es))
+    energies, vectors = es.energies.copy(), es.vectors.copy()
+    b = brightness(es, channels)
+    assert vars(es) == state
+    assert np.array_equal(es.energies, energies)
+    assert np.array_equal(es.vectors, vectors)
+    assert not np.shares_memory(b, es.vectors)
+    np.testing.assert_array_equal(brightness(es, channels), b)
 
 
 def test_brightness_requires_radiative_channel():
@@ -339,8 +353,7 @@ def test_saturated_step_channels_at_default_offset():
 def test_bright_dark_census_at_strong_intra_coupling(kind, expected_bright,
                                                      expected_dark):
     es, channels = make_system(kind, 20, jb=10.0)
-    brightness(es, channels)
-    census = classify_bright_dark(es, 1e-6)
+    census = classify_bright_dark(es, brightness(es, channels), 1e-6)
     assert (census.n_bright, census.n_dark) == (expected_bright,
                                                 expected_dark)
     # dark states sit below the bright band once the gradient is removed
@@ -352,13 +365,10 @@ def test_bright_dark_census_at_strong_intra_coupling(kind, expected_bright,
 
 def test_census_threshold_validation():
     es, channels = make_system("dimer", 2)
-    brightness(es, channels)
+    b = brightness(es, channels)
     with pytest.raises(ValueError,
                        match=r"^dark_threshold must lie in \(0, 1\), got 0.0$"):
-        classify_bright_dark(es, 0.0)
-    es2, _ = make_system("dimer", 2)
-    with pytest.raises(SpectralError, match="brightness"):
-        classify_bright_dark(es2, 1e-6)
+        classify_bright_dark(es, b, 0.0)
 
 
 def test_slot_permutation_preserves_the_spectrum():
@@ -373,10 +383,11 @@ def test_slot_permutation_preserves_the_spectrum():
 
 def test_eigenstructure_tables_shapes():
     es, channels = make_system("dimer", 10, jb=1.0)
-    brightness(es, channels)
-    states, amplitudes = eigenstructure_tables(es)
+    b = brightness(es, channels)
+    states, amplitudes = eigenstructure_tables(es, b)
     assert len(states) == 21
     assert len(amplitudes) == 20 * 20
+    assert [row["brightness"] for row in states] == b.tolist()
     assert set(states[0]) == {"state_index", "energy", "brightness"}
     assert {"site_index", "amplitude"} <= set(amplitudes[0])
 
