@@ -29,7 +29,9 @@ O(n_sites dim^2): the phonon gain terms are three products with the
 (dim x dim) matrices acting on row 0, column 0 and the ground population,
 and the loss matrix K = sum A G is summed once.  The steady state comes
 from GMRES, preconditioned by the secular part of the Liouvillian and
-started from its solution.
+started from its solution.  The GMRES is this module's own restarted
+iteration (:func:`_gmres`), step for step scipy's; scipy serves only the
+LU of the preconditioner.
 
 The solve runs in real arithmetic.  A Hermitian rho = X + iY (X
 symmetric, Y antisymmetric) is stored as the one real matrix S = X + Y,
@@ -48,13 +50,13 @@ density matrices are vectorized row-major.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgetrs
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .environment import Channel
 from .pme import SteadyStateReport, _closed_classes, _generator_rows
@@ -217,6 +219,105 @@ def _secular_inverse(liouvillian: Liouvillian):
     return precondition
 
 
+def _givens(f: float, g: float) -> tuple[float, float, float]:
+    """(c, s, r) with c f + s g = r and c g - s f = 0, rounded as LAPACK's
+    dlartg rounds them for arguments of moderate size."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    d = math.sqrt(f * f + g * g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
+
+
+def _gmres(matvec, psolve, b: np.ndarray, callback) -> tuple[np.ndarray, bool]:
+    """Solve matvec(x) = b from x = 0 by left-preconditioned GMRES.
+
+    Restarted every ``_GMRES_RESTART`` iterations, at most
+    ``_GMRES_MAX_RESTARTS`` times, and converged once |b - matvec(x)| <=
+    ``_GMRES_RTOL`` |b|.  It is scipy's ``gmres`` step for step (its
+    modified Gram-Schmidt order, Givens rotations and its inner tolerance
+    on the preconditioned residual, which adapts after each restart), so
+    it makes the same iterates and calls ``callback`` once per inner
+    iteration with the preconditioned residual over |b|, as scipy's
+    "pr_norm" callback does.  The Arnoldi basis lives in one preallocated
+    array and the small Hessenberg problem in Python floats.  ``b`` is
+    nonzero, and ``psolve`` returns a new array, which is overwritten.
+    Returns (x, converged).
+    """
+    n = b.size
+    restart = min(_GMRES_RESTART, n)
+    eps = float(np.finfo(float).eps)
+    bnrm2 = float(np.linalg.norm(b))
+    atol = _GMRES_RTOL * bnrm2
+    x = np.zeros(n)
+    basis = np.empty((restart + 1, n))
+    rows = list(basis)
+    scaled = np.empty(n)
+    z = psolve(b)
+    # the inner loop stops on the preconditioned residual (scipy gh-8400)
+    ptol_factor = 1.0
+    ptol = float(np.linalg.norm(z)) * min(ptol_factor, atol / bnrm2)
+    for _ in range(_GMRES_MAX_RESTARTS):
+        beta = float(np.linalg.norm(z))
+        np.multiply(z, 1 / beta, out=rows[0])
+        rhs = [beta]
+        columns: list[list[float]] = []
+        rotations: list[tuple[float, float]] = []
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(rows[col]))
+            h0 = float(np.linalg.norm(w))
+            h = []
+            for vk in rows[:col + 1]:
+                t = float(np.dot(vk, w))
+                h.append(t)
+                w -= np.multiply(vk, t, out=scaled)
+            h1 = float(np.linalg.norm(w))
+            if h1 <= eps * h0:
+                h.append(0.0)
+                breakdown = True
+            else:
+                h.append(h1)
+                np.multiply(w, 1 / h1, out=rows[col + 1])
+            for k, (c, s) in enumerate(rotations):
+                h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
+                                  -s * h[k] + c * h[k + 1])
+            c, s, h[col] = _givens(h[col], h[col + 1])
+            h[col + 1] = 0.0
+            rotations.append((c, s))
+            columns.append(h)
+            tail = -s * rhs[col]
+            rhs[col] *= c
+            rhs.append(tail)
+            presid = abs(tail)
+            callback(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        # back-substitute the triangular factor, pseudo-solving a zero pivot
+        y = rhs[:col + 1]
+        if columns[col][col] == 0:
+            y[col] = 0.0
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= columns[k][k]
+                for j in range(k):
+                    y[j] -= y[k] * columns[k][j]
+        x += np.array(y) @ basis[:col + 1]
+        r = b - matvec(x)
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_factor = max(eps, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / rnorm)
+        z = psolve(r)
+    return x, rnorm <= atol
+
+
 def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
     """Solve for the steady density matrix and assemble the report.
 
@@ -257,13 +358,8 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
             nonlocal iterations
             iterations += 1
 
-        correction, info = gmres(
-            LinearOperator((size, size), matvec=bordered, dtype=float),
-            defect, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-            maxiter=_GMRES_MAX_RESTARTS,
-            M=LinearOperator((size, size), matvec=precondition, dtype=float),
-            callback=count, callback_type="pr_norm")
-        if info > 0:
+        correction, converged = _gmres(bordered, precondition, defect, count)
+        if not converged:
             raise BrmeError(f"GMRES did not converge in {iterations} "
                             f"iterations")
         s_vec = start + correction

@@ -20,7 +20,8 @@ or the error it failed with.
   chain is solved from its factors: the cell block once per (geometry,
   jb), before the chains are shared out, and the chain block once per
   chain; no dense Hamiltonian is built for it, one site per cell
-  included.  Its rows equal
+  included.  Couplings with equal cell blocks (every coupling, for one
+  site per cell) are one system, solved once per chain.  Its rows equal
   :func:`solve_point`'s reports exactly.  A failing point raises what
   :func:`solve_point` raises there: the first such point of its
   geometry in grid order.
@@ -262,7 +263,7 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     A row also carries its report's ``extras``: none for a PME row, the
     density-matrix diagnostics (Krylov iterations, coherence fraction,
     ...) for a BRME row.
-    Each cell block is solved once per (geometry, jb), before the
+    Each distinct cell block is solved once per geometry, before the
     geometry's chains are shared out (:func:`_cell_solves`).
     Failures are settled per geometry: once all chains of a geometry are
     solved, its first failing point in grid order raises what
@@ -334,14 +335,16 @@ def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
     """The cell block B with its eigh (:func:`_factor_eigen`) at every
     coupling of a sweep, for the clean chains of one kind, or None when
     they are not clean.  B does not depend on N, so one length's geometry
-    serves every chain."""
+    serves every chain.  A coupling whose B equals an earlier coupling's
+    (every coupling, for one site per cell) shares that solve."""
     geometry = _geometry(kind, n_cells, spec.dipole_scheme)
     cells = {}
     for jb in spec.jb_values:
         blocks = factor_blocks(geometry, spec.ham, jb)
         if blocks is None:
             return None
-        cells[jb] = _factor_eigen(blocks[1])
+        same = [c for c in cells.values() if np.array_equal(c[0], blocks[1])]
+        cells[jb] = same[0] if same else _factor_eigen(blocks[1])
     return cells
 
 
@@ -354,27 +357,39 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     :func:`_measure`, as :func:`solve_point` measures its point.  A clean
     chain's row is its factor pair: T with its eigh, solved here once,
     and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
-    Hamiltonian is built for it.  A chain that is not clean gives its
-    dense excited blocks.  Returns {(jb, method): report or the error
-    :func:`solve_point` raises there}.
+    Hamiltonian is built for it.  Couplings that share a cell solve are
+    one system, solved once at the first of them; each of the others
+    warns as :func:`solve_point` warns there.  A chain that is not clean
+    gives its dense excited blocks.  Returns {(jb, method): report or the
+    error :func:`solve_point` raises there}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
     blocks = factor_blocks(geometry, spec.ham, spec.jb_values[0])  # T: any jb
     chain = None if blocks is None else _factor_eigen(blocks[0])
+    jbs = spec.jb_values
+    source = {jb: jb if chain is None
+              else next(j for j in jbs if cells[j] is cells[jb]) for jb in jbs}
+    solved = [jb for jb in jbs if source[jb] == jb]
 
     def row(jb: float):
         if chain is None:
             return build_hamiltonian(geometry, spec.ham, jb).excited_block
         return chain, cells[jb]
 
-    jbs = spec.jb_values
-    values = _solve_rows(lambda rows: [row(jbs[r]) for r in rows], len(jbs),
-                         spec.ham.eg, geometry,
-                         partial(_measure, methods, channels), 1)
-    return {(jb, method): value if isinstance(value, Exception)
-            else value[method] for jb, value in zip(jbs, values)
-            for method in methods}
+    values = dict(zip(solved, _solve_rows(
+        lambda rows: [row(solved[r]) for r in rows], len(solved),
+        spec.ham.eg, geometry, partial(_measure, methods, channels), 1)))
+    reports = {}
+    for jb in jbs:
+        value = values[source[jb]]
+        for method in methods:
+            report = value if isinstance(value, Exception) else value[method]
+            if (method == "pme" and source[jb] != jb
+                    and isinstance(report, SteadyStateReport)):
+                _warn_low_ground(report)
+            reports[jb, method] = report
+    return reports
 
 
 def _solve_rows(rows, count: int, eg: float, geometry, measure,

@@ -89,12 +89,11 @@ def build_generator(w) -> Generator:
 def _generator_rows(w: np.ndarray) -> np.ndarray:
     """Generators chi of a stack of rate matrices (R, dim, dim)."""
     diag = np.arange(w.shape[-1])
-    off = w.copy()
-    off[:, diag, diag] = 0.0
-    if off.min() < 0:
+    chi = w.copy()
+    chi[:, diag, diag] = 0.0
+    if chi.min() < 0:
         raise ValueError("off-diagonal rates must be nonnegative")
-    chi = off.copy()
-    chi[:, diag, diag] = -off.sum(axis=1)
+    chi[:, diag, diag] = -chi.sum(axis=1)
     return chi
 
 
@@ -210,7 +209,7 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
                 f"degenerate steady state: rate graph has {len(found)} "
                 f"disconnected closed classes {found}", components=found)
     ok = np.flatnonzero([error is None for error in errors])
-    unique = chi[ok]
+    unique = chi if ok.size == rows else chi[ok]
     bordered = unique.copy()
     bordered[:, 0] = 1.0
     rhs = np.zeros((ok.size, dim, 1))
@@ -225,8 +224,9 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         errors[r] = SteadyStateError(
             f"no nonnegative, flux-balanced steady state found (smallest "
             f"population {value:.3e})")
-    ok, unique = ok[accepted], unique[accepted]
-    p = np.clip(p[accepted], 0.0, None)
+    if not accepted.all():
+        ok, unique, p = ok[accepted], unique[accepted], p[accepted]
+    p = np.clip(p, 0.0, None)
     populations = np.full((rows, dim), np.nan)
     populations[ok] = p / p.sum(axis=1, keepdims=True)
     residual = np.full(rows, np.nan)

@@ -204,7 +204,7 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
         blocks = np.asarray(rows)
         finite = np.isfinite(blocks).all(axis=(1, 2))
         energies[finite, 1:], full[finite, 1:, 1:] = _full_eigen(
-            blocks[finite], geometry.positions)
+            blocks if finite.all() else blocks[finite], geometry.positions)
     failed = np.isnan(energies[:, 1])
     low = ~failed & ~(energies[:, 1] > eg)
     errors: list = [None] * count

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -321,14 +324,59 @@ def test_zero_channels_leave_a_degenerate_null_space():
 
 
 def test_unconverged_krylov_solve_raises(monkeypatch):
+    # mono N=3 converges in 6 iterations; two iterations fall short
     es, channels = make_system("mono", 3)
-
-    def stalled(_op, rhs, **_kwargs):
-        return np.zeros_like(rhs), 200
-
-    monkeypatch.setattr(brme, "gmres", stalled)
-    with pytest.raises(BrmeError, match="converge"):
+    monkeypatch.setattr(brme, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", 1)
+    with pytest.raises(BrmeError, match="did not converge in 2 iterations"):
         brme_steady_state(build_liouvillian(es, channels))
+
+
+@pytest.mark.parametrize("n, restart, max_restarts", [
+    (30, 40, 5), (200, 40, 5), (200, 8, 30), (200, 5, 40), (200, 3, 4)])
+def test_gmres_follows_scipy(monkeypatch, n, restart, max_restarts):
+    # seeded nonsymmetric systems under an inexact preconditioner, each
+    # restarted at least once (the last one never converges): the same
+    # iteration count, verdict and solution as scipy's
+    from scipy.sparse.linalg import gmres
+
+    rng = np.random.default_rng(n + restart)
+    a = (np.diag(rng.uniform(1, 10, n))
+         + rng.standard_normal((n, n)) * 2 / np.sqrt(n))
+    m = np.diag(1 / np.diag(a))
+    b = rng.standard_normal(n)
+    monkeypatch.setattr(brme, "_GMRES_RESTART", restart)
+    monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", max_restarts)
+    ours, theirs = [], []
+    x, converged = brme._gmres(a.__matmul__, m.__matmul__, b, ours.append)
+    expected, info = gmres(a, b, rtol=brme._GMRES_RTOL, atol=0.0,
+                           restart=restart, maxiter=max_restarts, M=m,
+                           callback=theirs.append, callback_type="pr_norm")
+    assert len(ours) == len(theirs) > min(restart, n)
+    assert np.allclose(ours, theirs, rtol=1e-12, atol=0)
+    assert converged == (info == 0)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_gmres_breakdown_on_the_identity_converges_at_once():
+    # every step is exact here, so the first Arnoldi vector leaves an
+    # exactly zero remainder, which must not be normalized
+    b = np.full(64, 0.5)
+    residuals = []
+    x, converged = brme._gmres(np.copy, np.copy, b, residuals.append)
+    assert converged
+    assert residuals == [0.0]
+    assert np.array_equal(x, b)
+
+
+def test_importing_brme_loads_no_sparse_module():
+    # a fresh interpreter, so no other test's imports count
+    script = ("import sys, excitonchain.brme; print(sorted(m for m in "
+              "sys.modules if m.startswith('scipy.sparse')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_prism_25_solves_with_balanced_flux():

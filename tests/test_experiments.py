@@ -269,8 +269,9 @@ def spy(monkeypatch, name):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
-    # per geometry: B once per jb before the chains, then T once per N;
-    # a chain of one site per cell solves its 1 x 1 cell block B = [[0]]
+    # per geometry: B once per distinct cell block before the chains, then
+    # T once per N; a chain of one site per cell has the 1 x 1 cell block
+    # B = [[0]] at every jb, so it solves B once
     solves = spy(monkeypatch, "_factor_eigen")
     spec = small_spec(geometries=("mono", "dimer", "prism"),
                       n_cells_values=(4, 5, 6), jb_values=(0.1, 1.0, 10.0),
@@ -278,9 +279,10 @@ def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
     rows, _ = length_sweep(spec)
     assert len(rows) == 27
     sizes = [len(block) for block, in solves]
-    assert len(sizes) == 18
-    assert [sorted(sizes[k:k + 3]) for k in range(0, 18, 3)] == [
-        [1] * 3, [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
+    assert len(sizes) == 16
+    assert sizes[0] == 1
+    assert [sorted(sizes[k:k + 3]) for k in range(1, 16, 3)] == [
+        [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
 
 
 def test_clean_length_sweep_builds_no_dense_hamiltonian(monkeypatch):
@@ -295,16 +297,20 @@ def test_clean_length_sweep_builds_no_dense_hamiltonian(monkeypatch):
 
 
 def test_length_sweep_warns_once_per_low_ground_population_point():
-    spec = small_spec(n_cells_values=(2, 3), jb_values=(1.0, 10.0),
+    # a mono chain is one system at every jb, solved once, and still warns
+    # at each (jb, N) as a single point does
+    spec = small_spec(geometries=("dimer", "mono"), n_cells_values=(2, 3),
+                      jb_values=(1.0, 10.0),
                       env=EnvironmentParams(gamma_inj=0.05))
     with pytest.warns(UserWarning) as swept:
         length_sweep(spec)
     with pytest.warns(UserWarning) as single:
-        for jb in spec.jb_values:
-            for n in spec.n_cells_values:
-                solve_point("dimer", n, jb, HAM, spec.env)
+        for kind in spec.geometries:
+            for jb in spec.jb_values:
+                for n in spec.n_cells_values:
+                    solve_point(kind, n, jb, HAM, spec.env)
     messages = sorted(str(w.message) for w in swept)
-    assert len(messages) == 4
+    assert len(messages) == 8
     assert all(m.startswith("ground population") for m in messages)
     assert messages == sorted(str(w.message) for w in single)
 
