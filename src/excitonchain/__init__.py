@@ -9,6 +9,7 @@ by a non-secular density-matrix solver).
 
 __version__ = "0.1.0"
 
+from .brme import Liouvillian, brme_steady_state, build_liouvillian
 from .defaults import DEFAULTS
 from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
     FlatStep, build_channels
@@ -67,11 +68,3 @@ __all__ = [
     "regime_grid",
 ]
 
-
-def __getattr__(name):
-    # the density-matrix solver imports scipy, so it loads at first use
-    if name in ("Liouvillian", "brme_steady_state", "build_liouvillian"):
-        from . import brme
-
-        return getattr(brme, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

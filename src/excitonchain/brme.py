@@ -30,8 +30,9 @@ O(n_sites dim^2): the phonon gain terms are three products with the
 and the loss matrix K = sum A G is summed once.  The steady state comes
 from GMRES, preconditioned by the secular part of the Liouvillian and
 started from its solution.  The GMRES is this module's own restarted
-iteration (:func:`_gmres`), step for step scipy's; scipy serves only the
-LU of the preconditioner.
+iteration (:func:`_gmres`), step for step scipy's, and the preconditioner
+applies one stored inverse of the population generator, so the solver
+runs on numpy alone.
 
 The solve runs in real arithmetic.  A Hermitian rho = X + iY (X
 symmetric, Y antisymmetric) is stored as the one real matrix S = X + Y,
@@ -55,8 +56,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrs
 
 from .environment import Channel
 from .pme import SteadyStateReport, _closed_classes, _generator_rows
@@ -191,11 +190,13 @@ def build_liouvillian(es: EigenSystem,
 def _secular_inverse(liouvillian: Liouvillian):
     """The inverse of the secular part of L on vectorized real forms.
 
-    One LU of the population generator chi + e0 1^T solves the diagonal,
-    and 1/c = p + iq with c the Liouvillian's diagonal on the coherences
-    (1 where it vanishes) scales them: r / c becomes p o S + q o S^T in
-    the real form.  Raises BrmeError when the secular rate graph has more
-    than one closed class, which means a degenerate steady state.
+    The bordered population generator chi + e0 1^T is inverted once per
+    solve, so the diagonal costs one product per call (a fresh solve per
+    call is slower), and 1/c = p + iq with c the Liouvillian's diagonal
+    on the coherences (1 where it vanishes) scales them: r / c becomes
+    p o S + q o S^T in the real form.  Raises BrmeError when the secular
+    rate graph has more than one closed class, which means a degenerate
+    steady state.
     """
     dim = liouvillian.dimension
     rates = liouvillian.rates
@@ -205,7 +206,7 @@ def _secular_inverse(liouvillian: Liouvillian):
                         f"has {n_closed} closed classes")
     chi = _generator_rows(rates[None])[0]
     chi[0] += 1.0
-    lu, piv = scipy.linalg.lu_factor(chi)
+    chi_inverse = np.linalg.inv(chi)
     coherences = liouvillian.coherence_diagonal
     inverse = 1.0 / np.where(coherences == 0, 1.0, coherences)
     p, q = inverse.real, inverse.imag
@@ -213,7 +214,7 @@ def _secular_inverse(liouvillian: Liouvillian):
     def precondition(x):
         s = x.reshape(dim, dim)
         z = p * s + q * s.T
-        np.fill_diagonal(z, dgetrs(lu, piv, s.diagonal())[0])
+        np.fill_diagonal(z, chi_inverse @ s.diagonal())
         return z.reshape(-1)
 
     return precondition
@@ -325,7 +326,7 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
     solution is the trace-one steady state, with GMRES in real arithmetic
     on the real form S = Re rho + Im rho (see :meth:`Liouvillian.apply_real`;
     the border term is tr(S)).  The preconditioner is the secular part of
-    L: one LU of the population generator chi + e0 1^T, and the
+    L: the inverse of the population generator chi + e0 1^T, and the
     Liouvillian's diagonal on the coherences.  GMRES starts from the
     secular solution and solves for the correction, so its stopping test
     is relative to that start's residual (injection-sized) rather than to

@@ -69,15 +69,28 @@ class DrudeLorentzBath:
         coupling, width, peak = self.coupling, self.width, self.peak
         temperature = self.temperature
         omega = np.asarray(omega, dtype=float)
-        aw = np.abs(omega)
-        lorentz = np.pi * width * coupling / (width**2 + (aw - peak) ** 2)
-        x = aw / temperature
+        # lorentz * |omega| * (bose + step) in two work arrays, written in
+        # place: a rate stack's (R, dim, dim) temporaries are each large
+        # enough to be mapped and faulted in afresh
+        aw = np.abs(omega, out=np.empty(omega.shape))
+        zero = aw == 0
+        value = np.subtract(aw, peak, out=np.empty(omega.shape))
+        np.square(value, out=value)
+        np.add(width**2, value, out=value)
+        np.divide(np.pi * width * coupling, value, out=value)
+        np.multiply(value, aw, out=value)
+        bose = np.divide(aw, temperature, out=aw)
+        positive = bose > 0
+        np.minimum(bose, 700.0, out=bose)
         with np.errstate(divide="ignore", over="ignore"):
-            bose = np.where(x > 0, 1.0 / np.expm1(np.minimum(x, 700.0)), 0.0)
-        value = lorentz * aw * (bose + (omega > 0))
+            np.expm1(bose, out=bose)
+            np.divide(1.0, bose, out=bose)
+        np.copyto(bose, 0.0, where=~positive)
+        np.add(bose, omega > 0, out=bose)
+        np.multiply(value, bose, out=value)
         zero_limit = (np.pi * width * coupling * temperature
                       / (width**2 + peak**2))
-        value = np.where(aw == 0, zero_limit, value)
+        np.copyto(value, zero_limit, where=zero)
         return value if value.ndim else float(value)
 
 

@@ -45,6 +45,7 @@ from functools import partial
 
 import numpy as np
 
+from .brme import brme_steady_state, build_liouvillian
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
@@ -227,8 +228,6 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
                 _warn_low_ground(report)
             out["pme"] = report
     if "brme" in methods:
-        from .brme import brme_steady_state, build_liouvillian  # loads scipy
-
         for out, eps, vecs in zip(solved, energies, vectors):
             es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
             try:

@@ -21,8 +21,8 @@ rows of one kind, and each row takes one of three paths:
   distinct levels of B is solved alone from the Kronecker sum of its
   factors, which equals its excited block bit for bit, by scipy's eigh
   (LAPACK syevr): that solver's arbitrary mixture inside the tie is the
-  basis that stored results pin.  Only these rows load scipy here, at
-  their first solve.
+  basis that stored results pin.  These rows are the package's only
+  use of scipy, which they load at their first solve.
 
 Every path then fixes a deterministic basis:
 
@@ -114,8 +114,9 @@ def _group_ranges(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
-def _degeneracy_tol(eps: np.ndarray) -> float:
-    return _DEGENERACY_RTOL * max(1.0, float(np.abs(eps).max()))
+def _degeneracy_tol(eps: np.ndarray):
+    """The degeneracy tolerance of a spectrum, or one per row of a stack."""
+    return _DEGENERACY_RTOL * np.maximum(1.0, np.abs(eps).max(axis=-1))
 
 
 def _resolve_degeneracies(eps: np.ndarray, vecs: np.ndarray,
@@ -225,8 +226,10 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
 def _full_eigen(blocks: np.ndarray, positions: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Excited energies and vectors of a stack of finite blocks (R, n, n)
-    from one stacked full-space eigh (LAPACK syevd), each row put through
-    the centroid rule; NaN for a row LAPACK fails on.
+    from one stacked full-space eigh (LAPACK syevd), put through the
+    centroid rule; NaN for a row LAPACK fails on.  One spacing test over
+    the stack picks the rows that hold a multiplet, and only those go
+    through the rule.
 
     One row that does not converge fails the whole stacked call, so a
     failed stack is solved again row by row; every other row then keeps
@@ -241,7 +244,9 @@ def _full_eigen(blocks: np.ndarray, positions: np.ndarray
         rows = [_full_eigen(block[None], positions) for block in blocks]
         return (np.concatenate([eps for eps, _ in rows]),
                 np.concatenate([vecs for _, vecs in rows]))
-    for r in range(len(blocks)):
+    tol = _degeneracy_tol(eps)
+    for r in np.flatnonzero(np.any(np.diff(eps, axis=1) <= tol[:, None],
+                                   axis=1)):
         vecs[r] = _resolve_degeneracies(eps[r], vecs[r], positions)[0]
     return eps, vecs
 

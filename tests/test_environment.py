@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,15 +246,69 @@ def test_peak_rule_matches_detuning():
     assert pinned.resolve_peak(1.0) == 0.5
 
 
-def test_bath_evaluates_arrays_like_scalars():
-    # one expression serves both: an array is evaluated elementwise, bit
-    # for bit, with omega = 0 at its finite limit
+def reference_density(bath, omega):
+    """The Drude-Lorentz density as plain expressions, one temporary per
+    step: the in-place evaluation must equal it bit for bit."""
+    coupling, width, peak = bath.coupling, bath.width, bath.peak
+    temperature = bath.temperature
+    omega = np.asarray(omega, dtype=float)
+    aw = np.abs(omega)
+    lorentz = np.pi * width * coupling / (width**2 + (aw - peak) ** 2)
+    x = aw / temperature
+    with np.errstate(divide="ignore", over="ignore"):
+        bose = np.where(x > 0, 1.0 / np.expm1(np.minimum(x, 700.0)), 0.0)
+    value = lorentz * aw * (bose + (omega > 0))
+    zero_limit = (np.pi * width * coupling * temperature
+                  / (width**2 + peak**2))
+    value = np.where(aw == 0, zero_limit, value)
+    return value if value.ndim else float(value)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_bath_evaluates_arrays_like_scalars(rng):
+    # an array is evaluated elementwise, bit for bit as the reference and
+    # as scalars, with omega = 0 of either sign at its finite limit; the
+    # special values are tiny and large |omega| and x = |omega| / T on
+    # both sides of the 700 clamp
     bath = DrudeLorentzBath(**DL_ARGS)
-    omegas = np.linspace(-3, 3, 11)
+    clamp = 700 * DL_ARGS["temperature"]
+    special = np.array([0.0, 1e-300, 5000.0,
+                        *(clamp * np.array([1 - 1e-12, 1, 1 + 1e-12]))])
+    special = np.concatenate([special, -special])
+    omegas = np.concatenate([rng.normal(0, 3, 10**5), special])
+    given = omegas.copy()
     values = bath(omegas)
     assert values.shape == omegas.shape
-    assert values.tolist() == [bath(float(omega)) for omega in omegas]
-    assert values[5] == dl(0.0)
+    assert np.array_equal(bits(values), bits(reference_density(bath,
+                                                               omegas)))
+    assert np.array_equal(bits(omegas), bits(given))
+    omegas.setflags(write=False)
+    stack = omegas[:10**5].reshape(10, 100, 100)
+    assert np.array_equal(bits(bath(stack)), bits(values[:10**5]).reshape(
+        stack.shape))
+    scalars = [bath(float(omega)) for omega in special]
+    assert all(type(value) is float for value in scalars)
+    assert np.array_equal(bits(scalars), bits(values[-len(special):]))
+    assert values[-len(special)] == values[-len(special) // 2] == dl(0.0)
+
+
+def test_bath_evaluates_a_rate_stack_in_two_work_arrays(rng):
+    # each (R, dim, dim) temporary of a rate stack is large enough to be
+    # mapped and faulted in afresh, so the density allocates two float
+    # arrays and a few boolean masks, its result included
+    bath = DrudeLorentzBath(**DL_ARGS)
+    omegas = rng.normal(0, 3, (8, 60, 60))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bath(omegas)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * omegas.nbytes
 
 
 def test_channel_descriptions_are_json_friendly():
