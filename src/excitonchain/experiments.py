@@ -17,14 +17,14 @@ or the error it failed with.
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
   once, and that eigensystem is measured with both solvers.  A clean
-  chain is solved from its factors: the cell block once per (geometry,
-  jb), before the chains are shared out, and the chain block once per
-  chain; no dense Hamiltonian is built for it, one site per cell
-  included.  Couplings with equal cell blocks (every coupling, for one
-  site per cell) are one system, solved once per chain.  Its rows equal
-  :func:`solve_point`'s reports exactly.  A failing point raises what
-  :func:`solve_point` raises there: the first such point of its
-  geometry in grid order.
+  chain is solved from its factors: the cell block and its centroid
+  rule once per (geometry, jb), before the chains are shared out, and
+  the chain block once per chain; no dense Hamiltonian is built for it,
+  one site per cell included.  Couplings with equal cell blocks (every
+  coupling, for one site per cell) are one system, solved once per
+  chain.  Its rows equal :func:`solve_point`'s reports exactly.  A
+  failing point raises what :func:`solve_point` raises there: the first
+  such point of its geometry in grid order.
 - An ensemble point (:func:`_ensemble`) builds its geometry, channels and
   clean Hamiltonian once and solves the clean row first, on the same
   runner and measure as its realizations, so the clean value is
@@ -52,9 +52,9 @@ from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
                           apply_disorder, build_hamiltonian, factor_blocks)
 from .lattice import assign_dipoles, build_geometry
 from .pme import SteadyStateReport, _steady_reports, _warn_low_ground
-from .spectral import (EigenSystem, _brightness_rows, _check_dark_threshold,
-                       _dark_mask, _eigen_row, _eigen_rows, _factor_eigen,
-                       _rate_rows, diagonalize)
+from .spectral import (EigenSystem, _brightness_rows, _cell_modes,
+                       _check_dark_threshold, _dark_mask, _eigen_row,
+                       _eigen_rows, _factor_eigen, _rate_rows, diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
 # doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
@@ -331,11 +331,12 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
 
 
 def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
-    """The cell block B with its eigh (:func:`_factor_eigen`) at every
-    coupling of a sweep, for the clean chains of one kind, or None when
-    they are not clean.  B does not depend on N, so one length's geometry
-    serves every chain.  A coupling whose B equals an earlier coupling's
-    (every coupling, for one site per cell) shares that solve."""
+    """The cell half of the factor-pair rows (B with its eigh and cell
+    modes, ``spectral._cell_modes``) at every coupling of a sweep, for the
+    clean chains of one kind, or None when they are not clean.  B does not
+    depend on N, so one length's geometry serves every chain.  A coupling
+    whose B equals an earlier coupling's (every coupling, for one site per
+    cell) shares that solve."""
     geometry = _geometry(kind, n_cells, spec.dipole_scheme)
     cells = {}
     for jb in spec.jb_values:
@@ -343,7 +344,8 @@ def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
         if blocks is None:
             return None
         same = [c for c in cells.values() if np.array_equal(c[0], blocks[1])]
-        cells[jb] = same[0] if same else _factor_eigen(blocks[1])
+        cells[jb] = same[0] if same else _cell_modes(
+            _factor_eigen(blocks[1]), geometry.positions[:len(blocks[1])])
     return cells
 
 

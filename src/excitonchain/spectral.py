@@ -10,31 +10,29 @@ rows of one kind, and each row takes one of three paths:
   cell block (B = [[0]] for one site per cell).  Clean is decided by
   construction (no disorder, no dipoles or one dipole on every site:
   ``Hamiltonian.factors``), never by testing the block.  Such a row is
-  the factor pair ((T, t, U), (B, b, W)), each block with its numpy eigh
-  (LAPACK syevd), which a sweep solves once per chain length and once per
-  coupling: energies t_i + b_j, vectors U_i (x) W_j;
+  the factor pair of T and B, each with its numpy eigh (LAPACK syevd),
+  solved once per chain length and once per coupling: energies
+  t_i + b_j, vectors U_i (x) W_j.  As the centroid operator between two
+  of them is delta_ii' W_j^T Y W_j', the rule below acts on the cell
+  modes W alone, once per coupling (:func:`_cell_modes`);
 - every other row comes as its excited block (disorder, per-site
   dipoles) and is solved with the other such rows of its stack by one
   stacked full-space eigh (LAPACK syevd, divide and conquer); a block
   with a non-finite entry is reported, not solved;
-- a clean chain whose centroid rule below leaves a tie unsplit across
-  distinct levels of B is solved alone from the Kronecker sum of its
-  factors, which equals its excited block bit for bit, by scipy's eigh
-  (LAPACK syevr): that solver's arbitrary mixture inside the tie is the
-  basis that stored results pin.  These rows are the package's only
-  use of scipy, which they load at their first solve.
+- a clean chain with a multiplet that holds two modes of distinct
+  levels of B that no centroid splits is solved alone from the Kronecker
+  sum of its factors, which equals its excited block bit for bit, by
+  scipy's eigh (LAPACK syevr): that solver's arbitrary mixture inside the
+  tie is the basis that stored results pin.  These rows are the
+  package's only use of scipy, which they load at their first solve.
 
-Every path then fixes a deterministic basis:
-
-- within every numerically degenerate multiplet the basis is fixed by
-  diagonalizing the in-plane centroid operators (y, then z among remaining
-  ties), so parallel-chain structures that happen to be symmetric resolve
-  into reproducible, spatially distinct eigenstates instead of an
-  arbitrary LAPACK mixture;
-- degenerate partners are then ordered by their (x, y, z) site-support
-  centroids and every eigenvector's largest-magnitude component is made
-  positive (the first site among magnitudes within the degeneracy
-  tolerance of the largest).
+Every path then fixes a deterministic basis.  Inside each numerically
+degenerate multiplet the centroid rule diagonalizes the in-plane centroid
+operators (y, then z among remaining ties), so symmetric parallel chains
+give reproducible, spatially distinct states rather than a LAPACK
+mixture, and orders the partners by their (x, y, z) site-support
+centroids.  Each vector's largest-magnitude component is made positive
+(the first site within the degeneracy tolerance of the largest).
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
@@ -120,19 +118,15 @@ def _degeneracy_tol(eps: np.ndarray):
 
 
 def _resolve_degeneracies(eps: np.ndarray, vecs: np.ndarray,
-                          positions: np.ndarray
-                          ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Fix a canonical eigenbasis inside each degenerate multiplet.
-
-    Returns the vectors and the ties the centroid rule left unsplit, as
-    (lo, hi) column ranges.  Multiplets of one size are rotated together,
-    one stacked ``eigh`` per size and axis.  Spectra without a multiplet
-    (disorder almost always lifts them) are returned unchanged after one
-    vectorized spacing test.
-    """
+                          positions: np.ndarray) -> np.ndarray:
+    """Fix a canonical eigenbasis inside each degenerate multiplet, in
+    place: the centroid rule.  Multiplets of one size are rotated
+    together, one stacked ``eigh`` per size and axis.  Spectra without a
+    multiplet (disorder almost always lifts them) are returned unchanged
+    after one vectorized spacing test."""
     tol = _degeneracy_tol(eps)
     if not np.any(np.diff(eps) <= tol):
-        return vecs, []
+        return vecs
     multiplets = [(lo, hi) for lo, hi in _group_ranges(eps, tol)
                   if hi - lo > 1]
     ties = multiplets
@@ -161,11 +155,12 @@ def _resolve_degeneracies(eps: np.ndarray, vecs: np.ndarray,
     owner = np.repeat(np.arange(len(multiplets)),
                       [hi - lo for lo, hi in multiplets])
     vecs[:, cols] = vecs[:, cols[np.lexsort((*keys.T[::-1], owner))]]
-    return vecs, sorted(ties)
+    return vecs
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Make each eigenvector's largest-magnitude component positive.
+    """Make each eigenvector's largest-magnitude component positive, in
+    place (a strided view too), and return ``vecs``.
 
     The first site whose magnitude is within ``_DEGENERACY_RTOL`` of the
     largest leads, so mirror components that differ in the eigensolver's
@@ -176,7 +171,7 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     lead = np.argmax(mag >= top, axis=-2)
     signs = np.sign(np.take_along_axis(vecs, lead[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
-    return vecs * signs
+    return np.multiply(vecs, signs, out=vecs)
 
 
 def _eigen_rows(rows, eg: float, geometry) -> tuple:
@@ -184,7 +179,7 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
 
     The rows are all excited blocks (n, n), solved together by
     :func:`_full_eigen` where finite, or all clean chains' factor pairs
-    ((T, t, U), (B, b, W)), each solved by :func:`_sector_eigen`.  Masks
+    (:func:`_eigen_row`), each solved by :func:`_sector_eigen`.  Masks
     over the stack then flag failed rows and rows whose lowest excited
     energy does not exceed ``eg``; the sign rule runs once.  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
@@ -219,7 +214,7 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     energies[low, 1:] = full[low, 1:, 1:] = np.nan
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
-    full[:, 1:, 1:] = _fix_signs(full[:, 1:, 1:])
+    _fix_signs(full[:, 1:, 1:])
     return energies, full, errors
 
 
@@ -247,31 +242,29 @@ def _full_eigen(blocks: np.ndarray, positions: np.ndarray
     tol = _degeneracy_tol(eps)
     for r in np.flatnonzero(np.any(np.diff(eps, axis=1) <= tol[:, None],
                                    axis=1)):
-        vecs[r] = _resolve_degeneracies(eps[r], vecs[r], positions)[0]
+        _resolve_degeneracies(eps[r], vecs[r], positions)
     return eps, vecs
 
 
 def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
     """Excited energies and vectors of one block from scipy's full-space
     eigh (LAPACK syevr), put through the centroid rule; NaN if it fails.
-
-    Only a clean chain whose centroid rule leaves a tie unsplit across
-    distinct levels of B comes here: the vectors inside that tie are
-    syevr's arbitrary mixture, which stored results pin.
-    """
+    Only a clean chain whose multiplet holds a tied pair of cell modes
+    (:func:`_cell_modes`) comes here: syevr's arbitrary mixture inside
+    that tie is the basis stored results pin."""
     import scipy.linalg  # only these rows load scipy, at their first solve
 
     try:
         eps, vecs = scipy.linalg.eigh(block)
     except np.linalg.LinAlgError:  # pragma: no cover - rare
         return np.full(len(block), np.nan), np.full(block.shape, np.nan)
-    return eps, _resolve_degeneracies(eps, vecs, positions)[0]
+    return eps, _resolve_degeneracies(eps, vecs, positions)
 
 
 def _factor_eigen(block: np.ndarray) -> tuple:
-    """A clean chain's chain block T or cell block B with its numpy eigh
-    (LAPACK syevd): the half (block, levels, vectors) of a factor-pair
-    row.  Only the pinned rows (:func:`_pinned_eigen`) use syevr."""
+    """A clean chain's block T or B with its numpy eigh (LAPACK syevd):
+    (block, levels, vectors), T's the chain half of a factor-pair row.
+    Only the pinned rows (:func:`_pinned_eigen`) use syevr."""
     if not np.isfinite(block).all():
         raise SpectralError("excited block has non-finite entries")
     try:
@@ -280,48 +273,55 @@ def _factor_eigen(block: np.ndarray) -> tuple:
         raise SpectralError("eigendecomposition did not converge") from exc
 
 
-def _sector_eigen(chain: tuple, cell: tuple, positions: np.ndarray
-                  ) -> tuple:
+def _cell_modes(cell: tuple, positions: np.ndarray) -> tuple:
+    """The cell half (B, b, W, labels, tied) of a factor-pair row from
+    (B, b, W) (:func:`_factor_eigen`) and the cell's site positions: W
+    through the centroid rule inside each level of B, each mode's rounded
+    (y, z) centroid as its label, and ``tied[j, j']`` true for modes of
+    distinct levels of B with one label, which no centroid splits."""
+    block, b, w = cell
+    w = _resolve_degeneracies(b, w.copy(), positions)
+    labels = np.round(w.T**2 @ positions[:, 1:], 9)
+    distinct = np.abs(b[:, None] - b) > _degeneracy_tol(b)
+    return block, b, w, labels, distinct & (labels[:, None] == labels).all(-1)
+
+
+def _sector_eigen(chain: tuple, cell: tuple, positions: np.ndarray) -> tuple:
     """Excited energies and vectors of a clean chain from its factor solves.
 
-    ``chain`` is (T, t, U) and ``cell`` (B, b, W) (:func:`_factor_eigen`)
-    of the excited block T (x) 1_n + 1_N (x) B.  Its eigenpairs are
-    t_i + b_j and U[:, i] (x) W[:, j], stably sorted, then put through the
-    centroid rule.  When the rule leaves a tie unsplit across distinct
-    levels of B it returns :func:`_pinned_eigen` of that Kronecker sum,
-    which equals the dense excited block bit for bit.
-    """
-    (t_block, t, u), (b_block, b, w) = chain, cell
+    ``chain`` (T, t, U) and ``cell`` (B, b, W, labels, tied) are the
+    halves (:func:`_eigen_row`) of the excited block T (x) 1_n + 1_N (x) B.
+    Its eigenpairs t_i + b_j and U[:, i] (x) W[:, j] are stably sorted.
+    The centroid operators are diagonal on them inside a multiplet, so
+    the rule orders each multiplet by U_i's x and W_j's (y, z) label.  A
+    multiplet holding a tied pair gives :func:`_pinned_eigen` of that
+    Kronecker sum, which equals the dense excited block bit for bit."""
+    (t_block, t, u), (b_block, b, w, labels, tied) = chain, cell
     n_cells, n = len(t), len(b)
     eps = (t[:, None] + b).ravel()
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
     # column k is U[:, i] (x) W[:, j] for (i, j) = divmod(order[k], n)
     i, j = np.divmod(order, n)
-    vecs, ties = _resolve_degeneracies(
-        eps, (u[:, None, i] * w[:, j]).reshape(n_cells * n, -1), positions)
-    levels = [lo for lo, _ in _group_ranges(b, _degeneracy_tol(eps))]
-    if ties and len(levels) > 1:
-        # weight of each tie's span on each level of B: the span is made of
-        # whole states of each level, so a weight is an integer up to rounding
-        cols = np.concatenate([np.arange(lo, hi) for lo, hi in ties])
-        modes = w.T @ vecs[:, cols].reshape(n_cells, n, -1)
-        per_level = np.add.reduceat((modes**2).sum(axis=0), levels, axis=0)
-        starts = np.cumsum([0] + [hi - lo for lo, hi in ties[:-1]])
-        per_tie = np.add.reduceat(per_level, starts, axis=1)
-        if np.any(np.count_nonzero(per_tie > 0.5, axis=0) > 1):
-            return _pinned_eigen(np.kron(t_block, np.eye(n))
-                                 + np.kron(np.eye(n_cells), b_block),
-                                 positions)
-    return eps, vecs
+    multiplet = np.cumsum(np.diff(eps, prepend=eps[0]) > _degeneracy_tol(eps))
+    present = np.zeros((multiplet[-1] + 1, n), dtype=bool)
+    present[multiplet, j] = True  # the cell modes each multiplet holds
+    if (present & (present @ tied)).any():
+        return _pinned_eigen(np.kron(t_block, np.eye(n))
+                             + np.kron(np.eye(n_cells), b_block), positions)
+    x = np.round(u.T**2 @ positions[::n, 0], 9)
+    keys = np.lexsort((labels[j, 1], labels[j, 0], x[i], multiplet))
+    i, j = i[keys], j[keys]
+    return eps, (u[:, None, i] * w[:, j]).reshape(n_cells * n, -1)
 
 
 def _eigen_row(h: Hamiltonian):
-    """The :func:`_eigen_rows` row of ``h``: its factor solves when it
+    """The :func:`_eigen_rows` row of ``h``: its factor pair when it
     records factors, as a sweep row; else its excited block."""
     if h.factors is None:
         return h.excited_block
-    return tuple(map(_factor_eigen, h.factors))
+    chain, cell = map(_factor_eigen, h.factors)
+    return chain, _cell_modes(cell, h.geometry.positions[:len(cell[0])])
 
 
 def diagonalize(h: Hamiltonian) -> EigenSystem:

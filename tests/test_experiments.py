@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from excitonchain import experiments
+from excitonchain import experiments, spectral
 from excitonchain.cli import main
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (SweepSpec, build_system, derive_seed,
@@ -283,6 +283,25 @@ def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
     assert sizes[0] == 1
     assert [sorted(sizes[k:k + 3]) for k in range(1, 16, 3)] == [
         [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
+
+
+def test_length_sweep_applies_the_cell_rule_once_per_coupling(monkeypatch):
+    # the centroid rule acts on the (n x n) cell modes, once per coupling
+    # before the chains are shared out, never on a chain's product vectors
+    shapes = []
+    real = spectral._resolve_degeneracies
+
+    def rule(eps, vecs, positions):
+        shapes.append(vecs.shape)
+        return real(eps, vecs, positions)
+
+    monkeypatch.setattr(spectral, "_resolve_degeneracies", rule)
+    spec = small_spec(geometries=("prism",),
+                      n_cells_values=tuple(range(2, 13)),
+                      jb_values=(0.1, 1.0, 10.0))
+    rows, _ = length_sweep(spec)
+    assert len(rows) == 33
+    assert shapes == [(3, 3)] * 3
 
 
 def test_clean_length_sweep_builds_no_dense_hamiltonian(monkeypatch):

@@ -13,13 +13,14 @@ from excitonchain import spectral
 from excitonchain.brme import BrmeError, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
-                                      apply_disorder, build_hamiltonian)
+                                      apply_disorder, build_hamiltonian,
+                                      factor_blocks)
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import solve_steady_state
-from excitonchain.spectral import (EigenSystem, SpectralError, _couplings,
-                                   _eigen_row, _eigen_rows, _factor_eigen,
-                                   _fix_signs, _full_eigen, _pinned_eigen,
-                                   _sector_eigen,
+from excitonchain.spectral import (EigenSystem, SpectralError, _cell_modes,
+                                   _couplings, _eigen_row, _eigen_rows,
+                                   _factor_eigen, _fix_signs, _full_eigen,
+                                   _pinned_eigen, _sector_eigen,
                                    brightness, classify_bright_dark,
                                    diagonalize, eigenstructure_tables,
                                    transition_matrix)
@@ -170,6 +171,32 @@ def test_sign_rule_ignores_the_last_bits_of_mirror_components(larger_first):
     # beyond the tolerance the largest component leads
     fixed = _fix_signs(np.array([[0.6, -0.6], [-0.8, 0.8]]))
     assert np.array_equal(fixed, [[-0.6, -0.6], [0.8, 0.8]])
+
+
+def test_sign_rule_in_place_on_a_strided_view_is_bit_for_bit(rng):
+    # the excited corner of a ground + site stack, as _eigen_rows holds it
+    full = np.zeros((6, 9, 9))
+    full[:, 1:, 1:] = rng.normal(size=(6, 8, 8))
+    # mirror ties one ulp apart, an exact mirror tie, a zero leading entry
+    # (an all-zero column) and a failed row of NaN
+    full[0, 1:3, 1] = [np.sqrt(0.5), -np.nextafter(np.sqrt(0.5), 1.0)]
+    full[0, 1:, 2] = 0.0
+    full[1, 1:, 3] = -np.abs(full[1, 1:, 3]).max()
+    full[2, 1:, 4] = 0.0
+    full[3, 1:, 1:] = np.nan
+    excited = full[:, 1:, 1:].copy()
+    # the out-of-place form: a new array with every column's signs applied
+    mag = np.abs(excited)
+    top = mag.max(axis=-2, keepdims=True) * (1.0 - 1e-9)
+    lead = np.argmax(mag >= top, axis=-2)
+    signs = np.sign(np.take_along_axis(excited, lead[..., None, :], axis=-2))
+    signs[signs == 0] = 1.0
+    expected = excited * signs
+    view = full[:, 1:, 1:]
+    assert _fix_signs(view) is view
+    np.testing.assert_array_equal(full[:, 1:, 1:], expected)
+    assert (full[:, 0] == 0).all() and (full[:, :, 0] == 0).all()
+    assert np.array_equal(np.signbit(full[:, 1:, 1:]), np.signbit(expected))
 
 
 def test_degenerate_chains_resolve_to_single_chain_states():
@@ -409,8 +436,7 @@ def chain_and_cell_blocks(h):
 
 def sector_eigen(h):
     """The sector path on a clean chain's factor solves."""
-    return _sector_eigen(*map(_factor_eigen, h.factors),
-                         h.geometry.positions)
+    return _sector_eigen(*_eigen_row(h), h.geometry.positions)
 
 
 def takes_pinned_path(h):
@@ -466,6 +492,65 @@ def test_sector_currents_match_the_general_path(kind, dipoles):
                                    channels)
             assert pme_current(es, channels) == pytest.approx(
                 expected, rel=1e-12, abs=0)
+
+
+def factor_row(kind, n_cells, jb):
+    """The factor-pair row of a clean chain, without its dense block."""
+    geo = build_geometry(kind, n_cells)
+    chain, cell = factor_blocks(geo, HamiltonianParams(), jb)
+    return geo, (_factor_eigen(chain),
+                 _cell_modes(_factor_eigen(cell), geo.positions[:len(cell)]))
+
+
+def reaches_pinned_path(kind, n_cells, jb):
+    pinned = object()
+    geo, row = factor_row(kind, n_cells, jb)
+    with mock.patch.object(spectral, "_pinned_eigen", return_value=pinned):
+        return _sector_eigen(*row, geo.positions) is pinned
+
+
+def test_pinned_rows_of_the_benchmark_grid():
+    # a multiplet pins only when it holds two cell modes of different
+    # levels of B with the same centroid label
+    grid = [(kind, jb, n) for kind in ("mono", "dimer", "prism", "cuboid")
+            for jb in (0.1, 1.0, 10.0) for n in range(2, 41)]
+    grid += [("prism", jb, n) for jb in (0.1, 1.0, 10.0)
+             for n in (60, 80, 100)]
+    pinned = [(kind, jb, n) for kind, jb, n in grid
+              if reaches_pinned_path(kind, n, jb)]
+    assert pinned == ([("dimer", 1.0, n) for n in range(24, 41)]
+                      + [("cuboid", 1.0, n) for n in range(27, 41)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cell_rule_gives_the_full_space_basis(kind):
+    # the factor rule's basis against the stacked full-space solve of the
+    # dense block: the same levels, the same projector on each multiplet
+    # and, but inside a cuboid's E pairs, which no centroid splits, the
+    # same vectors.  The dense solve mixes multiplets closer than about
+    # 1e-6 at the 1e-8 level (prism jb=1 N=30 has a gap of 1.5e-7), so
+    # such multiplets are compared as one cluster, by projector only.
+    for jb in (0.1, 1.0, 10.0):
+        for n_cells in (2, 7, 30):
+            if reaches_pinned_path(kind, n_cells, jb):
+                continue
+            geo, row = factor_row(kind, n_cells, jb)
+            eps, vecs = _sector_eigen(*row, geo.positions)
+            block = build_hamiltonian(geo, HamiltonianParams(),
+                                      jb).excited_block
+            (full_eps,), (full_vecs,) = _full_eigen(block[None],
+                                                    geo.positions)
+            np.testing.assert_allclose(eps, full_eps, rtol=1e-12, atol=0)
+            tol = 1e-9 * np.abs(eps).max()
+            edges = np.flatnonzero(np.diff(eps) > 1e3 * tol)
+            for cols in np.split(np.arange(len(eps)), edges + 1):
+                sector, full = vecs[:, cols], full_vecs[:, cols]
+                np.testing.assert_allclose(sector @ sector.T, full @ full.T,
+                                           rtol=0, atol=1e-10)
+                if kind != "cuboid" and np.ptp(eps[cols]) <= tol:
+                    np.testing.assert_allclose(_fix_signs(sector.copy()),
+                                               _fix_signs(full.copy()),
+                                               rtol=0, atol=1e-10)
 
 
 def disordered(h):
