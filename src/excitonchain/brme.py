@@ -15,9 +15,10 @@ G_nm = S(eps_m - eps_n) A_nm) and real symmetric A,
     D[rho] = (G rho A + A rho G^T - A G rho - rho G^T A) / 2.
 
 The secular (diagonal) part is the golden-rule rate matrix of the
-population equation by construction: coupling vectors and secular rates
-are read from the rate kernel of :mod:`excitonchain.spectral`, the only
-code that decides how a channel's rows act in the eigenbasis.
+population equation by construction: coupling vectors, secular rates and
+the phonon densities at excited transitions are read from the rate
+kernel of :mod:`excitonchain.spectral`, the only code that decides how a
+channel's rows act in the eigenbasis.
 
 No superoperator is formed.  In the eigenbasis a phonon row w |s><s| is
 the rank-1 operator w u u^T with u the site's row of the eigenvectors,
@@ -33,6 +34,18 @@ started from its solution.  The GMRES is this module's own restarted
 iteration (:func:`_gmres`), step for step scipy's, and the preconditioner
 applies one stored inverse of the population generator, so the solver
 runs on numpy alone.
+
+The solver works on stacks of eigensystems, as the population solver
+does, and a single solve is a stack of one.  A :class:`Liouvillian` holds
+the factored pieces of R eigensystems as (R, ...) arrays, built with
+batched products from the stack's one rate pass (which the population
+solve of the same stack reads too), and one lockstep GMRES solves the R
+rows: every product is batched over the rows still iterating, while each
+row keeps its own Hessenberg matrix, rotations, inner tolerance and
+restarts and leaves once it has converged or failed.  Batching changes no
+row's arithmetic, so each row has the iterates, Krylov count and bits of
+its own solve, and a row that fails gets its own error while the others
+solve.
 
 The solve runs in real arithmetic.  A Hermitian rho = X + iY (X
 symmetric, Y antisymmetric) is stored as the one real matrix S = X + Y,
@@ -58,7 +71,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Channel
-from .pme import SteadyStateReport, _closed_classes, _generator_rows
+from .pme import (SteadyStateReport, _bordered_solve, _closed_classes,
+                  _generator_rows)
 from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
@@ -73,151 +87,277 @@ class BrmeError(RuntimeError):
     Krylov solve that does not converge."""
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (a view)."""
+    return a.swapaxes(-1, -2)
+
+
+@dataclass
+class _Factors:
+    """The (R, ...) pieces the Liouvillians of a stack apply from: the
+    Bohr frequencies omega, the loss matrix K, the ground <-> site gain
+    matrices, and per phonon channel its density S(omega) (R, 1, dim, dim)
+    with its coupling vectors (R, 1, m, dim)."""
+
+    omega: np.ndarray
+    loss: np.ndarray
+    transfer: np.ndarray
+    emission_form: np.ndarray
+    pump: np.ndarray
+    phonon: list[tuple[np.ndarray, np.ndarray]]
+
+    def take(self, rows: np.ndarray) -> _Factors:
+        """The pieces of the stack rows ``rows``, each matrix in the same
+        layout."""
+        return _Factors(self.omega[rows], self.loss[rows],
+                        self.transfer[rows], self.emission_form[rows],
+                        self.pump[rows],
+                        [(s[rows], a[rows]) for s, a in self.phonon])
+
+    def apply_real(self, s: np.ndarray) -> np.ndarray:
+        """L of each row on the real forms s (R, dim, dim): the dissipator
+        of s plus omega o s^T."""
+        return self.dissipate(s, self.omega * _t(s))
+
+    def dissipate(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add the dissipator of rho (R, dim, dim), real-linear in rho, to
+        ``out``."""
+        # in place where it keeps the order of every operation
+        loss = self.loss @ rho
+        loss += rho @ _t(self.loss)
+        loss *= 0.5
+        out -= loss
+        for s, a in self.phonon:
+            u = _t(a)
+            # G rho A and A rho G^T = (G rho^T A)^T, one channel per column;
+            # each stacked temporary is freed as soon as it is used up
+            pair = np.empty((len(rho), 2) + rho.shape[1:], dtype=rho.dtype)
+            pair[:, 0], pair[:, 1] = rho, _t(rho)
+            q = pair @ u
+            del pair
+            q *= u
+            q = s @ q
+            q *= u
+            jump = q @ a
+            del q
+            gain = jump[:, 0] + _t(jump[:, 1])
+            del jump
+            gain *= 0.5
+            out += gain
+        # ground <-> site gain terms: column 0 feeds row 0 and vice versa,
+        # excited populations and coherences feed rho_00, rho_00 the pump
+        out[:, 0] += 0.5 * (self.transfer @ rho[:, :, :1])[..., 0]
+        out[:, :, 0] += 0.5 * (self.transfer @ rho[:, 0, :, None])[..., 0]
+        out[:, 0, 0] += 0.5 * (self.emission_form * rho).sum(axis=(1, 2))
+        out += 0.5 * rho[:, :1, :1] * self.pump
+        return out
+
+
 @dataclass
 class Liouvillian:
-    """The Liouvillian of an eigensystem and channel set, in factored form.
+    """The Liouvillians of a stack of R eigensystems and one channel set,
+    in factored form; one eigensystem gives a stack of one.
 
-    Row c of ``matrix`` is the eigenbasis coupling vector of one operator
-    row (a zero ground entry, then its ``spectral._couplings`` column),
-    and ``kinds[c]`` its channel kind.  For ground <-> site rows, row c of
-    ``emission`` is S(eps_m - eps_0) a_m and of ``absorption``
-    S(eps_0 - eps_m) a_m (zero rows for phonon rows); ``phonon`` holds one
-    (S(omega), U) pair per phonon channel, with its coupling vectors as
-    the columns of U.  ``rates`` are the population equation's rates.
-    The (dim x dim) pieces :meth:`apply` needs and the diagonal of the
-    Liouvillian on the coherences are derived from these on construction.
+    Row c of ``matrix[r]`` is the eigenbasis coupling vector of one
+    operator row (a zero ground entry, then its ``spectral._couplings``
+    column), and ``kinds[c]`` its channel kind.  For ground <-> site rows,
+    row c of ``emission[r]`` is S(eps_m - eps_0) a_m and of
+    ``absorption[r]`` S(eps_0 - eps_m) a_m (zero rows for phonon rows);
+    ``phonon`` holds one (S(omega), rows) pair per phonon channel: its
+    density (R, dim, dim) at every transition and the slice of its rows
+    in ``matrix``.  ``rates`` (R, dim, dim) are the population equation's
+    rates and ``ground`` its per-kind (out, into) vectors, as
+    ``spectral._rate_rows`` returns them.  The (dim x dim) pieces
+    :meth:`apply` needs and the diagonal of the Liouvillian on the
+    coherences (``coherence_diagonal``, (R, dim, dim)) are derived from
+    these on construction, in batched products.
     """
 
     matrix: np.ndarray
     emission: np.ndarray = field(repr=False)
     absorption: np.ndarray = field(repr=False)
-    phonon: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    phonon: list[tuple[np.ndarray, slice]] = field(repr=False)
     eigensystem: EigenSystem = field(repr=False)
     kinds: list[str] = field(repr=False)
     rates: np.ndarray = field(repr=False)
+    ground: dict[str, tuple] = field(repr=False)
 
     def __post_init__(self):
         a, g, h = self.matrix, self.emission, self.absorption
-        energies = self.eigensystem.energies
-        loss = a.T @ g
-        loss[0, 0] += np.sum(a * h)
+        energies = self.eigensystem.energies.reshape(len(a), -1)
+        ag, ha = _t(a) @ g, _t(h) @ a
+        loss = ag.copy()
+        loss[:, 0, 0] += (a * h).sum(axis=(1, 2))
         dephasing = np.zeros_like(loss)
-        for s, u in self.phonon:
-            loss += u @ (u * (s.T @ u**2)).T
-            # G_aa A_bb on the coherences: s[0, 0] = S(0)
-            dephasing += s[0, 0] * (u**2 @ (u**2).T)
-        decay = np.diag(loss)
-        self._omega = energies[None, :] - energies[:, None]
-        self._bohr = 1j * self._omega
-        self._loss = loss
-        self._transfer = a.T @ g + h.T @ a
-        self._emission_form = g.T @ a + a.T @ g
-        self._pump = h.T @ a + a.T @ h
-        self.coherence_diagonal = (self._bohr + dephasing
-                                   - 0.5 * (decay[:, None] + decay[None, :]))
+        for s, cols in self.phonon:
+            u = _t(a[:, cols])
+            loss += u @ _t(u * (_t(s) @ u**2))
+            # G_aa A_bb on the coherences: s[:, 0, 0] = S(0)
+            dephasing += s[:, :1, :1] * (u**2 @ _t(u**2))
+        decay = np.diagonal(loss, axis1=1, axis2=2)
+        omega = energies[:, None, :] - energies[:, :, None]
+        self._factors = _Factors(
+            omega=omega, loss=loss, transfer=ag + ha,
+            emission_form=_t(g) @ a + ag, pump=ha + _t(a) @ h,
+            phonon=[(s[:, None], a[:, None, cols]) for s, cols in self.phonon])
+        self.coherence_diagonal = (1j * omega + dephasing
+                                   - 0.5 * (decay[:, :, None]
+                                            + decay[:, None, :]))
 
     @property
     def dimension(self) -> int:
         return self.eigensystem.dimension
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for a (dim x dim) density matrix, in O(n_sites dim^2)."""
-        return self._dissipate(rho, self._bohr * rho)
+        """L(rho) for density matrices (R, dim, dim), or for one (dim x dim)
+        of a stack of one, in O(n_sites dim^2) each."""
+        return _stacked(rho, lambda r: self._factors.dissipate(
+            r, 1j * self._factors.omega * r))
 
     def apply_real(self, s: np.ndarray) -> np.ndarray:
-        """L in the real form S = Re rho + Im rho of a Hermitian rho.
+        """L in the real form S = Re rho + Im rho of a Hermitian rho, for
+        (R, dim, dim) real forms or one (dim x dim) of a stack of one.
 
         Every coefficient of L but the Bohr term is real, and L keeps rho
         Hermitian, so the dissipator maps S to the real form of its image;
         the Bohr term i omega o rho becomes omega o S^T.
         """
-        return self._dissipate(s, self._omega * s.T)
-
-    def _dissipate(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add the dissipator of rho, real-linear in rho, to ``out``."""
-        out -= 0.5 * (self._loss @ rho + rho @ self._loss.T)
-        for s, u in self.phonon:
-            # G rho A and A rho G^T = (G rho^T A)^T, one channel per column
-            q = u * (s @ (u * (np.stack([rho, rho.T]) @ u)))
-            jump = q @ u.T
-            out += 0.5 * (jump[0] + jump[1].T)
-        # ground <-> site gain terms: column 0 feeds row 0 and vice versa,
-        # excited populations and coherences feed rho_00, rho_00 the pump
-        out[0] += 0.5 * (self._transfer @ rho[:, 0])
-        out[:, 0] += 0.5 * (self._transfer @ rho[0])
-        out[0, 0] += 0.5 * np.sum(self._emission_form * rho)
-        out += 0.5 * rho[0, 0] * self._pump
-        return out
+        return _stacked(s, self._factors.apply_real)
 
 
-def build_liouvillian(es: EigenSystem,
-                      channels: list[Channel]) -> Liouvillian:
-    """Factor the Liouvillian of a channel set in the eigenbasis of ``es``.
+def _stacked(x: np.ndarray, fn) -> np.ndarray:
+    """fn of a stack (R, dim, dim); a (dim x dim) x as a stack of one."""
+    x = np.asarray(x)
+    return fn(x[None])[0] if x.ndim == 2 else fn(x)
+
+
+def build_liouvillian(es: EigenSystem, channels: list[Channel],
+                      rates: tuple | None = None) -> Liouvillian:
+    """Factor the Liouvillians of a channel set in the eigenbasis of
+    ``es``, one eigensystem or a stack of R (energies (R, dim), vectors
+    (R, dim, dim)).
 
     Stores one coupling vector per operator row and a few (dim x dim)
-    arrays; the build takes O(n_rows dim^2) time.  The coupling vectors
-    and the secular rates come from the population equation's rate kernel.
-    Raises BrmeError for a channel whose weights do not match the system
-    or a phonon row acting on more than one site.
+    arrays per eigensystem; the build takes O(n_rows dim^2) time per
+    eigensystem, in products batched over the stack.  The coupling vectors
+    come from the population equation's rate kernel, and so do the secular
+    rates and the phonon densities at excited transitions: ``rates`` is
+    the stack's rate pass (``spectral._rate_rows`` of its energies and
+    vectors), made here when the caller has none.  Only the ground row and
+    column of each phonon density are evaluated here.  Raises BrmeError
+    for a channel whose weights do not match the system or a phonon row
+    acting on more than one site.
     """
-    energies = es.energies
-    omega = energies[None, :] - energies[:, None]
+    dim = es.dimension
+    energies = es.energies.reshape(-1, dim)
+    vectors = es.vectors.reshape(-1, dim, dim)
     try:
-        couplings = [_couplings(es.vectors[None], ch)[0].T for ch in channels]
-        rates = _rate_rows(energies[None], es.vectors[None], channels)[0][0]
+        couplings = [_couplings(vectors, ch) for ch in channels]
+        if rates is None:
+            rates = _rate_rows(energies, vectors, channels)
     except SpectralError as exc:
         raise BrmeError(str(exc)) from exc
-    vectors = np.zeros((sum(len(c) for c in couplings), es.dimension))
-    emission = np.zeros_like(vectors)
-    absorption = np.zeros_like(vectors)
+    w, ground, densities = rates
+    densities = iter(densities)
+    count = len(energies)
+    matrix = np.zeros((count, sum(c.shape[2] for c in couplings), dim))
+    emission = np.zeros_like(matrix)
+    absorption = np.zeros_like(matrix)
+    omega0 = energies - energies[:, :1]  # eps_m - eps_0
     phonon = []
     kinds: list[str] = []
     for ch, c in zip(channels, couplings):
-        rows = slice(len(kinds), len(kinds) + len(c))
-        kinds += [ch.kind] * len(c)
-        vectors[rows, 1:] = c
-        a = vectors[rows]
+        rows = slice(len(kinds), len(kinds) + c.shape[2])
+        kinds += [ch.kind] * c.shape[2]
+        matrix[:, rows, 1:] = _t(c)
+        a = matrix[:, rows]
         if ch.kind == "phonon":
-            phonon.append((np.asarray(ch.spectral(omega), dtype=float), a.T))
+            # S(eps_m - eps_n): the rate pass's excited block, with row 0
+            # at eps_m - eps_0 and column 0 at eps_0 - eps_n
+            s = np.empty((count, dim, dim))
+            s[:, 1:, 1:] = next(densities)
+            edges = np.asarray(ch.spectral(np.stack([omega0, -omega0], 1)),
+                               dtype=float)
+            s[:, 0], s[:, 1:, 0] = edges[:, 0], edges[:, 1, 1:]
+            phonon.append((s, rows))
         else:
-            emission[rows] = ch.spectral(omega[0]) * a
-            absorption[rows] = ch.spectral(-omega[0]) * a
-    return Liouvillian(matrix=vectors, emission=emission,
-                       absorption=absorption, phonon=phonon,
-                       eigensystem=es, kinds=kinds, rates=rates)
+            emission[:, rows] = ch.spectral(omega0)[:, None] * a
+            absorption[:, rows] = ch.spectral(-omega0)[:, None] * a
+    return Liouvillian(matrix=matrix, emission=emission,
+                       absorption=absorption, phonon=phonon, eigensystem=es,
+                       kinds=kinds, rates=w, ground=ground)
 
 
-def _secular_inverse(liouvillian: Liouvillian):
-    """The inverse of the secular part of L on vectorized real forms.
+def _row_pieces(whole, take, count: int):
+    """pick(rows): the pieces of the stack rows ``rows`` (an ascending
+    index array), ``take(rows)``, made once per subset; the whole stack's
+    pieces ``whole`` as they are."""
+    taken: dict[bytes, object] = {}
 
-    The bordered population generator chi + e0 1^T is inverted once per
-    solve, so the diagonal costs one product per call (a fresh solve per
-    call is slower), and 1/c = p + iq with c the Liouvillian's diagonal
-    on the coherences (1 where it vanishes) scales them: r / c becomes
-    p o S + q o S^T in the real form.  Raises BrmeError when the secular
-    rate graph has more than one closed class, which means a degenerate
-    steady state.
+    def pick(rows: np.ndarray):
+        if rows.size == count:
+            return whole
+        key = rows.tobytes()
+        if key not in taken:
+            taken[key] = take(rows)
+        return taken[key]
+
+    return pick
+
+
+def _secular_inverse(liouvillian: Liouvillian) -> tuple:
+    """The inverses of the secular parts of a stack's L on vectorized real
+    forms.
+
+    The bordered population generator chi + e0 1^T of each row is
+    inverted once per solve, so the diagonal costs one product per call
+    (a fresh solve per call is slower), and 1/c = p + iq with c the
+    Liouvillian's diagonal on the coherences (1 where it vanishes) scales
+    them: r / c becomes p o S + q o S^T in the real form.  Returns
+    (precondition, errors): ``precondition(x, rows)`` applies the inverses
+    of the stack rows ``rows`` to x (len(rows), dim^2), and errors holds
+    per row None or its BrmeError: more than one closed class in the
+    secular rate graph, which means a degenerate steady state, or a
+    singular bordered generator.  The inverse of a failed row is not
+    formed.
     """
-    dim = liouvillian.dimension
     rates = liouvillian.rates
-    n_closed = len(_closed_classes(rates))
-    if n_closed != 1:
-        raise BrmeError(f"degenerate steady state: the secular rate graph "
-                        f"has {n_closed} closed classes")
-    chi = _generator_rows(rates[None])[0]
-    chi[0] += 1.0
-    chi_inverse = np.linalg.inv(chi)
+    count, dim = rates.shape[:2]
+    errors: list = [None] * count
+    for r, row in enumerate(rates):
+        n_closed = len(_closed_classes(row))
+        if n_closed != 1:
+            errors[r] = BrmeError(f"degenerate steady state: the secular "
+                                  f"rate graph has {n_closed} closed "
+                                  f"classes")
+    unique = [r for r, error in enumerate(errors) if error is None]
+    chi_inverse = np.full(rates.shape, np.nan)
+    if unique:
+        chi = _generator_rows(rates if len(unique) == count
+                              else rates[unique])
+        chi[:, 0] += 1.0
+        # the inverse, row by row where the stack holds a singular one
+        chi_inverse[unique] = _bordered_solve(
+            chi, np.broadcast_to(np.eye(dim), chi.shape))
+    for r in unique:
+        if np.isnan(chi_inverse[r, 0, 0]):
+            errors[r] = BrmeError("the bordered secular generator is "
+                                  "singular")
     coherences = liouvillian.coherence_diagonal
     inverse = 1.0 / np.where(coherences == 0, 1.0, coherences)
-    p, q = inverse.real, inverse.imag
+    pieces = (np.ascontiguousarray(inverse.real),
+              np.ascontiguousarray(inverse.imag), chi_inverse)
+    pick = _row_pieces(pieces, lambda rows: tuple(x[rows] for x in pieces),
+                       count)
 
-    def precondition(x):
-        s = x.reshape(dim, dim)
-        z = p * s + q * s.T
-        np.fill_diagonal(z, chi_inverse @ s.diagonal())
-        return z.reshape(-1)
+    def precondition(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        p, q, chi_rows = pick(rows)
+        s = x.reshape(-1, dim, dim)
+        z = (p * s + q * _t(s)).reshape(len(s), dim * dim)
+        z[:, ::dim + 1] = (chi_rows @ x[:, ::dim + 1, None])[..., 0]
+        return z
 
-    return precondition
+    return precondition, errors
 
 
 def _givens(f: float, g: float) -> tuple[float, float, float]:
@@ -232,179 +372,323 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
-def _gmres(matvec, psolve, b: np.ndarray, callback) -> tuple[np.ndarray, bool]:
-    """Solve matvec(x) = b from x = 0 by left-preconditioned GMRES.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (k, n) arrays, each the BLAS dot of
+    ``np.dot`` on its row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Restarted every ``_GMRES_RESTART`` iterations, at most
+
+_dots = getattr(np, "vecdot", _dots)  # the same dots, with less overhead
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row-wise 2-norms of a (k, n) array, with ``np.linalg.norm``'s bits."""
+    return np.sqrt(_dots(a, a))
+
+
+def _gmres(matvec, psolve, b: np.ndarray, callback
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve matvec(x) = b from x = 0 by left-preconditioned GMRES, for
+    each row of a stack b (R, n), in lockstep.
+
+    A row is restarted every ``_GMRES_RESTART`` iterations, at most
     ``_GMRES_MAX_RESTARTS`` times, and converged once |b - matvec(x)| <=
-    ``_GMRES_RTOL`` |b|.  It is scipy's ``gmres`` step for step (its
+    ``_GMRES_RTOL`` |b|.  Each row is scipy's ``gmres`` step for step (its
     modified Gram-Schmidt order, Givens rotations and its inner tolerance
     on the preconditioned residual, which adapts after each restart), so
-    it makes the same iterates and calls ``callback`` once per inner
-    iteration with the preconditioned residual over |b|, as scipy's
-    "pr_norm" callback does.  The Arnoldi basis lives in one preallocated
-    array and the small Hessenberg problem in Python floats.  ``b`` is
+    it makes the same iterates and calls ``callback(r, value)`` once per
+    inner iteration of row r with the preconditioned residual over |b|,
+    as scipy's "pr_norm" callback does.
+
+    The rows share every product: ``matvec(x, rows)`` and ``psolve(x,
+    rows)`` apply the operators of the stack rows ``rows`` (an ascending
+    index array) to x (len(rows), n), and the dot products and norms of
+    all rows are batched, each row's with the bits of its own.  A row
+    keeps its Hessenberg matrix, rotations, tolerance and restart count
+    in Python floats, and leaves the lockstep once it has converged or
+    used its restarts.  The Arnoldi bases live in one (R, n) array per
+    column, allocated as the rows first reach it.  Each row of ``b`` is
     nonzero, and ``psolve`` returns a new array, which is overwritten.
-    Returns (x, converged).
+    Returns (x, converged), converged an (R,) boolean array.
     """
-    n = b.size
+    count, n = b.shape
     restart = min(_GMRES_RESTART, n)
     eps = float(np.finfo(float).eps)
-    bnrm2 = float(np.linalg.norm(b))
-    atol = _GMRES_RTOL * bnrm2
-    x = np.zeros(n)
-    basis = np.empty((restart + 1, n))
-    rows = list(basis)
-    scaled = np.empty(n)
-    z = psolve(b)
+    bnrm2 = _norms(b).tolist()
+    atol = [_GMRES_RTOL * value for value in bnrm2]
+    x = np.zeros((count, n))
+    # basis[k] holds column k of every row's Arnoldi basis, allocated
+    # when some row first reaches it; vectors[r][k] is row r's view
+    basis: list[np.ndarray] = []
+    vectors: list[list[np.ndarray]] = [[] for _ in range(count)]
+
+    def reach(columns: int) -> None:
+        while len(basis) < columns:
+            basis.append(np.empty((count, n)))
+            for r, row in enumerate(vectors):
+                row.append(basis[-1][r])
+
+    scaled = np.empty((count, n))
+    converged = np.zeros(count, dtype=bool)
+    col = [0] * count
+    cycles = [0] * count
+    rhs: list = [None] * count
+    columns: list = [None] * count
+    rotations: list = [None] * count
+    breakdown = [False] * count
+    presid = [0.0] * count
+
+    def begin(rows: list[int], z: np.ndarray) -> None:
+        """Start a cycle of each row from its preconditioned residual."""
+        beta = _norms(z)
+        basis[0][rows] = z * (1 / beta)[:, None]
+        for r, value in zip(rows, beta.tolist()):
+            rhs[r], columns[r], rotations[r] = [value], [], []
+            col[r], breakdown[r] = 0, False
+            cycles[r] += 1
+
+    active = list(range(count))
+    reach(1)
+    z = psolve(b, np.array(active))
     # the inner loop stops on the preconditioned residual (scipy gh-8400)
-    ptol_factor = 1.0
-    ptol = float(np.linalg.norm(z)) * min(ptol_factor, atol / bnrm2)
-    for _ in range(_GMRES_MAX_RESTARTS):
-        beta = float(np.linalg.norm(z))
-        np.multiply(z, 1 / beta, out=rows[0])
-        rhs = [beta]
-        columns: list[list[float]] = []
-        rotations: list[tuple[float, float]] = []
-        breakdown = False
-        for col in range(restart):
-            w = psolve(matvec(rows[col]))
-            h0 = float(np.linalg.norm(w))
-            h = []
-            for vk in rows[:col + 1]:
-                t = float(np.dot(vk, w))
-                h.append(t)
-                w -= np.multiply(vk, t, out=scaled)
-            h1 = float(np.linalg.norm(w))
-            if h1 <= eps * h0:
-                h.append(0.0)
-                breakdown = True
-            else:
+    ptol_factor = [1.0] * count
+    ptol = [value * min(1.0, a / bn)
+            for value, a, bn in zip(_norms(z).tolist(), atol, bnrm2)]
+    begin(active, z)
+    rows, every = np.array(active), slice(None)
+    while active:
+        # rows restarted at different times stand at different columns
+        cols = [col[r] for r in active]
+        lockstep = min(cols) == max(cols)
+        w = psolve(matvec(basis[cols[0]][every] if lockstep
+                          else np.array([vectors[r][c]
+                                         for r, c in zip(active, cols)]),
+                          rows), rows)
+        reach(max(cols) + 2)
+        h0 = _norms(w).tolist()
+        # modified Gram-Schmidt, batched over the rows at one column
+        hessenberg: list = [None] * len(active)
+        for c in set(cols):
+            group = [i for i, col_i in enumerate(cols) if col_i == c]
+            if len(group) == 1:
+                # one row: 1-d projections cost less than batched ones
+                (i,), w_row, dots = group, w[group[0]], []
+                for vk in vectors[active[i]][:c + 1]:
+                    t = float(np.dot(vk, w_row))
+                    w_row -= np.multiply(vk, t, out=scaled[0])
+                    dots.append(t)
+                hessenberg[i] = dots
+                continue
+            at, w_at = ((every, w) if lockstep
+                        else (rows[group], w[group]))
+            dots, scaled_at = [], scaled[:len(group)]
+            for k in range(c + 1):
+                vk = basis[k][at]
+                dots.append(_dots(vk, w_at))
+                w_at -= np.multiply(vk, dots[-1][:, None], out=scaled_at)
+            if not lockstep:
+                w[group] = w_at
+            for i, h in zip(group, np.array(dots).T.tolist()):
+                hessenberg[i] = h
+        ended = []
+        for i, (r, c_col, h, h1) in enumerate(zip(active, cols, hessenberg,
+                                                  _norms(w).tolist())):
+            if h1 > eps * h0[i]:
                 h.append(h1)
-                np.multiply(w, 1 / h1, out=rows[col + 1])
-            for k, (c, s) in enumerate(rotations):
+                np.multiply(w[i], 1 / h1, out=vectors[r][c_col + 1])
+            else:
+                h.append(0.0)
+                breakdown[r] = True
+            for k, (c, s) in enumerate(rotations[r]):
                 h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
                                   -s * h[k] + c * h[k + 1])
-            c, s, h[col] = _givens(h[col], h[col + 1])
-            h[col + 1] = 0.0
-            rotations.append((c, s))
-            columns.append(h)
-            tail = -s * rhs[col]
-            rhs[col] *= c
-            rhs.append(tail)
-            presid = abs(tail)
-            callback(presid / bnrm2)
-            if presid <= ptol or breakdown:
-                break
-        # back-substitute the triangular factor, pseudo-solving a zero pivot
-        y = rhs[:col + 1]
-        if columns[col][col] == 0:
-            y[col] = 0.0
-        for k in range(col, -1, -1):
-            if y[k] != 0:
-                y[k] /= columns[k][k]
-                for j in range(k):
-                    y[j] -= y[k] * columns[k][j]
-        x += np.array(y) @ basis[:col + 1]
-        r = b - matvec(x)
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:
-            ptol_factor = max(eps, 0.25 * ptol_factor)
-        else:
-            ptol_factor = min(1.0, 1.5 * ptol_factor)
-        ptol = presid * min(ptol_factor, atol / rnorm)
-        z = psolve(r)
-    return x, rnorm <= atol
+            c, s, h[c_col] = _givens(h[c_col], h[c_col + 1])
+            h[c_col + 1] = 0.0
+            rotations[r].append((c, s))
+            columns[r].append(h)
+            tail = -s * rhs[r][c_col]
+            rhs[r][c_col] *= c
+            rhs[r].append(tail)
+            presid[r] = abs(tail)
+            callback(r, presid[r] / bnrm2[r])
+            if presid[r] <= ptol[r] or breakdown[r] or c_col == restart - 1:
+                ended.append(r)
+            else:
+                col[r] += 1
+        if not ended:
+            continue
+        for r in ended:
+            # back-substitute the triangular factor, pseudo-solving a zero
+            # pivot
+            last, triangle = col[r], columns[r]
+            y = rhs[r][:last + 1]
+            if triangle[last][last] == 0:
+                y[last] = 0.0
+            for k in range(last, -1, -1):
+                if y[k] != 0:
+                    y[k] /= triangle[k][k]
+                    for j in range(k):
+                        y[j] -= y[k] * triangle[k][j]
+            x[r] += np.array(y) @ np.array(vectors[r][:last + 1])
+        residual = b[ended] - matvec(x[ended], np.array(ended))
+        again = []
+        for j, (r, rnorm) in enumerate(zip(ended,
+                                           _norms(residual).tolist())):
+            converged[r] = rnorm <= atol[r]
+            if (converged[r] or breakdown[r]
+                    or cycles[r] == _GMRES_MAX_RESTARTS):
+                active.remove(r)
+                continue
+            if presid[r] <= ptol[r]:
+                ptol_factor[r] = max(eps, 0.25 * ptol_factor[r])
+            else:
+                ptol_factor[r] = min(1.0, 1.5 * ptol_factor[r])
+            ptol[r] = presid[r] * min(ptol_factor[r], atol[r] / rnorm)
+            again.append(j)
+        if again:
+            restarted = [ended[j] for j in again]
+            begin(restarted, psolve(residual[again], np.array(restarted)))
+        if len(active) < len(rows):
+            rows = every = np.array(active)
+    return x, converged
 
 
-def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
-    """Solve for the steady density matrix and assemble the report.
+def brme_steady_state(liouvillian: Liouvillian):
+    """Solve for the steady density matrices and assemble the reports.
 
-    Solves the bordered system L(rho) + |0><0| tr(rho) = |0><0|, whose
-    solution is the trace-one steady state, with GMRES in real arithmetic
-    on the real form S = Re rho + Im rho (see :meth:`Liouvillian.apply_real`;
-    the border term is tr(S)).  The preconditioner is the secular part of
-    L: the inverse of the population generator chi + e0 1^T, and the
-    Liouvillian's diagonal on the coherences.  GMRES starts from the
-    secular solution and solves for the correction, so its stopping test
-    is relative to that start's residual (injection-sized) rather than to
-    the unit right-hand side.  A secular rate graph with more than one
-    closed class means a degenerate steady state and raises BrmeError, as
-    does a solve that does not converge.  The result rho = sym(S) +
+    A Liouvillian of one eigensystem gives its SteadyStateReport and
+    raises its BrmeError; one of a stack of eigensystems gives a list
+    with, per row, its report or the BrmeError it failed with.
+
+    Each row solves the bordered system L(rho) + |0><0| tr(rho) = |0><0|,
+    whose solution is the trace-one steady state, with GMRES in real
+    arithmetic on the real form S = Re rho + Im rho (see
+    :meth:`Liouvillian.apply_real`; the border term is tr(S)).  The
+    preconditioner is the secular part of L: the inverse of the
+    population generator chi + e0 1^T, and the Liouvillian's diagonal on
+    the coherences.  GMRES starts from the secular solution and solves for
+    the correction, so its stopping test is relative to that start's
+    residual (injection-sized) rather than to the unit right-hand side.
+    The rows of the stack share one lockstep GMRES (:func:`_gmres`).  A
+    secular rate graph with more than one closed class means a degenerate
+    steady state and fails the row, as do a singular bordered generator
+    and a solve that does not converge.  The result rho = sym(S) +
     i antisym(S) is exactly Hermitian and trace-normalized; mild negative
     eigenvalues (a known artifact of non-secular weak-coupling equations)
-    are reported, while violations beyond 1e-6 raise.
+    are warned about, while violations beyond 1e-6 fail the row.
+    ``extras["population_share"]`` is the share of the extraction current
+    that eigenstate populations carry, sum_k out_k rho_kk / J with out
+    the secular extraction rates (None when J is zero).
     """
-    dim = liouvillian.dimension
+    reports = _steady_rows(liouvillian)
+    if liouvillian.eigensystem.energies.ndim > 1:
+        return reports
+    if isinstance(reports[0], BrmeError):
+        raise reports[0]
+    return reports[0]
+
+
+def _steady_rows(liouvillian: Liouvillian) -> list:
+    """:func:`brme_steady_state` of every row of a stack: per row its
+    report or BrmeError.  Mild positivity violations warn on behalf of
+    :func:`brme_steady_state`'s caller."""
+    count, _, dim = liouvillian.matrix.shape
     size = dim * dim
-    precondition = _secular_inverse(liouvillian)
+    precondition, errors = _secular_inverse(liouvillian)
+    factors = liouvillian._factors
+    pick = _row_pieces(factors, factors.take, count)
 
-    def bordered(x):
-        s = x.reshape(dim, dim)
-        out = liouvillian.apply_real(s)
-        out[0, 0] += np.trace(s)
-        return out.reshape(-1)
+    def bordered(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        s = x.reshape(-1, dim, dim)
+        out = pick(rows).apply_real(s)
+        out[:, 0, 0] += np.trace(s, axis1=1, axis2=2)
+        return out.reshape(len(s), size)
 
-    rhs = np.zeros(size)
-    rhs[0] = 1.0
-    start = precondition(rhs)
-    defect = rhs - bordered(start)
-    initial_residual = float(np.linalg.norm(defect))
-    iterations = 0
-    s_vec = start
-    if initial_residual > 0:
-        def count(_):
-            nonlocal iterations
-            iterations += 1
+    solved = np.flatnonzero([error is None for error in errors])
+    rhs = np.zeros((solved.size, size))
+    rhs[:, 0] = 1.0
+    s_vec = precondition(rhs, solved)
+    defect = rhs - bordered(s_vec, solved)
+    del rhs
+    initial_residual = _norms(defect).tolist()
+    iterations = [0] * count
+    moving = [i for i, value in enumerate(initial_residual) if value > 0]
+    if moving:
+        krylov = solved[moving]
 
-        correction, converged = _gmres(bordered, precondition, defect, count)
-        if not converged:
-            raise BrmeError(f"GMRES did not converge in {iterations} "
-                            f"iterations")
-        s_vec = start + correction
+        def step(r, _):
+            iterations[krylov[r]] += 1
 
-    s = s_vec.reshape(dim, dim)
-    trace = np.trace(s)
-    if abs(trace) < 1e-14:
-        raise BrmeError("steady-state candidate has vanishing trace")
-    s = s / trace
-    rho = 0.5 * (s + s.T) + 0.5j * (s - s.T)
+        ops = ((bordered, precondition) if krylov.size == count else
+               (lambda x, sub: bordered(x, krylov[sub]),
+                lambda x, sub: precondition(x, krylov[sub])))
+        correction, converged = _gmres(*ops, defect[moving], step)
+        s_vec[moving] += correction
+        for r in krylov[~converged]:
+            errors[r] = BrmeError(f"GMRES did not converge in "
+                                  f"{iterations[r]} iterations")
+
+    trace = np.trace(s_vec.reshape(-1, dim, dim), axis1=1, axis2=2)
+    for r, value in zip(solved.tolist(), trace.tolist()):
+        if errors[r] is None and abs(value) < 1e-14:
+            errors[r] = BrmeError("steady-state candidate has vanishing "
+                                  "trace")
+    keep = [i for i, r in enumerate(solved.tolist()) if errors[r] is None]
+    if not keep:
+        return errors
+    rows = solved[keep]
+    s = s_vec[keep].reshape(-1, dim, dim) / trace[keep, None, None]
+    rho = 0.5 * (s + _t(s)) + 0.5j * (s - _t(s))
     # |L(rho)|^2 = (W^2 + (W^T)^2) / 2 in the real form W of L(rho)
-    w = liouvillian.apply_real(s)
-    residual = float(np.sqrt(np.max(w**2 + w.T**2) / 2))
+    w = pick(rows).apply_real(s)
+    residual = np.sqrt(np.max(w**2 + _t(w)**2, axis=(1, 2)) / 2).tolist()
+    min_eig = np.linalg.eigvalsh(rho).min(axis=1).tolist()
+    extraction = liouvillian.ground.get("extraction")
+    initial = dict(zip(solved.tolist(), initial_residual))
+    # net flow into the ground state per row: Re(a^T rho g) - (a.h) rho_00;
+    # phonon rows exchange none
+    flows = [c for c, kind in enumerate(liouvillian.kinds) if kind != "phonon"]
+    kinds = [liouvillian.kinds[c] for c in flows]
+    a, g, h = (x[rows][:, flows] for x in (
+        liouvillian.matrix, liouvillian.emission, liouvillian.absorption))
+    into_ground = (np.real(np.sum(a * (g @ _t(rho)), axis=2))
+                   - np.sum(a * h, axis=2) * rho[:, :1, 0].real).tolist()
+    for i, r in enumerate(rows.tolist()):
+        if min_eig[i] < -1e-6:
+            errors[r] = BrmeError(
+                f"steady state strongly violates positivity (min eigenvalue "
+                f"{min_eig[i]:.3e})")
+            continue
+        if min_eig[i] < -1e-8:
+            warnings.warn(
+                f"mild positivity violation in steady state (min eigenvalue "
+                f"{min_eig[i]:.3e})", stacklevel=3)
+        errors[r] = _report(rho[i], residual[i], min_eig[i],
+                            zip(kinds, into_ground[i]),
+                            None if extraction is None else extraction[0][r],
+                            iterations[r], initial[r])
+    return errors
 
-    eigvals = np.linalg.eigvalsh(rho)
-    min_eig = float(eigvals.min())
-    if min_eig < -1e-6:
-        raise BrmeError(
-            f"steady state strongly violates positivity (min eigenvalue "
-            f"{min_eig:.3e})")
-    if min_eig < -1e-8:
-        warnings.warn(
-            f"mild positivity violation in steady state (min eigenvalue "
-            f"{min_eig:.3e})", stacklevel=2)
 
+def _report(rho: np.ndarray, residual: float, min_eig: float, flows,
+            extraction_out: np.ndarray | None, iterations: int,
+            initial_residual: float) -> SteadyStateReport:
+    """The report of one solved row: its populations, coherence fraction
+    and per-kind fluxes, from the (kind, flow into the ground state) pairs
+    ``flows`` of its ground <-> site rows."""
     diag = np.clip(np.real(np.diag(rho)), 0.0, None)
     off = rho - np.diag(np.diag(rho))
     diag_mass = float(np.linalg.norm(np.diag(rho)))
     coherence_fraction = (float(np.linalg.norm(off)) / diag_mass
                           if diag_mass > 0 else 0.0)
-
-    # net flow into the ground state per channel: Re(a^T rho g) - (a.h) rho_00
-    a = liouvillian.matrix
-    into_ground = (np.real(np.sum(a * (liouvillian.emission @ rho.T), axis=1))
-                   - np.sum(a * liouvillian.absorption, axis=1)
-                   * rho[0, 0].real)
     fluxes: dict[str, float] = {}
-    for kind, value in zip(liouvillian.kinds, into_ground):
-        if kind == "phonon":
-            continue
+    for kind, value in flows:
         if kind == "injection":
             value = -value
-        fluxes[kind] = fluxes.get(kind, 0.0) + float(value)
+        fluxes[kind] = fluxes.get(kind, 0.0) + value
     current = fluxes.get("extraction", 0.0)
+    share = (float(extraction_out @ diag[1:]) / current
+             if extraction_out is not None and current else None)
 
     return SteadyStateReport(
         populations=diag, current=current, fluxes=fluxes,
@@ -416,6 +700,7 @@ def brme_steady_state(liouvillian: Liouvillian) -> SteadyStateReport:
             "trace_error": float(abs(np.trace(rho).real - 1.0)),
             "krylov_iterations": iterations,
             "initial_residual": initial_residual,
+            "population_share": share,
         },
         density_matrix=rho,
     )

@@ -311,7 +311,8 @@ def _cmd_regime_grid(config: RunConfig, out: Path) -> None:
 
 
 # the BRME report's solver diagnostics that brme_check.csv carries per row
-_BRME_DIAGNOSTICS = ("krylov_iterations", "coherence_fraction")
+_BRME_DIAGNOSTICS = ("krylov_iterations", "coherence_fraction",
+                     "population_share")
 
 
 def _cmd_brme_check(config: RunConfig, out: Path) -> None:

@@ -217,24 +217,30 @@ def _solve_system(method: str, build) -> tuple:
 def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
     """Per row of a stack of eigensystems, {method: its report or the
     error it failed with} for each of ``methods``: "pme" from the stacked
-    population solve (:func:`_pme_rows`), each report warned about as
-    ``pme._warn_low_ground`` does, and "brme" from a density-matrix solve
-    per row."""
+    population solve (``pme._steady_reports``), each report warned about
+    as ``pme._warn_low_ground`` does, and "brme" from the stacked
+    density-matrix solve of the whole stack.  Both read one rate pass
+    (``spectral._rate_rows``) of the stack."""
     solved: list[dict] = [{} for _ in energies]
+    rates = None
     if "pme" in methods:
-        for out, report in zip(solved, _pme_rows(channels, energies,
-                                                 vectors)):
+        rates = _rate_rows(energies, vectors, channels)
+        w, ground = rates[:2]
+        if "brme" not in methods:
+            rates = None  # frees the phonon densities before the solve
+        for out, report in zip(solved, _steady_reports(w, ground)):
             if isinstance(report, SteadyStateReport):
                 _warn_low_ground(report)
             out["pme"] = report
     if "brme" in methods:
-        for out, eps, vecs in zip(solved, energies, vectors):
-            es = EigenSystem(energies=eps, vectors=vecs, hamiltonian=None)
-            try:
-                out["brme"] = brme_steady_state(
-                    build_liouvillian(es, channels))
-            except Exception as exc:  # raised by the caller
-                out["brme"] = exc
+        es = EigenSystem(energies=energies, vectors=vectors, hamiltonian=None)
+        try:
+            reports = brme_steady_state(build_liouvillian(es, channels,
+                                                          rates))
+        except Exception as exc:  # raised by the caller
+            reports = [exc] * len(energies)
+        for out, report in zip(solved, reports):
+            out["brme"] = report
     return solved
 
 
@@ -467,7 +473,7 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
 
 def _pme_rows(channels, energies, vectors) -> list:
     """PME reports (or errors) of a stack of eigensystems."""
-    return _steady_reports(*_rate_rows(energies, vectors, channels))
+    return _steady_reports(*_rate_rows(energies, vectors, channels)[:2])
 
 
 def _census_rows(dark_threshold: float, channels, energies, vectors) -> list:

@@ -70,6 +70,9 @@ class EigenSystem:
     ``energies`` is ascending with the ground state first; column k of
     ``vectors`` is the k-th eigenstate in the ground + site basis.
     ``hamiltonian`` is None for a sweep row, whose dense matrix is not built.
+    The density-matrix solver also takes a stack of R eigensystems as
+    one: energies (R, dim) and vectors (R, dim, dim), of which it reads
+    only these two and ``dimension``.
     """
 
     energies: np.ndarray
@@ -78,7 +81,7 @@ class EigenSystem:
 
     @property
     def dimension(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
 
     @property
     def n_excited(self) -> int:
@@ -373,11 +376,14 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
 
     Returns (R, n_excited, m): column c is operator row c's amplitude on
     each excited state.  A ground <-> site row w gives amp @ w (its
-    ground entry is zero and not stored).  A phonon row w |s><s| gives
-    sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and dissipator are
-    quadratic in it, so the sign of w drops out.  An eigenbasis target
-    gives the unit column of the highest or lowest excited state.  This is
-    the only place that reads a channel's operator or target.
+    ground entry is zero and not stored); for a channel of unit rows
+    (``Channel.unit_sites``) that is the column amp[:, s] of each row's
+    site, gathered with the bits of the product.  A phonon row w |s><s|
+    gives sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and
+    dissipator are quadratic in it, so the sign of w drops out.  An
+    eigenbasis target gives the unit column of the highest or lowest
+    excited state.  This is the only place that reads a channel's
+    operator or target.
     """
     rows, dim = vectors.shape[:2]
     if channel.eigen_target is not None:
@@ -388,6 +394,12 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
     if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
         raise SpectralError(
             f"{channel.kind} channel operator has wrong dimension")
+    if channel.unit_sites is not None:
+        # the sites' eigenvector rows, laid out as the product lays them
+        # out; + 0.0 makes a -0.0 amplitude the +0.0 the product gives
+        unit = vectors[:, 1 + channel.unit_sites, 1:].transpose(0, 2, 1).copy()
+        unit += 0.0
+        return unit
     amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
     if channel.kind != "phonon":
         return amp @ weights.T
@@ -421,7 +433,7 @@ def transition_matrix(es: EigenSystem,
     Only phonon rates link excited states, so the phonon block is the
     excited corner of ``w``.
     """
-    w, ground = _rate_rows(es.energies[None], es.vectors[None], channels)
+    w, ground, _ = _rate_rows(es.energies[None], es.vectors[None], channels)
     w = w[0]
     blocks = {}
     for kind in dict.fromkeys(ch.kind for ch in channels):
@@ -436,15 +448,18 @@ def transition_matrix(es: EigenSystem,
 
 def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
                channels: list[Channel]
-               ) -> tuple[np.ndarray, dict[str, tuple]]:
+               ) -> tuple[np.ndarray, dict[str, tuple], list[np.ndarray]]:
     """:func:`transition_matrix` of stacked eigensystems, without its
-    dense blocks.
+    dense blocks: the one rate pass of a stack, which the population and
+    the density-matrix solver both read.
 
     ``energies`` is (R, dim) and ``vectors`` (R, dim, dim).  Returns the
-    total rates w (R, dim, dim) and, per ground <-> excited kind in
-    channel order, the pair (out, into) of (R, dim - 1) arrays: out[:, k]
-    is the rate from excited state k + 1 into the ground state (w[:, 0,
-    k + 1]), into[:, k] the rate back (w[:, k + 1, 0]).  Each kind's
+    total rates w (R, dim, dim); per ground <-> excited kind in channel
+    order, the pair (out, into) of (R, dim - 1) arrays: out[:, k] is the
+    rate from excited state k + 1 into the ground state (w[:, 0, k + 1]),
+    into[:, k] the rate back (w[:, k + 1, 0]); and per phonon channel, in
+    channel order, its spectral density (R, dim - 1, dim - 1) at the
+    excited transitions, [:, n, m] at eps_m - eps_n.  Each kind's
     channels are summed before the kinds are, in channel order, so w has
     the bits of the sum of per-kind blocks.  A ground <-> excited channel
     whose spectral density is zero at every transition (a loss channel
@@ -458,11 +473,13 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     excited = np.arange(dim - 1)
     w = np.zeros((rows, dim, dim))
     ground: dict[str, tuple] = {}
+    densities = []
     for ch in channels:
         if ch.kind == "phonon":
             csq = _couplings(vectors, ch) ** 2
+            densities.append(ch.spectral(omega_exc))
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            rates = ch.spectral(omega_exc) * (csq @ csq.transpose(0, 2, 1))
+            rates = densities[-1] * (csq @ csq.transpose(0, 2, 1))
             rates[:, excited, excited] = 0.0
             w[:, 1:, 1:] += rates
             continue
@@ -478,7 +495,7 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     for out, into in ground.values():
         w[:, 0, 1:] += out
         w[:, 1:, 0] += into
-    return w, ground
+    return w, ground, densities
 
 
 @dataclass(frozen=True)

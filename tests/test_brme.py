@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from excitonchain import brme
+from excitonchain import brme, pme
 from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
@@ -14,8 +14,8 @@ from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import build_generator, site_populations, \
     solve_steady_state
-from excitonchain.spectral import SpectralError, diagonalize, \
-    transition_matrix
+from excitonchain.spectral import EigenSystem, SpectralError, _couplings, \
+    diagonalize, transition_matrix
 
 FREQ_GROUP_TOL = 1e-9
 
@@ -98,9 +98,9 @@ def test_frequency_components_recover_the_operator(eigenbasis_operator):
     es, channels = make_system("dimer", 2)
     liouv = build_liouvillian(es, channels)
     ops = [op for ch in channels for op in eigenbasis_operator(es, ch)]
-    assert len(ops) == len(liouv.matrix) == len(liouv.kinds)
+    assert len(ops) == len(liouv.matrix[0]) == len(liouv.kinds)
     e0 = np.eye(es.dimension)[0]
-    for op, kind, vec in zip(ops, liouv.kinds, liouv.matrix):
+    for op, kind, vec in zip(ops, liouv.kinds, liouv.matrix[0]):
         comps = frequency_decompose(es, op)
         total = sum(mat for _w, mat in comps)
         expected = (np.outer(vec, vec) if kind == "phonon"
@@ -210,11 +210,11 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
     dim = es.dimension
     brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
     liouv = build_liouvillian(es, channels)
-    coherences = liouv.coherence_diagonal
+    coherences = liouv.coherence_diagonal[0]
     coherences = np.where(coherences == 0, 1.0, coherences)
-    chi = build_generator(liouv.rates).chi
+    chi = build_generator(liouv.rates[0]).chi
     chi[0] += 1.0
-    precondition = brme._secular_inverse(liouv)
+    precondition, _ = brme._secular_inverse(liouv)
     off = ~np.eye(dim, dtype=bool)
     for _ in range(5):
         rho = random_hermitian(rng, dim)
@@ -223,7 +223,8 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
                 .max() < 1e-12)
         # the coherences scale as r / c, the populations solve chi p = r
         scaled = real_form(rho / coherences)
-        z = precondition(real_form(rho).reshape(-1)).reshape(dim, dim)
+        z = precondition(real_form(rho).reshape(1, -1),
+                         np.arange(1)).reshape(dim, dim)
         assert np.abs(z[off] - scaled[off]).max() <= 1e-12 * np.abs(
             scaled).max()
         np.testing.assert_allclose(z.diagonal(), np.linalg.solve(
@@ -291,7 +292,7 @@ def test_secular_rates_are_the_population_rates(kind, options):
     es, channels = make_system(kind, 4, jb=2.0,
                                env=EnvironmentParams(gamma_nr=0.003),
                                **options)
-    rates = build_liouvillian(es, channels).rates
+    rates = build_liouvillian(es, channels).rates[0]
     w = transition_matrix(es, channels).w
     off = ~np.eye(es.dimension, dtype=bool)
     assert np.array_equal(rates[off], w[off])
@@ -332,39 +333,57 @@ def test_unconverged_krylov_solve_raises(monkeypatch):
         brme_steady_state(build_liouvillian(es, channels))
 
 
+# three seed offsets per (n, restart) case, each system restarted at
+# least once
+GMRES_SEEDS = {(30, 40): (0, 110, 119), (200, 40): (0, 1, 2),
+               (200, 8): (0, 1, 2), (200, 5): (0, 1, 3), (200, 3): (0, 1, 2)}
+
+
 @pytest.mark.parametrize("n, restart, max_restarts", [
     (30, 40, 5), (200, 40, 5), (200, 8, 30), (200, 5, 40), (200, 3, 4)])
 def test_gmres_follows_scipy(monkeypatch, n, restart, max_restarts):
-    # seeded nonsymmetric systems under an inexact preconditioner, each
-    # restarted at least once (the last one never converges): the same
-    # iteration count, verdict and solution as scipy's
+    # three seeded nonsymmetric systems under an inexact preconditioner,
+    # each restarted at least once (the last case never converges), solved
+    # as one lockstep stack: each row has the same iteration count,
+    # verdict and solution as scipy's solve of that system alone
     from scipy.sparse.linalg import gmres
 
-    rng = np.random.default_rng(n + restart)
-    a = (np.diag(rng.uniform(1, 10, n))
-         + rng.standard_normal((n, n)) * 2 / np.sqrt(n))
-    m = np.diag(1 / np.diag(a))
-    b = rng.standard_normal(n)
+    systems = []
+    for offset in GMRES_SEEDS[n, restart]:
+        rng = np.random.default_rng(n + restart + offset)
+        a = (np.diag(rng.uniform(1, 10, n))
+             + rng.standard_normal((n, n)) * 2 / np.sqrt(n))
+        systems.append((a, np.diag(1 / np.diag(a)), rng.standard_normal(n)))
+    a, m, b = map(np.array, zip(*systems))
     monkeypatch.setattr(brme, "_GMRES_RESTART", restart)
     monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", max_restarts)
-    ours, theirs = [], []
-    x, converged = brme._gmres(a.__matmul__, m.__matmul__, b, ours.append)
-    expected, info = gmres(a, b, rtol=brme._GMRES_RTOL, atol=0.0,
-                           restart=restart, maxiter=max_restarts, M=m,
-                           callback=theirs.append, callback_type="pr_norm")
-    assert len(ours) == len(theirs) > min(restart, n)
-    assert np.allclose(ours, theirs, rtol=1e-12, atol=0)
-    assert converged == (info == 0)
-    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    ours = [[] for _ in systems]
+    x, converged = brme._gmres(
+        lambda v, rows: (a[rows] @ v[..., None])[..., 0],
+        lambda v, rows: (m[rows] @ v[..., None])[..., 0], b,
+        lambda r, value: ours[r].append(value))
+    for r, (a_r, m_r, b_r) in enumerate(systems):
+        theirs = []
+        expected, info = gmres(a_r, b_r, rtol=brme._GMRES_RTOL, atol=0.0,
+                               restart=restart, maxiter=max_restarts,
+                               M=m_r, callback=theirs.append,
+                               callback_type="pr_norm")
+        assert len(ours[r]) == len(theirs) > min(restart, n)
+        assert np.allclose(ours[r], theirs, rtol=1e-12, atol=0)
+        assert converged[r] == (info == 0)
+        assert (np.linalg.norm(x[r] - expected)
+                <= 1e-12 * np.linalg.norm(expected))
 
 
 def test_gmres_breakdown_on_the_identity_converges_at_once():
     # every step is exact here, so the first Arnoldi vector leaves an
     # exactly zero remainder, which must not be normalized
-    b = np.full(64, 0.5)
+    b = np.full((1, 64), 0.5)
     residuals = []
-    x, converged = brme._gmres(np.copy, np.copy, b, residuals.append)
-    assert converged
+    x, converged = brme._gmres(lambda v, rows: v.copy(),
+                               lambda v, rows: v.copy(), b,
+                               lambda r, value: residuals.append(value))
+    assert converged.all()
     assert residuals == [0.0]
     assert np.array_equal(x, b)
 
@@ -484,3 +503,189 @@ def test_operator_dimension_validation(build, error):
                       operator=operator)
         with pytest.raises(error, match="dimension"):
             build(es, [bad])
+
+
+def stacked_system(kind, n_cells, jb_values, env=None, **options):
+    """The eigensystems of one chain at each coupling, as one stack, and
+    the chain's channels."""
+    systems = [make_system(kind, n_cells, jb=jb, env=env, **options)
+               for jb in jb_values]
+    es = EigenSystem(energies=np.stack([es.energies for es, _ in systems]),
+                     vectors=np.stack([es.vectors for es, _ in systems]),
+                     hamiltonian=None)
+    return es, systems[0][1], [es for es, _ in systems]
+
+
+def assert_same_report(report, expected):
+    assert report.current == expected.current
+    assert report.fluxes == expected.fluxes
+    assert report.residual == expected.residual
+    assert report.extras == expected.extras
+    assert np.array_equal(report.populations, expected.populations)
+    assert np.array_equal(report.density_matrix, expected.density_matrix)
+
+
+@pytest.mark.parametrize("n_cells", [10, 20])
+def test_a_stack_solves_each_row_as_its_own_solve(n_cells):
+    # dimer N=20 takes 11, 13 and 12 Krylov iterations, so its rows leave
+    # the lockstep at different steps
+    es, channels, singles = stacked_system("dimer", n_cells, (0.1, 1.0, 10.0))
+    reports = brme_steady_state(build_liouvillian(es, channels))
+    assert len(reports) == 3
+    for report, single in zip(reports, singles):
+        assert_same_report(report, brme_steady_state(
+            build_liouvillian(single, channels)))
+    counts = {r.extras["krylov_iterations"] for r in reports}
+    assert len(counts) == (3 if n_cells == 20 else 1)
+
+
+def solve_alone(es, channels):
+    """A row's own solve: its report, or the BrmeError it raised."""
+    try:
+        return brme_steady_state(build_liouvillian(es, channels))
+    except BrmeError as exc:
+        return exc
+
+
+def test_a_row_that_does_not_converge_fails_alone(monkeypatch):
+    # dimer N=20 at jb 0.1, 1, 10 needs 11, 13 and 12 iterations.  With
+    # one cycle of 12 the first row converges in 11; the inner loops of
+    # the others stop at 11 and 10, where the true residual is still too
+    # large, so they fail, as their own solves do
+    es, channels, singles = stacked_system("dimer", 20, (0.1, 1.0, 10.0))
+    monkeypatch.setattr(brme, "_GMRES_RESTART", 12)
+    monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", 1)
+    reports = brme_steady_state(build_liouvillian(es, channels))
+    assert [str(r) for r in reports[1:]] == [
+        "GMRES did not converge in 11 iterations",
+        "GMRES did not converge in 10 iterations"]
+    for report, single in zip(reports, singles):
+        alone = solve_alone(single, channels)
+        if isinstance(alone, BrmeError):
+            assert str(report) == str(alone)
+        else:
+            assert_same_report(report, alone)
+    assert reports[0].extras["krylov_iterations"] == 11
+
+
+def test_a_degenerate_row_fails_alone(monkeypatch):
+    es, channels, singles = stacked_system("prism", 4, (0.1, 1.0, 10.0))
+    liouv = build_liouvillian(es, channels)
+    target = liouv.rates[0]
+    real = brme._closed_classes
+    monkeypatch.setattr(brme, "_closed_classes", lambda rates: (
+        [[0], [1]] if np.array_equal(rates, target) else real(rates)))
+    reports = brme_steady_state(liouv)
+    assert str(reports[0]) == ("degenerate steady state: the secular rate "
+                               "graph has 2 closed classes")
+    for r in (1, 2):
+        assert_same_report(reports[r], brme_steady_state(
+            build_liouvillian(singles[r], channels)))
+
+
+def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
+    # a zero generator row leaves chi + e0 1^T singular: the stacked
+    # inverse falls back row by row, and only that row fails
+    es, channels, singles = stacked_system("mono", 3, (0.1, 1.0, 10.0))
+    liouv = build_liouvillian(es, channels)
+    real = brme._generator_rows
+
+    def zero_middle(rates):
+        chi = real(rates)
+        chi[1] = 0.0
+        return chi
+
+    monkeypatch.setattr(brme, "_generator_rows", zero_middle)
+    reports = brme_steady_state(liouv)
+    assert isinstance(reports[1], BrmeError)
+    assert "singular" in str(reports[1])
+    monkeypatch.setattr(brme, "_generator_rows", real)
+    for r in (0, 2):
+        assert_same_report(reports[r], brme_steady_state(
+            build_liouvillian(singles[r], channels)))
+    single = build_liouvillian(singles[1], channels)
+    monkeypatch.setattr(brme, "_generator_rows",
+                        lambda rates: real(rates) * 0.0)
+    with pytest.raises(BrmeError, match="singular"):
+        brme_steady_state(single)
+
+
+def test_stacked_inverses_keep_each_rows_bits(rng):
+    # the secular inverses come from the population solver's bordered
+    # solve against the identity: a singular row is NaN, and every other
+    # row has the bits of numpy's inverse of it alone
+    a, b = rng.standard_normal((2, 6, 6))
+    stack = np.stack([a, np.zeros((6, 6)), b])
+    inverses = pme._bordered_solve(stack, np.broadcast_to(np.eye(6),
+                                                          stack.shape))
+    assert np.isnan(inverses[1]).all()
+    assert np.array_equal(inverses[0], np.linalg.inv(a))
+    assert np.array_equal(inverses[2], np.linalg.inv(b))
+
+
+def without_unit_sites(channel):
+    """The same channel, its unit rows multiplied out as general rows."""
+    plain = replace(channel)
+    object.__setattr__(plain, "unit_sites", None)
+    return plain
+
+
+@pytest.mark.parametrize("kind,options", [
+    ("prism", {}),
+    ("dimer", {"dipole_scheme": "transport"}),
+], ids=["prism", "dimer-transport"])
+def test_unit_rows_gather_the_bits_of_the_product(kind, options, rng):
+    # nonradiative loss switched on, so its unit rows are summed for real
+    es, channels = make_system(kind, 4, jb=2.0,
+                               env=EnvironmentParams(gamma_nr=0.003),
+                               **options)
+    unit = [ch for ch in channels if ch.unit_sites is not None]
+    assert {ch.kind for ch in unit} == {"nonradiative", "injection",
+                                        "extraction"}
+    # bit for bit, the layout and the sign of a zero amplitude included
+    vectors = es.vectors[None].copy()
+    vectors[0, 1 + unit[0].unit_sites, 1] = -0.0
+    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
+    for ch in unit:
+        assert (_couplings(vectors, ch).tobytes()
+                == (amp @ ch.operator.T).tobytes())
+    plain = [without_unit_sites(ch) for ch in channels]
+    rates, expected = transition_matrix(es, channels), transition_matrix(
+        es, plain)
+    assert rates.blocks["nonradiative"].max() > 0
+    assert np.array_equal(rates.w, expected.w)
+    for name, block in expected.blocks.items():
+        assert np.array_equal(rates.blocks[name], block)
+    liouv, liouv_plain = (build_liouvillian(es, chs)
+                          for chs in (channels, plain))
+    for name in ("matrix", "emission", "absorption", "rates",
+                 "coherence_diagonal"):
+        assert np.array_equal(getattr(liouv, name),
+                              getattr(liouv_plain, name))
+    rho = random_complex(rng, es.dimension)
+    assert np.array_equal(liouv.apply(rho), liouv_plain.apply(rho))
+    assert_same_report(brme_steady_state(liouv),
+                       brme_steady_state(liouv_plain))
+
+
+def test_population_share_of_a_long_mono_chain():
+    # mono N=80, jb=1: the non-secular terms raise every eigenstate
+    # population, and populations carry about 96% of the extraction flux
+    es, channels = make_system("mono", 80)
+    report = brme_steady_state(build_liouvillian(es, channels))
+    assert report.extras["population_share"] == pytest.approx(0.956,
+                                                              abs=0.005)
+
+
+def test_population_share_where_both_solvers_agree():
+    # prism N=5, jb=10: the secular and the full solve agree to 1e-4, and
+    # populations carry the extraction flux to within 0.1%
+    es, channels = make_system("prism", 5, jb=10.0)
+    report = brme_steady_state(build_liouvillian(es, channels))
+    pme_report = solve_steady_state(transition_matrix(es, channels))
+    assert report.current == pytest.approx(pme_report.current, rel=1e-4)
+    assert report.extras["population_share"] >= 0.99
+    assert report.extras["population_share"] == pytest.approx(1, abs=1e-3)
+    out = transition_matrix(es, channels).blocks["extraction"][0]
+    assert report.extras["population_share"] == pytest.approx(
+        out @ report.populations / report.current, rel=1e-12)

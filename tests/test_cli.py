@@ -366,6 +366,8 @@ def test_brme_check_command(tmp_path):
         assert float(row["rel_difference"]) < 0.1
         assert int(row["krylov_iterations"]) > 0
         assert 0 < float(row["coherence_fraction"]) < 0.05
+        # short chains: populations carry the extraction flux to 0.1%
+        assert abs(float(row["population_share"]) - 1) < 1e-3
 
 
 def test_brme_check_keeps_only_lengths_at_or_below_the_cap(tmp_path):

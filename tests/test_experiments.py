@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from excitonchain import experiments, spectral
+from excitonchain import brme, experiments, spectral
 from excitonchain.cli import main
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (SweepSpec, build_system, derive_seed,
@@ -283,6 +283,26 @@ def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
     assert sizes[0] == 1
     assert [sorted(sizes[k:k + 3]) for k in range(1, 16, 3)] == [
         [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
+
+
+@pytest.mark.parametrize("method", ["both", "brme"])
+def test_a_chain_makes_one_rate_pass_for_both_solvers(monkeypatch, method):
+    # each chain's three couplings are one stack: the population and the
+    # density-matrix solve read one rate pass of it, and the stack's
+    # Liouvillians are built and solved together
+    passes, builds = [], []
+    real_rates, real_build = spectral._rate_rows, brme.build_liouvillian
+    counting = (lambda energies, *rest:
+                passes.append(energies.shape) or real_rates(energies, *rest))
+    monkeypatch.setattr(experiments, "_rate_rows", counting)
+    monkeypatch.setattr(brme, "_rate_rows", counting)
+    monkeypatch.setattr(experiments, "build_liouvillian", lambda es, *rest: (
+        builds.append(es.energies.shape) or real_build(es, *rest)))
+    spec = small_spec(geometries=("prism",), n_cells_values=(2, 3),
+                      jb_values=(0.1, 1.0, 10.0), method=method)
+    rows, _ = length_sweep(spec)
+    assert len(rows) == (12 if method == "both" else 6)
+    assert passes == builds == [(3, 7), (3, 10)]
 
 
 def test_length_sweep_applies_the_cell_rule_once_per_coupling(monkeypatch):
