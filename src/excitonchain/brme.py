@@ -40,12 +40,12 @@ does, and a single solve is a stack of one.  A :class:`Liouvillian` holds
 the factored pieces of R eigensystems as (R, ...) arrays, built with
 batched products from the stack's one rate pass (which the population
 solve of the same stack reads too), and one lockstep GMRES solves the R
-rows: every product is batched over the rows still iterating, while each
-row keeps its own Hessenberg matrix, rotations, inner tolerance and
-restarts and leaves once it has converged or failed.  Batching changes no
-row's arithmetic, so each row has the iterates, Krylov count and bits of
-its own solve, and a row that fails gets its own error while the others
-solve.
+rows: every product runs on the whole stack, while each row keeps its
+own Hessenberg matrix, rotations, inner tolerance and restarts, and a row
+that has stopped rides along with its result dropped.  Batching changes
+no row's arithmetic, so each row has the iterates, Krylov count and bits
+of its own solve, and a row that fails gets its own error while the
+others solve.
 
 The solve runs in real arithmetic.  A Hermitian rho = X + iY (X
 symmetric, Y antisymmetric) is stored as the one real matrix S = X + Y,
@@ -71,8 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Channel
-from .pme import (SteadyStateReport, _bordered_solve, _closed_classes,
-                  _generator_rows)
+from .pme import SteadyStateReport, _closed_classes, _generator_rows
 from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
@@ -93,41 +92,110 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Factors:
-    """The (R, ...) pieces the Liouvillians of a stack apply from: the
-    Bohr frequencies omega, the loss matrix K, the ground <-> site gain
-    matrices, and per phonon channel its density S(omega) (R, 1, dim, dim)
-    with its coupling vectors (R, 1, m, dim)."""
+class Liouvillian:
+    """The Liouvillians of a stack of R eigensystems and one channel set,
+    in factored form; one eigensystem gives a stack of one.
 
-    omega: np.ndarray
-    loss: np.ndarray
-    transfer: np.ndarray
-    emission_form: np.ndarray
-    pump: np.ndarray
-    phonon: list[tuple[np.ndarray, np.ndarray]]
+    Row c of ``matrix[r]`` is the eigenbasis coupling vector of one
+    operator row (a zero ground entry, then its ``spectral._couplings``
+    column), and ``kinds[c]`` its channel kind.  ``spectra`` holds one
+    (rows, S(eps_m - eps_0), S(eps_0 - eps_m)) triple per ground <-> site
+    channel: the slice of its rows in ``matrix`` and its densities (R,
+    dim) at the emission and absorption transitions; ``phonon`` holds one
+    (S(omega), rows) pair per phonon channel: its density (R, dim, dim) at
+    every transition and the slice of its rows.  ``rates`` (R, dim, dim)
+    are the population equation's rates and ``ground`` its per-kind
+    (out, into) vectors, as ``spectral._rate_rows`` returns them.  The
+    (dim x dim) pieces :meth:`apply` needs are derived from these on
+    construction, in batched products; the diagonal of the Liouvillian on
+    the coherences (``coherence_diagonal``) is formed on request.
+    """
 
-    def take(self, rows: np.ndarray) -> _Factors:
-        """The pieces of the stack rows ``rows``, each matrix in the same
-        layout."""
-        return _Factors(self.omega[rows], self.loss[rows],
-                        self.transfer[rows], self.emission_form[rows],
-                        self.pump[rows],
-                        [(s[rows], a[rows]) for s, a in self.phonon])
+    matrix: np.ndarray
+    spectra: list[tuple[slice, np.ndarray, np.ndarray]] = field(repr=False)
+    phonon: list[tuple[np.ndarray, slice]] = field(repr=False)
+    eigensystem: EigenSystem = field(repr=False)
+    kinds: list[str] = field(repr=False)
+    rates: np.ndarray = field(repr=False)
+    ground: dict[str, tuple] = field(repr=False)
+
+    def __post_init__(self):
+        a = self.matrix
+        g, h = self.exchange_forms()
+        energies = self.eigensystem.energies.reshape(len(a), -1)
+        ag, ha = _t(a) @ g, _t(h) @ a
+        loss = ag.copy()
+        loss[:, 0, 0] += (a * h).sum(axis=(1, 2))
+        for s, cols in self.phonon:
+            u = _t(a[:, cols])
+            loss += u @ _t(u * (_t(s) @ u**2))
+        # the pieces L applies from: the Bohr frequencies omega, the loss
+        # matrix K, the ground <-> site gain matrices, and per phonon
+        # channel its density (R, 1, dim, dim) with its coupling vectors
+        # (R, 1, m, dim)
+        self._omega = energies[:, None, :] - energies[:, :, None]
+        self._loss = loss
+        self._transfer = ag + ha
+        self._emission_form = _t(g) @ a + ag
+        self._pump = ha + _t(a) @ h
+        self._phonon = [(s[:, None], a[:, None, cols])
+                        for s, cols in self.phonon]
+
+    def exchange_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(emission, absorption), each (R, C, dim): row c is S(eps_m -
+        eps_0) a_m and S(eps_0 - eps_m) a_m for a ground <-> site row, and
+        zero for a phonon row.  Formed on each call, so that a solve does
+        not hold them."""
+        emission = np.zeros_like(self.matrix)
+        absorption = np.zeros_like(self.matrix)
+        for rows, up, down in self.spectra:
+            a = self.matrix[:, rows]
+            emission[:, rows] = up[:, None] * a
+            absorption[:, rows] = down[:, None] * a
+        return emission, absorption
+
+    @property
+    def coherence_diagonal(self) -> np.ndarray:
+        """The Liouvillian's diagonal on the coherences, (R, dim, dim),
+        formed on each call so that a solve does not hold it."""
+        dephasing = np.zeros_like(self._loss)
+        for s, cols in self.phonon:
+            u = _t(self.matrix[:, cols])
+            # G_aa A_bb on the coherences: s[:, 0, 0] = S(0)
+            dephasing += s[:, :1, :1] * (u**2 @ _t(u**2))
+        decay = np.diagonal(self._loss, axis1=1, axis2=2)
+        return (1j * self._omega + dephasing
+                - 0.5 * (decay[:, :, None] + decay[:, None, :]))
+
+    @property
+    def dimension(self) -> int:
+        return self.eigensystem.dimension
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L(rho) for density matrices (R, dim, dim), or for one (dim x dim)
+        of a stack of one, in O(n_sites dim^2) each."""
+        return _stacked(rho, lambda r: self._dissipate(r, 1j * self._omega
+                                                       * r))
 
     def apply_real(self, s: np.ndarray) -> np.ndarray:
-        """L of each row on the real forms s (R, dim, dim): the dissipator
-        of s plus omega o s^T."""
-        return self.dissipate(s, self.omega * _t(s))
+        """L in the real form S = Re rho + Im rho of a Hermitian rho, for
+        (R, dim, dim) real forms or one (dim x dim) of a stack of one.
 
-    def dissipate(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        Every coefficient of L but the Bohr term is real, and L keeps rho
+        Hermitian, so the dissipator maps S to the real form of its image;
+        the Bohr term i omega o rho becomes omega o S^T.
+        """
+        return _stacked(s, lambda r: self._dissipate(r, self._omega * _t(r)))
+
+    def _dissipate(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add the dissipator of rho (R, dim, dim), real-linear in rho, to
         ``out``."""
         # in place where it keeps the order of every operation
-        loss = self.loss @ rho
-        loss += rho @ _t(self.loss)
+        loss = self._loss @ rho
+        loss += rho @ _t(self._loss)
         loss *= 0.5
         out -= loss
-        for s, a in self.phonon:
+        for s, a in self._phonon:
             u = _t(a)
             # G rho A and A rho G^T = (G rho^T A)^T, one channel per column;
             # each stacked temporary is freed as soon as it is used up
@@ -146,83 +214,11 @@ class _Factors:
             out += gain
         # ground <-> site gain terms: column 0 feeds row 0 and vice versa,
         # excited populations and coherences feed rho_00, rho_00 the pump
-        out[:, 0] += 0.5 * (self.transfer @ rho[:, :, :1])[..., 0]
-        out[:, :, 0] += 0.5 * (self.transfer @ rho[:, 0, :, None])[..., 0]
-        out[:, 0, 0] += 0.5 * (self.emission_form * rho).sum(axis=(1, 2))
-        out += 0.5 * rho[:, :1, :1] * self.pump
+        out[:, 0] += 0.5 * (self._transfer @ rho[:, :, :1])[..., 0]
+        out[:, :, 0] += 0.5 * (self._transfer @ rho[:, 0, :, None])[..., 0]
+        out[:, 0, 0] += 0.5 * (self._emission_form * rho).sum(axis=(1, 2))
+        out += 0.5 * rho[:, :1, :1] * self._pump
         return out
-
-
-@dataclass
-class Liouvillian:
-    """The Liouvillians of a stack of R eigensystems and one channel set,
-    in factored form; one eigensystem gives a stack of one.
-
-    Row c of ``matrix[r]`` is the eigenbasis coupling vector of one
-    operator row (a zero ground entry, then its ``spectral._couplings``
-    column), and ``kinds[c]`` its channel kind.  For ground <-> site rows,
-    row c of ``emission[r]`` is S(eps_m - eps_0) a_m and of
-    ``absorption[r]`` S(eps_0 - eps_m) a_m (zero rows for phonon rows);
-    ``phonon`` holds one (S(omega), rows) pair per phonon channel: its
-    density (R, dim, dim) at every transition and the slice of its rows
-    in ``matrix``.  ``rates`` (R, dim, dim) are the population equation's
-    rates and ``ground`` its per-kind (out, into) vectors, as
-    ``spectral._rate_rows`` returns them.  The (dim x dim) pieces
-    :meth:`apply` needs and the diagonal of the Liouvillian on the
-    coherences (``coherence_diagonal``, (R, dim, dim)) are derived from
-    these on construction, in batched products.
-    """
-
-    matrix: np.ndarray
-    emission: np.ndarray = field(repr=False)
-    absorption: np.ndarray = field(repr=False)
-    phonon: list[tuple[np.ndarray, slice]] = field(repr=False)
-    eigensystem: EigenSystem = field(repr=False)
-    kinds: list[str] = field(repr=False)
-    rates: np.ndarray = field(repr=False)
-    ground: dict[str, tuple] = field(repr=False)
-
-    def __post_init__(self):
-        a, g, h = self.matrix, self.emission, self.absorption
-        energies = self.eigensystem.energies.reshape(len(a), -1)
-        ag, ha = _t(a) @ g, _t(h) @ a
-        loss = ag.copy()
-        loss[:, 0, 0] += (a * h).sum(axis=(1, 2))
-        dephasing = np.zeros_like(loss)
-        for s, cols in self.phonon:
-            u = _t(a[:, cols])
-            loss += u @ _t(u * (_t(s) @ u**2))
-            # G_aa A_bb on the coherences: s[:, 0, 0] = S(0)
-            dephasing += s[:, :1, :1] * (u**2 @ _t(u**2))
-        decay = np.diagonal(loss, axis1=1, axis2=2)
-        omega = energies[:, None, :] - energies[:, :, None]
-        self._factors = _Factors(
-            omega=omega, loss=loss, transfer=ag + ha,
-            emission_form=_t(g) @ a + ag, pump=ha + _t(a) @ h,
-            phonon=[(s[:, None], a[:, None, cols]) for s, cols in self.phonon])
-        self.coherence_diagonal = (1j * omega + dephasing
-                                   - 0.5 * (decay[:, :, None]
-                                            + decay[:, None, :]))
-
-    @property
-    def dimension(self) -> int:
-        return self.eigensystem.dimension
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for density matrices (R, dim, dim), or for one (dim x dim)
-        of a stack of one, in O(n_sites dim^2) each."""
-        return _stacked(rho, lambda r: self._factors.dissipate(
-            r, 1j * self._factors.omega * r))
-
-    def apply_real(self, s: np.ndarray) -> np.ndarray:
-        """L in the real form S = Re rho + Im rho of a Hermitian rho, for
-        (R, dim, dim) real forms or one (dim x dim) of a stack of one.
-
-        Every coefficient of L but the Bohr term is real, and L keeps rho
-        Hermitian, so the dissipator maps S to the real form of its image;
-        the Bohr term i omega o rho becomes omega o S^T.
-        """
-        return _stacked(s, self._factors.apply_real)
 
 
 def _stacked(x: np.ndarray, fn) -> np.ndarray:
@@ -261,16 +257,13 @@ def build_liouvillian(es: EigenSystem, channels: list[Channel],
     densities = iter(densities)
     count = len(energies)
     matrix = np.zeros((count, sum(c.shape[2] for c in couplings), dim))
-    emission = np.zeros_like(matrix)
-    absorption = np.zeros_like(matrix)
     omega0 = energies - energies[:, :1]  # eps_m - eps_0
-    phonon = []
+    phonon, spectra = [], []
     kinds: list[str] = []
     for ch, c in zip(channels, couplings):
         rows = slice(len(kinds), len(kinds) + c.shape[2])
         kinds += [ch.kind] * c.shape[2]
         matrix[:, rows, 1:] = _t(c)
-        a = matrix[:, rows]
         if ch.kind == "phonon":
             # S(eps_m - eps_n): the rate pass's excited block, with row 0
             # at eps_m - eps_0 and column 0 at eps_0 - eps_n
@@ -281,28 +274,10 @@ def build_liouvillian(es: EigenSystem, channels: list[Channel],
             s[:, 0], s[:, 1:, 0] = edges[:, 0], edges[:, 1, 1:]
             phonon.append((s, rows))
         else:
-            emission[:, rows] = ch.spectral(omega0)[:, None] * a
-            absorption[:, rows] = ch.spectral(-omega0)[:, None] * a
-    return Liouvillian(matrix=matrix, emission=emission,
-                       absorption=absorption, phonon=phonon, eigensystem=es,
-                       kinds=kinds, rates=w, ground=ground)
-
-
-def _row_pieces(whole, take, count: int):
-    """pick(rows): the pieces of the stack rows ``rows`` (an ascending
-    index array), ``take(rows)``, made once per subset; the whole stack's
-    pieces ``whole`` as they are."""
-    taken: dict[bytes, object] = {}
-
-    def pick(rows: np.ndarray):
-        if rows.size == count:
-            return whole
-        key = rows.tobytes()
-        if key not in taken:
-            taken[key] = take(rows)
-        return taken[key]
-
-    return pick
+            spectra.append((rows, ch.spectral(omega0),
+                            ch.spectral(-omega0)))
+    return Liouvillian(matrix=matrix, spectra=spectra, phonon=phonon,
+                       eigensystem=es, kinds=kinds, rates=w, ground=ground)
 
 
 def _secular_inverse(liouvillian: Liouvillian) -> tuple:
@@ -314,47 +289,47 @@ def _secular_inverse(liouvillian: Liouvillian) -> tuple:
     (a fresh solve per call is slower), and 1/c = p + iq with c the
     Liouvillian's diagonal on the coherences (1 where it vanishes) scales
     them: r / c becomes p o S + q o S^T in the real form.  Returns
-    (precondition, errors): ``precondition(x, rows)`` applies the inverses
-    of the stack rows ``rows`` to x (len(rows), dim^2), and errors holds
-    per row None or its BrmeError: more than one closed class in the
-    secular rate graph, which means a degenerate steady state, or a
-    singular bordered generator.  The inverse of a failed row is not
-    formed.
+    (precondition, errors): ``precondition(x)`` applies the inverses of
+    the stack's rows to x (R, dim^2), and errors holds per row None or
+    its BrmeError: more than one closed class in the secular rate graph,
+    which means a degenerate steady state, or a singular bordered
+    generator, whose inverse is taken as zero.
     """
     rates = liouvillian.rates
-    count, dim = rates.shape[:2]
-    errors: list = [None] * count
+    dim = rates.shape[1]
+    errors: list = [None] * len(rates)
     for r, row in enumerate(rates):
         n_closed = len(_closed_classes(row))
         if n_closed != 1:
             errors[r] = BrmeError(f"degenerate steady state: the secular "
                                   f"rate graph has {n_closed} closed "
                                   f"classes")
-    unique = [r for r, error in enumerate(errors) if error is None]
-    chi_inverse = np.full(rates.shape, np.nan)
-    if unique:
-        chi = _generator_rows(rates if len(unique) == count
-                              else rates[unique])
-        chi[:, 0] += 1.0
-        # the inverse, row by row where the stack holds a singular one
-        chi_inverse[unique] = _bordered_solve(
-            chi, np.broadcast_to(np.eye(dim), chi.shape))
-    for r in unique:
-        if np.isnan(chi_inverse[r, 0, 0]):
-            errors[r] = BrmeError("the bordered secular generator is "
-                                  "singular")
+    chi = _generator_rows(rates)
+    chi[:, 0] += 1.0
+    try:
+        chi_inverse = np.linalg.inv(chi)
+    except np.linalg.LinAlgError:
+        # one singular row fails the stacked inverse: invert row by row,
+        # so that every other row keeps the bits of its own inverse
+        chi_inverse = np.zeros_like(chi)
+        for r, row in enumerate(chi):
+            try:
+                chi_inverse[r] = np.linalg.inv(row)
+            except np.linalg.LinAlgError:
+                errors[r] = errors[r] or BrmeError(
+                    "the bordered secular generator is singular")
+    # a failed row's inverse is zero, so its stand-in solve stays finite
+    chi_inverse[[error is not None for error in errors]] = 0.0
     coherences = liouvillian.coherence_diagonal
     inverse = 1.0 / np.where(coherences == 0, 1.0, coherences)
-    pieces = (np.ascontiguousarray(inverse.real),
-              np.ascontiguousarray(inverse.imag), chi_inverse)
-    pick = _row_pieces(pieces, lambda rows: tuple(x[rows] for x in pieces),
-                       count)
+    p, q = np.ascontiguousarray(inverse.real), np.ascontiguousarray(
+        inverse.imag)
+    del inverse
 
-    def precondition(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        p, q, chi_rows = pick(rows)
+    def precondition(x: np.ndarray) -> np.ndarray:
         s = x.reshape(-1, dim, dim)
         z = (p * s + q * _t(s)).reshape(len(s), dim * dim)
-        z[:, ::dim + 1] = (chi_rows @ x[:, ::dim + 1, None])[..., 0]
+        z[:, ::dim + 1] = (chi_inverse @ x[:, ::dim + 1, None])[..., 0]
         return z
 
     return precondition, errors
@@ -372,18 +347,10 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (k, n) arrays, each the BLAS dot of
-    ``np.dot`` on its row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-_dots = getattr(np, "vecdot", _dots)  # the same dots, with less overhead
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Row-wise 2-norms of a (k, n) array, with ``np.linalg.norm``'s bits."""
-    return np.sqrt(_dots(a, a))
+    """Row-wise 2-norms of a (k, n) array, with ``np.linalg.norm``'s bits:
+    ``np.vecdot`` takes each row's dot with the BLAS dot of ``np.dot``."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def _gmres(matvec, psolve, b: np.ndarray, callback
@@ -398,18 +365,19 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     on the preconditioned residual, which adapts after each restart), so
     it makes the same iterates and calls ``callback(r, value)`` once per
     inner iteration of row r with the preconditioned residual over |b|,
-    as scipy's "pr_norm" callback does.
+    as scipy's "pr_norm" callback does.  A zero row of b is solved by
+    x = 0 and takes no step.
 
-    The rows share every product: ``matvec(x, rows)`` and ``psolve(x,
-    rows)`` apply the operators of the stack rows ``rows`` (an ascending
-    index array) to x (len(rows), n), and the dot products and norms of
-    all rows are batched, each row's with the bits of its own.  A row
+    The rows share every product: ``matvec`` and ``psolve`` apply the
+    operators of the whole stack to (R, n) arrays, and the dot products
+    and norms are batched, each row's with the bits of its own.  A row
     keeps its Hessenberg matrix, rotations, tolerance and restart count
-    in Python floats, and leaves the lockstep once it has converged or
-    used its restarts.  The Arnoldi bases live in one (R, n) array per
-    column, allocated as the rows first reach it.  Each row of ``b`` is
-    nonzero, and ``psolve`` returns a new array, which is overwritten.
-    Returns (x, converged), converged an (R,) boolean array.
+    in Python floats and stops once it has converged or used its
+    restarts; a stopped row, or one restarted behind the others, rides
+    along on finite stand-in vectors whose results are dropped.  The
+    Arnoldi bases live in one (R, n) array per column, allocated as the
+    rows first reach it.  ``psolve`` returns a new array, which is
+    overwritten.  Returns (x, converged), converged an (R,) boolean array.
     """
     count, n = b.shape
     restart = min(_GMRES_RESTART, n)
@@ -417,19 +385,13 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     bnrm2 = _norms(b).tolist()
     atol = [_GMRES_RTOL * value for value in bnrm2]
     x = np.zeros((count, n))
-    # basis[k] holds column k of every row's Arnoldi basis, allocated
-    # when some row first reaches it; vectors[r][k] is row r's view
-    basis: list[np.ndarray] = []
-    vectors: list[list[np.ndarray]] = [[] for _ in range(count)]
-
-    def reach(columns: int) -> None:
-        while len(basis) < columns:
-            basis.append(np.empty((count, n)))
-            for r, row in enumerate(vectors):
-                row.append(basis[-1][r])
-
+    converged = np.array([value == 0 for value in bnrm2])
+    active = np.flatnonzero(~converged).tolist()
+    # basis[k] holds column k of every row's Arnoldi basis, allocated as
+    # the rows first reach it; zeros, so a row that never reaches it
+    # stands in with a finite vector
+    basis = [np.zeros((count, n))]
     scaled = np.empty((count, n))
-    converged = np.zeros(count, dtype=bool)
     col = [0] * count
     cycles = [0] * count
     rhs: list = [None] * count
@@ -437,65 +399,61 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     rotations: list = [None] * count
     breakdown = [False] * count
     presid = [0.0] * count
+    ptol_factor = [1.0] * count
+    ptol = [0.0] * count
 
-    def begin(rows: list[int], z: np.ndarray) -> None:
-        """Start a cycle of each row from its preconditioned residual."""
-        beta = _norms(z)
-        basis[0][rows] = z * (1 / beta)[:, None]
-        for r, value in zip(rows, beta.tolist()):
-            rhs[r], columns[r], rotations[r] = [value], [], []
+    def begin(rows: list[int], z: np.ndarray) -> list[float]:
+        """Start a cycle of each row from its preconditioned residual z;
+        returns the norms of z."""
+        beta = _norms(z).tolist()
+        for r in rows:
+            np.multiply(z[r], 1 / beta[r], out=basis[0][r])
+            rhs[r], columns[r], rotations[r] = [beta[r]], [], []
             col[r], breakdown[r] = 0, False
             cycles[r] += 1
+        return beta
 
-    active = list(range(count))
-    reach(1)
-    z = psolve(b, np.array(active))
+    beta = begin(active, psolve(b))
     # the inner loop stops on the preconditioned residual (scipy gh-8400)
-    ptol_factor = [1.0] * count
-    ptol = [value * min(1.0, a / bn)
-            for value, a, bn in zip(_norms(z).tolist(), atol, bnrm2)]
-    begin(active, z)
-    rows, every = np.array(active), slice(None)
+    for r in active:
+        ptol[r] = beta[r] * min(1.0, atol[r] / bnrm2[r])
     while active:
-        # rows restarted at different times stand at different columns
         cols = [col[r] for r in active]
-        lockstep = min(cols) == max(cols)
-        w = psolve(matvec(basis[cols[0]][every] if lockstep
-                          else np.array([vectors[r][c]
-                                         for r, c in zip(active, cols)]),
-                          rows), rows)
-        reach(max(cols) + 2)
+        top = max(cols)
+        v = basis[top]
+        if min(cols) < top:
+            # rows restarted at different times stand at different columns
+            v = v.copy()
+            for r, c in zip(active, cols):
+                v[r] = basis[c][r]
+        w = psolve(matvec(v))
+        if len(basis) < top + 2:
+            basis.append(np.zeros((count, n)))
         h0 = _norms(w).tolist()
-        # modified Gram-Schmidt, batched over the rows at one column
-        hessenberg: list = [None] * len(active)
-        for c in set(cols):
-            group = [i for i, col_i in enumerate(cols) if col_i == c]
-            if len(group) == 1:
-                # one row: 1-d projections cost less than batched ones
-                (i,), w_row, dots = group, w[group[0]], []
-                for vk in vectors[active[i]][:c + 1]:
-                    t = float(np.dot(vk, w_row))
-                    w_row -= np.multiply(vk, t, out=scaled[0])
-                    dots.append(t)
-                hessenberg[i] = dots
-                continue
-            at, w_at = ((every, w) if lockstep
-                        else (rows[group], w[group]))
-            dots, scaled_at = [], scaled[:len(group)]
-            for k in range(c + 1):
-                vk = basis[k][at]
-                dots.append(_dots(vk, w_at))
-                w_at -= np.multiply(vk, dots[-1][:, None], out=scaled_at)
-            if not lockstep:
-                w[group] = w_at
-            for i, h in zip(group, np.array(dots).T.tolist()):
-                hessenberg[i] = h
+        # modified Gram-Schmidt, batched over the stack; a row standing
+        # at a column c behind the top keeps its remainder after
+        # projection c
+        behind: dict[int, list[int]] = {}
+        for r, c in zip(active, cols):
+            if c < top:
+                behind.setdefault(c, []).append(r)
+        dots = np.empty((top + 1, count))
+        kept = {}
+        for k, vk in enumerate(basis[:top + 1]):
+            w -= np.multiply(vk, np.vecdot(vk, w, out=dots[k])[:, None],
+                             out=scaled)
+            for r in behind.get(k, ()):
+                kept[r] = w[r].copy()
+        for r, remainder in kept.items():
+            w[r] = remainder
+        dots = dots.T.tolist()
+        h1 = _norms(w).tolist()
         ended = []
-        for i, (r, c_col, h, h1) in enumerate(zip(active, cols, hessenberg,
-                                                  _norms(w).tolist())):
-            if h1 > eps * h0[i]:
-                h.append(h1)
-                np.multiply(w[i], 1 / h1, out=vectors[r][c_col + 1])
+        for r, c_col in zip(active, cols):
+            h = dots[r][:c_col + 1]
+            if h1[r] > eps * h0[r]:
+                h.append(h1[r])
+                np.multiply(w[r], 1 / h1[r], out=basis[c_col + 1][r])
             else:
                 h.append(0.0)
                 breakdown[r] = True
@@ -517,6 +475,7 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
                 col[r] += 1
         if not ended:
             continue
+        del v, w  # the step's vectors, freed before the residual's product
         for r in ended:
             # back-substitute the triangular factor, pseudo-solving a zero
             # pivot
@@ -529,12 +488,13 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
                     y[k] /= triangle[k][k]
                     for j in range(k):
                         y[j] -= y[k] * triangle[k][j]
-            x[r] += np.array(y) @ np.array(vectors[r][:last + 1])
-        residual = b[ended] - matvec(x[ended], np.array(ended))
-        again = []
-        for j, (r, rnorm) in enumerate(zip(ended,
-                                           _norms(residual).tolist())):
-            converged[r] = rnorm <= atol[r]
+            x[r] += np.array(y) @ np.array([column[r]
+                                            for column in basis[:last + 1]])
+        residual = b - matvec(x)
+        rnorm = _norms(residual).tolist()
+        restarted = []
+        for r in ended:
+            converged[r] = rnorm[r] <= atol[r]
             if (converged[r] or breakdown[r]
                     or cycles[r] == _GMRES_MAX_RESTARTS):
                 active.remove(r)
@@ -543,13 +503,10 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
                 ptol_factor[r] = max(eps, 0.25 * ptol_factor[r])
             else:
                 ptol_factor[r] = min(1.0, 1.5 * ptol_factor[r])
-            ptol[r] = presid[r] * min(ptol_factor[r], atol[r] / rnorm)
-            again.append(j)
-        if again:
-            restarted = [ended[j] for j in again]
-            begin(restarted, psolve(residual[again], np.array(restarted)))
-        if len(active) < len(rows):
-            rows = every = np.array(active)
+            ptol[r] = presid[r] * min(ptol_factor[r], atol[r] / rnorm[r])
+            restarted.append(r)
+        if restarted:
+            begin(restarted, psolve(residual))
     return x, converged
 
 
@@ -595,78 +552,72 @@ def _steady_rows(liouvillian: Liouvillian) -> list:
     count, _, dim = liouvillian.matrix.shape
     size = dim * dim
     precondition, errors = _secular_inverse(liouvillian)
-    factors = liouvillian._factors
-    pick = _row_pieces(factors, factors.take, count)
 
-    def bordered(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        s = x.reshape(-1, dim, dim)
-        out = pick(rows).apply_real(s)
+    def bordered(x: np.ndarray) -> np.ndarray:
+        s = x.reshape(count, dim, dim)
+        out = liouvillian.apply_real(s)
         out[:, 0, 0] += np.trace(s, axis1=1, axis2=2)
-        return out.reshape(len(s), size)
+        return out.reshape(count, size)
 
-    solved = np.flatnonzero([error is None for error in errors])
-    rhs = np.zeros((solved.size, size))
+    rhs = np.zeros((count, size))
     rhs[:, 0] = 1.0
-    s_vec = precondition(rhs, solved)
-    defect = rhs - bordered(s_vec, solved)
+    s_vec = precondition(rhs)
+    defect = rhs - bordered(s_vec)
     del rhs
+    defect[[error is not None for error in errors]] = 0.0  # no Krylov step
     initial_residual = _norms(defect).tolist()
     iterations = [0] * count
-    moving = [i for i, value in enumerate(initial_residual) if value > 0]
-    if moving:
-        krylov = solved[moving]
 
-        def step(r, _):
-            iterations[krylov[r]] += 1
+    def step(r, _):
+        iterations[r] += 1
 
-        ops = ((bordered, precondition) if krylov.size == count else
-               (lambda x, sub: bordered(x, krylov[sub]),
-                lambda x, sub: precondition(x, krylov[sub])))
-        correction, converged = _gmres(*ops, defect[moving], step)
-        s_vec[moving] += correction
-        for r in krylov[~converged]:
+    correction, converged = _gmres(bordered, precondition, defect, step)
+    moving = [r for r, value in enumerate(initial_residual) if value > 0]
+    s_vec[moving] += correction[moving]
+    for r in moving:
+        if not converged[r]:
             errors[r] = BrmeError(f"GMRES did not converge in "
                                   f"{iterations[r]} iterations")
 
-    trace = np.trace(s_vec.reshape(-1, dim, dim), axis1=1, axis2=2)
-    for r, value in zip(solved.tolist(), trace.tolist()):
+    trace = np.trace(s_vec.reshape(count, dim, dim), axis1=1, axis2=2)
+    for r, value in enumerate(trace.tolist()):
         if errors[r] is None and abs(value) < 1e-14:
             errors[r] = BrmeError("steady-state candidate has vanishing "
                                   "trace")
-    keep = [i for i, r in enumerate(solved.tolist()) if errors[r] is None]
-    if not keep:
+    solved = [error is None for error in errors]
+    if not any(solved):
         return errors
-    rows = solved[keep]
-    s = s_vec[keep].reshape(-1, dim, dim) / trace[keep, None, None]
+    # every row goes on, a failed one with a stand-in trace of one
+    s = s_vec.reshape(count, dim, dim) / np.where(solved, trace,
+                                                  1.0)[:, None, None]
     rho = 0.5 * (s + _t(s)) + 0.5j * (s - _t(s))
     # |L(rho)|^2 = (W^2 + (W^T)^2) / 2 in the real form W of L(rho)
-    w = pick(rows).apply_real(s)
+    w = liouvillian.apply_real(s)
     residual = np.sqrt(np.max(w**2 + _t(w)**2, axis=(1, 2)) / 2).tolist()
     min_eig = np.linalg.eigvalsh(rho).min(axis=1).tolist()
     extraction = liouvillian.ground.get("extraction")
-    initial = dict(zip(solved.tolist(), initial_residual))
     # net flow into the ground state per row: Re(a^T rho g) - (a.h) rho_00;
     # phonon rows exchange none
     flows = [c for c, kind in enumerate(liouvillian.kinds) if kind != "phonon"]
     kinds = [liouvillian.kinds[c] for c in flows]
-    a, g, h = (x[rows][:, flows] for x in (
-        liouvillian.matrix, liouvillian.emission, liouvillian.absorption))
+    a, g, h = (x[:, flows] for x in (liouvillian.matrix,
+                                     *liouvillian.exchange_forms()))
     into_ground = (np.real(np.sum(a * (g @ _t(rho)), axis=2))
                    - np.sum(a * h, axis=2) * rho[:, :1, 0].real).tolist()
-    for i, r in enumerate(rows.tolist()):
-        if min_eig[i] < -1e-6:
+    for r in np.flatnonzero(solved).tolist():
+        if min_eig[r] < -1e-6:
             errors[r] = BrmeError(
                 f"steady state strongly violates positivity (min eigenvalue "
-                f"{min_eig[i]:.3e})")
+                f"{min_eig[r]:.3e})")
             continue
-        if min_eig[i] < -1e-8:
+        if min_eig[r] < -1e-8:
             warnings.warn(
                 f"mild positivity violation in steady state (min eigenvalue "
-                f"{min_eig[i]:.3e})", stacklevel=3)
-        errors[r] = _report(rho[i], residual[i], min_eig[i],
-                            zip(kinds, into_ground[i]),
+                f"{min_eig[r]:.3e})", stacklevel=3)
+        errors[r] = _report(rho[r], residual[r], min_eig[r],
+                            zip(kinds, into_ground[r]),
                             None if extraction is None else extraction[0][r],
-                            iterations[r], initial[r])
+                            iterations[r], initial_residual[r])
     return errors
 
 

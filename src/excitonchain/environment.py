@@ -135,9 +135,6 @@ class Channel:
 
     ``projectors`` is resolved once from a phonon operator whose every row
     acts on one site: (sqrt(|w|), site) per row; None otherwise.
-    ``unit_sites`` is resolved once from any other operator whose every
-    row is a unit row (one weight 1, the rest 0): the site of each row;
-    None otherwise.
     """
 
     kind: str
@@ -146,24 +143,15 @@ class Channel:
     eigen_target: str | None = None
     projectors: tuple | None = field(init=False, default=None, repr=False,
                                      compare=False)
-    unit_sites: np.ndarray | None = field(init=False, default=None,
-                                          repr=False, compare=False)
 
     def __post_init__(self):
         w = self.operator
-        if not (isinstance(w, np.ndarray) and w.ndim == 2
-                and np.count_nonzero(w) == len(w)):
-            return
-        # as many weights as rows, and a weight in every row: one each
-        sites = (w != 0).argmax(axis=1)
-        weights = w[np.arange(len(w)), sites]
-        if not weights.all():
-            return
-        if self.kind == "phonon":
+        if (self.kind == "phonon" and isinstance(w, np.ndarray)
+                and w.ndim == 2
+                and np.all(np.count_nonzero(w, axis=1) == 1)):
+            rows, sites = np.nonzero(w)
             object.__setattr__(self, "projectors",
-                               (np.sqrt(np.abs(weights)), sites))
-        elif np.all(weights == 1.0):
-            object.__setattr__(self, "unit_sites", sites)
+                               (np.sqrt(np.abs(w[rows, sites])), sites))
 
     def describe(self) -> dict:
         out = {"kind": self.kind}

@@ -214,7 +214,7 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     bordered[:, 0] = 1.0
     rhs = np.zeros((ok.size, dim, 1))
     rhs[:, 0] = 1.0
-    p = _bordered_solve(bordered, rhs)[..., 0]
+    p = _bordered_solve(bordered, rhs)
     accepted = _acceptable(unique, p)
     redo = np.flatnonzero(~accepted)
     for i in redo:
@@ -235,18 +235,17 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def _bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions (R, dim, k) of the stacked systems with right-hand sides
-    rhs (R, dim, k), NaN for a singular one.
+    """Solutions (R, dim) of the stacked systems, NaN for a singular one.
 
     One exactly singular pivot fails a whole batched solve, so a failed
     stack is solved again row by row; every other row then keeps the
     bits its own solve gives.
     """
     try:
-        return np.linalg.solve(bordered, rhs)
+        return np.linalg.solve(bordered, rhs)[..., 0]
     except np.linalg.LinAlgError:
         if len(bordered) == 1:
-            return np.full(rhs.shape, np.nan)
+            return np.full(bordered.shape[:2], np.nan)
         return np.concatenate([_bordered_solve(b[None], r[None])
                                for b, r in zip(bordered, rhs)])
 

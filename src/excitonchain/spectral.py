@@ -376,14 +376,11 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
 
     Returns (R, n_excited, m): column c is operator row c's amplitude on
     each excited state.  A ground <-> site row w gives amp @ w (its
-    ground entry is zero and not stored); for a channel of unit rows
-    (``Channel.unit_sites``) that is the column amp[:, s] of each row's
-    site, gathered with the bits of the product.  A phonon row w |s><s|
-    gives sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and
-    dissipator are quadratic in it, so the sign of w drops out.  An
-    eigenbasis target gives the unit column of the highest or lowest
-    excited state.  This is the only place that reads a channel's
-    operator or target.
+    ground entry is zero and not stored).  A phonon row w |s><s| gives
+    sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and dissipator are
+    quadratic in it, so the sign of w drops out.  An eigenbasis target
+    gives the unit column of the highest or lowest excited state.  This is
+    the only place that reads a channel's operator or target.
     """
     rows, dim = vectors.shape[:2]
     if channel.eigen_target is not None:
@@ -394,12 +391,6 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
     if weights is None or weights.ndim != 2 or weights.shape[1] != dim - 1:
         raise SpectralError(
             f"{channel.kind} channel operator has wrong dimension")
-    if channel.unit_sites is not None:
-        # the sites' eigenvector rows, laid out as the product lays them
-        # out; + 0.0 makes a -0.0 amplitude the +0.0 the product gives
-        unit = vectors[:, 1 + channel.unit_sites, 1:].transpose(0, 2, 1).copy()
-        unit += 0.0
-        return unit
     amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
     if channel.kind != "phonon":
         return amp @ weights.T

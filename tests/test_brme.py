@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from excitonchain import brme, pme
+from excitonchain import brme
 from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
@@ -14,8 +14,8 @@ from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import build_generator, site_populations, \
     solve_steady_state
-from excitonchain.spectral import EigenSystem, SpectralError, _couplings, \
-    diagonalize, transition_matrix
+from excitonchain.spectral import EigenSystem, SpectralError, diagonalize, \
+    transition_matrix
 
 FREQ_GROUP_TOL = 1e-9
 
@@ -223,8 +223,7 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
                 .max() < 1e-12)
         # the coherences scale as r / c, the populations solve chi p = r
         scaled = real_form(rho / coherences)
-        z = precondition(real_form(rho).reshape(1, -1),
-                         np.arange(1)).reshape(dim, dim)
+        z = precondition(real_form(rho).reshape(1, -1)).reshape(dim, dim)
         assert np.abs(z[off] - scaled[off]).max() <= 1e-12 * np.abs(
             scaled).max()
         np.testing.assert_allclose(z.diagonal(), np.linalg.solve(
@@ -359,8 +358,8 @@ def test_gmres_follows_scipy(monkeypatch, n, restart, max_restarts):
     monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", max_restarts)
     ours = [[] for _ in systems]
     x, converged = brme._gmres(
-        lambda v, rows: (a[rows] @ v[..., None])[..., 0],
-        lambda v, rows: (m[rows] @ v[..., None])[..., 0], b,
+        lambda v: (a @ v[..., None])[..., 0],
+        lambda v: (m @ v[..., None])[..., 0], b,
         lambda r, value: ours[r].append(value))
     for r, (a_r, m_r, b_r) in enumerate(systems):
         theirs = []
@@ -380,8 +379,7 @@ def test_gmres_breakdown_on_the_identity_converges_at_once():
     # exactly zero remainder, which must not be normalized
     b = np.full((1, 64), 0.5)
     residuals = []
-    x, converged = brme._gmres(lambda v, rows: v.copy(),
-                               lambda v, rows: v.copy(), b,
+    x, converged = brme._gmres(lambda v: v.copy(), lambda v: v.copy(), b,
                                lambda r, value: residuals.append(value))
     assert converged.all()
     assert residuals == [0.0]
@@ -610,62 +608,13 @@ def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
         brme_steady_state(single)
 
 
-def test_stacked_inverses_keep_each_rows_bits(rng):
-    # the secular inverses come from the population solver's bordered
-    # solve against the identity: a singular row is NaN, and every other
-    # row has the bits of numpy's inverse of it alone
-    a, b = rng.standard_normal((2, 6, 6))
-    stack = np.stack([a, np.zeros((6, 6)), b])
-    inverses = pme._bordered_solve(stack, np.broadcast_to(np.eye(6),
-                                                          stack.shape))
-    assert np.isnan(inverses[1]).all()
-    assert np.array_equal(inverses[0], np.linalg.inv(a))
-    assert np.array_equal(inverses[2], np.linalg.inv(b))
-
-
-def without_unit_sites(channel):
-    """The same channel, its unit rows multiplied out as general rows."""
-    plain = replace(channel)
-    object.__setattr__(plain, "unit_sites", None)
-    return plain
-
-
-@pytest.mark.parametrize("kind,options", [
-    ("prism", {}),
-    ("dimer", {"dipole_scheme": "transport"}),
-], ids=["prism", "dimer-transport"])
-def test_unit_rows_gather_the_bits_of_the_product(kind, options, rng):
-    # nonradiative loss switched on, so its unit rows are summed for real
-    es, channels = make_system(kind, 4, jb=2.0,
-                               env=EnvironmentParams(gamma_nr=0.003),
-                               **options)
-    unit = [ch for ch in channels if ch.unit_sites is not None]
-    assert {ch.kind for ch in unit} == {"nonradiative", "injection",
-                                        "extraction"}
-    # bit for bit, the layout and the sign of a zero amplitude included
-    vectors = es.vectors[None].copy()
-    vectors[0, 1 + unit[0].unit_sites, 1] = -0.0
-    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
-    for ch in unit:
-        assert (_couplings(vectors, ch).tobytes()
-                == (amp @ ch.operator.T).tobytes())
-    plain = [without_unit_sites(ch) for ch in channels]
-    rates, expected = transition_matrix(es, channels), transition_matrix(
-        es, plain)
-    assert rates.blocks["nonradiative"].max() > 0
-    assert np.array_equal(rates.w, expected.w)
-    for name, block in expected.blocks.items():
-        assert np.array_equal(rates.blocks[name], block)
-    liouv, liouv_plain = (build_liouvillian(es, chs)
-                          for chs in (channels, plain))
-    for name in ("matrix", "emission", "absorption", "rates",
-                 "coherence_diagonal"):
-        assert np.array_equal(getattr(liouv, name),
-                              getattr(liouv_plain, name))
-    rho = random_complex(rng, es.dimension)
-    assert np.array_equal(liouv.apply(rho), liouv_plain.apply(rho))
-    assert_same_report(brme_steady_state(liouv),
-                       brme_steady_state(liouv_plain))
+def test_row_norms_have_the_bits_of_numpy_norm(rng):
+    # the lockstep GMRES batches its norms; each must be the norm of its
+    # row alone
+    for n in (9, 36, 441, 3721, 20000):
+        a = rng.standard_normal((3, n))
+        assert np.array_equal(brme._norms(a), [np.linalg.norm(row)
+                                               for row in a])
 
 
 def test_population_share_of_a_long_mono_chain():

@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,30 +188,6 @@ def test_phonon_operators_are_site_projectors():
         expected = np.zeros(4)
         expected[s] = 1.0
         assert np.array_equal(w, expected)
-
-
-def test_unit_rows_resolve_their_sites_once():
-    geo = build_geometry("prism", 3)
-    channels = {c.kind: c for c in build_channels(
-        geo, EnvironmentParams(gamma_nr=0.003))}
-    ns = geo.n_sites
-    assert np.array_equal(channels["nonradiative"].unit_sites,
-                          np.arange(ns))
-    assert np.array_equal(channels["injection"].unit_sites, np.arange(3))
-    assert np.array_equal(channels["extraction"].unit_sites,
-                          np.arange(ns - 3, ns))
-    # the collective row, phonon projectors and weighted rows are not unit
-    # rows
-    assert channels["radiative"].unit_sites is None
-    assert channels["phonon"].unit_sites is None
-    assert channels["phonon"].projectors is not None
-    loss = channels["nonradiative"]
-    for weights in (2.0 * loss.operator, -loss.operator):
-        assert replace(loss, operator=weights).unit_sites is None
-    dipoles = assign_dipoles(geo, "transport")
-    (radiative,) = [c for c in build_channels(dipoles, EnvironmentParams())
-                    if c.kind == "radiative"]
-    assert radiative.unit_sites is None
 
 
 def test_zero_rate_channels_still_present():
