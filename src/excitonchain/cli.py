@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -226,10 +227,19 @@ def _parameters(config: RunConfig) -> dict:
     return {k: v for k, v in asdict(config).items() if k in reads}
 
 
+def _versions() -> dict:
+    """The python version, and those of numpy and scipy where the run
+    loaded them: numpy always, scipy only for pinned clean rows."""
+    return {"python": platform.python_version(),
+            **{name: sys.modules[name].__version__
+               for name in ("numpy", "scipy") if name in sys.modules}}
+
+
 def _write_meta(out: Path, stem: str, config: RunConfig, **extra) -> None:
     write_json(out / f"{stem}_meta.json", {
         "tool": "excitonchain",
         "version": __version__,
+        **_versions(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "parameters": _parameters(config),
         **extra,
@@ -270,6 +280,7 @@ def _cmd_steady(config: RunConfig, out: Path) -> None:
     payload["site_populations"] = site_populations(report, es).tolist()
     payload["parameters"] = _parameters(config)
     payload["tool_version"] = __version__
+    payload.update(_versions())
     payload["channels"] = [ch.describe() for ch in channels]
     write_json(out / "steady_state.json", payload)
 

@@ -54,12 +54,13 @@ from .lattice import assign_dipoles, build_geometry
 from .pme import SteadyStateReport, _steady_reports, _warn_low_ground
 from .spectral import (EigenSystem, _brightness_rows, _cell_modes,
                        _check_dark_threshold, _dark_mask, _eigen_row,
-                       _eigen_rows, _factor_eigen, _rate_rows, diagonalize)
+                       _eigen_rows, _factor_eigen, _fix_signs, _rate_rows,
+                       diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 32768
-# doubles (256 KiB), 8 rows at dimension 61; about a dozen such arrays are
-# alive at once, so larger chunks raise peak memory while saving little
-# per-row overhead
+# doubles (256 KiB), 8 rows at dimension 61; about seven such arrays are
+# alive at once (in a stack's rate pass), so larger chunks raise peak
+# memory while saving little per-row overhead
 _CHUNK_ELEMENTS = 32768
 
 
@@ -219,8 +220,8 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
     error it failed with} for each of ``methods``: "pme" from the stacked
     population solve (``pme._steady_reports``), each report warned about
     as ``pme._warn_low_ground`` does, and "brme" from the stacked
-    density-matrix solve of the whole stack.  Both read one rate pass
-    (``spectral._rate_rows``) of the stack."""
+    density-matrix solve of the whole stack, after the sign rule.  Both
+    read one rate pass (``spectral._rate_rows``) of the stack."""
     solved: list[dict] = [{} for _ in energies]
     rates = None
     if "pme" in methods:
@@ -233,6 +234,8 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
                 _warn_low_ground(report)
             out["pme"] = report
     if "brme" in methods:
+        # rates are quadratic in each vector, but coherences are not
+        _fix_signs(vectors[:, 1:, 1:])
         es = EigenSystem(energies=energies, vectors=vectors, hamiltonian=None)
         try:
             reports = brme_steady_state(build_liouvillian(es, channels,
@@ -415,6 +418,8 @@ def _solve_rows(rows, count: int, eg: float, geometry, measure,
     def run(indices: range) -> list:
         energies, vectors, out = _eigen_rows(rows(indices), eg, geometry)
         good = [r for r, error in enumerate(out) if error is None]
+        if len(good) == len(out):
+            return measure(energies, vectors)
         if good:
             for r, value in zip(good, measure(energies[good], vectors[good])):
                 out[r] = value

@@ -186,8 +186,9 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
     Returns (populations, residuals, errors), where errors holds per row
     None or the SteadyStateError that row raised (its populations and
-    residual are then NaN).  Uniqueness is decided once per distinct
-    edge pattern, since closed classes depend on nothing else.  The
+    residual are then NaN).  A row with a rate from every excited state
+    into the ground state has one closed class, the ground state's; only
+    the other rows are searched for classes, once per edge pattern.  The
     unique rows are solved together by LU with row 0 replaced by ones;
     a row that comes out negative, unbalanced or not finite, or whose LU
     meets an exactly singular pivot, is solved again by state reduction
@@ -195,15 +196,12 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """
     rows, dim = chi.shape[:2]
     errors: list = [None] * rows
-    members: list = [None] * rows
-    edges = chi > 0
     classes: dict[bytes, list[list[int]]] = {}
-    for r in range(rows):
-        pattern = edges[r].tobytes()
+    for r in np.flatnonzero(~(chi[:, 0, 1:] > 0).all(axis=1)):
+        pattern = (chi[r] > 0).tobytes()
         if pattern not in classes:
             classes[pattern] = _closed_classes(chi[r])
         found = classes[pattern]
-        members[r] = found[0]
         if len(found) > 1:
             errors[r] = SteadyStateError(
                 f"degenerate steady state: rate graph has {len(found)} "
@@ -218,7 +216,7 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     accepted = _acceptable(unique, p)
     redo = np.flatnonzero(~accepted)
     for i in redo:
-        p[i] = _reduce_states(unique[i], members[ok[i]])
+        p[i] = _reduce_states(unique[i], _closed_classes(unique[i])[0])
     accepted[redo] = _acceptable(unique[redo], p[redo])
     for r, value in zip(ok[~accepted], p[~accepted].min(axis=1)):
         errors[r] = SteadyStateError(

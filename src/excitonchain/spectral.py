@@ -31,8 +31,10 @@ degenerate multiplet the centroid rule diagonalizes the in-plane centroid
 operators (y, then z among remaining ties), so symmetric parallel chains
 give reproducible, spatially distinct states rather than a LAPACK
 mixture, and orders the partners by their (x, y, z) site-support
-centroids.  Each vector's largest-magnitude component is made positive
-(the first site within the degeneracy tolerance of the largest).
+centroids.  The sign rule (:func:`_fix_signs`) runs only where a sign
+is read, on exported eigensystems (:func:`diagonalize`) and the
+density-matrix solver's stacks: rates and brightness are quadratic in
+each vector, and negating a vector negates every product and sum exactly.
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
@@ -184,16 +186,16 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     :func:`_full_eigen` where finite, or all clean chains' factor pairs
     (:func:`_eigen_row`), each solved by :func:`_sector_eigen`.  Masks
     over the stack then flag failed rows and rows whose lowest excited
-    energy does not exceed ``eg``; the sign rule runs once.  Returns
+    energy does not exceed ``eg``; the sign rule is left to the readers
+    of signs (see the module docstring).  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
     energy first, eigenvectors (R, n + 1, n + 1) in the ground + site
     basis, and per row None or its SpectralError (its energies and
     vectors are then NaN).
     """
     count, n = len(rows), geometry.n_sites
-    energies = np.full((count, n + 1), np.nan)
+    energies = np.empty((count, n + 1))
     full = np.zeros((count, n + 1, n + 1))
-    full[:, 1:, 1:] = np.nan
     if isinstance(rows[0], tuple):
         finite = np.ones(count, dtype=bool)
         for r, (chain, cell) in enumerate(rows):
@@ -202,8 +204,10 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     else:
         blocks = np.asarray(rows)
         finite = np.isfinite(blocks).all(axis=(1, 2))
-        energies[finite, 1:], full[finite, 1:, 1:] = _full_eigen(
-            blocks if finite.all() else blocks[finite], geometry.positions)
+        solved = slice(None) if finite.all() else finite  # a mask would copy
+        energies[~finite, 1:] = full[~finite, 1:, 1:] = np.nan
+        energies[solved, 1:], full[solved, 1:, 1:] = _full_eigen(
+            blocks[solved], geometry.positions)
     failed = np.isnan(energies[:, 1])
     low = ~failed & ~(energies[:, 1] > eg)
     errors: list = [None] * count
@@ -217,7 +221,6 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     energies[low, 1:] = full[low, 1:, 1:] = np.nan
     energies[:, 0] = eg
     full[:, 0, 0] = 1.0
-    _fix_signs(full[:, 1:, 1:])
     return energies, full, errors
 
 
@@ -331,7 +334,8 @@ def diagonalize(h: Hamiltonian) -> EigenSystem:
     """Diagonalize the excited block and assemble the full eigensystem.
 
     The Hamiltonian is checked for symmetry and its row
-    (:func:`_eigen_row`) solved as a stack of one by :func:`_eigen_rows`.
+    (:func:`_eigen_row`) solved as a stack of one by :func:`_eigen_rows`,
+    and the sign rule applied to its vectors (:func:`_fix_signs`).
     Raises SpectralError if the solver fails or if any excited eigenvalue
     does not exceed the ground-state energy (the one-way ground <->
     excited channels assume a strictly positive gap).
@@ -343,6 +347,7 @@ def diagonalize(h: Hamiltonian) -> EigenSystem:
                                             h.geometry)
     if errors[0] is not None:
         raise errors[0]
+    _fix_signs(vectors[0, 1:, 1:])
     return EigenSystem(energies=energies[0], vectors=vectors[0],
                        hamiltonian=h)
 
@@ -461,7 +466,6 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
-    excited = np.arange(dim - 1)
     w = np.zeros((rows, dim, dim))
     ground: dict[str, tuple] = {}
     densities = []
@@ -470,8 +474,9 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
             csq = _couplings(vectors, ch) ** 2
             densities.append(ch.spectral(omega_exc))
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            rates = densities[-1] * (csq @ csq.transpose(0, 2, 1))
-            rates[:, excited, excited] = 0.0
+            rates = csq @ csq.transpose(0, 2, 1)
+            rates *= densities[-1]
+            rates.reshape(rows, -1)[:, ::dim] = 0.0  # the diagonal n = m
             w[:, 1:, 1:] += rates
             continue
         out, into = ground.setdefault(ch.kind, (np.zeros((rows, dim - 1)),

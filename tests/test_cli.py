@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
 from excitonchain import cli
@@ -188,6 +190,10 @@ def test_sidecars_hold_only_the_settings_the_command_read(tmp_path, command):
     meta = json.loads(sidecar.read_text())
     assert set(meta["parameters"]) == {"command"} | COMMANDS[command][2]
     assert "sweep" not in meta
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    if "scipy" in meta:  # recorded only when a solve loaded it
+        assert meta["scipy"] == sys.modules["scipy"].__version__
 
 
 def _resolve(argv):

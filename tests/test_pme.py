@@ -1,3 +1,5 @@
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -269,9 +271,13 @@ def test_uniqueness_is_decided_once_per_edge_pattern(monkeypatch):
     real = pme._closed_classes
     monkeypatch.setattr(pme, "_closed_classes",
                         lambda m: calls.append(m) or real(m))
-    _, _, errors = _steady_rows(_generator_rows(w))
+    chi = _generator_rows(w)
+    _, _, errors = _steady_rows(chi)
     assert errors == [None] * 6
-    assert len(calls) == 2
+    # the other rows have a rate from every state into state 0, which alone
+    # proves their one closed class
+    [searched] = calls
+    np.testing.assert_array_equal(searched, chi[3])
 
 
 def _closed_class_count(w):
@@ -315,6 +321,53 @@ def test_generator_and_steady_state_properties(w):
     inflow = rates @ p
     outflow = rates.sum(axis=0) * p
     assert np.all(np.abs(inflow - outflow) <= 1e-9 * (inflow + outflow))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(RATE_MATRICES, st.booleans())
+def test_a_rate_into_the_ground_state_from_every_state_is_one_class(w,
+                                                                   direct):
+    if direct:  # give every excited state a rate into state 0
+        w[0, 1:] = np.where(w[0, 1:] > 0, w[0, 1:], 1e-20)
+    direct = bool((w[0, 1:] > 0).all())
+    search = mock.patch.object(pme, "_closed_classes", wraps=_closed_classes)
+    reduction = mock.patch.object(pme, "_reduce_states",
+                                  wraps=pme._reduce_states)
+    with search as searched, reduction as reduced:
+        _, _, errors = _steady_rows(_generator_rows(w[None]))
+    n_closed = _closed_class_count(w)
+    if direct:
+        assert n_closed == 1
+        assert errors == [None]
+    # a row without the direct rates is searched once; state reduction
+    # finds the class of the row it redoes
+    assert searched.call_count == (not direct) + reduced.call_count
+    if n_closed > 1:
+        assert isinstance(errors[0], SteadyStateError)
+        assert len(errors[0].components) == n_closed
+        assert all(str(c) in str(errors[0]) for c in errors[0].components)
+
+
+def test_only_rows_without_direct_rates_are_searched_for_classes():
+    # state 0 feeds 1 and 2; only 1 -> 0 is missing in the second row,
+    # and the third row has two absorbing states, 1 and 2
+    direct = np.array([[0.0, 0.3, 0.2], [0.5, 0.0, 0.7], [0.1, 0.4, 0.0]])
+    one_class = direct.copy()
+    one_class[0, 1] = 0.0
+    two_classes = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                            [0.1, 0.0, 0.0]])
+    chi = _generator_rows(np.stack([direct, one_class, two_classes]))
+    with mock.patch.object(pme, "_closed_classes",
+                           wraps=_closed_classes) as searched:
+        p, _, errors = _steady_rows(chi)
+    assert searched.call_count == 2
+    for (args, _), r in zip(searched.call_args_list, (1, 2)):
+        np.testing.assert_array_equal(args[0], chi[r])
+    assert errors[:2] == [None, None]
+    assert np.isfinite(p[:2]).all()
+    assert isinstance(errors[2], SteadyStateError)
+    assert errors[2].components == [[1], [2]]
+    assert "[[1], [2]]" in str(errors[2])
 
 
 def _scipy_closed_classes(edges):

@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from excitonchain import spectral
 from excitonchain.brme import BrmeError, build_liouvillian
@@ -16,13 +18,15 @@ from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian,
                                       factor_blocks)
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import solve_steady_state
-from excitonchain.spectral import (EigenSystem, SpectralError, _cell_modes,
+from excitonchain.pme import _steady_reports, solve_steady_state
+from excitonchain.spectral import (EigenSystem, SpectralError,
+                                   _brightness_rows, _cell_modes,
                                    _couplings, _eigen_row, _eigen_rows,
                                    _factor_eigen, _fix_signs, _full_eigen,
-                                   _pinned_eigen, _sector_eigen,
-                                   brightness, classify_bright_dark,
-                                   diagonalize, eigenstructure_tables,
+                                   _pinned_eigen, _rate_rows,
+                                   _sector_eigen, brightness,
+                                   classify_bright_dark, diagonalize,
+                                   eigenstructure_tables,
                                    transition_matrix)
 
 GAMMA_RAD = EnvironmentParams().gamma_rad
@@ -197,6 +201,56 @@ def test_sign_rule_in_place_on_a_strided_view_is_bit_for_bit(rng):
     np.testing.assert_array_equal(full[:, 1:, 1:], expected)
     assert (full[:, 0] == 0).all() and (full[:, :, 0] == 0).all()
     assert np.array_equal(np.signbit(full[:, 1:, 1:]), np.signbit(expected))
+
+
+# stacks as the population path solves them, without the sign rule: a
+# clean chain, a pinned row (syevr) and three disorder realizations
+SIGN_STACKS = {"clean": ("prism", 6, 10.0, 0.0),
+               "pinned": ("dimer", 30, 1.0, 0.0),
+               "disordered": ("prism", 6, 10.0, 0.9)}
+
+
+def unsigned_stack(kind, n_cells, jb, sigma):
+    h = build_hamiltonian(build_geometry(kind, n_cells), HamiltonianParams(),
+                          jb)
+    rows = ([_eigen_row(h)] if sigma == 0 else
+            [apply_disorder(h, DisorderSpec(sigma, 5, r)).excited_block
+             for r in range(3)])
+    energies, vectors, errors = _eigen_rows(rows, h.matrix[0, 0], h.geometry)
+    assert errors == [None] * len(rows)
+    channels = build_channels(h.geometry, EnvironmentParams(gamma_nr=0.003),
+                              delta_e=h.params.delta_e)
+    return energies, vectors, channels
+
+
+@pytest.mark.parametrize("stack", SIGN_STACKS.values(), ids=SIGN_STACKS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rates_and_steady_states_keep_their_bits_under_sign_flips(stack,
+                                                                  data):
+    # negating a vector negates every product and sum of its entries
+    # exactly, so whatever is quadratic in it keeps its bits: the
+    # population path needs no sign rule
+    energies, vectors, channels = unsigned_stack(*stack)
+    flips = data.draw(arrays(bool, (len(vectors), vectors.shape[-1] - 1)))
+    flipped = vectors.copy()
+    flipped[:, 1:, 1:] *= np.where(flips, -1.0, 1.0)[:, None, :]
+    (w, ground, densities), (w2, ground2, densities2) = (
+        _rate_rows(energies, v, channels) for v in (vectors, flipped))
+    assert np.array_equal(w, w2)
+    assert list(ground) == list(ground2)
+    for kind, pair in ground.items():
+        assert all(map(np.array_equal, pair, ground2[kind]))
+    assert len(densities) == len(densities2) == 1
+    assert np.array_equal(densities[0], densities2[0])
+    assert np.array_equal(_brightness_rows(vectors, channels),
+                          _brightness_rows(flipped, channels))
+    for report, report2 in zip(_steady_reports(w, ground),
+                               _steady_reports(w2, ground2)):
+        assert np.array_equal(report.populations, report2.populations)
+        assert report.current == report2.current
+        assert report.fluxes == report2.fluxes
+        assert report.residual == report2.residual
 
 
 def test_degenerate_chains_resolve_to_single_chain_states():
@@ -575,6 +629,11 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
     es, expected = diagonalize(h), general_eigensystem(h)
     np.testing.assert_array_equal(es.energies, expected.energies)
     np.testing.assert_array_equal(es.vectors, expected.vectors)
+    # diagonalize applies the sign rule: each vector's first entry within
+    # the degeneracy tolerance of its largest magnitude is positive
+    mag = np.abs(es.vectors)
+    lead = np.argmax(mag >= (1 - 1e-9) * mag.max(axis=0), axis=0)
+    assert (es.vectors[lead, np.arange(es.dimension)] > 0).all()
     # with a clean chain of its layout and a disordered row, stacked per
     # kind of row, each row comes out as diagonalize gives it alone
     clean = build_hamiltonian(replace(h.geometry, dipoles=None),
@@ -589,6 +648,8 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
         energies, vectors, errors = _eigen_rows(
             [rows[r] for r in picked], h.matrix[0, 0], h.geometry)
         assert errors == [None] * len(picked)
+        # the stacked rows leave the sign rule to exported eigensystems
+        _fix_signs(vectors[:, 1:, 1:])
         for out, r in enumerate(picked):
             alone = diagonalize(stack[r])
             np.testing.assert_array_equal(energies[out], alone.energies)
