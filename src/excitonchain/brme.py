@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Channel
-from .pme import SteadyStateReport, _closed_classes, _generator_rows
+from .pme import SteadyStateReport, _class_errors, _generator_rows
 from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
@@ -291,20 +291,14 @@ def _secular_inverse(liouvillian: Liouvillian) -> tuple:
     them: r / c becomes p o S + q o S^T in the real form.  Returns
     (precondition, errors): ``precondition(x)`` applies the inverses of
     the stack's rows to x (R, dim^2), and errors holds per row None or
-    its BrmeError: more than one closed class in the secular rate graph,
-    which means a degenerate steady state, or a singular bordered
-    generator, whose inverse is taken as zero.
+    its BrmeError: the population solver's verdict of a degenerate steady
+    state (``pme._class_errors``), with its message, or a singular
+    bordered generator.  A failed row's inverse is taken as zero.
     """
-    rates = liouvillian.rates
-    dim = rates.shape[1]
-    errors: list = [None] * len(rates)
-    for r, row in enumerate(rates):
-        n_closed = len(_closed_classes(row))
-        if n_closed != 1:
-            errors[r] = BrmeError(f"degenerate steady state: the secular "
-                                  f"rate graph has {n_closed} closed "
-                                  f"classes")
-    chi = _generator_rows(rates)
+    chi = _generator_rows(liouvillian.rates)
+    dim = chi.shape[1]
+    errors = [None if error is None else BrmeError(str(error))
+              for error in _class_errors(chi)]
     chi[:, 0] += 1.0
     try:
         chi_inverse = np.linalg.inv(chi)
@@ -527,12 +521,13 @@ def brme_steady_state(liouvillian: Liouvillian):
     the correction, so its stopping test is relative to that start's
     residual (injection-sized) rather than to the unit right-hand side.
     The rows of the stack share one lockstep GMRES (:func:`_gmres`).  A
-    secular rate graph with more than one closed class means a degenerate
-    steady state and fails the row, as do a singular bordered generator
-    and a solve that does not converge.  The result rho = sym(S) +
-    i antisym(S) is exactly Hermitian and trace-normalized; mild negative
-    eigenvalues (a known artifact of non-secular weak-coupling equations)
-    are warned about, while violations beyond 1e-6 fail the row.
+    row fails with the population solver's verdict of a degenerate steady
+    state (``pme._class_errors`` on the secular rates, the same message),
+    with a singular bordered generator, or with a solve that does not
+    converge.  The result rho = sym(S) + i antisym(S) is exactly
+    Hermitian and trace-normalized; mild negative eigenvalues (a known
+    artifact of non-secular weak-coupling equations) are warned about,
+    while violations beyond 1e-6 fail the row.
     ``extras["population_share"]`` is the share of the extraction current
     that eigenstate populations carry, sum_k out_k rho_kk / J with out
     the secular extraction rates (None when J is zero).

@@ -181,54 +181,57 @@ def steady_state(g: Generator) -> tuple[np.ndarray, float]:
     return p[0], float(residual[0])
 
 
+def _class_errors(chi: np.ndarray) -> list:
+    """The uniqueness verdict of both solvers on a stack of generators (R,
+    dim, dim): per row None or the SteadyStateError naming its closed
+    classes.  A rate from every excited state into the ground state proves
+    one class without a search; any other row is searched once."""
+    errors: list = [None] * len(chi)
+    for r in np.flatnonzero(~(chi[:, 0, 1:] > 0).all(axis=1)):
+        found = _closed_classes(chi[r])
+        if len(found) > 1:
+            errors[r] = SteadyStateError(
+                f"degenerate steady state: rate graph has {len(found)} "
+                f"disconnected closed classes {found}", components=found)
+    return errors
+
+
 def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """:func:`steady_state` of a stack of generators (R, dim, dim).
 
     Returns (populations, residuals, errors), where errors holds per row
     None or the SteadyStateError that row raised (its populations and
-    residual are then NaN).  A row with a rate from every excited state
-    into the ground state has one closed class, the ground state's; only
-    the other rows are searched for classes, once per edge pattern.  The
-    unique rows are solved together by LU with row 0 replaced by ones;
-    a row that comes out negative, unbalanced or not finite, or whose LU
-    meets an exactly singular pivot, is solved again by state reduction
-    on its closed class.
+    residual are then NaN): :func:`_class_errors`'s verdict, or a unique
+    row that state reduction does not save.  The whole stack is solved
+    together by LU with row 0 replaced by ones (a degenerate row's system
+    by the identity, its result then masked); a unique row that comes out
+    negative, unbalanced or not finite, or whose LU meets an exactly
+    singular pivot, is solved again by state reduction on its closed class.
     """
     rows, dim = chi.shape[:2]
-    errors: list = [None] * rows
-    classes: dict[bytes, list[list[int]]] = {}
-    for r in np.flatnonzero(~(chi[:, 0, 1:] > 0).all(axis=1)):
-        pattern = (chi[r] > 0).tobytes()
-        if pattern not in classes:
-            classes[pattern] = _closed_classes(chi[r])
-        found = classes[pattern]
-        if len(found) > 1:
-            errors[r] = SteadyStateError(
-                f"degenerate steady state: rate graph has {len(found)} "
-                f"disconnected closed classes {found}", components=found)
-    ok = np.flatnonzero([error is None for error in errors])
-    unique = chi if ok.size == rows else chi[ok]
-    bordered = unique.copy()
+    errors = _class_errors(chi)
+    degenerate = np.array([error is not None for error in errors])
+    bordered = chi.copy()
     bordered[:, 0] = 1.0
-    rhs = np.zeros((ok.size, dim, 1))
+    # a degenerate row's singular system would fail the whole stacked LU
+    bordered[degenerate] = np.eye(dim)
+    rhs = np.zeros((rows, dim, 1))
     rhs[:, 0] = 1.0
     p = _bordered_solve(bordered, rhs)
-    accepted = _acceptable(unique, p)
-    redo = np.flatnonzero(~accepted)
-    for i in redo:
-        p[i] = _reduce_states(unique[i], _closed_classes(unique[i])[0])
-    accepted[redo] = _acceptable(unique[redo], p[redo])
-    for r, value in zip(ok[~accepted], p[~accepted].min(axis=1)):
+    p[degenerate] = np.nan
+    accepted = _acceptable(chi, p)
+    redo = np.flatnonzero(~accepted & ~degenerate)
+    for r in redo:
+        p[r] = _reduce_states(chi[r], _closed_classes(chi[r])[0])
+    accepted[redo] = _acceptable(chi[redo], p[redo])
+    for r in redo[~accepted[redo]]:
         errors[r] = SteadyStateError(
             f"no nonnegative, flux-balanced steady state found (smallest "
-            f"population {value:.3e})")
-    if not accepted.all():
-        ok, unique, p = ok[accepted], unique[accepted], p[accepted]
+            f"population {p[r].min():.3e})")
+    p[~accepted] = np.nan
     p = np.clip(p, 0.0, None)
-    populations = np.full((rows, dim), np.nan)
-    populations[ok] = p / p.sum(axis=1, keepdims=True)
-    residual = np.full(rows, np.nan)
-    residual[ok] = np.abs(unique @ populations[ok, :, None]).max(axis=(1, 2))
+    populations = p / p.sum(axis=1, keepdims=True)
+    residual = np.abs(chi @ populations[..., None]).max(axis=(1, 2))
     return populations, residual, errors
 
 

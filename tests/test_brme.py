@@ -12,8 +12,8 @@ from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import build_generator, site_populations, \
-    solve_steady_state
+from excitonchain.pme import _class_errors, _generator_rows, \
+    build_generator, site_populations, solve_steady_state
 from excitonchain.spectral import EigenSystem, SpectralError, diagonalize, \
     transition_matrix
 
@@ -566,46 +566,50 @@ def test_a_row_that_does_not_converge_fails_alone(monkeypatch):
     assert reports[0].extras["krylov_iterations"] == 11
 
 
-def test_a_degenerate_row_fails_alone(monkeypatch):
+def test_a_degenerate_row_fails_alone():
+    # no secular rate leaves excited states 1 and 2 of the first row, so
+    # each is a closed class of its own; the population solver gives the
+    # same verdict in the same words
     es, channels, singles = stacked_system("prism", 4, (0.1, 1.0, 10.0))
     liouv = build_liouvillian(es, channels)
-    target = liouv.rates[0]
-    real = brme._closed_classes
-    monkeypatch.setattr(brme, "_closed_classes", lambda rates: (
-        [[0], [1]] if np.array_equal(rates, target) else real(rates)))
+    liouv.rates[0][:, 1:3] = 0.0
     reports = brme_steady_state(liouv)
-    assert str(reports[0]) == ("degenerate steady state: the secular rate "
-                               "graph has 2 closed classes")
+    assert isinstance(reports[0], BrmeError)
+    assert str(reports[0]) == ("degenerate steady state: rate graph has 2 "
+                               "disconnected closed classes [[1], [2]]")
+    [verdict] = _class_errors(_generator_rows(liouv.rates[:1]))
+    assert str(reports[0]) == str(verdict)
     for r in (1, 2):
         assert_same_report(reports[r], brme_steady_state(
             build_liouvillian(singles[r], channels)))
 
 
 def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
-    # a zero generator row leaves chi + e0 1^T singular: the stacked
-    # inverse falls back row by row, and only that row fails
-    es, channels, singles = stacked_system("mono", 3, (0.1, 1.0, 10.0))
+    # LAPACK fails to invert one row's bordered generator chi + e0 1^T,
+    # which fails the stacked inverse: it falls back row by row, and only
+    # that row fails
+    es, channels, singles = stacked_system("dimer", 3, (0.1, 1.0, 10.0))
     liouv = build_liouvillian(es, channels)
-    real = brme._generator_rows
+    singular = _generator_rows(liouv.rates)[1]
+    singular[0] += 1.0
+    inv = np.linalg.inv
 
-    def zero_middle(rates):
-        chi = real(rates)
-        chi[1] = 0.0
-        return chi
+    def failing_inv(a):
+        if any(np.array_equal(m, singular) for m in a.reshape(
+                -1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
 
-    monkeypatch.setattr(brme, "_generator_rows", zero_middle)
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
     reports = brme_steady_state(liouv)
     assert isinstance(reports[1], BrmeError)
     assert "singular" in str(reports[1])
-    monkeypatch.setattr(brme, "_generator_rows", real)
     for r in (0, 2):
         assert_same_report(reports[r], brme_steady_state(
             build_liouvillian(singles[r], channels)))
-    single = build_liouvillian(singles[1], channels)
-    monkeypatch.setattr(brme, "_generator_rows",
-                        lambda rates: real(rates) * 0.0)
+    # solved alone, a stack of one, the row fails the same way
     with pytest.raises(BrmeError, match="singular"):
-        brme_steady_state(single)
+        brme_steady_state(build_liouvillian(singles[1], channels))
 
 
 def test_row_norms_have_the_bits_of_numpy_norm(rng):

@@ -1,11 +1,12 @@
 import json
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from excitonchain import brme, experiments, spectral
+from excitonchain import brme, experiments, pme, spectral
 from excitonchain.cli import main
 from excitonchain.environment import EnvironmentParams
 from excitonchain.experiments import (SweepSpec, build_system, derive_seed,
@@ -303,6 +304,26 @@ def test_a_chain_makes_one_rate_pass_for_both_solvers(monkeypatch, method):
     rows, _ = length_sweep(spec)
     assert len(rows) == (12 if method == "both" else 6)
     assert passes == builds == [(3, 7), (3, 10)]
+
+
+def test_benchmark_traffic_needs_no_class_search():
+    # every row of the brme-check grid and of a disorder ensemble has a
+    # rate from every excited state into the ground state, which proves
+    # its steady state unique without a search; the density-matrix solver
+    # takes the population solver's verdict and searches nothing itself
+    assert "_closed_classes" not in vars(brme)
+    sweep = SweepSpec(geometries=("mono", "dimer", "prism"),
+                      n_cells_values=(2, 5, 10, 20),
+                      jb_values=(0.1, 1.0, 10.0), method="both")
+    ensemble = SweepSpec(geometries=("dimer", "prism"), n_cells_values=(20,),
+                         jb_values=(10.0,), sigma=0.9, n_realizations=20,
+                         seed=1)
+    with mock.patch.object(pme, "_closed_classes",
+                           wraps=pme._closed_classes) as searched:
+        rows, _ = length_sweep(sweep)
+        disorder_ensemble(ensemble)
+    assert len(rows) == 2 * 3 * 4 * 3
+    assert searched.call_count == 0
 
 
 def test_length_sweep_applies_the_cell_rule_once_per_coupling(monkeypatch):

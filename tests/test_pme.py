@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import mpmath
@@ -263,10 +264,10 @@ def test_a_singular_row_sends_only_itself_to_state_reduction(monkeypatch):
     np.testing.assert_array_equal(p[1], [0.0, 0.5, 0.5])
 
 
-def test_uniqueness_is_decided_once_per_edge_pattern(monkeypatch):
+def test_a_stack_searches_only_its_row_without_direct_rates(monkeypatch):
     rates, _ = make_rates("dimer", 3)
     w = rates.w * np.linspace(1.0, 2.0, 6)[:, None, None]
-    w[3, 0, 1] = 0.0  # a second edge pattern, still one closed class
+    w[3, 0, 1] = 0.0  # no rate from state 1 into 0, still one closed class
     calls = []
     real = pme._closed_classes
     monkeypatch.setattr(pme, "_closed_classes",
@@ -278,6 +279,43 @@ def test_uniqueness_is_decided_once_per_edge_pattern(monkeypatch):
     # proves their one closed class
     [searched] = calls
     np.testing.assert_array_equal(searched, chi[3])
+
+
+def test_degenerate_rows_inside_the_stacked_solve_fail_alone():
+    # state 0 feeds two closed classes, {1, 2} and {3, 4}, in one row and
+    # two absorbing states, 2 and 4, in another; in the last, state 0 is a
+    # closed class of its own, beside {1, 2, 3, 4}.  Their bordered
+    # generators are singular (exactly so for the absorbing pair), yet the
+    # stack takes one solve, no degenerate row warns, and none keeps a
+    # population
+    cycles = np.zeros((5, 5))
+    cycles[1, 0], cycles[3, 0] = 0.1, 0.3
+    cycles[2, 1], cycles[1, 2] = 0.7, 0.5
+    cycles[4, 3], cycles[3, 4] = 0.2, 0.4
+    absorbing = np.zeros((5, 5))
+    absorbing[1:, 0] = 0.1
+    absorbing[2, 1], absorbing[4, 3] = 0.7, 0.2
+    isolated = np.zeros((5, 5))
+    isolated[[2, 3, 4, 1], [1, 2, 3, 4]] = 0.5  # 1 -> 2 -> 3 -> 4 -> 1
+    regular = make_rates("mono", 4)[0].w
+    stack = np.stack([regular, cycles, 2 * regular, absorbing, isolated])
+    solve = mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve)
+    with warnings.catch_warnings(), solve as solved:
+        warnings.simplefilter("error")
+        p, residual, errors = _steady_rows(_generator_rows(stack))
+    assert solved.call_count == 1
+    assert errors[1].components == [[1, 2], [3, 4]]
+    assert errors[3].components == [[2], [4]]
+    assert errors[4].components == [[0], [1, 2, 3, 4]]
+    for r in (1, 3, 4):
+        assert isinstance(errors[r], SteadyStateError)
+        assert np.isnan(p[r]).all() and np.isnan(residual[r])
+    for r in (0, 2):
+        assert errors[r] is None
+        alone, alone_residual, _ = _steady_rows(
+            _generator_rows(stack[r][None]))
+        np.testing.assert_array_equal(p[r], alone[0])
+        assert residual[r] == alone_residual[0]
 
 
 def _closed_class_count(w):
