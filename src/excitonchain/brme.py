@@ -32,8 +32,9 @@ and the loss matrix K = sum A G is summed once.  The steady state comes
 from GMRES, preconditioned by the secular part of the Liouvillian and
 started from its solution.  The GMRES is this module's own restarted
 iteration (:func:`_gmres`), step for step scipy's, and the preconditioner
-applies one stored inverse of the population generator, so the solver
-runs on numpy alone.
+applies one stored inverse of the bordered population generator, taken
+with the population solver's batched solve, so the solver runs on numpy
+alone.
 
 The solver works on stacks of eigensystems, as the population solver
 does, and a single solve is a stack of one.  A :class:`Liouvillian` holds
@@ -41,13 +42,16 @@ the factored pieces of R eigensystems as (R, ...) arrays, built with
 batched products from the stack's one rate pass (which the population
 solve of the same stack reads too), and one lockstep GMRES solves the R
 rows: every product runs on the whole stack, while each row keeps its
-own Hessenberg matrix, rotations, inner tolerance and restarts, and a row
-that has stopped rides along with its result dropped.  Batching changes
-no row's arithmetic, so each row has the iterates, Krylov count and bits
-of its own solve, and a row that fails gets its own error while the
-others solve.
+own Hessenberg matrix, rotations and inner tolerance.  Restarts run in
+step: a row whose cycle ends, or that has stopped, rides along with its
+result dropped until the cycle's last row ends, and then every
+unconverged row restarts together.  Neither batching nor waiting changes
+a row's arithmetic, so each row is still scipy's ``gmres`` step for
+step, with the iterates, Krylov count and bits of its own solve, and a
+row that fails gets its own error while the others solve.
 
-The solve runs in real arithmetic.  A Hermitian rho = X + iY (X
+The solve runs in real arithmetic, and L is applied in the real form
+only (:meth:`Liouvillian.apply_real`).  A Hermitian rho = X + iY (X
 symmetric, Y antisymmetric) is stored as the one real matrix S = X + Y,
 a Frobenius isometry.  Every coefficient of L but the Bohr term is real
 and L preserves Hermiticity, so on S it acts as S -> L_r(S) + omega o S^T
@@ -71,7 +75,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Channel
-from .pme import SteadyStateReport, _class_errors, _generator_rows
+from .pme import SteadyStateReport, _bordered_solve, _class_errors, \
+    _generator_rows
 from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
@@ -106,7 +111,7 @@ class Liouvillian:
     every transition and the slice of its rows.  ``rates`` (R, dim, dim)
     are the population equation's rates and ``ground`` its per-kind
     (out, into) vectors, as ``spectral._rate_rows`` returns them.  The
-    (dim x dim) pieces :meth:`apply` needs are derived from these on
+    (dim x dim) pieces :meth:`apply_real` needs are derived from these on
     construction, in batched products; the diagonal of the Liouvillian on
     the coherences (``coherence_diagonal``) is formed on request.
     """
@@ -167,44 +172,27 @@ class Liouvillian:
         return (1j * self._omega + dephasing
                 - 0.5 * (decay[:, :, None] + decay[:, None, :]))
 
-    @property
-    def dimension(self) -> int:
-        return self.eigensystem.dimension
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for density matrices (R, dim, dim), or for one (dim x dim)
-        of a stack of one, in O(n_sites dim^2) each."""
-        return _stacked(rho, lambda r: self._dissipate(r, 1j * self._omega
-                                                       * r))
-
     def apply_real(self, s: np.ndarray) -> np.ndarray:
-        """L in the real form S = Re rho + Im rho of a Hermitian rho, for
-        (R, dim, dim) real forms or one (dim x dim) of a stack of one.
-
-        Every coefficient of L but the Bohr term is real, and L keeps rho
-        Hermitian, so the dissipator maps S to the real form of its image;
-        the Bohr term i omega o rho becomes omega o S^T.
-        """
-        return _stacked(s, lambda r: self._dissipate(r, self._omega * _t(r)))
-
-    def _dissipate(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add the dissipator of rho (R, dim, dim), real-linear in rho, to
-        ``out``."""
+        """L on a stack (R, dim, dim) of real forms S = Re rho + Im rho of
+        Hermitian rho, in O(n_sites dim^2) each: the dissipator, real on
+        real matrices, maps S to the real form of its image, and the Bohr
+        term i omega o rho becomes omega o S^T."""
+        out = self._omega * _t(s)
         # in place where it keeps the order of every operation
-        loss = self._loss @ rho
-        loss += rho @ _t(self._loss)
+        loss = self._loss @ s
+        loss += s @ _t(self._loss)
         loss *= 0.5
         out -= loss
-        for s, a in self._phonon:
+        for density, a in self._phonon:
             u = _t(a)
-            # G rho A and A rho G^T = (G rho^T A)^T, one channel per column;
-            # each stacked temporary is freed as soon as it is used up
-            pair = np.empty((len(rho), 2) + rho.shape[1:], dtype=rho.dtype)
-            pair[:, 0], pair[:, 1] = rho, _t(rho)
+            # G S A and A S G^T = (G S^T A)^T, one channel per column; each
+            # stacked temporary is freed as soon as it is used up
+            pair = np.empty((len(s), 2) + s.shape[1:])
+            pair[:, 0], pair[:, 1] = s, _t(s)
             q = pair @ u
             del pair
             q *= u
-            q = s @ q
+            q = density @ q
             q *= u
             jump = q @ a
             del q
@@ -213,18 +201,12 @@ class Liouvillian:
             gain *= 0.5
             out += gain
         # ground <-> site gain terms: column 0 feeds row 0 and vice versa,
-        # excited populations and coherences feed rho_00, rho_00 the pump
-        out[:, 0] += 0.5 * (self._transfer @ rho[:, :, :1])[..., 0]
-        out[:, :, 0] += 0.5 * (self._transfer @ rho[:, 0, :, None])[..., 0]
-        out[:, 0, 0] += 0.5 * (self._emission_form * rho).sum(axis=(1, 2))
-        out += 0.5 * rho[:, :1, :1] * self._pump
+        # excited populations and coherences feed S_00, S_00 the pump
+        out[:, 0] += 0.5 * (self._transfer @ s[:, :, :1])[..., 0]
+        out[:, :, 0] += 0.5 * (self._transfer @ s[:, 0, :, None])[..., 0]
+        out[:, 0, 0] += 0.5 * (self._emission_form * s).sum(axis=(1, 2))
+        out += 0.5 * s[:, :1, :1] * self._pump
         return out
-
-
-def _stacked(x: np.ndarray, fn) -> np.ndarray:
-    """fn of a stack (R, dim, dim); a (dim x dim) x as a stack of one."""
-    x = np.asarray(x)
-    return fn(x[None])[0] if x.ndim == 2 else fn(x)
 
 
 def build_liouvillian(es: EigenSystem, channels: list[Channel],
@@ -244,7 +226,7 @@ def build_liouvillian(es: EigenSystem, channels: list[Channel],
     for a channel whose weights do not match the system or a phonon row
     acting on more than one site.
     """
-    dim = es.dimension
+    dim = es.energies.shape[-1]
     energies = es.energies.reshape(-1, dim)
     vectors = es.vectors.reshape(-1, dim, dim)
     try:
@@ -285,33 +267,28 @@ def _secular_inverse(liouvillian: Liouvillian) -> tuple:
     forms.
 
     The bordered population generator chi + e0 1^T of each row is
-    inverted once per solve, so the diagonal costs one product per call
-    (a fresh solve per call is slower), and 1/c = p + iq with c the
-    Liouvillian's diagonal on the coherences (1 where it vanishes) scales
-    them: r / c becomes p o S + q o S^T in the real form.  Returns
-    (precondition, errors): ``precondition(x)`` applies the inverses of
-    the stack's rows to x (R, dim^2), and errors holds per row None or
-    its BrmeError: the population solver's verdict of a degenerate steady
-    state (``pme._class_errors``), with its message, or a singular
-    bordered generator.  A failed row's inverse is taken as zero.
+    inverted once per solve, by the population solver's batched solve
+    against the identity (``pme._bordered_solve``), so the diagonal costs
+    one product per call (a fresh solve per call is slower), and 1/c =
+    p + iq with c the Liouvillian's diagonal on the coherences (1 where
+    it vanishes) scales them: r / c becomes p o S + q o S^T in the real
+    form.  Returns (precondition, errors): ``precondition(x)`` applies the
+    inverses of the stack's rows to x (R, dim^2), and errors holds per row
+    None or its BrmeError: the population solver's verdict of a
+    degenerate steady state (``pme._class_errors``), with its message, or
+    a singular bordered generator (a NaN row of the solve).  A failed
+    row's inverse is taken as zero.
     """
     chi = _generator_rows(liouvillian.rates)
     dim = chi.shape[1]
     errors = [None if error is None else BrmeError(str(error))
-              for error in _class_errors(chi)]
+              for error in _class_errors(chi)[0]]
     chi[:, 0] += 1.0
-    try:
-        chi_inverse = np.linalg.inv(chi)
-    except np.linalg.LinAlgError:
-        # one singular row fails the stacked inverse: invert row by row,
-        # so that every other row keeps the bits of its own inverse
-        chi_inverse = np.zeros_like(chi)
-        for r, row in enumerate(chi):
-            try:
-                chi_inverse[r] = np.linalg.inv(row)
-            except np.linalg.LinAlgError:
-                errors[r] = errors[r] or BrmeError(
-                    "the bordered secular generator is singular")
+    chi_inverse = _bordered_solve(chi, np.broadcast_to(np.eye(dim),
+                                                       chi.shape))
+    for r in np.flatnonzero(np.isnan(chi_inverse).any(axis=(1, 2))):
+        errors[r] = errors[r] or BrmeError(
+            "the bordered secular generator is singular")
     # a failed row's inverse is zero, so its stand-in solve stays finite
     chi_inverse[[error is not None for error in errors]] = 0.0
     coherences = liouvillian.coherence_diagonal
@@ -364,13 +341,15 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
 
     The rows share every product: ``matvec`` and ``psolve`` apply the
     operators of the whole stack to (R, n) arrays, and the dot products
-    and norms are batched, each row's with the bits of its own.  A row
-    keeps its Hessenberg matrix, rotations, tolerance and restart count
-    in Python floats and stops once it has converged or used its
-    restarts; a stopped row, or one restarted behind the others, rides
-    along on finite stand-in vectors whose results are dropped.  The
-    Arnoldi bases live in one (R, n) array per column, allocated as the
-    rows first reach it.  ``psolve`` returns a new array, which is
+    and norms are batched, each row's with the bits of its own.  Restarts
+    run in step, so every row of a cycle stands at the same Arnoldi
+    column.  A row whose cycle ends rides along on finite stand-in
+    vectors, its results dropped, as a stopped row does; once the cycle's
+    last row has ended, every row back-substitutes, one residual product
+    follows and every unconverged row restarts.  A row keeps its
+    Hessenberg matrix, rotations and tolerance in Python floats.  The
+    Arnoldi bases live in one (R, n) array per column, allocated as a
+    cycle first reaches it.  ``psolve`` returns a new array, which is
     overwritten.  Returns (x, converged), converged an (R,) boolean array.
     """
     count, n = b.shape
@@ -381,13 +360,11 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     x = np.zeros((count, n))
     converged = np.array([value == 0 for value in bnrm2])
     active = np.flatnonzero(~converged).tolist()
-    # basis[k] holds column k of every row's Arnoldi basis, allocated as
-    # the rows first reach it; zeros, so a row that never reaches it
-    # stands in with a finite vector
+    # basis[k] holds column k of every row's Arnoldi basis, allocated as a
+    # cycle first reaches it; zeros, so a row that never reaches it stands
+    # in with a finite vector
     basis = [np.zeros((count, n))]
     scaled = np.empty((count, n))
-    col = [0] * count
-    cycles = [0] * count
     rhs: list = [None] * count
     columns: list = [None] * count
     rotations: list = [None] * count
@@ -395,103 +372,80 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     presid = [0.0] * count
     ptol_factor = [1.0] * count
     ptol = [0.0] * count
-
-    def begin(rows: list[int], z: np.ndarray) -> list[float]:
-        """Start a cycle of each row from its preconditioned residual z;
-        returns the norms of z."""
-        beta = _norms(z).tolist()
-        for r in rows:
-            np.multiply(z[r], 1 / beta[r], out=basis[0][r])
-            rhs[r], columns[r], rotations[r] = [beta[r]], [], []
-            col[r], breakdown[r] = 0, False
-            cycles[r] += 1
-        return beta
-
-    beta = begin(active, psolve(b))
+    z = psolve(b)
+    beta = _norms(z).tolist()
     # the inner loop stops on the preconditioned residual (scipy gh-8400)
     for r in active:
         ptol[r] = beta[r] * min(1.0, atol[r] / bnrm2[r])
-    while active:
-        cols = [col[r] for r in active]
-        top = max(cols)
-        v = basis[top]
-        if min(cols) < top:
-            # rows restarted at different times stand at different columns
-            v = v.copy()
-            for r, c in zip(active, cols):
-                v[r] = basis[c][r]
-        w = psolve(matvec(v))
-        if len(basis) < top + 2:
-            basis.append(np.zeros((count, n)))
-        h0 = _norms(w).tolist()
-        # modified Gram-Schmidt, batched over the stack; a row standing
-        # at a column c behind the top keeps its remainder after
-        # projection c
-        behind: dict[int, list[int]] = {}
-        for r, c in zip(active, cols):
-            if c < top:
-                behind.setdefault(c, []).append(r)
-        dots = np.empty((top + 1, count))
-        kept = {}
-        for k, vk in enumerate(basis[:top + 1]):
-            w -= np.multiply(vk, np.vecdot(vk, w, out=dots[k])[:, None],
-                             out=scaled)
-            for r in behind.get(k, ()):
-                kept[r] = w[r].copy()
-        for r, remainder in kept.items():
-            w[r] = remainder
-        dots = dots.T.tolist()
-        h1 = _norms(w).tolist()
-        ended = []
-        for r, c_col in zip(active, cols):
-            h = dots[r][:c_col + 1]
-            if h1[r] > eps * h0[r]:
-                h.append(h1[r])
-                np.multiply(w[r], 1 / h1[r], out=basis[c_col + 1][r])
-            else:
-                h.append(0.0)
-                breakdown[r] = True
-            for k, (c, s) in enumerate(rotations[r]):
-                h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
-                                  -s * h[k] + c * h[k + 1])
-            c, s, h[c_col] = _givens(h[c_col], h[c_col + 1])
-            h[c_col + 1] = 0.0
-            rotations[r].append((c, s))
-            columns[r].append(h)
-            tail = -s * rhs[r][c_col]
-            rhs[r][c_col] *= c
-            rhs[r].append(tail)
-            presid[r] = abs(tail)
-            callback(r, presid[r] / bnrm2[r])
-            if presid[r] <= ptol[r] or breakdown[r] or c_col == restart - 1:
-                ended.append(r)
-            else:
-                col[r] += 1
-        if not ended:
-            continue
-        del v, w  # the step's vectors, freed before the residual's product
-        for r in ended:
+    for cycle in range(1, _GMRES_MAX_RESTARTS + 1):
+        if not active:
+            break
+        for r in active:
+            np.multiply(z[r], 1 / beta[r], out=basis[0][r])
+            rhs[r], columns[r], rotations[r] = [beta[r]], [], []
+            breakdown[r] = False
+        del z
+        running = active
+        for j in range(restart):
+            w = psolve(matvec(basis[j]))
+            if len(basis) < j + 2:
+                basis.append(np.zeros((count, n)))
+            h0 = _norms(w).tolist()
+            # modified Gram-Schmidt, batched over the stack
+            dots = np.empty((j + 1, count))
+            for k, vk in enumerate(basis[:j + 1]):
+                w -= np.multiply(vk, np.vecdot(vk, w, out=dots[k])[:, None],
+                                 out=scaled)
+            dots = dots.T.tolist()
+            h1 = _norms(w).tolist()
+            going = []
+            for r in running:
+                h = dots[r]
+                if h1[r] > eps * h0[r]:
+                    h.append(h1[r])
+                    np.multiply(w[r], 1 / h1[r], out=basis[j + 1][r])
+                else:
+                    h.append(0.0)
+                    breakdown[r] = True
+                for k, (c, s) in enumerate(rotations[r]):
+                    h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
+                                      -s * h[k] + c * h[k + 1])
+                c, s, h[j] = _givens(h[j], h[j + 1])
+                h[j + 1] = 0.0
+                rotations[r].append((c, s))
+                columns[r].append(h)
+                tail = -s * rhs[r][j]
+                rhs[r][j] *= c
+                rhs[r].append(tail)
+                presid[r] = abs(tail)
+                callback(r, presid[r] / bnrm2[r])
+                if presid[r] > ptol[r] and not breakdown[r]:
+                    going.append(r)
+            running = going
+            if not running:
+                break
+        del w  # the step's vectors, freed before the cycle's products
+        for r in active:
             # back-substitute the triangular factor, pseudo-solving a zero
             # pivot
-            last, triangle = col[r], columns[r]
+            triangle = columns[r]
+            last = len(triangle) - 1
             y = rhs[r][:last + 1]
             if triangle[last][last] == 0:
                 y[last] = 0.0
             for k in range(last, -1, -1):
                 if y[k] != 0:
                     y[k] /= triangle[k][k]
-                    for j in range(k):
-                        y[j] -= y[k] * triangle[k][j]
+                    for i in range(k):
+                        y[i] -= y[k] * triangle[k][i]
             x[r] += np.array(y) @ np.array([column[r]
                                             for column in basis[:last + 1]])
         residual = b - matvec(x)
         rnorm = _norms(residual).tolist()
         restarted = []
-        for r in ended:
+        for r in active:
             converged[r] = rnorm[r] <= atol[r]
-            if (converged[r] or breakdown[r]
-                    or cycles[r] == _GMRES_MAX_RESTARTS):
-                active.remove(r)
+            if converged[r] or breakdown[r]:
                 continue
             if presid[r] <= ptol[r]:
                 ptol_factor[r] = max(eps, 0.25 * ptol_factor[r])
@@ -499,8 +453,10 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
                 ptol_factor[r] = min(1.0, 1.5 * ptol_factor[r])
             ptol[r] = presid[r] * min(ptol_factor[r], atol[r] / rnorm[r])
             restarted.append(r)
-        if restarted:
-            begin(restarted, psolve(residual))
+        active = restarted
+        if active and cycle < _GMRES_MAX_RESTARTS:
+            z = psolve(residual)
+            beta = _norms(z).tolist()
     return x, converged
 
 

@@ -181,19 +181,22 @@ def steady_state(g: Generator) -> tuple[np.ndarray, float]:
     return p[0], float(residual[0])
 
 
-def _class_errors(chi: np.ndarray) -> list:
+def _class_errors(chi: np.ndarray) -> tuple[list, list]:
     """The uniqueness verdict of both solvers on a stack of generators (R,
-    dim, dim): per row None or the SteadyStateError naming its closed
-    classes.  A rate from every excited state into the ground state proves
-    one class without a search; any other row is searched once."""
+    dim, dim): (errors, classes), per row None or the SteadyStateError
+    naming its closed classes, and the closed classes found (None for a
+    row not searched).  A rate from every excited state into the ground
+    state proves one class without a search; any other row is searched
+    once."""
     errors: list = [None] * len(chi)
+    classes: list = [None] * len(chi)
     for r in np.flatnonzero(~(chi[:, 0, 1:] > 0).all(axis=1)):
-        found = _closed_classes(chi[r])
+        found = classes[r] = _closed_classes(chi[r])
         if len(found) > 1:
             errors[r] = SteadyStateError(
                 f"degenerate steady state: rate graph has {len(found)} "
                 f"disconnected closed classes {found}", components=found)
-    return errors
+    return errors, classes
 
 
 def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -206,10 +209,11 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     together by LU with row 0 replaced by ones (a degenerate row's system
     by the identity, its result then masked); a unique row that comes out
     negative, unbalanced or not finite, or whose LU meets an exactly
-    singular pivot, is solved again by state reduction on its closed class.
+    singular pivot, is solved again by state reduction on its closed class
+    (the verdict's, or found now for a row the verdict did not search).
     """
     rows, dim = chi.shape[:2]
-    errors = _class_errors(chi)
+    errors, classes = _class_errors(chi)
     degenerate = np.array([error is not None for error in errors])
     bordered = chi.copy()
     bordered[:, 0] = 1.0
@@ -217,12 +221,13 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     bordered[degenerate] = np.eye(dim)
     rhs = np.zeros((rows, dim, 1))
     rhs[:, 0] = 1.0
-    p = _bordered_solve(bordered, rhs)
+    p = _bordered_solve(bordered, rhs)[..., 0]
     p[degenerate] = np.nan
     accepted = _acceptable(chi, p)
     redo = np.flatnonzero(~accepted & ~degenerate)
     for r in redo:
-        p[r] = _reduce_states(chi[r], _closed_classes(chi[r])[0])
+        p[r] = _reduce_states(chi[r],
+                              (classes[r] or _closed_classes(chi[r]))[0])
     accepted[redo] = _acceptable(chi[redo], p[redo])
     for r in redo[~accepted[redo]]:
         errors[r] = SteadyStateError(
@@ -236,17 +241,18 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 def _bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions (R, dim) of the stacked systems, NaN for a singular one.
+    """Solutions (R, dim, k) of the stacked systems bordered x = rhs (R,
+    dim, k), NaN for a singular one.
 
     One exactly singular pivot fails a whole batched solve, so a failed
     stack is solved again row by row; every other row then keeps the
     bits its own solve gives.
     """
     try:
-        return np.linalg.solve(bordered, rhs)[..., 0]
+        return np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         if len(bordered) == 1:
-            return np.full(bordered.shape[:2], np.nan)
+            return np.full(rhs.shape, np.nan)
         return np.concatenate([_bordered_solve(b[None], r[None])
                                for b, r in zip(bordered, rhs)])
 

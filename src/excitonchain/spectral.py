@@ -73,8 +73,8 @@ class EigenSystem:
     ``vectors`` is the k-th eigenstate in the ground + site basis.
     ``hamiltonian`` is None for a sweep row, whose dense matrix is not built.
     The density-matrix solver also takes a stack of R eigensystems as
-    one: energies (R, dim) and vectors (R, dim, dim), of which it reads
-    only these two and ``dimension``.
+    one: energies (R, dim) and vectors (R, dim, dim), the only two fields
+    it reads.
     """
 
     energies: np.ndarray

@@ -150,10 +150,21 @@ def real_form(rho):
     return rho.real + rho.imag
 
 
+def apply(liouv, rho):
+    """L(rho) of any complex (dim x dim) rho from the real form alone: rho
+    = H1 + i H2 with H1, H2 Hermitian, and L(rho) = L(H1) + i L(H2), where
+    L(H) = sym(W) + i antisym(W) with W the real-form image of H."""
+    images = []
+    for h in ((rho + rho.conj().T) / 2, (rho - rho.conj().T) / 2j):
+        w = liouv.apply_real(real_form(h)[None])[0]
+        images.append(0.5 * (w + w.T) + 0.5j * (w - w.T))
+    return images[0] + 1j * images[1]
+
+
 def assert_apply_matches(liouv, brute, rng):
     for _ in range(5):
-        rho = random_complex(rng, liouv.dimension)
-        drho = liouv.apply(rho).reshape(-1)
+        rho = random_complex(rng, liouv.matrix.shape[-1])
+        drho = apply(liouv, rho).reshape(-1)
         assert np.abs(drho - brute @ rho.reshape(-1)).max() < 1e-12
 
 
@@ -219,8 +230,8 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
     for _ in range(5):
         rho = random_hermitian(rng, dim)
         image = (brute @ rho.reshape(-1)).reshape(dim, dim)
-        assert (np.abs(liouv.apply_real(real_form(rho)) - real_form(image))
-                .max() < 1e-12)
+        assert (np.abs(liouv.apply_real(real_form(rho)[None])[0]
+                       - real_form(image)).max() < 1e-12)
         # the coherences scale as r / c, the populations solve chi p = r
         scaled = real_form(rho / coherences)
         z = precondition(real_form(rho).reshape(1, -1)).reshape(dim, dim)
@@ -276,7 +287,7 @@ def test_bundling_rows_into_channels_changes_no_rate_or_liouvillian(
     assert liouv_split.kinds == liouv.kinds
     for _ in range(5):
         rho = random_complex(rng, es.dimension)
-        np.testing.assert_allclose(liouv_split.apply(rho), liouv.apply(rho),
+        np.testing.assert_allclose(apply(liouv_split, rho), apply(liouv, rho),
                                    atol=1e-16, rtol=1e-12)
 
 
@@ -304,16 +315,23 @@ def test_trace_is_a_left_null_vector():
     for k in range(dim * dim):
         basis = np.zeros((dim, dim))
         basis.flat[k] = 1.0
-        assert abs(np.trace(liouv.apply(basis))) < 1e-10
+        assert abs(np.trace(apply(liouv, basis))) < 1e-10
 
 
 def test_hermiticity_is_preserved(rng):
+    # L = i omega o rho + D(rho) keeps rho Hermitian exactly when its
+    # dissipator D, real on real matrices, commutes with transposition;
+    # on a real form S, L is omega o S^T + D(S)
     es, channels = make_system("dimer", 3, jb=1.0)
     liouv = build_liouvillian(es, channels)
+    omega = es.energies[None, :] - es.energies[:, None]
+
+    def dissipator(s):
+        return liouv.apply_real(s[None])[0] - omega * s.T
+
     for _ in range(5):
-        raw = random_complex(rng, es.dimension)
-        drho = liouv.apply(raw + raw.conj().T)
-        assert np.abs(drho - drho.conj().T).max() < 1e-10
+        s = rng.normal(size=(es.dimension, es.dimension))
+        assert np.abs(dissipator(s.T) - dissipator(s).T).max() < 1e-10
 
 
 def test_zero_channels_leave_a_degenerate_null_space():
@@ -372,6 +390,15 @@ def test_gmres_follows_scipy(monkeypatch, n, restart, max_restarts):
         assert converged[r] == (info == 0)
         assert (np.linalg.norm(x[r] - expected)
                 <= 1e-12 * np.linalg.norm(expected))
+        # and the bits of its own solve, a stack of one, however the other
+        # rows end their cycles
+        alone = []
+        x_alone, converged_alone = brme._gmres(
+            lambda v: (a[r:r + 1] @ v[..., None])[..., 0],
+            lambda v: (m[r:r + 1] @ v[..., None])[..., 0], b[r:r + 1],
+            lambda _, value: alone.append(value))
+        assert (alone == ours[r] and converged_alone[0] == converged[r]
+                and np.array_equal(x_alone[0], x[r]))
 
 
 def test_gmres_breakdown_on_the_identity_converges_at_once():
@@ -577,7 +604,7 @@ def test_a_degenerate_row_fails_alone():
     assert isinstance(reports[0], BrmeError)
     assert str(reports[0]) == ("degenerate steady state: rate graph has 2 "
                                "disconnected closed classes [[1], [2]]")
-    [verdict] = _class_errors(_generator_rows(liouv.rates[:1]))
+    [verdict], _ = _class_errors(_generator_rows(liouv.rates[:1]))
     assert str(reports[0]) == str(verdict)
     for r in (1, 2):
         assert_same_report(reports[r], brme_steady_state(
@@ -585,22 +612,22 @@ def test_a_degenerate_row_fails_alone():
 
 
 def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
-    # LAPACK fails to invert one row's bordered generator chi + e0 1^T,
-    # which fails the stacked inverse: it falls back row by row, and only
+    # LAPACK fails to solve one row's bordered generator chi + e0 1^T,
+    # which fails the stacked solve: it falls back row by row, and only
     # that row fails
     es, channels, singles = stacked_system("dimer", 3, (0.1, 1.0, 10.0))
     liouv = build_liouvillian(es, channels)
     singular = _generator_rows(liouv.rates)[1]
     singular[0] += 1.0
-    inv = np.linalg.inv
+    solve = np.linalg.solve
 
-    def failing_inv(a):
+    def failing_solve(a, b):
         if any(np.array_equal(m, singular) for m in a.reshape(
                 -1, *a.shape[-2:])):
             raise np.linalg.LinAlgError("Singular matrix")
-        return inv(a)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
     reports = brme_steady_state(liouv)
     assert isinstance(reports[1], BrmeError)
     assert "singular" in str(reports[1])
