@@ -279,7 +279,7 @@ def _secular_inverse(liouvillian: Liouvillian) -> tuple:
     a singular bordered generator (a NaN row of the solve).  A failed
     row's inverse is taken as zero.
     """
-    chi = _generator_rows(liouvillian.rates)
+    chi = _generator_rows(liouvillian.rates.copy())
     dim = chi.shape[1]
     errors = [None if error is None else BrmeError(str(error))
               for error in _class_errors(chi)[0]]

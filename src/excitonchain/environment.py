@@ -66,15 +66,20 @@ class DrudeLorentzBath:
             raise ChannelError("temperature and width must be positive")
 
     def __call__(self, omega):
+        value = self._evaluate(np.array(omega, dtype=float))
+        return value if value.ndim else float(value)
+
+    def _evaluate(self, omega: np.ndarray) -> np.ndarray:
+        """The density at a float array omega, written into omega."""
         coupling, width, peak = self.coupling, self.width, self.peak
         temperature = self.temperature
-        omega = np.asarray(omega, dtype=float)
-        # lorentz * |omega| * (bose + step) in two work arrays, written in
-        # place: a rate stack's (R, dim, dim) temporaries are each large
-        # enough to be mapped and faulted in afresh
+        # lorentz * |omega| * (bose + step) in omega and one work array,
+        # written in place: a rate stack's (R, dim, dim) temporaries are
+        # each large enough to be mapped and faulted in afresh
+        step = omega > 0
         aw = np.abs(omega, out=np.empty(omega.shape))
         zero = aw == 0
-        value = np.subtract(aw, peak, out=np.empty(omega.shape))
+        value = np.subtract(aw, peak, out=omega)
         np.square(value, out=value)
         np.add(width**2, value, out=value)
         np.divide(np.pi * width * coupling, value, out=value)
@@ -86,12 +91,12 @@ class DrudeLorentzBath:
             np.expm1(bose, out=bose)
             np.divide(1.0, bose, out=bose)
         np.copyto(bose, 0.0, where=~positive)
-        np.add(bose, omega > 0, out=bose)
+        np.add(bose, step, out=bose)
         np.multiply(value, bose, out=value)
         zero_limit = (np.pi * width * coupling * temperature
                       / (width**2 + peak**2))
         np.copyto(value, zero_limit, where=zero)
-        return value if value.ndim else float(value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,13 @@ class FlatStep:
                                f"{self.direction!r}")
 
     def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        value = self.rate * (omega > 0 if self.direction == "up"
-                             else omega < 0)
+        value = self._evaluate(np.array(omega, dtype=float))
         return value if value.ndim else float(value)
+
+    def _evaluate(self, omega: np.ndarray) -> np.ndarray:
+        """The density at a float array omega, written into omega."""
+        on = omega > 0 if self.direction == "up" else omega < 0
+        return np.multiply(self.rate, on, out=omega)
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,9 @@ class Channel:
     diag(w) and must be single-site; a row of every other kind acts as the
     ground <-> site operator sum_s w_s (|0><s| + |s><0|).
 
-    ``projectors`` is resolved once from a phonon operator whose every row
-    acts on one site: (sqrt(|w|), site) per row; None otherwise.
+    ``projectors`` is resolved once from an operator whose every row acts
+    on one site: (sqrt(|w|) per phonon row or w per other row, sites), or
+    (None, slice) for unit weights on contiguous sites; None otherwise.
     """
 
     kind: str
@@ -146,12 +155,18 @@ class Channel:
 
     def __post_init__(self):
         w = self.operator
-        if (self.kind == "phonon" and isinstance(w, np.ndarray)
-                and w.ndim == 2
-                and np.all(np.count_nonzero(w, axis=1) == 1)):
-            rows, sites = np.nonzero(w)
-            object.__setattr__(self, "projectors",
-                               (np.sqrt(np.abs(w[rows, sites])), sites))
+        if not (isinstance(w, np.ndarray) and w.ndim == 2
+                and np.count_nonzero(w) == len(w)):
+            return
+        sites = np.abs(w).argmax(axis=1)
+        scale = w[np.arange(len(w)), sites]
+        if not scale.all():  # a row without weight: another holds two
+            return
+        if self.kind == "phonon":
+            scale = np.sqrt(np.abs(scale))
+        if sites.size and (scale == 1).all() and (np.diff(sites) == 1).all():
+            scale, sites = None, slice(sites[0], sites[-1] + 1)
+        object.__setattr__(self, "projectors", (scale, sites))
 
     def describe(self) -> dict:
         out = {"kind": self.kind}

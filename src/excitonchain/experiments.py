@@ -57,11 +57,11 @@ from .spectral import (EigenSystem, _brightness_rows, _cell_modes,
                        _eigen_rows, _factor_eigen, _fix_signs, _rate_rows,
                        diagonalize)
 
-# rows per stacked chunk: each (R, dim, dim) array stays near 32768
-# doubles (256 KiB), 8 rows at dimension 61; about seven such arrays are
-# alive at once (in a stack's rate pass), so larger chunks raise peak
-# memory while saving little per-row overhead
-_CHUNK_ELEMENTS = 32768
+# rows per stacked chunk: each (R, dim, dim) array stays near 49152
+# doubles (384 KiB), 13 rows at dimension 61; about 4.5 such arrays are
+# alive at once (at a stack's phonon overlap product, in its rate pass),
+# so larger chunks raise peak memory while saving little per-row overhead
+_CHUNK_ELEMENTS = 49152
 
 
 def _chunk_size(dim: int) -> int:
@@ -221,13 +221,16 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
     population solve (``pme._steady_reports``), each report warned about
     as ``pme._warn_low_ground`` does, and "brme" from the stacked
     density-matrix solve of the whole stack, after the sign rule.  Both
-    read one rate pass (``spectral._rate_rows``) of the stack."""
+    read one rate pass (``spectral._rate_rows``) of the stack, the PME in
+    a copy of its rates w when the density-matrix solve reads w too."""
     solved: list[dict] = [{} for _ in energies]
     rates = None
     if "pme" in methods:
         rates = _rate_rows(energies, vectors, channels)
         w, ground = rates[:2]
-        if "brme" not in methods:
+        if "brme" in methods:
+            w = w.copy()
+        else:
             rates = None  # frees the phonon densities before the solve
         for out, report in zip(solved, _steady_reports(w, ground)):
             if isinstance(report, SteadyStateReport):

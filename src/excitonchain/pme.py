@@ -9,9 +9,12 @@ steady state solves chi P = 0 with sum(P) = 1, which is one LU solve of
 chi with row 0 replaced by ones against e0; stacks of generators are
 solved in one batched call, and their reports (current, fluxes,
 residual, ground population) assembled together: one steady state is a
-stack of one.  A solution that is negative or out of flux
-balance at some state (cancellation in the LU, when rates span many
-decades) is redone by state reduction, which subtracts nothing.
+stack of one.  A stack's generators are formed in its rate matrices'
+place and its LU runs on them, row 0 swapped in and restored; the public
+functions solve copies, so none writes its argument.  A solution that is
+negative or out of flux balance at some state (cancellation in the LU,
+when rates span many decades) is redone by state reduction, which
+subtracts nothing.
 
 Stacked reports do not warn; whoever reads them decides.  A single solve
 (:func:`solve_steady_state`, or a point or length-sweep row measured by
@@ -80,21 +83,21 @@ class SteadyStateReport:
 
 def build_generator(w) -> Generator:
     """Build chi from a rate matrix (RateMatrix or plain array)."""
-    matrix = w.w if isinstance(w, RateMatrix) else np.asarray(w, dtype=float)
+    matrix = np.array(w.w if isinstance(w, RateMatrix) else w, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("rate matrix must be square")
     return Generator(chi=_generator_rows(matrix[None])[0])
 
 
 def _generator_rows(w: np.ndarray) -> np.ndarray:
-    """Generators chi of a stack of rate matrices (R, dim, dim)."""
+    """Generators chi of a stack of rate matrices w (R, dim, dim),
+    formed in w's place."""
     diag = np.arange(w.shape[-1])
-    chi = w.copy()
-    chi[:, diag, diag] = 0.0
-    if chi.min() < 0:
+    w[:, diag, diag] = 0.0
+    if w.min() < 0:
         raise ValueError("off-diagonal rates must be nonnegative")
-    chi[:, diag, diag] = -chi.sum(axis=1)
-    return chi
+    w[:, diag, diag] = -w.sum(axis=1)
+    return w
 
 
 def _reaches_all(edges: np.ndarray) -> bool:
@@ -175,7 +178,7 @@ def steady_state(g: Generator) -> tuple[np.ndarray, float]:
     negative ones, above -1e-12 times the largest population, are clipped
     to zero) and in flux balance state by state.
     """
-    p, residual, errors = _steady_rows(g.chi[None])
+    p, residual, errors = _steady_rows(g.chi[None].copy())
     if errors[0] is not None:
         raise errors[0]
     return p[0], float(residual[0])
@@ -211,17 +214,20 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     negative, unbalanced or not finite, or whose LU meets an exactly
     singular pivot, is solved again by state reduction on its closed class
     (the verdict's, or found now for a row the verdict did not search).
+    The LU runs on chi, row 0 and degenerate rows swapped in and restored.
     """
     rows, dim = chi.shape[:2]
     errors, classes = _class_errors(chi)
     degenerate = np.array([error is not None for error in errors])
-    bordered = chi.copy()
-    bordered[:, 0] = 1.0
+    row0, kept = chi[:, 0].copy(), chi[degenerate]
+    chi[:, 0] = 1.0
     # a degenerate row's singular system would fail the whole stacked LU
-    bordered[degenerate] = np.eye(dim)
+    chi[degenerate] = np.eye(dim)
     rhs = np.zeros((rows, dim, 1))
     rhs[:, 0] = 1.0
-    p = _bordered_solve(bordered, rhs)[..., 0]
+    p = _bordered_solve(chi, rhs)[..., 0]
+    chi[:, 0] = row0
+    chi[degenerate] = kept
     p[degenerate] = np.nan
     accepted = _acceptable(chi, p)
     redo = np.flatnonzero(~accepted & ~degenerate)
@@ -295,7 +301,7 @@ def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:
     """
     ground = {kind: (block[None, 0, 1:], block[None, 1:, 0])
               for kind, block in rates.blocks.items() if kind != "phonon"}
-    report = _steady_reports(rates.w[None], ground)[0]
+    report = _steady_reports(rates.w[None].copy(), ground)[0]
     if isinstance(report, SteadyStateError):
         raise report
     _warn_low_ground(report)
@@ -319,7 +325,7 @@ def _steady_reports(w: np.ndarray, ground: dict[str, tuple]) -> list:
     ``spectral._rate_rows`` returns them), without its warning.
 
     Returns per row its SteadyStateReport or the SteadyStateError it
-    raised.
+    raised, and overwrites w with its generators.
     """
     populations, residual, errors = _steady_rows(_generator_rows(w))
     fluxes = _flux_rows(populations, ground)

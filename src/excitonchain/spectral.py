@@ -381,11 +381,14 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
 
     Returns (R, n_excited, m): column c is operator row c's amplitude on
     each excited state.  A ground <-> site row w gives amp @ w (its
-    ground entry is zero and not stored).  A phonon row w |s><s| gives
-    sqrt(|w|) amp[:, s] (``Channel.projectors``): rates and dissipator are
-    quadratic in it, so the sign of w drops out.  An eigenbasis target
-    gives the unit column of the highest or lowest excited state.  This is
-    the only place that reads a channel's operator or target.
+    ground entry is zero and not stored), read as w_s amp[:, s] when it
+    acts on one site s.  A phonon row w |s><s| gives sqrt(|w|) amp[:, s]:
+    rates and dissipator are quadratic in it, so the sign of w drops out.
+    Such column selections (``Channel.projectors``) are views of
+    ``vectors`` when unscaled and contiguous; nothing is written.  An
+    eigenbasis target gives the unit column of the highest or lowest
+    excited state.  This is the only place that reads a channel's
+    operator or target.
     """
     rows, dim = vectors.shape[:2]
     if channel.eigen_target is not None:
@@ -397,12 +400,13 @@ def _couplings(vectors: np.ndarray, channel: Channel) -> np.ndarray:
         raise SpectralError(
             f"{channel.kind} channel operator has wrong dimension")
     amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
-    if channel.kind != "phonon":
-        return amp @ weights.T
-    if channel.projectors is None:
+    if channel.projectors is not None:
+        scale, sites = channel.projectors
+        picked = amp[:, :, sites]
+        return picked if scale is None else scale * picked
+    if channel.kind == "phonon":
         raise SpectralError("phonon channel must act on a single site")
-    scale, sites = channel.projectors
-    return scale * amp[:, :, sites]
+    return amp @ weights.T
 
 
 @dataclass
@@ -449,43 +453,55 @@ def _rate_rows(energies: np.ndarray, vectors: np.ndarray,
     dense blocks: the one rate pass of a stack, which the population and
     the density-matrix solver both read.
 
-    ``energies`` is (R, dim) and ``vectors`` (R, dim, dim).  Returns the
-    total rates w (R, dim, dim); per ground <-> excited kind in channel
-    order, the pair (out, into) of (R, dim - 1) arrays: out[:, k] is the
-    rate from excited state k + 1 into the ground state (w[:, 0, k + 1]),
-    into[:, k] the rate back (w[:, k + 1, 0]); and per phonon channel, in
-    channel order, its spectral density (R, dim - 1, dim - 1) at the
-    excited transitions, [:, n, m] at eps_m - eps_n.  Each kind's
-    channels are summed before the kinds are, in channel order, so w has
-    the bits of the sum of per-kind blocks.  A ground <-> excited channel
-    whose spectral density is zero at every transition (a loss channel
-    at rate 0) keeps its kind, with zero rates, and its coupling product
-    is skipped.
+    ``energies`` is (R, dim) and ``vectors`` (R, dim, dim); neither is
+    written.  Returns the total rates w (R, dim, dim); per ground <->
+    excited kind in channel order, the pair (out, into) of (R, dim - 1)
+    arrays: out[:, k] is the rate from excited state k + 1 into the
+    ground state (w[:, 0, k + 1]), into[:, k] the rate back (w[:, k + 1,
+    0]); and per phonon channel, in channel order, its spectral density
+    (R, dim - 1, dim - 1) at the excited transitions, [:, n, m] at eps_m
+    - eps_n.  Each kind's channels are summed before the kinds are, in
+    channel order, so w has the bits of the sum of per-kind blocks.  A
+    ground <-> excited channel whose spectral density is zero at every
+    transition (a loss channel at rate 0) keeps its kind, with zero
+    rates, and its coupling product is skipped.
+
+    Each phonon density is evaluated in place, in a frequency array of
+    its own, before w is allocated; the first phonon channel's overlap
+    product is formed in w's excited block itself.
     """
     rows, dim = energies.shape
-    omega_exc = energies[:, None, 1:] - energies[:, 1:, None]
+    densities = [ch.spectral._evaluate(energies[:, None, 1:]
+                                       - energies[:, 1:, None])
+                 for ch in channels if ch.kind == "phonon"]
     omega_from_excited = energies[:, 1:] - energies[:, :1]  # excited -> ground
     omega_into_excited = energies[:, :1] - energies[:, 1:]  # ground -> excited
     w = np.zeros((rows, dim, dim))
+    excited, diag = w[:, 1:, 1:], np.arange(dim - 1)
     ground: dict[str, tuple] = {}
-    densities = []
+    phonon = enumerate(densities)
     for ch in channels:
         if ch.kind == "phonon":
+            k, density = next(phonon)
             csq = _couplings(vectors, ch) ** 2
-            densities.append(ch.spectral(omega_exc))
             # |<n| w_s P_s |m>|^2 = (|w_s| c_ns^2) (|w_s| c_ms^2)
-            rates = csq @ csq.transpose(0, 2, 1)
-            rates *= densities[-1]
-            rates.reshape(rows, -1)[:, ::dim] = 0.0  # the diagonal n = m
-            w[:, 1:, 1:] += rates
+            rates = np.matmul(csq, csq.transpose(0, 2, 1),
+                              out=None if k else excited)
+            del csq
+            rates *= density
+            rates[:, diag, diag] = 0.0  # the diagonal n = m
+            if k:
+                excited += rates
             continue
         out, into = ground.setdefault(ch.kind, (np.zeros((rows, dim - 1)),
                                                 np.zeros((rows, dim - 1))))
         emission = ch.spectral(omega_from_excited)
         absorption = ch.spectral(omega_into_excited)
         if emission.any() or absorption.any():
-            # ground <-> excited rows: sum over the channel's couplings squared
-            alpha_sq = (_couplings(vectors, ch) ** 2).sum(-1)
+            # ground <-> excited rows: sum over the channel's couplings
+            # squared, laid out row by row so the sum keeps its order
+            c = _couplings(vectors, ch)
+            alpha_sq = np.square(c, out=np.empty(c.shape)).sum(-1)
             out += emission * alpha_sq
             into += absorption * alpha_sq
     for out, into in ground.values():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excitonchain import brme
 from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
@@ -14,8 +15,8 @@ from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import _class_errors, _generator_rows, \
     build_generator, site_populations, solve_steady_state
-from excitonchain.spectral import EigenSystem, SpectralError, diagonalize, \
-    transition_matrix
+from excitonchain.spectral import EigenSystem, SpectralError, \
+    _degeneracy_tol, _group_ranges, diagonalize, transition_matrix
 
 FREQ_GROUP_TOL = 1e-9
 
@@ -555,7 +556,12 @@ def test_a_stack_solves_each_row_as_its_own_solve(n_cells):
     # dimer N=20 takes 11, 13 and 12 Krylov iterations, so its rows leave
     # the lockstep at different steps
     es, channels, singles = stacked_system("dimer", n_cells, (0.1, 1.0, 10.0))
-    reports = brme_steady_state(build_liouvillian(es, channels))
+    liouvillian = build_liouvillian(es, channels)
+    rates = liouvillian.rates.copy()
+    reports = brme_steady_state(liouvillian)
+    # the secular preconditioner forms its generators in a copy
+    assert np.array_equal(liouvillian.rates.view(np.int64),
+                          rates.view(np.int64))
     assert len(reports) == 3
     for report, single in zip(reports, singles):
         assert_same_report(report, brme_steady_state(
@@ -617,7 +623,7 @@ def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
     # that row fails
     es, channels, singles = stacked_system("dimer", 3, (0.1, 1.0, 10.0))
     liouv = build_liouvillian(es, channels)
-    singular = _generator_rows(liouv.rates)[1]
+    singular = _generator_rows(liouv.rates.copy())[1]
     singular[0] += 1.0
     solve = np.linalg.solve
 
@@ -669,3 +675,27 @@ def test_population_share_where_both_solvers_agree():
     out = transition_matrix(es, channels).blocks["extraction"][0]
     assert report.extras["population_share"] == pytest.approx(
         out @ report.populations / report.current, rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["prism", "cuboid"]), n_cells=st.integers(2, 12),
+       jb=st.sampled_from([0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+def test_rotating_the_multiplets_keeps_the_current(kind, n_cells, jb, seed):
+    # the density-matrix solve does not depend on the basis inside a
+    # degenerate multiplet; only its secular preconditioner does
+    es, channels = make_system(kind, n_cells, jb=jb)
+    eps = es.energies[1:]
+    multiplets = [(lo + 1, hi + 1)
+                  for lo, hi in _group_ranges(eps, _degeneracy_tol(eps))
+                  if hi - lo > 1]
+    assert multiplets  # the prism and cuboid cells hold degenerate pairs
+    rng = np.random.default_rng(seed)
+    vectors = es.vectors.copy()
+    for lo, hi in multiplets:
+        q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
+        vectors[:, lo:hi] = vectors[:, lo:hi] @ q
+    rotated = EigenSystem(energies=es.energies, vectors=vectors,
+                          hamiltonian=None)
+    expected = brme_steady_state(build_liouvillian(es, channels)).current
+    current = brme_steady_state(build_liouvillian(rotated, channels)).current
+    assert current == pytest.approx(expected, rel=1e-9, abs=0)

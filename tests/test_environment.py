@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,8 +117,9 @@ def test_step_spectrum_reference_points():
     assert down(2.0) == 0.0
     assert down(0.0) == 0.0
     assert isinstance(up(1.0), float)
-    np.testing.assert_array_equal(up(np.array([-1.0, 0.0, 2.0])),
-                                  [0.0, 0.0, 0.021])
+    omegas = np.array([-1.0, 0.0, 2.0])
+    omegas.setflags(write=False)  # the argument is never written
+    np.testing.assert_array_equal(up(omegas), [0.0, 0.0, 0.021])
 
 
 def test_channel_census_for_prism():
@@ -188,6 +190,24 @@ def test_phonon_operators_are_site_projectors():
         expected = np.zeros(4)
         expected[s] = 1.0
         assert np.array_equal(w, expected)
+
+
+def test_single_site_rows_resolve_to_column_selections():
+    # every kind resolves its one-site rows: unit weights on contiguous
+    # sites to a slice, anything else to per-row scales and sites
+    geo = build_geometry("prism", 3)
+    channels = {c.kind: c for c in build_channels(geo, EnvironmentParams())}
+    for kind, sites in (("phonon", slice(0, 9)), ("nonradiative",
+                        slice(0, 9)), ("injection", slice(0, 3)),
+                        ("extraction", slice(6, 9))):
+        assert channels[kind].projectors == (None, sites), kind
+    assert channels["radiative"].projectors is None
+    unit = channels["nonradiative"].operator
+    weights = -0.5 * unit[::-1]
+    for kind, scale in (("phonon", np.sqrt(0.5)), ("nonradiative", -0.5)):
+        scales, sites = replace(channels[kind], operator=weights).projectors
+        assert np.array_equal(scales, np.full(9, scale)), kind
+        assert np.array_equal(sites, np.arange(9)[::-1]), kind
 
 
 def test_zero_rate_channels_still_present():

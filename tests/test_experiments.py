@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -158,7 +159,7 @@ def test_both_methods_respect_the_brme_cap():
 
 
 # (geometries, n_cells, sweep settings) of length sweeps whose rows must
-# equal per-point solves; prism N=35 (dimension 106) is one chain whose
+# equal per-point solves; prism N=43 (dimension 130) is one chain whose
 # three couplings the chunk rule splits into stacks of two and one, and
 # the BRME rows reuse the eigensystems their chain's PME rows are solved on
 SWEEP_CASES = {
@@ -170,7 +171,7 @@ SWEEP_CASES = {
     "eigen-dipoles": (("mono", "dimer", "prism"), (2, 3, 7),
                       {"injection_mode": "eigen",
                        "dipole_scheme": "transport", "jobs": 2}),
-    "split-chain": (("prism",), (35,), {}),
+    "split-chain": (("prism",), (43,), {}),
     # jb = 1 is a pinned point: its basis comes from the syevr solve of
     # its factors' Kronecker sum
     "pinned": (("dimer",), (24,), {"jobs": 2}),
@@ -189,8 +190,8 @@ def test_length_sweep_rows_equal_per_point_solves(case):
     spec = SweepSpec(geometries=geometries, n_cells_values=n_cells,
                      jb_values=(0.1, 1.0, 10.0), ham=HAM, env=ENV,
                      **settings)
-    if n_cells == (35,):
-        assert experiments._chunk_size(3 * 35 + 1) == 2
+    if n_cells == (43,):
+        assert experiments._chunk_size(3 * 43 + 1) == 2
     rows, _ = length_sweep(spec)
     methods = ["pme", "brme"] if spec.method == "both" else [spec.method]
     points = [(kind, jb, n, method) for kind in geometries
@@ -435,6 +436,35 @@ def test_disorder_ensemble_is_seeded_and_parallel_safe():
     assert raw1 == raw2
     other = disorder_ensemble(small_spec(n_cells_values=(4,), seed=12))[0]
     assert other[0]["median"] != stats1[0]["median"]
+
+
+def test_disorder_rows_keep_their_bits_in_stacks_of_one(monkeypatch):
+    # the stack budget decides only how rows are grouped: stacks of one
+    # give every row the bits it gets in full stacks
+    spec = small_spec(geometries=("dimer", "prism"), n_cells_values=(20,),
+                      jb_values=(1.0, 10.0), n_realizations=40, seed=3)
+    stacked = disorder_ensemble(spec)
+    monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", 1)
+    assert experiments._chunk_size(61) == 1
+    assert disorder_ensemble(spec) == stacked
+
+
+def test_a_disorder_stack_peaks_at_five_stack_arrays():
+    # prism N=20 (dimension 61) with 8 realizations is one stack; its rate
+    # pass and PME solve work in place, so at most five (R, dim, dim)
+    # arrays are alive at once
+    spec = small_spec(geometries=("prism",), n_cells_values=(20,),
+                      jb_values=(10.0,), n_realizations=8, seed=1)
+    assert experiments._chunk_size(61) >= 8
+    disorder_ensemble(spec)  # first-call allocations are not the stack's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        disorder_ensemble(spec)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * 61**2 * 8
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.9])

@@ -15,7 +15,7 @@ from excitonchain.pme import (Generator, SteadyStateError, _closed_classes,
                               _generator_rows, _steady_rows, build_generator,
                               site_populations, solve_steady_state,
                               steady_state)
-from excitonchain.spectral import diagonalize, transition_matrix
+from excitonchain.spectral import RateMatrix, diagonalize, transition_matrix
 
 
 def make_rates(kind, n_cells, jb=1.0, env=None, injection_mode="site"):
@@ -250,7 +250,8 @@ def test_a_singular_row_sends_only_itself_to_state_reduction(monkeypatch):
     singular = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                          [1e-17, 1.0, 0.0]])
     regular = np.array([[0.0, 0.3, 0.2], [0.5, 0.0, 0.7], [0.1, 0.4, 0.0]])
-    alone, alone_residual, _ = _steady_rows(_generator_rows(regular[None]))
+    alone, alone_residual, _ = _steady_rows(
+        _generator_rows(regular[None].copy()))
     calls = []
     real = pme._reduce_states
     monkeypatch.setattr(pme, "_reduce_states",
@@ -299,11 +300,16 @@ def test_degenerate_rows_inside_the_stacked_solve_fail_alone():
     isolated[[2, 3, 4, 1], [1, 2, 3, 4]] = 0.5  # 1 -> 2 -> 3 -> 4 -> 1
     regular = make_rates("mono", 4)[0].w
     stack = np.stack([regular, cycles, 2 * regular, absorbing, isolated])
+    chi = _generator_rows(stack.copy())
+    given = chi.copy()
     solve = mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve)
     with warnings.catch_warnings(), solve as solved:
         warnings.simplefilter("error")
-        p, residual, errors = _steady_rows(_generator_rows(stack))
+        p, residual, errors = _steady_rows(chi)
     assert solved.call_count == 1
+    # the LU ran on chi with row 0 and the degenerate rows swapped in, and
+    # they are restored bit for bit
+    assert np.array_equal(chi.view(np.int64), given.view(np.int64))
     assert errors[1].components == [[1, 2], [3, 4]]
     assert errors[3].components == [[2], [4]]
     assert errors[4].components == [[0], [1, 2, 3, 4]]
@@ -313,9 +319,45 @@ def test_degenerate_rows_inside_the_stacked_solve_fail_alone():
     for r in (0, 2):
         assert errors[r] is None
         alone, alone_residual, _ = _steady_rows(
-            _generator_rows(stack[r][None]))
+            _generator_rows(stack[r][None].copy()))
         np.testing.assert_array_equal(p[r], alone[0])
         assert residual[r] == alone_residual[0]
+    # the public solvers work on copies: a degenerate rate matrix, its
+    # generator and its rate report come back bit for bit
+    w = cycles.copy()
+    generator = build_generator(w)
+    chi = generator.chi.copy()
+    with pytest.raises(SteadyStateError):
+        steady_state(generator)
+    rates = RateMatrix(w=w, blocks={"phonon": w.copy()})
+    with pytest.raises(SteadyStateError):
+        solve_steady_state(rates)
+    for array, expected in ((w, cycles), (generator.chi, chi),
+                            (rates.w, cycles),
+                            (rates.blocks["phonon"], cycles)):
+        assert np.array_equal(array.view(np.int64), expected.view(np.int64))
+
+
+def test_public_solvers_leave_their_arguments_untouched():
+    # the rate pass, the generator and the steady state write only arrays
+    # of their own
+    geo = build_geometry("prism", 4)
+    es = diagonalize(build_hamiltonian(geo, HamiltonianParams(), 1.0))
+    channels = build_channels(geo, EnvironmentParams())
+    given = es.energies.copy(), es.vectors.copy()
+    rates = transition_matrix(es, channels)
+    for array, expected in zip((es.energies, es.vectors), given):
+        assert np.array_equal(array.view(np.int64), expected.view(np.int64))
+    w, blocks = rates.w.copy(), {k: b.copy() for k, b in rates.blocks.items()}
+    report = solve_steady_state(rates)
+    generator = build_generator(rates)
+    chi = generator.chi.copy()
+    p, residual = steady_state(generator)
+    build_generator(rates.w)
+    assert np.array_equal(p, report.populations)
+    for array, expected in ((rates.w, w), (generator.chi, chi),
+                            *((rates.blocks[k], blocks[k]) for k in blocks)):
+        assert np.array_equal(array.view(np.int64), expected.view(np.int64))
 
 
 def _closed_class_count(w):

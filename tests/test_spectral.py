@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from excitonchain import spectral
@@ -354,6 +354,29 @@ def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
                                rtol=1e-12)
 
 
+def test_single_site_couplings_are_the_product_columns(rng):
+    # a row on one site reads its couplings as eigenvector columns: a view
+    # for unit weights, scaled columns otherwise, with the values of the
+    # general product amp @ w, and the rate pass writes no input
+    es, channels = make_system("prism", 4, jb=3.0)
+    vectors = np.stack([es.vectors, es.vectors[:, ::-1]])
+    energies = np.stack([es.energies, es.energies + 0.5])
+    given = vectors.copy(), energies.copy()
+    amp = vectors[:, 1:, 1:].transpose(0, 2, 1)
+    for ch in channels[1:]:
+        scaled = replace(ch, operator=rng.uniform(-2.0, 2.0,
+                                                  (len(ch.operator), 1))
+                         * ch.operator)
+        for channel, view in ((ch, ch.kind != "radiative"), (scaled, False)):
+            couplings = _couplings(vectors, channel)
+            assert np.shares_memory(couplings, vectors) == view
+            np.testing.assert_array_equal(couplings,
+                                          amp @ channel.operator.T)
+    _rate_rows(energies, vectors, channels)
+    for array, expected in zip((vectors, energies), given):
+        assert np.array_equal(array.view(np.int64), expected.view(np.int64))
+
+
 def test_rates_do_not_depend_on_shared_spectrum_objects():
     es, channels = make_system("prism", 4, jb=3.0)
     own = [replace(ch, spectral=replace(ch.spectral)) for ch in channels]
@@ -460,6 +483,26 @@ def test_slot_permutation_preserves_the_spectrum():
     eps_a = diagonalize(build_hamiltonian(base, params, 7.0)).energies
     eps_b = diagonalize(build_hamiltonian(permuted, params, 7.0)).energies
     np.testing.assert_allclose(np.sort(eps_a), np.sort(eps_b), atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["mono", "dimer", "prism", "cuboid"]),
+       n_cells=st.integers(2, 40), jb=st.sampled_from([0.1, 1.0, 10.0]))
+@example(kind="dimer", n_cells=30, jb=1.0)  # pinned rows
+@example(kind="cuboid", n_cells=30, jb=1.0)
+def test_mirroring_the_cell_layout_keeps_the_current(kind, n_cells, jb):
+    # y -> -y maps the chain onto itself, so the centroid rule picks the
+    # mirror image of every basis, pinned rows included
+    base = build_geometry(kind, n_cells)
+    layout = base.positions[base.cell_sites(1)][:, 1:] * [-1.0, 1.0]
+    currents = []
+    for geo in (base, build_geometry("custom", n_cells,
+                                     custom_layout=layout)):
+        es = diagonalize(build_hamiltonian(geo, HamiltonianParams(), jb))
+        rates = transition_matrix(es, build_channels(geo,
+                                                     EnvironmentParams()))
+        currents.append(solve_steady_state(rates).current)
+    assert currents[1] == pytest.approx(currents[0], rel=1e-12, abs=0)
 
 
 def test_eigenstructure_tables_shapes():
