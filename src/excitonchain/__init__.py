@@ -20,7 +20,7 @@ from .hamiltonian import DisorderSpec, Hamiltonian, HamiltonianParams, \
     apply_disorder, build_hamiltonian
 from .lattice import CELL_LAYOUTS, Geometry, assign_dipoles, build_geometry
 from .pme import Generator, SteadyStateReport, build_generator, \
-    site_populations, solve_steady_state, steady_state
+    site_populations, solve_steady_state
 from .spectral import BrightDarkCensus, EigenSystem, RateMatrix, \
     brightness, classify_bright_dark, diagonalize, eigenstructure_tables, \
     transition_matrix
@@ -52,7 +52,6 @@ __all__ = [
     "Generator",
     "SteadyStateReport",
     "build_generator",
-    "steady_state",
     "site_populations",
     "solve_steady_state",
     "Liouvillian",

@@ -36,13 +36,13 @@ applies one stored inverse of the bordered population generator, taken
 with the population solver's batched solve, so the solver runs on numpy
 alone.
 
-The solver works on stacks of eigensystems, as the population solver
-does, and a single solve is a stack of one.  A :class:`Liouvillian` holds
+The solver takes stacks of eigensystems only, as the population solver
+does, so a single solve is a stack of one.  A :class:`Liouvillian` holds
 the factored pieces of R eigensystems as (R, ...) arrays, built with
-batched products from the stack's one rate pass (which the population
-solve of the same stack reads too), and one lockstep GMRES solves the R
-rows: every product runs on the whole stack, while each row keeps its
-own Hessenberg matrix, rotations and inner tolerance.  Restarts run in
+batched products from the stack's one rate pass and the generators both
+solvers read (``pme._generator_rows``), and one lockstep GMRES solves
+the R rows: every product runs on the whole stack, while each row keeps
+its own Hessenberg matrix, rotations and inner tolerance.  Restarts run in
 step: a row whose cycle ends, or that has stopped, rides along with its
 result dropped until the cycle's last row ends, and then every
 unconverged row restarts together.  Neither batching nor waiting changes
@@ -77,7 +77,7 @@ import numpy as np
 from .environment import Channel
 from .pme import SteadyStateReport, _bordered_solve, _class_errors, \
     _generator_rows
-from .spectral import EigenSystem, SpectralError, _couplings, _rate_rows
+from .spectral import SpectralError, _couplings, _rate_rows
 
 # GMRES stops once the residual falls this far below the residual of the
 # secular start; restarts bound the Krylov memory at large dimension.
@@ -98,8 +98,8 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Liouvillian:
-    """The Liouvillians of a stack of R eigensystems and one channel set,
-    in factored form; one eigensystem gives a stack of one.
+    """The Liouvillians of a stack of R eigensystems, with ``energies``
+    (R, dim), and one channel set, in factored form.
 
     Row c of ``matrix[r]`` is the eigenbasis coupling vector of one
     operator row (a zero ground entry, then its ``spectral._couplings``
@@ -108,10 +108,11 @@ class Liouvillian:
     channel: the slice of its rows in ``matrix`` and its densities (R,
     dim) at the emission and absorption transitions; ``phonon`` holds one
     (S(omega), rows) pair per phonon channel: its density (R, dim, dim) at
-    every transition and the slice of its rows.  ``rates`` (R, dim, dim)
-    are the population equation's rates and ``ground`` its per-kind
-    (out, into) vectors, as ``spectral._rate_rows`` returns them.  The
-    (dim x dim) pieces :meth:`apply_real` needs are derived from these on
+    every transition and the slice of its rows.  ``generators`` (R, dim,
+    dim) are the population equation's generators chi, which the solve
+    reads and does not write, and ``ground`` its per-kind (out, into) rate
+    vectors, as ``spectral._rate_rows`` returns them.  The (dim x dim)
+    pieces :meth:`apply_real` needs are derived from these on
     construction, in batched products; the diagonal of the Liouvillian on
     the coherences (``coherence_diagonal``) is formed on request.
     """
@@ -119,15 +120,15 @@ class Liouvillian:
     matrix: np.ndarray
     spectra: list[tuple[slice, np.ndarray, np.ndarray]] = field(repr=False)
     phonon: list[tuple[np.ndarray, slice]] = field(repr=False)
-    eigensystem: EigenSystem = field(repr=False)
+    energies: np.ndarray = field(repr=False)
     kinds: list[str] = field(repr=False)
-    rates: np.ndarray = field(repr=False)
+    generators: np.ndarray = field(repr=False)
     ground: dict[str, tuple] = field(repr=False)
 
     def __post_init__(self):
         a = self.matrix
         g, h = self.exchange_forms()
-        energies = self.eigensystem.energies.reshape(len(a), -1)
+        energies = self.energies
         ag, ha = _t(a) @ g, _t(h) @ a
         loss = ag.copy()
         loss[:, 0, 0] += (a * h).sum(axis=(1, 2))
@@ -209,35 +210,34 @@ class Liouvillian:
         return out
 
 
-def build_liouvillian(es: EigenSystem, channels: list[Channel],
-                      rates: tuple | None = None) -> Liouvillian:
-    """Factor the Liouvillians of a channel set in the eigenbasis of
-    ``es``, one eigensystem or a stack of R (energies (R, dim), vectors
-    (R, dim, dim)).
+def build_liouvillian(energies: np.ndarray, vectors: np.ndarray,
+                      channels: list[Channel], rates: tuple | None = None
+                      ) -> Liouvillian:
+    """Factor the Liouvillians of a channel set in the eigenbases of a
+    stack of R eigensystems, energies (R, dim) and vectors (R, dim, dim).
 
     Stores one coupling vector per operator row and a few (dim x dim)
     arrays per eigensystem; the build takes O(n_rows dim^2) time per
     eigensystem, in products batched over the stack.  The coupling vectors
     come from the population equation's rate kernel, and so do the secular
-    rates and the phonon densities at excited transitions: ``rates`` is
-    the stack's rate pass (``spectral._rate_rows`` of its energies and
-    vectors), made here when the caller has none.  Only the ground row and
-    column of each phonon density are evaluated here.  Raises BrmeError
-    for a channel whose weights do not match the system or a phonon row
-    acting on more than one site.
+    generators and the phonon densities at excited transitions: ``rates``
+    is the stack's rate pass (``spectral._rate_rows`` of its energies and
+    vectors) with its rate matrices turned into generators
+    (``pme._generator_rows``), made here when the caller has none.  Only
+    the ground row and column of each phonon density are evaluated here.
+    Raises BrmeError for a channel whose weights do not match the system
+    or a phonon row acting on more than one site.
     """
-    dim = es.energies.shape[-1]
-    energies = es.energies.reshape(-1, dim)
-    vectors = es.vectors.reshape(-1, dim, dim)
+    count, dim = energies.shape
     try:
         couplings = [_couplings(vectors, ch) for ch in channels]
         if rates is None:
-            rates = _rate_rows(energies, vectors, channels)
+            w, ground, densities = _rate_rows(energies, vectors, channels)
+            rates = _generator_rows(w), ground, densities
     except SpectralError as exc:
         raise BrmeError(str(exc)) from exc
-    w, ground, densities = rates
+    chi, ground, densities = rates
     densities = iter(densities)
-    count = len(energies)
     matrix = np.zeros((count, sum(c.shape[2] for c in couplings), dim))
     omega0 = energies - energies[:, :1]  # eps_m - eps_0
     phonon, spectra = [], []
@@ -259,33 +259,36 @@ def build_liouvillian(es: EigenSystem, channels: list[Channel],
             spectra.append((rows, ch.spectral(omega0),
                             ch.spectral(-omega0)))
     return Liouvillian(matrix=matrix, spectra=spectra, phonon=phonon,
-                       eigensystem=es, kinds=kinds, rates=w, ground=ground)
+                       energies=energies, kinds=kinds, generators=chi,
+                       ground=ground)
 
 
 def _secular_inverse(liouvillian: Liouvillian) -> tuple:
     """The inverses of the secular parts of a stack's L on vectorized real
     forms.
 
-    The bordered population generator chi + e0 1^T of each row is
-    inverted once per solve, by the population solver's batched solve
-    against the identity (``pme._bordered_solve``), so the diagonal costs
-    one product per call (a fresh solve per call is slower), and 1/c =
-    p + iq with c the Liouvillian's diagonal on the coherences (1 where
-    it vanishes) scales them: r / c becomes p o S + q o S^T in the real
-    form.  Returns (precondition, errors): ``precondition(x)`` applies the
-    inverses of the stack's rows to x (R, dim^2), and errors holds per row
-    None or its BrmeError: the population solver's verdict of a
-    degenerate steady state (``pme._class_errors``), with its message, or
-    a singular bordered generator (a NaN row of the solve).  A failed
-    row's inverse is taken as zero.
+    The bordered population generator chi + e0 1^T of each row, a copy of
+    its ``generators`` row, is inverted once per solve, by the population
+    solver's batched solve against the identity (``pme._bordered_solve``),
+    so the diagonal costs one product per call (a fresh solve per call is
+    slower), and 1/c = p + iq with c the Liouvillian's diagonal on the
+    coherences (1 where it vanishes) scales them: r / c becomes p o S + q
+    o S^T in the real form.  Returns (precondition, errors):
+    ``precondition(x)`` applies the inverses of the stack's rows to x (R,
+    dim^2), and errors holds per row None or its BrmeError: the population
+    solver's verdict of a degenerate steady state (``pme._class_errors``),
+    with its message, or a singular bordered generator (a NaN row of the
+    solve).  A failed row's inverse is taken as zero.
     """
-    chi = _generator_rows(liouvillian.rates.copy())
+    chi = liouvillian.generators
     dim = chi.shape[1]
     errors = [None if error is None else BrmeError(str(error))
               for error in _class_errors(chi)[0]]
-    chi[:, 0] += 1.0
-    chi_inverse = _bordered_solve(chi, np.broadcast_to(np.eye(dim),
-                                                       chi.shape))
+    bordered = chi.copy()
+    bordered[:, 0] += 1.0
+    chi_inverse = _bordered_solve(bordered, np.broadcast_to(np.eye(dim),
+                                                            chi.shape))
+    del bordered
     for r in np.flatnonzero(np.isnan(chi_inverse).any(axis=(1, 2))):
         errors[r] = errors[r] or BrmeError(
             "the bordered secular generator is singular")
@@ -460,46 +463,33 @@ def _gmres(matvec, psolve, b: np.ndarray, callback
     return x, converged
 
 
-def brme_steady_state(liouvillian: Liouvillian):
-    """Solve for the steady density matrices and assemble the reports.
-
-    A Liouvillian of one eigensystem gives its SteadyStateReport and
-    raises its BrmeError; one of a stack of eigensystems gives a list
-    with, per row, its report or the BrmeError it failed with.
+def brme_steady_state(liouvillian: Liouvillian) -> list:
+    """Solve each row of a stack for its steady density matrix and
+    assemble the reports: per row its SteadyStateReport or the BrmeError
+    it failed with.
 
     Each row solves the bordered system L(rho) + |0><0| tr(rho) = |0><0|,
     whose solution is the trace-one steady state, with GMRES in real
     arithmetic on the real form S = Re rho + Im rho (see
     :meth:`Liouvillian.apply_real`; the border term is tr(S)).  The
-    preconditioner is the secular part of L: the inverse of the
-    population generator chi + e0 1^T, and the Liouvillian's diagonal on
-    the coherences.  GMRES starts from the secular solution and solves for
-    the correction, so its stopping test is relative to that start's
-    residual (injection-sized) rather than to the unit right-hand side.
-    The rows of the stack share one lockstep GMRES (:func:`_gmres`).  A
-    row fails with the population solver's verdict of a degenerate steady
-    state (``pme._class_errors`` on the secular rates, the same message),
-    with a singular bordered generator, or with a solve that does not
-    converge.  The result rho = sym(S) + i antisym(S) is exactly
-    Hermitian and trace-normalized; mild negative eigenvalues (a known
-    artifact of non-secular weak-coupling equations) are warned about,
-    while violations beyond 1e-6 fail the row.
+    preconditioner is the secular part of L (:func:`_secular_inverse`):
+    the inverse of the population generator chi + e0 1^T, and the
+    Liouvillian's diagonal on the coherences.  GMRES starts from the
+    secular solution and solves for the correction, so its stopping test
+    is relative to that start's residual (injection-sized) rather than to
+    the unit right-hand side.  The rows of the stack share one lockstep
+    GMRES (:func:`_gmres`).  A row fails with the population solver's
+    verdict of a degenerate steady state (``pme._class_errors`` on the
+    secular generators, the same message), with a singular bordered
+    generator, with a solve that does not converge, with a vanishing
+    trace, or with a positivity violation beyond 1e-6; milder negative
+    eigenvalues (a known artifact of non-secular weak-coupling equations)
+    warn on behalf of the caller.  The result rho = sym(S) + i antisym(S)
+    is exactly Hermitian and trace-normalized.
     ``extras["population_share"]`` is the share of the extraction current
     that eigenstate populations carry, sum_k out_k rho_kk / J with out
     the secular extraction rates (None when J is zero).
     """
-    reports = _steady_rows(liouvillian)
-    if liouvillian.eigensystem.energies.ndim > 1:
-        return reports
-    if isinstance(reports[0], BrmeError):
-        raise reports[0]
-    return reports[0]
-
-
-def _steady_rows(liouvillian: Liouvillian) -> list:
-    """:func:`brme_steady_state` of every row of a stack: per row its
-    report or BrmeError.  Mild positivity violations warn on behalf of
-    :func:`brme_steady_state`'s caller."""
     count, _, dim = liouvillian.matrix.shape
     size = dim * dim
     precondition, errors = _secular_inverse(liouvillian)
@@ -564,7 +554,7 @@ def _steady_rows(liouvillian: Liouvillian) -> list:
         if min_eig[r] < -1e-8:
             warnings.warn(
                 f"mild positivity violation in steady state (min eigenvalue "
-                f"{min_eig[r]:.3e})", stacklevel=3)
+                f"{min_eig[r]:.3e})", stacklevel=2)
         errors[r] = _report(rho[r], residual[r], min_eig[r],
                             zip(kinds, into_ground[r]),
                             None if extraction is None else extraction[0][r],

@@ -8,12 +8,12 @@ Sweeps and disorder ensembles share one row runner, :func:`_solve_rows`:
 it cuts a point's rows of one geometry (excited blocks or clean factor
 pairs) into fixed-size stacks (:func:`_chunk_size`), shares them out to
 ``jobs`` threads, diagonalizes each with the one diagonalizer
-``spectral._eigen_rows`` and hands it to a measure such as the stacked
-PME solve (``pme._steady_reports``); every row comes back as its value
-or the error it failed with.
+``spectral._eigen_rows`` and measures it with :func:`_measure`: one rate
+pass and one set of generators per stack, read by both solvers.  Every
+row comes back as its value or the error it failed with, unwarned; a row
+warns where it is put together, in the calling thread.
 
-- A single point (:func:`solve_point`) is measured as a stack of one by
-  :func:`_measure`, which picks the solvers for every sweep row too.
+- A single point (:func:`solve_point`) is a stack of one.
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
   once, and that eigensystem is measured with both solvers.  A clean
@@ -51,11 +51,11 @@ from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
                           apply_disorder, build_hamiltonian, factor_blocks)
 from .lattice import assign_dipoles, build_geometry
-from .pme import SteadyStateReport, _steady_reports, _warn_low_ground
-from .spectral import (EigenSystem, _brightness_rows, _cell_modes,
-                       _check_dark_threshold, _dark_mask, _eigen_row,
-                       _eigen_rows, _factor_eigen, _fix_signs, _rate_rows,
-                       diagonalize)
+from .pme import SteadyStateReport, _generator_rows, _steady_reports, \
+    _warn_low_ground
+from .spectral import (_brightness_rows, _cell_modes, _check_dark_threshold,
+                       _dark_mask, _eigen_row, _eigen_rows, _factor_eigen,
+                       _fix_signs, _rate_rows, diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 49152
 # doubles (384 KiB), 13 rows at dimension 61; about 4.5 such arrays are
@@ -202,7 +202,8 @@ def solve_point(kind: str, n_cells: int, jb: float,
 def _solve_system(method: str, build) -> tuple:
     """(system, report) of one point: ``method`` is checked before
     ``build()`` makes the :func:`build_system` tuple, whose eigensystem
-    :func:`_measure` then solves as a stack of one; its error is raised."""
+    :func:`_measure` solves as a stack of one; its error is raised and a
+    population report warns (``pme._warn_low_ground``)."""
     if method not in ("pme", "brme"):
         raise ValueError(f"a point solves with 'pme' or 'brme', not "
                          f"{method!r}")
@@ -212,37 +213,33 @@ def _solve_system(method: str, build) -> tuple:
                       es.vectors[None])[0][method]
     if isinstance(report, Exception):
         raise report
+    if method == "pme":
+        _warn_low_ground(report)
     return system, report
 
 
 def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
     """Per row of a stack of eigensystems, {method: its report or the
-    error it failed with} for each of ``methods``: "pme" from the stacked
-    population solve (``pme._steady_reports``), each report warned about
-    as ``pme._warn_low_ground`` does, and "brme" from the stacked
-    density-matrix solve of the whole stack, after the sign rule.  Both
-    read one rate pass (``spectral._rate_rows``) of the stack, the PME in
-    a copy of its rates w when the density-matrix solve reads w too."""
+    error it failed with} for each of ``methods``, without a warning.
+    The stack's one rate pass (``spectral._rate_rows``) becomes its
+    generators in place (``pme._generator_rows``), which both solvers
+    read and leave as they were: "pme" is the stacked population solve
+    (``pme._steady_reports``), "brme" the density-matrix one, after the
+    sign rule.  A failed rate pass raises."""
+    w, ground, densities = _rate_rows(energies, vectors, channels)
+    chi = _generator_rows(w)
+    if "brme" not in methods:
+        densities = None  # freed before the population solve
     solved: list[dict] = [{} for _ in energies]
-    rates = None
     if "pme" in methods:
-        rates = _rate_rows(energies, vectors, channels)
-        w, ground = rates[:2]
-        if "brme" in methods:
-            w = w.copy()
-        else:
-            rates = None  # frees the phonon densities before the solve
-        for out, report in zip(solved, _steady_reports(w, ground)):
-            if isinstance(report, SteadyStateReport):
-                _warn_low_ground(report)
+        for out, report in zip(solved, _steady_reports(chi, ground)):
             out["pme"] = report
     if "brme" in methods:
         # rates are quadratic in each vector, but coherences are not
         _fix_signs(vectors[:, 1:, 1:])
-        es = EigenSystem(energies=energies, vectors=vectors, hamiltonian=None)
         try:
-            reports = brme_steady_state(build_liouvillian(es, channels,
-                                                          rates))
+            reports = brme_steady_state(build_liouvillian(
+                energies, vectors, channels, (chi, ground, densities)))
         except Exception as exc:  # raised by the caller
             reports = [exc] * len(energies)
         for out, report in zip(solved, reports):
@@ -279,15 +276,18 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     Failures are settled per geometry: once all chains of a geometry are
     solved, its first failing point in grid order raises what
     :func:`solve_point` raises there, and no later geometry is solved.
+    Each population row warns as :func:`solve_point` does there.  A
+    method with the density-matrix solver fails before any solve when no
+    chain length is at or below ``brme_max_cells``.
     """
     methods = ["pme", "brme"] if spec.method == "both" else [spec.method]
+    if "brme" in methods and min(spec.n_cells_values) > spec.brme_max_cells:
+        raise ValueError(f"method {spec.method!r} needs a chain length at "
+                         f"or below brme_max_cells = {spec.brme_max_cells}")
     # the methods solved at each chain length, BRME only up to its cap
     at = {n: [m for m in methods if m == "pme" or n <= spec.brme_max_cells]
           for n in spec.n_cells_values}
     ns = [n for n in at if at[n]]
-    if not ns:
-        raise ValueError("method 'brme' needs a chain length at or below "
-                         f"brme_max_cells = {spec.brme_max_cells}")
 
     def run(chain: tuple):
         kind, n, cells = chain
@@ -306,11 +306,14 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
         for jb in spec.jb_values:
             for n in spec.n_cells_values:
                 for method in at[n]:
-                    chain = chains[n]
-                    report = (chain if isinstance(chain, Exception)
-                              else chain[(jb, method)])
+                    report = chains[n]
+                    for key in (jb, method):
+                        if not isinstance(report, Exception):
+                            report = report[key]
                     if isinstance(report, Exception):
                         raise report
+                    if method == "pme":
+                        _warn_low_ground(report)
                     rows.append({
                         "geometry": kind, "jb": jb, "n_cells": n,
                         "method": method, "current": report.current,
@@ -371,10 +374,9 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     chain's row is its factor pair: T with its eigh, solved here once,
     and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
     Hamiltonian is built for it.  Couplings that share a cell solve are
-    one system, solved once at the first of them; each of the others
-    warns as :func:`solve_point` warns there.  A chain that is not clean
-    gives its dense excited blocks.  Returns {(jb, method): report or the
-    error :func:`solve_point` raises there}.
+    one system, solved once at the first of them, and share its value.  A
+    chain that is not clean gives its dense excited blocks.  Returns {jb:
+    its :func:`_measure` value or the error it failed with}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
@@ -393,16 +395,7 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     values = dict(zip(solved, _solve_rows(
         lambda rows: [row(solved[r]) for r in rows], len(solved),
         spec.ham.eg, geometry, partial(_measure, methods, channels), 1)))
-    reports = {}
-    for jb in jbs:
-        value = values[source[jb]]
-        for method in methods:
-            report = value if isinstance(value, Exception) else value[method]
-            if (method == "pme" and source[jb] != jb
-                    and isinstance(report, SteadyStateReport)):
-                _warn_low_ground(report)
-            reports[jb, method] = report
-    return reports
+    return {jb: values[source[jb]] for jb in jbs}
 
 
 def _solve_rows(rows, count: int, eg: float, geometry, measure,
@@ -480,8 +473,10 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
 
 
 def _pme_rows(channels, energies, vectors) -> list:
-    """PME reports (or errors) of a stack of eigensystems."""
-    return _steady_reports(*_rate_rows(energies, vectors, channels)[:2])
+    """PME reports (or errors) of a stack of eigensystems, from
+    :func:`_measure`."""
+    return [row["pme"] for row in _measure(["pme"], channels, energies,
+                                           vectors)]
 
 
 def _census_rows(dark_threshold: float, channels, energies, vectors) -> list:

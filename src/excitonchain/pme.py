@@ -9,18 +9,17 @@ steady state solves chi P = 0 with sum(P) = 1, which is one LU solve of
 chi with row 0 replaced by ones against e0; stacks of generators are
 solved in one batched call, and their reports (current, fluxes,
 residual, ground population) assembled together: one steady state is a
-stack of one.  A stack's generators are formed in its rate matrices'
-place and its LU runs on them, row 0 swapped in and restored; the public
-functions solve copies, so none writes its argument.  A solution that is
-negative or out of flux balance at some state (cancellation in the LU,
-when rates span many decades) is redone by state reduction, which
-subtracts nothing.
+stack of one.  A stack's generators are formed once, in its rate
+matrices' place (:func:`_generator_rows`), for both solvers: the LU
+swaps row 0 in and restores it bit for bit, and the density-matrix solve
+reads them after it.  :func:`solve_steady_state` solves a copy.  A
+solution that is negative or out of flux balance at some state
+(cancellation in the LU, when rates span many decades) is redone by
+state reduction, which subtracts nothing.
 
-Stacked reports do not warn; whoever reads them decides.  A single solve
-(:func:`solve_steady_state`, or a point or length-sweep row measured by
-``experiments._measure``) warns once per report whose ground population
-is at or below ``MIN_GROUND_POPULATION`` (:func:`_warn_low_ground`), and
-an ensemble counts those in one warning.
+Stacked reports do not warn; whoever puts a row together warns once per
+report whose ground population is at or below ``MIN_GROUND_POPULATION``
+(:func:`_warn_low_ground`), and an ensemble counts those in one warning.
 """
 
 from __future__ import annotations
@@ -169,21 +168,6 @@ def _reduce_states(chi: np.ndarray, members: list[int]) -> np.ndarray:
     return populations
 
 
-def steady_state(g: Generator) -> tuple[np.ndarray, float]:
-    """Solve chi P = 0 for the normalized population vector.
-
-    Returns (populations, residual), the residual being max |chi P|.
-    Raises SteadyStateError if the rate graph has more than one closed
-    class, or if no solve yields populations that are nonnegative (tiny
-    negative ones, above -1e-12 times the largest population, are clipped
-    to zero) and in flux balance state by state.
-    """
-    p, residual, errors = _steady_rows(g.chi[None].copy())
-    if errors[0] is not None:
-        raise errors[0]
-    return p[0], float(residual[0])
-
-
 def _class_errors(chi: np.ndarray) -> tuple[list, list]:
     """The uniqueness verdict of both solvers on a stack of generators (R,
     dim, dim): (errors, classes), per row None or the SteadyStateError
@@ -203,14 +187,17 @@ def _class_errors(chi: np.ndarray) -> tuple[list, list]:
 
 
 def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """:func:`steady_state` of a stack of generators (R, dim, dim).
+    """Solve chi P = 0 for the normalized populations of a stack of
+    generators (R, dim, dim).
 
-    Returns (populations, residuals, errors), where errors holds per row
-    None or the SteadyStateError that row raised (its populations and
-    residual are then NaN): :func:`_class_errors`'s verdict, or a unique
-    row that state reduction does not save.  The whole stack is solved
-    together by LU with row 0 replaced by ones (a degenerate row's system
-    by the identity, its result then masked); a unique row that comes out
+    Returns (populations, residuals, errors): per row its populations,
+    nonnegative (negative ones above -1e-12 times the largest clipped to
+    zero) and in flux balance state by state, its residual max |chi P|,
+    and None or its SteadyStateError (its populations and residual then
+    NaN): :func:`_class_errors`'s verdict, or a unique row that state
+    reduction does not save.  The whole stack is solved together by LU
+    with row 0 replaced by ones (a degenerate row's system by the
+    identity, its result then masked); a unique row that comes out
     negative, unbalanced or not finite, or whose LU meets an exactly
     singular pivot, is solved again by state reduction on its closed class
     (the verdict's, or found now for a row the verdict did not search).
@@ -296,12 +283,12 @@ def site_populations(report: SteadyStateReport, es: EigenSystem) -> np.ndarray:
 def solve_steady_state(rates: RateMatrix) -> SteadyStateReport:
     """Build the generator, solve it, and assemble the full report.
 
-    Raises SteadyStateError as :func:`steady_state` does, and warns as
+    Raises the SteadyStateError :func:`_steady_rows` gives, and warns as
     :func:`_warn_low_ground` does.
     """
     ground = {kind: (block[None, 0, 1:], block[None, 1:, 0])
               for kind, block in rates.blocks.items() if kind != "phonon"}
-    report = _steady_reports(rates.w[None].copy(), ground)[0]
+    report = _steady_reports(_generator_rows(rates.w[None].copy()), ground)[0]
     if isinstance(report, SteadyStateError):
         raise report
     _warn_low_ground(report)
@@ -319,17 +306,14 @@ def _warn_low_ground(report: SteadyStateReport) -> None:
             "these rates", stacklevel=3)
 
 
-def _steady_reports(w: np.ndarray, ground: dict[str, tuple]) -> list:
-    """:func:`solve_steady_state` of stacked rate matrices (R, dim, dim)
+def _steady_reports(chi: np.ndarray, ground: dict[str, tuple]) -> list:
+    """:func:`solve_steady_state` of a stack of generators (R, dim, dim)
     and their per-kind ground <-> excited rate vectors (as
-    ``spectral._rate_rows`` returns them), without its warning.
-
-    Returns per row its SteadyStateReport or the SteadyStateError it
-    raised, and overwrites w with its generators.
-    """
-    populations, residual, errors = _steady_rows(_generator_rows(w))
+    ``spectral._rate_rows`` returns them), without its warning: per row
+    its SteadyStateReport or SteadyStateError.  chi keeps its bits."""
+    populations, residual, errors = _steady_rows(chi)
     fluxes = _flux_rows(populations, ground)
-    currents = fluxes.get("extraction", np.zeros(len(w)))
+    currents = fluxes.get("extraction", np.zeros(len(chi)))
     reports: list = []
     for r, error in enumerate(errors):
         reports.append(error if error is not None else SteadyStateReport(

@@ -70,16 +70,13 @@ class EigenSystem:
     """Sorted eigenbasis of a transport Hamiltonian.
 
     ``energies`` is ascending with the ground state first; column k of
-    ``vectors`` is the k-th eigenstate in the ground + site basis.
-    ``hamiltonian`` is None for a sweep row, whose dense matrix is not built.
-    The density-matrix solver also takes a stack of R eigensystems as
-    one: energies (R, dim) and vectors (R, dim, dim), the only two fields
-    it reads.
+    ``vectors`` is the k-th eigenstate in the ground + site basis, and
+    ``hamiltonian`` is the Hamiltonian they diagonalize.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
-    hamiltonian: Hamiltonian | None
+    hamiltonian: Hamiltonian
 
     @property
     def dimension(self) -> int:

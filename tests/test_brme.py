@@ -13,10 +13,10 @@ from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
     build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import _class_errors, _generator_rows, \
-    build_generator, site_populations, solve_steady_state
-from excitonchain.spectral import EigenSystem, SpectralError, \
-    _degeneracy_tol, _group_ranges, diagonalize, transition_matrix
+from excitonchain.pme import _class_errors, build_generator, \
+    site_populations, solve_steady_state
+from excitonchain.spectral import SpectralError, _degeneracy_tol, \
+    _group_ranges, diagonalize, transition_matrix
 
 FREQ_GROUP_TOL = 1e-9
 
@@ -31,6 +31,20 @@ def make_system(kind, n_cells, jb=1.0, env=None, injection_mode="site",
     channels = build_channels(geo, env or EnvironmentParams(),
                               injection_mode=injection_mode)
     return es, channels
+
+
+def liouvillian(es, channels):
+    """The Liouvillian of one eigensystem, a stack of one."""
+    return build_liouvillian(es.energies[None], es.vectors[None], channels)
+
+
+def solve(es, channels):
+    """The density-matrix report of one eigensystem, solved as a stack of
+    one; its BrmeError is raised."""
+    [report] = brme_steady_state(liouvillian(es, channels))
+    if isinstance(report, BrmeError):
+        raise report
+    return report
 
 
 def frequency_decompose(es, op):
@@ -97,7 +111,7 @@ def test_frequency_components_recover_the_operator(eigenbasis_operator):
     # the solver's coupling vectors stand for (unit weights: u u^T for a
     # phonon channel, e0 a^T + a e0^T otherwise)
     es, channels = make_system("dimer", 2)
-    liouv = build_liouvillian(es, channels)
+    liouv = liouvillian(es, channels)
     ops = [op for ch in channels for op in eigenbasis_operator(es, ch)]
     assert len(ops) == len(liouv.matrix[0]) == len(liouv.kinds)
     e0 = np.eye(es.dimension)[0]
@@ -189,7 +203,7 @@ def test_fast_builder_matches_brute_force(kind, n_cells, jb, options,
                                           eigenbasis_operator, rng):
     es, channels = make_system(kind, n_cells, jb=jb, **options)
     brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
-    assert_apply_matches(build_liouvillian(es, channels), brute, rng)
+    assert_apply_matches(liouvillian(es, channels), brute, rng)
 
 
 @BRUTE_FORCE_CASES
@@ -206,7 +220,7 @@ def test_krylov_solve_matches_a_dense_solve(kind, n_cells, jb, options,
     rho = np.linalg.solve(bordered, rhs).reshape(dim, dim)
     expected = sum(dense_ground_flux(es, ch, rho, eigenbasis_operator)
                    for ch in channels if ch.kind == "extraction")
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     assert report.extras["krylov_iterations"] > 0
     assert report.current == pytest.approx(expected, rel=1e-10, abs=0)
     assert (np.abs(report.density_matrix - rho).max()
@@ -221,10 +235,10 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
     es, channels = make_system(kind, n_cells, jb=jb, **options)
     dim = es.dimension
     brute = brute_force_liouvillian(es, channels, eigenbasis_operator)
-    liouv = build_liouvillian(es, channels)
+    liouv = liouvillian(es, channels)
     coherences = liouv.coherence_diagonal[0]
     coherences = np.where(coherences == 0, 1.0, coherences)
-    chi = build_generator(liouv.rates[0]).chi
+    chi = liouv.generators[0].copy()
     chi[0] += 1.0
     precondition, _ = brme._secular_inverse(liouv)
     off = ~np.eye(dim, dtype=bool)
@@ -249,7 +263,7 @@ def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
                         * ch.operator)
                 for ch in channels]
     brute = brute_force_liouvillian(es, weighted, eigenbasis_operator)
-    assert_apply_matches(build_liouvillian(es, weighted), brute, rng)
+    assert_apply_matches(liouvillian(es, weighted), brute, rng)
 
 
 def one_row_channels(channels):
@@ -283,8 +297,8 @@ def test_bundling_rows_into_channels_changes_no_rate_or_liouvillian(
         np.testing.assert_allclose(single.blocks[kind_name], block,
                                    atol=1e-16, rtol=1e-12)
     np.testing.assert_allclose(single.w, bundled.w, atol=1e-16, rtol=1e-12)
-    liouv = build_liouvillian(es, channels)
-    liouv_split = build_liouvillian(es, split)
+    liouv = liouvillian(es, channels)
+    liouv_split = liouvillian(es, split)
     assert liouv_split.kinds == liouv.kinds
     for _ in range(5):
         rho = random_complex(rng, es.dimension)
@@ -298,20 +312,22 @@ def test_bundling_rows_into_channels_changes_no_rate_or_liouvillian(
     ("prism", {"dipole_scheme": "transport"}),
 ], ids=["prism-site", "dimer-eigen", "prism-transport"])
 def test_secular_rates_are_the_population_rates(kind, options):
-    # one rate kernel serves both solvers, so the secular rates equal the
-    # population equation's bit for bit
+    # one rate kernel serves both solvers, so the secular rates, the
+    # off-diagonal of the secular generator, equal the population
+    # equation's bit for bit, and so does the whole generator
     es, channels = make_system(kind, 4, jb=2.0,
                                env=EnvironmentParams(gamma_nr=0.003),
                                **options)
-    rates = build_liouvillian(es, channels).rates[0]
+    generator = liouvillian(es, channels).generators[0]
     w = transition_matrix(es, channels).w
     off = ~np.eye(es.dimension, dtype=bool)
-    assert np.array_equal(rates[off], w[off])
+    assert np.array_equal(generator[off], w[off])
+    assert np.array_equal(generator, build_generator(w).chi)
 
 
 def test_trace_is_a_left_null_vector():
     es, channels = make_system("prism", 5, jb=10.0)
-    liouv = build_liouvillian(es, channels)
+    liouv = liouvillian(es, channels)
     dim = es.dimension
     for k in range(dim * dim):
         basis = np.zeros((dim, dim))
@@ -324,7 +340,7 @@ def test_hermiticity_is_preserved(rng):
     # dissipator D, real on real matrices, commutes with transposition;
     # on a real form S, L is omega o S^T + D(S)
     es, channels = make_system("dimer", 3, jb=1.0)
-    liouv = build_liouvillian(es, channels)
+    liouv = liouvillian(es, channels)
     omega = es.energies[None, :] - es.energies[:, None]
 
     def dissipator(s):
@@ -337,9 +353,8 @@ def test_hermiticity_is_preserved(rng):
 
 def test_zero_channels_leave_a_degenerate_null_space():
     es, _ = make_system("mono", 2)
-    liouv = build_liouvillian(es, [])
     with pytest.raises(BrmeError, match="degenerate"):
-        brme_steady_state(liouv)
+        solve(es, [])
 
 
 def test_unconverged_krylov_solve_raises(monkeypatch):
@@ -348,7 +363,7 @@ def test_unconverged_krylov_solve_raises(monkeypatch):
     monkeypatch.setattr(brme, "_GMRES_RESTART", 2)
     monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", 1)
     with pytest.raises(BrmeError, match="did not converge in 2 iterations"):
-        brme_steady_state(build_liouvillian(es, channels))
+        solve(es, channels)
 
 
 # three seed offsets per (n, restart) case, each system restarted at
@@ -428,7 +443,7 @@ def test_prism_25_solves_with_balanced_flux():
     # dim 76, above the largest system of the criterion-7 grid (61)
     es, channels = make_system("prism", 25, jb=10.0)
     assert es.dimension == 76
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     outgoing = (report.fluxes["extraction"] + report.fluxes["radiative"]
                 + report.fluxes["nonradiative"])
     assert outgoing == pytest.approx(report.fluxes["injection"], rel=1e-10,
@@ -438,8 +453,7 @@ def test_prism_25_solves_with_balanced_flux():
 def test_radiative_only_decays_to_the_ground_projector():
     es, channels = make_system("mono", 2)
     radiative = [c for c in channels if c.kind == "radiative"]
-    liouv = build_liouvillian(es, radiative)
-    report = brme_steady_state(liouv)
+    report = solve(es, radiative)
     rho = report.density_matrix
     expected = np.zeros_like(rho)
     expected[0, 0] = 1.0
@@ -448,7 +462,7 @@ def test_radiative_only_decays_to_the_ground_projector():
 
 def test_steady_state_is_normalized_and_nearly_positive():
     es, channels = make_system("prism", 4, jb=10.0)
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     assert abs(np.trace(report.density_matrix).real - 1.0) < 1e-12
     assert report.extras["min_eigenvalue"] > -1e-8
     assert report.extras["coherence_fraction"] < 0.05
@@ -456,7 +470,7 @@ def test_steady_state_is_normalized_and_nearly_positive():
 
 def test_current_agrees_with_site_population_formula():
     es, channels = make_system("dimer", 5, jb=10.0)
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     geo = es.geometry
     vex = es.vectors[1:, 1:]
     rho_sites = vex @ report.density_matrix[1:, 1:] @ vex.T
@@ -471,7 +485,7 @@ def test_site_populations_count_the_coherences():
     # sites give the current as the population solver's do, and the whole
     # profile stays within brme-check's 2% of the population solver's
     es, channels = make_system("prism", 5, jb=10.0)
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     sites = site_populations(report, es)
     assert sites.sum() + report.density_matrix[0, 0].real == pytest.approx(
         1.0, rel=0, abs=1e-12)
@@ -487,7 +501,7 @@ def test_site_populations_count_the_coherences():
 def test_flux_conservation_in_the_density_matrix_solver():
     es, channels = make_system("prism", 3, jb=2.0,
                                env=EnvironmentParams(gamma_nr=0.005))
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     outgoing = (report.fluxes["extraction"] + report.fluxes["radiative"]
                 + report.fluxes["nonradiative"])
     assert outgoing == pytest.approx(report.fluxes["injection"], rel=1e-10,
@@ -503,14 +517,14 @@ def test_flux_conservation_in_the_density_matrix_solver():
 def test_agreement_with_population_solver(kind, n_cells, jb):
     es, channels = make_system(kind, n_cells, jb=jb)
     pme_report = solve_steady_state(transition_matrix(es, channels))
-    brme_report = brme_steady_state(build_liouvillian(es, channels))
+    brme_report = solve(es, channels)
     rel = abs(brme_report.current - pme_report.current) / pme_report.current
     assert rel < 0.05
 
 
 def test_eigen_mode_current_uses_the_target_state():
     es, channels = make_system("mono", 2, injection_mode="eigen")
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     gamma_ext = EnvironmentParams().gamma_ext
     expected = gamma_ext * report.density_matrix[1, 1].real
     assert report.current == pytest.approx(expected, rel=1e-12, abs=0)
@@ -518,7 +532,7 @@ def test_eigen_mode_current_uses_the_target_state():
 
 @pytest.mark.parametrize("build,error", [
     (transition_matrix, SpectralError),
-    (build_liouvillian, BrmeError),
+    (liouvillian, BrmeError),
 ], ids=["transition_matrix", "build_liouvillian"])
 def test_operator_dimension_validation(build, error):
     es, _ = make_system("mono", 2)
@@ -532,14 +546,13 @@ def test_operator_dimension_validation(build, error):
 
 
 def stacked_system(kind, n_cells, jb_values, env=None, **options):
-    """The eigensystems of one chain at each coupling, as one stack, and
-    the chain's channels."""
+    """The eigensystems of one chain at each coupling as one stack
+    (energies, vectors), the chain's channels, and the eigensystems."""
     systems = [make_system(kind, n_cells, jb=jb, env=env, **options)
                for jb in jb_values]
-    es = EigenSystem(energies=np.stack([es.energies for es, _ in systems]),
-                     vectors=np.stack([es.vectors for es, _ in systems]),
-                     hamiltonian=None)
-    return es, systems[0][1], [es for es, _ in systems]
+    stack = (np.stack([es.energies for es, _ in systems]),
+             np.stack([es.vectors for es, _ in systems]))
+    return stack, systems[0][1], [es for es, _ in systems]
 
 
 def assert_same_report(report, expected):
@@ -555,27 +568,25 @@ def assert_same_report(report, expected):
 def test_a_stack_solves_each_row_as_its_own_solve(n_cells):
     # dimer N=20 takes 11, 13 and 12 Krylov iterations, so its rows leave
     # the lockstep at different steps
-    es, channels, singles = stacked_system("dimer", n_cells, (0.1, 1.0, 10.0))
-    liouvillian = build_liouvillian(es, channels)
-    rates = liouvillian.rates.copy()
-    reports = brme_steady_state(liouvillian)
-    # the secular preconditioner forms its generators in a copy
-    assert np.array_equal(liouvillian.rates.view(np.int64),
-                          rates.view(np.int64))
+    stack, channels, singles = stacked_system("dimer", n_cells,
+                                              (0.1, 1.0, 10.0))
+    liouv = build_liouvillian(*stack, channels)
+    generators = liouv.generators.copy()
+    reports = brme_steady_state(liouv)
+    # the secular preconditioner borders a copy of the generators
+    assert np.array_equal(liouv.generators.view(np.int64),
+                          generators.view(np.int64))
     assert len(reports) == 3
     for report, single in zip(reports, singles):
-        assert_same_report(report, brme_steady_state(
-            build_liouvillian(single, channels)))
+        assert_same_report(report, solve(single, channels))
     counts = {r.extras["krylov_iterations"] for r in reports}
     assert len(counts) == (3 if n_cells == 20 else 1)
 
 
 def solve_alone(es, channels):
-    """A row's own solve: its report, or the BrmeError it raised."""
-    try:
-        return brme_steady_state(build_liouvillian(es, channels))
-    except BrmeError as exc:
-        return exc
+    """A row's own solve, a stack of one: its report, or the BrmeError it
+    failed with."""
+    return brme_steady_state(liouvillian(es, channels))[0]
 
 
 def test_a_row_that_does_not_converge_fails_alone(monkeypatch):
@@ -583,10 +594,10 @@ def test_a_row_that_does_not_converge_fails_alone(monkeypatch):
     # one cycle of 12 the first row converges in 11; the inner loops of
     # the others stop at 11 and 10, where the true residual is still too
     # large, so they fail, as their own solves do
-    es, channels, singles = stacked_system("dimer", 20, (0.1, 1.0, 10.0))
+    stack, channels, singles = stacked_system("dimer", 20, (0.1, 1.0, 10.0))
     monkeypatch.setattr(brme, "_GMRES_RESTART", 12)
     monkeypatch.setattr(brme, "_GMRES_MAX_RESTARTS", 1)
-    reports = brme_steady_state(build_liouvillian(es, channels))
+    reports = brme_steady_state(build_liouvillian(*stack, channels))
     assert [str(r) for r in reports[1:]] == [
         "GMRES did not converge in 11 iterations",
         "GMRES did not converge in 10 iterations"]
@@ -603,46 +614,46 @@ def test_a_degenerate_row_fails_alone():
     # no secular rate leaves excited states 1 and 2 of the first row, so
     # each is a closed class of its own; the population solver gives the
     # same verdict in the same words
-    es, channels, singles = stacked_system("prism", 4, (0.1, 1.0, 10.0))
-    liouv = build_liouvillian(es, channels)
-    liouv.rates[0][:, 1:3] = 0.0
+    stack, channels, singles = stacked_system("prism", 4, (0.1, 1.0, 10.0))
+    liouv = build_liouvillian(*stack, channels)
+    # columns 1 and 2 of the generator hold the rates out of states 1 and
+    # 2 and, on the diagonal, their sums
+    liouv.generators[0][:, 1:3] = 0.0
     reports = brme_steady_state(liouv)
     assert isinstance(reports[0], BrmeError)
     assert str(reports[0]) == ("degenerate steady state: rate graph has 2 "
                                "disconnected closed classes [[1], [2]]")
-    [verdict], _ = _class_errors(_generator_rows(liouv.rates[:1]))
+    [verdict], _ = _class_errors(liouv.generators[:1])
     assert str(reports[0]) == str(verdict)
     for r in (1, 2):
-        assert_same_report(reports[r], brme_steady_state(
-            build_liouvillian(singles[r], channels)))
+        assert_same_report(reports[r], solve(singles[r], channels))
 
 
 def test_a_singular_secular_generator_is_a_brme_error(monkeypatch):
     # LAPACK fails to solve one row's bordered generator chi + e0 1^T,
     # which fails the stacked solve: it falls back row by row, and only
     # that row fails
-    es, channels, singles = stacked_system("dimer", 3, (0.1, 1.0, 10.0))
-    liouv = build_liouvillian(es, channels)
-    singular = _generator_rows(liouv.rates.copy())[1]
+    stack, channels, singles = stacked_system("dimer", 3, (0.1, 1.0, 10.0))
+    liouv = build_liouvillian(*stack, channels)
+    singular = liouv.generators[1].copy()
     singular[0] += 1.0
-    solve = np.linalg.solve
+    lapack_solve = np.linalg.solve
 
     def failing_solve(a, b):
         if any(np.array_equal(m, singular) for m in a.reshape(
                 -1, *a.shape[-2:])):
             raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        return lapack_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     reports = brme_steady_state(liouv)
     assert isinstance(reports[1], BrmeError)
     assert "singular" in str(reports[1])
     for r in (0, 2):
-        assert_same_report(reports[r], brme_steady_state(
-            build_liouvillian(singles[r], channels)))
+        assert_same_report(reports[r], solve(singles[r], channels))
     # solved alone, a stack of one, the row fails the same way
     with pytest.raises(BrmeError, match="singular"):
-        brme_steady_state(build_liouvillian(singles[1], channels))
+        solve(singles[1], channels)
 
 
 def test_row_norms_have_the_bits_of_numpy_norm(rng):
@@ -658,7 +669,7 @@ def test_population_share_of_a_long_mono_chain():
     # mono N=80, jb=1: the non-secular terms raise every eigenstate
     # population, and populations carry about 96% of the extraction flux
     es, channels = make_system("mono", 80)
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     assert report.extras["population_share"] == pytest.approx(0.956,
                                                               abs=0.005)
 
@@ -667,7 +678,7 @@ def test_population_share_where_both_solvers_agree():
     # prism N=5, jb=10: the secular and the full solve agree to 1e-4, and
     # populations carry the extraction flux to within 0.1%
     es, channels = make_system("prism", 5, jb=10.0)
-    report = brme_steady_state(build_liouvillian(es, channels))
+    report = solve(es, channels)
     pme_report = solve_steady_state(transition_matrix(es, channels))
     assert report.current == pytest.approx(pme_report.current, rel=1e-4)
     assert report.extras["population_share"] >= 0.99
@@ -694,8 +705,7 @@ def test_rotating_the_multiplets_keeps_the_current(kind, n_cells, jb, seed):
     for lo, hi in multiplets:
         q, _ = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))
         vectors[:, lo:hi] = vectors[:, lo:hi] @ q
-    rotated = EigenSystem(energies=es.energies, vectors=vectors,
-                          hamiltonian=None)
-    expected = brme_steady_state(build_liouvillian(es, channels)).current
-    current = brme_steady_state(build_liouvillian(rotated, channels)).current
-    assert current == pytest.approx(expected, rel=1e-9, abs=0)
+    expected = solve(es, channels).current
+    [rotated] = brme_steady_state(build_liouvillian(es.energies[None],
+                                                    vectors[None], channels))
+    assert rotated.current == pytest.approx(expected, rel=1e-9, abs=0)

@@ -104,7 +104,7 @@ def test_sweep_rejects_a_non_finite_coupling_before_any_solve():
             small_spec(jb_values=(1.0, jb))
 
 
-def test_a_method_that_does_not_apply_is_rejected_by_name():
+def test_a_method_that_does_not_apply_is_rejected_by_name(monkeypatch):
     with pytest.raises(ValueError, match="'brmee'"):
         solve_point("mono", 2, 1.0, HAM, ENV, method="brmee")
     spec = small_spec(n_cells_values=(3,), method="brme")
@@ -116,9 +116,17 @@ def test_a_method_that_does_not_apply_is_rejected_by_name():
     spec = small_spec(n_cells_values=(25,), method="brme")
     with pytest.raises(ValueError, match="'pme' only, not 'brme'"):
         disorder_ensemble(spec)
-    # an all-BRME sweep needs one chain length within the BRME cap
-    with pytest.raises(ValueError, match="brme_max_cells = 20"):
-        length_sweep(small_spec(n_cells_values=(25, 26), method="brme"))
+    # a sweep with the BRME, alone or beside the PME, needs one chain
+    # length within the BRME cap, or it fails before any geometry is
+    # solved ("both" would write population rows alone under a sidecar
+    # that records both methods)
+    cells = spy(monkeypatch, "_cell_solves")
+    for method in ("brme", "both"):
+        with pytest.raises(ValueError, match=(
+                f"^method '{method}' needs a chain length at or below "
+                "brme_max_cells = 20$")):
+            length_sweep(small_spec(n_cells_values=(25, 26), method=method))
+    assert cells == []
 
 
 def test_length_sweep_rows_and_fits():
@@ -287,24 +295,34 @@ def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
         [4, 5, 6], [2] * 3, [4, 5, 6], [3] * 3, [4, 5, 6]]
 
 
-@pytest.mark.parametrize("method", ["both", "brme"])
+@pytest.mark.parametrize("method", ["pme", "both", "brme"])
 def test_a_chain_makes_one_rate_pass_for_both_solvers(monkeypatch, method):
-    # each chain's three couplings are one stack: the population and the
-    # density-matrix solve read one rate pass of it, and the stack's
-    # Liouvillians are built and solved together
-    passes, builds = [], []
+    # each chain's three couplings are one stack: it makes one rate pass
+    # and forms its generators once, which the population and the
+    # density-matrix solve both read, and the stack's Liouvillians are
+    # built and solved together
+    passes, formed, builds = [], [], []
     real_rates, real_build = spectral._rate_rows, brme.build_liouvillian
+    real_generators = pme._generator_rows
     counting = (lambda energies, *rest:
                 passes.append(energies.shape) or real_rates(energies, *rest))
-    monkeypatch.setattr(experiments, "_rate_rows", counting)
-    monkeypatch.setattr(brme, "_rate_rows", counting)
-    monkeypatch.setattr(experiments, "build_liouvillian", lambda es, *rest: (
-        builds.append(es.energies.shape) or real_build(es, *rest)))
+    forming = (lambda w: formed.append(w.shape[:2])
+               or real_generators(w))
+    for module in (experiments, brme):
+        monkeypatch.setattr(module, "_rate_rows", counting)
+    for module in (experiments, pme, brme):
+        monkeypatch.setattr(module, "_generator_rows", forming)
+    monkeypatch.setattr(experiments, "build_liouvillian",
+                        lambda energies, *rest: (
+                            builds.append(energies.shape)
+                            or real_build(energies, *rest)))
     spec = small_spec(geometries=("prism",), n_cells_values=(2, 3),
                       jb_values=(0.1, 1.0, 10.0), method=method)
     rows, _ = length_sweep(spec)
     assert len(rows) == (12 if method == "both" else 6)
-    assert passes == builds == [(3, 7), (3, 10)]
+    assert passes == formed == [(3, 7), (3, 10)]
+    assert builds == ([] if method == "pme" else passes)
+
 
 
 def test_benchmark_traffic_needs_no_class_search():

@@ -13,8 +13,7 @@ from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import build_geometry
 from excitonchain.pme import (Generator, SteadyStateError, _closed_classes,
                               _generator_rows, _steady_rows, build_generator,
-                              site_populations, solve_steady_state,
-                              steady_state)
+                              site_populations, solve_steady_state)
 from excitonchain.spectral import RateMatrix, diagonalize, transition_matrix
 
 
@@ -25,6 +24,15 @@ def make_rates(kind, n_cells, jb=1.0, env=None, injection_mode="site"):
     channels = build_channels(geo, env or EnvironmentParams(),
                               injection_mode=injection_mode)
     return transition_matrix(es, channels), es
+
+
+def steady(generator):
+    """(populations, residual) of one generator, solved as a stack of one
+    by ``_steady_rows`` on a copy; its SteadyStateError is raised."""
+    p, residual, [error] = _steady_rows(generator.chi[None].copy())
+    if error is not None:
+        raise error
+    return p[0], float(residual[0])
 
 
 def integrate_to_steady(chi, p0=None, target=1e-13):
@@ -68,7 +76,7 @@ def test_generator_columns_sum_to_zero():
 
 def test_two_state_analytic_balance():
     gen = build_generator(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    p, residual = steady_state(gen)
+    p, residual = steady(gen)
     np.testing.assert_allclose(p, [1 / 3, 2 / 3], rtol=1e-14)
     assert residual < 1e-15
     assert _closed_classes(gen.chi) == [[0, 1]]
@@ -79,7 +87,7 @@ def test_disconnected_rate_graph_reports_components():
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 2.0
     with pytest.raises(SteadyStateError) as err:
-        steady_state(build_generator(w))
+        steady(build_generator(w))
     assert sorted(map(sorted, err.value.components)) == [[0, 1], [2, 3]]
 
 
@@ -90,7 +98,7 @@ def test_phonon_only_excited_manifold_thermalizes():
     # ground is disconnected without the one-way channels: solve the
     # excited block on its own
     gen = build_generator(rates.w[1:, 1:])
-    p, _ = steady_state(gen)
+    p, _ = steady(gen)
     energies = es.excited_energies
     gibbs = np.exp(-(energies - energies[0])
                    / EnvironmentParams().temperature)
@@ -107,13 +115,13 @@ def test_phonon_only_full_system_is_degenerate():
                             gamma_ext=0.0)
     rates, _ = make_rates("mono", 4, env=env)
     with pytest.raises(SteadyStateError, match="disconnected"):
-        steady_state(build_generator(rates))
+        steady(build_generator(rates))
 
 
 def test_steady_state_matches_time_integration():
     rates, _ = make_rates("mono", 2)
     gen = build_generator(rates)
-    p_null, _ = steady_state(gen)
+    p_null, _ = steady(gen)
     p_time = integrate_to_steady(gen.chi)
     assert np.abs(p_null - p_time).max() < 1e-8
 
@@ -179,10 +187,10 @@ def test_current_never_increases_with_radiative_rate():
 
 def test_steady_state_invariant_under_relabeling(rng):
     rates, _ = make_rates("dimer", 4, jb=2.0)
-    p, _ = steady_state(build_generator(rates))
+    p, _ = steady(build_generator(rates))
     perm = rng.permutation(rates.w.shape[0])
     w_perm = rates.w[np.ix_(perm, perm)]
-    p_perm, _ = steady_state(build_generator(w_perm))
+    p_perm, _ = steady(build_generator(w_perm))
     np.testing.assert_allclose(p_perm, p[perm], atol=1e-12)
 
 
@@ -234,13 +242,13 @@ def test_state_reduction_resolves_what_the_lu_cancels():
     # 0 -> 2 at 1e-5 and 1 -> 0 at 1e-30 beside a fast 1 <-> 2 pair: the
     # row-replaced LU returns p0 = -4.6e-12 through cancellation
     w = np.array([[0.0, 1e-30, 0.0], [0.0, 0.0, 1.0], [1e-5, 1.0, 0.0]])
-    p, _ = steady_state(build_generator(w))
+    p, _ = steady(build_generator(w))
     np.testing.assert_allclose(p, np.array([1e-25, 1.0, 1.0]) / (2 + 1e-25),
                                rtol=1e-14, atol=0)
     # a transient state 0 whose exit rate vanishes beside 1 makes the LU
     # pivot exactly zero
     w[0, 1], w[2, 0] = 0.0, 1e-17
-    p, _ = steady_state(build_generator(w))
+    p, _ = steady(build_generator(w))
     np.testing.assert_array_equal(p, [0.0, 0.5, 0.5])
 
 
@@ -322,18 +330,14 @@ def test_degenerate_rows_inside_the_stacked_solve_fail_alone():
             _generator_rows(stack[r][None].copy()))
         np.testing.assert_array_equal(p[r], alone[0])
         assert residual[r] == alone_residual[0]
-    # the public solvers work on copies: a degenerate rate matrix, its
-    # generator and its rate report come back bit for bit
+    # the public functions work on copies: a degenerate rate matrix and
+    # its rate report come back bit for bit
     w = cycles.copy()
-    generator = build_generator(w)
-    chi = generator.chi.copy()
-    with pytest.raises(SteadyStateError):
-        steady_state(generator)
+    build_generator(w)
     rates = RateMatrix(w=w, blocks={"phonon": w.copy()})
     with pytest.raises(SteadyStateError):
         solve_steady_state(rates)
-    for array, expected in ((w, cycles), (generator.chi, chi),
-                            (rates.w, cycles),
+    for array, expected in ((w, cycles), (rates.w, cycles),
                             (rates.blocks["phonon"], cycles)):
         assert np.array_equal(array.view(np.int64), expected.view(np.int64))
 
@@ -352,9 +356,8 @@ def test_public_solvers_leave_their_arguments_untouched():
     report = solve_steady_state(rates)
     generator = build_generator(rates)
     chi = generator.chi.copy()
-    p, residual = steady_state(generator)
     build_generator(rates.w)
-    assert np.array_equal(p, report.populations)
+    assert np.array_equal(steady(generator)[0], report.populations)
     for array, expected in ((rates.w, w), (generator.chi, chi),
                             *((rates.blocks[k], blocks[k]) for k in blocks)):
         assert np.array_equal(array.view(np.int64), expected.view(np.int64))
@@ -389,10 +392,10 @@ def test_generator_and_steady_state_properties(w):
     n_closed = _closed_class_count(w)
     if n_closed > 1:
         with pytest.raises(SteadyStateError, match="disconnected") as err:
-            steady_state(Generator(chi))
+            steady(Generator(chi))
         assert len(err.value.components) == n_closed
         return
-    p, _ = steady_state(Generator(chi))
+    p, _ = steady(Generator(chi))
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
     # flux balance state by state; the solver accepts populations at 1e-10

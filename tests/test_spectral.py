@@ -18,7 +18,8 @@ from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian,
                                       factor_blocks)
 from excitonchain.lattice import assign_dipoles, build_geometry
-from excitonchain.pme import _steady_reports, solve_steady_state
+from excitonchain.pme import _generator_rows, _steady_reports, \
+    solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError,
                                    _brightness_rows, _cell_modes,
                                    _couplings, _eigen_row, _eigen_rows,
@@ -245,8 +246,8 @@ def test_rates_and_steady_states_keep_their_bits_under_sign_flips(stack,
     assert np.array_equal(densities[0], densities2[0])
     assert np.array_equal(_brightness_rows(vectors, channels),
                           _brightness_rows(flipped, channels))
-    for report, report2 in zip(_steady_reports(w, ground),
-                               _steady_reports(w2, ground2)):
+    for report, report2 in zip(_steady_reports(_generator_rows(w), ground),
+                               _steady_reports(_generator_rows(w2), ground2)):
         assert np.array_equal(report.populations, report2.populations)
         assert report.current == report2.current
         assert report.fluxes == report2.fluxes
@@ -386,7 +387,9 @@ def test_rates_do_not_depend_on_shared_spectrum_objects():
 
 @pytest.mark.parametrize("build,error", [
     (transition_matrix, SpectralError),
-    (build_liouvillian, BrmeError),
+    (lambda es, channels: build_liouvillian(es.energies[None],
+                                            es.vectors[None], channels),
+     BrmeError),
 ], ids=["transition_matrix", "build_liouvillian"])
 def test_phonon_channel_must_act_on_a_single_site(build, error):
     es, channels = make_system("mono", 2)
