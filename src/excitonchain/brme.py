@@ -24,6 +24,9 @@ No superoperator is formed.  In the eigenbasis a phonon row w |s><s| is
 the rank-1 operator w u u^T with u the site's row of the eigenvectors,
 and every other row is the rank-2 ground <-> site operator
 e0 a^T + a e0^T with a = w @ V (a unit vector for eigenbasis targets).
+The rows are kept by role: a (density, u vectors) pair per phonon
+channel, and the ground <-> site rows in one array beside their emission
+forms.
 Applying the Liouvillian to a density matrix therefore costs
 O(n_sites dim^2): the phonon gain terms are three products with the
 (dim x n_sites) matrix of the u, the ground <-> site gain terms are fixed
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -99,74 +102,58 @@ def _t(a: np.ndarray) -> np.ndarray:
 @dataclass
 class Liouvillian:
     """The Liouvillians of a stack of R eigensystems, with ``energies``
-    (R, dim), and one channel set, in factored form.
+    (R, dim), and one channel set, in factored form, its rows by role.
 
-    Row c of ``matrix[r]`` is the eigenbasis coupling vector of one
-    operator row (a zero ground entry, then its ``spectral._couplings``
-    column), and ``kinds[c]`` its channel kind.  ``spectra`` holds one
-    (rows, S(eps_m - eps_0), S(eps_0 - eps_m)) triple per ground <-> site
-    channel: the slice of its rows in ``matrix`` and its densities (R,
-    dim) at the emission and absorption transitions; ``phonon`` holds one
-    (S(omega), rows) pair per phonon channel: its density (R, dim, dim) at
-    every transition and the slice of its rows.  ``generators`` (R, dim,
-    dim) are the population equation's generators chi, which the solve
-    reads and does not write, and ``ground`` its per-kind (out, into) rate
-    vectors, as ``spectral._rate_rows`` returns them.  The (dim x dim)
-    pieces :meth:`apply_real` needs are derived from these on
-    construction, in batched products; the diagonal of the Liouvillian on
-    the coherences (``coherence_diagonal``) is formed on request.
+    Row c of ``matrix[r]`` is the eigenbasis coupling vector a of one
+    ground <-> site row (a zero ground entry, then its
+    ``spectral._couplings`` column), ``kinds[c]`` its channel kind and
+    row c of ``emission[r]`` its emission form S(eps_m - eps_0) a_m; its
+    absorption form S(eps_0 - eps_m) a_m is read on construction, which
+    keeps the row's uptake a.h in ``uptake`` (R, C).  ``phonon`` holds
+    one (S(omega), vectors) pair per phonon channel: its density (R, dim,
+    dim) and its rows' coupling vectors (R, m, dim), zero at the ground
+    entry.  ``generators`` (R, dim, dim) are the population equation's
+    generators chi, which the solve reads and does not write, and
+    ``ground`` its per-kind (out, into) rate vectors, as
+    ``spectral._rate_rows`` returns them.  The (dim x dim) pieces
+    :meth:`apply_real` needs are derived from these on construction, in
+    batched products; the diagonal of the Liouvillian on the coherences
+    (``coherence_diagonal``) is formed on request.
     """
 
     matrix: np.ndarray
-    spectra: list[tuple[slice, np.ndarray, np.ndarray]] = field(repr=False)
-    phonon: list[tuple[np.ndarray, slice]] = field(repr=False)
+    emission: np.ndarray = field(repr=False)
+    absorption: InitVar[np.ndarray]
+    phonon: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
     energies: np.ndarray = field(repr=False)
     kinds: list[str] = field(repr=False)
     generators: np.ndarray = field(repr=False)
     ground: dict[str, tuple] = field(repr=False)
 
-    def __post_init__(self):
-        a = self.matrix
-        g, h = self.exchange_forms()
-        energies = self.energies
-        ag, ha = _t(a) @ g, _t(h) @ a
+    def __post_init__(self, absorption: np.ndarray):
+        a, g, h = self.matrix, self.emission, absorption
+        ag, ha, ah = _t(a) @ g, _t(h) @ a, a * h
+        self.uptake = ah.sum(axis=2)
         loss = ag.copy()
-        loss[:, 0, 0] += (a * h).sum(axis=(1, 2))
-        for s, cols in self.phonon:
-            u = _t(a[:, cols])
+        loss[:, 0, 0] += ah.sum(axis=(1, 2))
+        for s, c in self.phonon:
+            u = _t(c)
             loss += u @ _t(u * (_t(s) @ u**2))
         # the pieces L applies from: the Bohr frequencies omega, the loss
-        # matrix K, the ground <-> site gain matrices, and per phonon
-        # channel its density (R, 1, dim, dim) with its coupling vectors
-        # (R, 1, m, dim)
-        self._omega = energies[:, None, :] - energies[:, :, None]
+        # matrix K and the ground <-> site gain matrices
+        self._omega = self.energies[:, None, :] - self.energies[:, :, None]
         self._loss = loss
         self._transfer = ag + ha
         self._emission_form = _t(g) @ a + ag
         self._pump = ha + _t(a) @ h
-        self._phonon = [(s[:, None], a[:, None, cols])
-                        for s, cols in self.phonon]
-
-    def exchange_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(emission, absorption), each (R, C, dim): row c is S(eps_m -
-        eps_0) a_m and S(eps_0 - eps_m) a_m for a ground <-> site row, and
-        zero for a phonon row.  Formed on each call, so that a solve does
-        not hold them."""
-        emission = np.zeros_like(self.matrix)
-        absorption = np.zeros_like(self.matrix)
-        for rows, up, down in self.spectra:
-            a = self.matrix[:, rows]
-            emission[:, rows] = up[:, None] * a
-            absorption[:, rows] = down[:, None] * a
-        return emission, absorption
 
     @property
     def coherence_diagonal(self) -> np.ndarray:
         """The Liouvillian's diagonal on the coherences, (R, dim, dim),
         formed on each call so that a solve does not hold it."""
         dephasing = np.zeros_like(self._loss)
-        for s, cols in self.phonon:
-            u = _t(self.matrix[:, cols])
+        for s, c in self.phonon:
+            u = _t(c)
             # G_aa A_bb on the coherences: s[:, 0, 0] = S(0)
             dephasing += s[:, :1, :1] * (u**2 @ _t(u**2))
         decay = np.diagonal(self._loss, axis1=1, axis2=2)
@@ -184,7 +171,8 @@ class Liouvillian:
         loss += s @ _t(self._loss)
         loss *= 0.5
         out -= loss
-        for density, a in self._phonon:
+        for density, a in self.phonon:
+            density, a = density[:, None], a[:, None]  # over (S, S^T)
             u = _t(a)
             # G S A and A S G^T = (G S^T A)^T, one channel per column; each
             # stacked temporary is freed as soon as it is used up
@@ -216,17 +204,20 @@ def build_liouvillian(energies: np.ndarray, vectors: np.ndarray,
     """Factor the Liouvillians of a channel set in the eigenbases of a
     stack of R eigensystems, energies (R, dim) and vectors (R, dim, dim).
 
-    Stores one coupling vector per operator row and a few (dim x dim)
-    arrays per eigensystem; the build takes O(n_rows dim^2) time per
-    eigensystem, in products batched over the stack.  The coupling vectors
-    come from the population equation's rate kernel, and so do the secular
-    generators and the phonon densities at excited transitions: ``rates``
-    is the stack's rate pass (``spectral._rate_rows`` of its energies and
-    vectors) with its rate matrices turned into generators
-    (``pme._generator_rows``), made here when the caller has none.  Only
-    the ground row and column of each phonon density are evaluated here.
-    Raises BrmeError for a channel whose weights do not match the system
-    or a phonon row acting on more than one site.
+    Stores one coupling vector per operator row, kept by role, and a few
+    (dim x dim) arrays per eigensystem; the build takes O(n_rows dim^2)
+    time per eigensystem, in products batched over the stack.  The
+    coupling vectors come from the population equation's rate kernel,
+    and so do the secular generators and the phonon densities at excited
+    transitions: ``rates`` is the stack's rate pass
+    (``spectral._rate_rows`` of its energies and vectors) with its rate
+    matrices turned into generators (``pme._generator_rows``), made here
+    when the caller has none.  Off the excited block a phonon density
+    holds S(0) alone, at [0, 0], which ``coherence_diagonal`` reads as
+    pure dephasing: every other entry there meets a zero ground coupling,
+    so its products vanish exactly.  Raises BrmeError for a channel whose
+    weights do not match the system or a phonon row acting on more than
+    one site.
     """
     count, dim = energies.shape
     try:
@@ -238,27 +229,28 @@ def build_liouvillian(energies: np.ndarray, vectors: np.ndarray,
         raise BrmeError(str(exc)) from exc
     chi, ground, densities = rates
     densities = iter(densities)
-    matrix = np.zeros((count, sum(c.shape[2] for c in couplings), dim))
+    matrix = np.zeros((count, sum(c.shape[2] for ch, c in zip(
+        channels, couplings) if ch.kind != "phonon"), dim))
+    emission, absorption = np.empty_like(matrix), np.empty_like(matrix)
     omega0 = energies - energies[:, :1]  # eps_m - eps_0
-    phonon, spectra = [], []
-    kinds: list[str] = []
+    phonon, kinds = [], []
     for ch, c in zip(channels, couplings):
+        if ch.kind == "phonon":
+            s = np.zeros((count, dim, dim))
+            s[:, 1:, 1:] = next(densities)
+            s[:, 0, 0] = ch.spectral(0.0)
+            a = np.zeros((count, c.shape[2], dim))
+            a[:, :, 1:] = _t(c)
+            phonon.append((s, a))
+            continue
         rows = slice(len(kinds), len(kinds) + c.shape[2])
         kinds += [ch.kind] * c.shape[2]
-        matrix[:, rows, 1:] = _t(c)
-        if ch.kind == "phonon":
-            # S(eps_m - eps_n): the rate pass's excited block, with row 0
-            # at eps_m - eps_0 and column 0 at eps_0 - eps_n
-            s = np.empty((count, dim, dim))
-            s[:, 1:, 1:] = next(densities)
-            edges = np.asarray(ch.spectral(np.stack([omega0, -omega0], 1)),
-                               dtype=float)
-            s[:, 0], s[:, 1:, 0] = edges[:, 0], edges[:, 1, 1:]
-            phonon.append((s, rows))
-        else:
-            spectra.append((rows, ch.spectral(omega0),
-                            ch.spectral(-omega0)))
-    return Liouvillian(matrix=matrix, spectra=spectra, phonon=phonon,
+        a = matrix[:, rows]
+        a[:, :, 1:] = _t(c)
+        emission[:, rows] = ch.spectral(omega0)[:, None] * a
+        absorption[:, rows] = ch.spectral(-omega0)[:, None] * a
+    return Liouvillian(matrix=matrix, emission=emission,
+                       absorption=absorption, phonon=phonon,
                        energies=energies, kinds=kinds, generators=chi,
                        ground=ground)
 
@@ -537,14 +529,10 @@ def brme_steady_state(liouvillian: Liouvillian) -> list:
     residual = np.sqrt(np.max(w**2 + _t(w)**2, axis=(1, 2)) / 2).tolist()
     min_eig = np.linalg.eigvalsh(rho).min(axis=1).tolist()
     extraction = liouvillian.ground.get("extraction")
-    # net flow into the ground state per row: Re(a^T rho g) - (a.h) rho_00;
-    # phonon rows exchange none
-    flows = [c for c, kind in enumerate(liouvillian.kinds) if kind != "phonon"]
-    kinds = [liouvillian.kinds[c] for c in flows]
-    a, g, h = (x[:, flows] for x in (liouvillian.matrix,
-                                     *liouvillian.exchange_forms()))
+    # net flow into the ground state per row: Re(a^T rho g) - (a.h) rho_00
+    a, g = liouvillian.matrix, liouvillian.emission
     into_ground = (np.real(np.sum(a * (g @ _t(rho)), axis=2))
-                   - np.sum(a * h, axis=2) * rho[:, :1, 0].real).tolist()
+                   - liouvillian.uptake * rho[:, :1, 0].real).tolist()
     for r in np.flatnonzero(solved).tolist():
         if min_eig[r] < -1e-6:
             errors[r] = BrmeError(
@@ -556,7 +544,7 @@ def brme_steady_state(liouvillian: Liouvillian) -> list:
                 f"mild positivity violation in steady state (min eigenvalue "
                 f"{min_eig[r]:.3e})", stacklevel=2)
         errors[r] = _report(rho[r], residual[r], min_eig[r],
-                            zip(kinds, into_ground[r]),
+                            zip(liouvillian.kinds, into_ground[r]),
                             None if extraction is None else extraction[0][r],
                             iterations[r], initial_residual[r])
     return errors

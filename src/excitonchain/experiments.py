@@ -55,7 +55,7 @@ from .pme import SteadyStateReport, _generator_rows, _steady_reports, \
     _warn_low_ground
 from .spectral import (_brightness_rows, _cell_modes, _check_dark_threshold,
                        _dark_mask, _eigen_row, _eigen_rows, _factor_eigen,
-                       _fix_signs, _rate_rows, diagonalize)
+                       _rate_rows, diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 49152
 # doubles (384 KiB), 13 rows at dimension 61; about 4.5 such arrays are
@@ -224,8 +224,8 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
     The stack's one rate pass (``spectral._rate_rows``) becomes its
     generators in place (``pme._generator_rows``), which both solvers
     read and leave as they were: "pme" is the stacked population solve
-    (``pme._steady_reports``), "brme" the density-matrix one, after the
-    sign rule.  A failed rate pass raises."""
+    (``pme._steady_reports``), "brme" the density-matrix one; neither
+    reads the sign of an eigenvector.  A failed rate pass raises."""
     w, ground, densities = _rate_rows(energies, vectors, channels)
     chi = _generator_rows(w)
     if "brme" not in methods:
@@ -235,11 +235,11 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
         for out, report in zip(solved, _steady_reports(chi, ground)):
             out["pme"] = report
     if "brme" in methods:
-        # rates are quadratic in each vector, but coherences are not
-        _fix_signs(vectors[:, 1:, 1:])
         try:
-            reports = brme_steady_state(build_liouvillian(
-                energies, vectors, channels, (chi, ground, densities)))
+            liouvillian = build_liouvillian(energies, vectors, channels,
+                                            (chi, ground, densities))
+            densities = None  # copied into the Liouvillian: freed
+            reports = brme_steady_state(liouvillian)
         except Exception as exc:  # raised by the caller
             reports = [exc] * len(energies)
         for out, report in zip(solved, reports):

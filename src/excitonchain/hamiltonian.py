@@ -72,10 +72,6 @@ class Hamiltonian:
     factors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def excited_block(self) -> np.ndarray:
         return self.matrix[1:, 1:]
 

@@ -50,10 +50,6 @@ class Generator:
 
     chi: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.chi.shape[0]
-
 
 @dataclass
 class SteadyStateReport:

@@ -31,10 +31,10 @@ degenerate multiplet the centroid rule diagonalizes the in-plane centroid
 operators (y, then z among remaining ties), so symmetric parallel chains
 give reproducible, spatially distinct states rather than a LAPACK
 mixture, and orders the partners by their (x, y, z) site-support
-centroids.  The sign rule (:func:`_fix_signs`) runs only where a sign
-is read, on exported eigensystems (:func:`diagonalize`) and the
-density-matrix solver's stacks: rates and brightness are quadratic in
-each vector, and negating a vector negates every product and sum exactly.
+centroids.  The sign rule (:func:`_fix_signs`) runs on exported
+eigensystems (:func:`diagonalize`) only: no solver output reads a sign,
+since rates and brightness are quadratic in each vector, and negating a
+vector negates every product and sum of the density-matrix solve exactly.
 
 Transition rates between eigenstates follow the golden rule: for each
 channel the rate from state m into state n is the channel's spectral
@@ -183,8 +183,8 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     :func:`_full_eigen` where finite, or all clean chains' factor pairs
     (:func:`_eigen_row`), each solved by :func:`_sector_eigen`.  Masks
     over the stack then flag failed rows and rows whose lowest excited
-    energy does not exceed ``eg``; the sign rule is left to the readers
-    of signs (see the module docstring).  Returns
+    energy does not exceed ``eg``; the sign rule is left to exported
+    eigensystems (see the module docstring).  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
     energy first, eigenvectors (R, n + 1, n + 1) in the ground + site
     basis, and per row None or its SpectralError (its energies and

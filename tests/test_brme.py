@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -109,18 +109,26 @@ def brute_force_liouvillian(es, channels, eigenbasis_operator):
 def test_frequency_components_recover_the_operator(eigenbasis_operator):
     # the components of the densely rebuilt operator sum back to the one
     # the solver's coupling vectors stand for (unit weights: u u^T for a
-    # phonon channel, e0 a^T + a e0^T otherwise)
+    # phonon row, e0 a^T + a e0^T for a ground <-> site row); the rows are
+    # kept by role, and the phonon channel comes first in channel order
     es, channels = make_system("dimer", 2)
     liouv = liouvillian(es, channels)
-    ops = [op for ch in channels for op in eigenbasis_operator(es, ch)]
-    assert len(ops) == len(liouv.matrix[0]) == len(liouv.kinds)
     e0 = np.eye(es.dimension)[0]
-    for op, kind, vec in zip(ops, liouv.kinds, liouv.matrix[0]):
+    [(density, phonon_rows)] = liouv.phonon
+    rows = [("phonon", np.outer(u, u)) for u in phonon_rows[0]] + [
+        (kind, np.outer(e0, a) + np.outer(a, e0))
+        for kind, a in zip(liouv.kinds, liouv.matrix[0], strict=True)]
+    ops = [(ch.kind, op) for ch in channels
+           for op in eigenbasis_operator(es, ch)]
+    assert len(ops) == len(rows)
+    for (kind, op), (row_kind, expected) in zip(ops, rows):
         comps = frequency_decompose(es, op)
         total = sum(mat for _w, mat in comps)
-        expected = (np.outer(vec, vec) if kind == "phonon"
-                    else np.outer(e0, vec) + np.outer(vec, e0))
+        assert kind == row_kind
         assert np.abs(total - expected).max() < 1e-12
+    # off the excited block the phonon density holds S(0) alone, at [0, 0]
+    assert density[0, 0, 0] == channels[0].spectral(0.0)
+    assert not density[0, 0, 1:].any() and not density[0, 1:, 0].any()
 
 
 def test_site_projector_frequencies_two_level(eigenbasis_operator):
@@ -256,6 +264,85 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
             chi, rho.diagonal().real), rtol=1e-12, atol=0)
 
 
+@dataclass(frozen=True)
+class FlatBath:
+    """A phonon density flat at ``c`` on both half-lines, omega = 0
+    included: its Redfield dissipator is the Lindblad one of the jumps
+    sqrt(c) A."""
+
+    c: float
+
+    def __call__(self, omega):
+        value = self._evaluate(np.array(omega, dtype=float))
+        return value if value.ndim else float(value)
+
+    def _evaluate(self, omega):
+        omega[...] = self.c
+        return omega
+
+
+def gkls_current(geometry, jb, channels):
+    """The extraction current of the dense site-basis Lindblad steady
+    state, from the Hamiltonian and the channels' weight rows alone.
+
+    Jumps: sqrt(c) diag(w) per phonon row, sqrt(rate) sum_s w_s |0><s|
+    per row of an emitting (``up``) channel, sqrt(rate) sum_s w_s |s><0|
+    per injection row.  The superoperator acts on row-major vec(rho), and
+    the trace replaces the equation of rho_00.
+    """
+    h = build_hamiltonian(geometry, HamiltonianParams(), jb).matrix
+    dim = len(h)
+    jumps = []
+    for ch in channels:
+        for w in ch.operator:
+            op = np.zeros((dim, dim))
+            if ch.kind == "phonon":
+                op[1:, 1:] = np.sqrt(ch.spectral.c) * np.diag(w)
+            elif ch.spectral.direction == "up":
+                op[0, 1:] = np.sqrt(ch.spectral.rate) * w
+            else:
+                op[1:, 0] = np.sqrt(ch.spectral.rate) * w
+            jumps.append(op)
+    jumps = np.array(jumps)
+    eye = np.eye(dim)
+    decay = np.einsum("kji,kjl->il", jumps, jumps)
+    # sum_k L_k (x) L_k as one product: [(i, k), (j, l)] -> [(i, j), (k, l)]
+    flat = jumps.reshape(len(jumps), -1)
+    gain = (flat.T @ flat).reshape((dim,) * 4).transpose(0, 2, 1, 3)
+    lindblad = (-1j * (np.kron(h, eye) - np.kron(eye, h))
+                + gain.reshape(dim * dim, dim * dim)
+                - 0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T)))
+    lindblad[0] = eye.reshape(-1)
+    rhs = np.zeros(dim * dim)
+    rhs[0] = 1.0
+    rho = np.linalg.solve(lindblad, rhs).reshape(dim, dim)
+    [extraction] = [ch for ch in channels if ch.kind == "extraction"]
+    weights = extraction.operator
+    return extraction.spectral.rate * float(np.einsum(
+        "ks,st,kt->", weights, rho[1:, 1:], weights).real)
+
+
+@pytest.mark.parametrize("dipole_scheme", [None, "transport"])
+def test_brme_with_a_flat_phonon_bath_is_the_gkls_steady_state(
+        dipole_scheme):
+    # with a flat phonon density every dissipator is the Lindblad one of
+    # its jumps, up to terms within the ground <-> excited coherences,
+    # which vanish in the steady state; so the density-matrix current is
+    # the dense Lindblad one, a check that shares no eigenbasis algebra
+    # with the solver
+    cases = [(kind, n_cells, jb) for kind, n_cells in
+             (("mono", 10), ("mono", 20), ("dimer", 10), ("prism", 10))
+             for jb in (1.0, 10.0)]
+    for kind, n_cells, jb in cases:
+        es, channels = make_system(kind, n_cells, jb=jb,
+                                   dipole_scheme=dipole_scheme)
+        assert channels[0].kind == "phonon"
+        channels[0] = replace(channels[0], spectral=FlatBath(0.05))
+        expected = gkls_current(es.hamiltonian.geometry, jb, channels)
+        assert solve(es, channels).current == pytest.approx(
+            expected, rel=1e-10, abs=0), (kind, n_cells, jb)
+
+
 def test_non_unit_site_weights_match_brute_force(eigenbasis_operator, rng):
     es, channels = make_system("dimer", 2, jb=2.0)
     weighted = [replace(ch, operator=rng.uniform(0.5, 2.0,
@@ -353,6 +440,7 @@ def test_hermiticity_is_preserved(rng):
 
 def test_zero_channels_leave_a_degenerate_null_space():
     es, _ = make_system("mono", 2)
+    assert liouvillian(es, []).matrix.shape == (1, 0, es.dimension)
     with pytest.raises(BrmeError, match="degenerate"):
         solve(es, [])
 

@@ -324,6 +324,35 @@ def test_a_chain_makes_one_rate_pass_for_both_solvers(monkeypatch, method):
     assert builds == ([] if method == "pme" else passes)
 
 
+@pytest.mark.parametrize("kind,n_cells,jb,options", [
+    ("prism", 10, 1.0, {}),
+    ("dimer", 20, 10.0, {"dipole_scheme": "transport"}),
+    ("cuboid", 8, 1.0, {"disorder_spec": DisorderSpec(sigma=0.9, seed=5)}),
+    ("dimer", 60, 10.0, {}),
+], ids=["prism", "dimer-transport", "cuboid-disorder", "dimer-60"])
+def test_eigenvector_signs_change_no_report(kind, n_cells, jb, options):
+    # negating eigenvectors D negates every product of both solves exactly:
+    # a row and its sign-flipped copy, solved as one stack, give the same
+    # bits in every report field, the density matrix as D rho D, so the
+    # solvers need no sign rule
+    _, _, es, channels = build_system(kind, n_cells, jb, HAM, ENV, **options)
+    signs = np.random.default_rng(n_cells).choice([-1.0, 1.0],
+                                                  len(es.energies))
+    signs[0], signs[1] = 1.0, -1.0  # the ground column stays, state 1 flips
+    vectors = np.stack([es.vectors, es.vectors * signs])
+    solved = experiments._measure(["pme", "brme"], channels,
+                                  np.stack([es.energies] * 2), vectors)
+    assert np.array_equal(vectors[0], es.vectors)
+    for method in ("pme", "brme"):
+        report, flipped = (row[method] for row in solved)
+        for name, value in vars(report).items():
+            other = getattr(flipped, name)
+            if name == "density_matrix" and value is not None:
+                other = signs[:, None] * other * signs
+            assert (np.array_equal(other, value)
+                    if isinstance(value, np.ndarray) else other == value), name
+    assert solved[0]["brme"].extras["krylov_iterations"] > 0
+
 
 def test_benchmark_traffic_needs_no_class_search():
     # every row of the brme-check grid and of a disorder ensemble has a

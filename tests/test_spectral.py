@@ -554,7 +554,7 @@ def general_eigensystem(h):
         eps, vecs = _pinned_eigen(block, positions)
     else:
         (eps,), (vecs,) = _full_eigen(block[None], positions)
-    vectors = np.eye(h.dimension)
+    vectors = np.eye(len(h.matrix))
     vectors[1:, 1:] = _fix_signs(vecs)
     return EigenSystem(energies=np.concatenate([[h.matrix[0, 0]], eps]),
                        vectors=vectors, hamiltonian=h)
