@@ -9,7 +9,6 @@ by a non-secular density-matrix solver).
 
 __version__ = "0.1.0"
 
-from .brme import Liouvillian, brme_steady_state, build_liouvillian
 from .defaults import DEFAULTS
 from .environment import Channel, DrudeLorentzBath, EnvironmentParams, \
     FlatStep, build_channels
@@ -67,3 +66,9 @@ __all__ = [
     "regime_grid",
 ]
 
+
+def __getattr__(name: str):  # population runs never import brme
+    if name in ("Liouvillian", "build_liouvillian", "brme_steady_state"):
+        from . import brme
+        return getattr(brme, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

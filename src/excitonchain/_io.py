@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -37,14 +38,11 @@ def atomic_write_text(path, text: str) -> Path:
 
 def write_csv(path, fieldnames: list[str], rows: list[dict]) -> Path:
     """Write rows as RFC-4180 CSV (CRLF line endings, quoted when needed)."""
-    import io
-
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames,
-                            lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: format_value(row.get(k)) for k in fieldnames})
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    writer.writerows([format_value(row.get(k)) for k in fieldnames]
+                     for row in rows)
     return atomic_write_text(path, buffer.getvalue())
 
 

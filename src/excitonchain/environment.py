@@ -154,11 +154,11 @@ class Channel:
                                      compare=False)
 
     def __post_init__(self):
-        w = self.operator
+        w = self.operator  # scanned once, into the mask of its nonzeros
         if not (isinstance(w, np.ndarray) and w.ndim == 2
-                and np.count_nonzero(w) == len(w)):
+                and np.count_nonzero(nonzero := w != 0) == len(w)):
             return
-        sites = np.abs(w).argmax(axis=1)
+        sites = nonzero.argmax(axis=1)
         scale = w[np.arange(len(w)), sites]
         if not scale.all():  # a row without weight: another holds two
             return

@@ -45,11 +45,11 @@ from functools import partial
 
 import numpy as np
 
-from .brme import brme_steady_state, build_liouvillian
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
-                          apply_disorder, build_hamiltonian, factor_blocks)
+                          apply_disorder, build_hamiltonian, chain_block,
+                          factor_blocks)
 from .lattice import assign_dipoles, build_geometry
 from .pme import SteadyStateReport, _generator_rows, _steady_reports, \
     _warn_low_ground
@@ -235,11 +235,12 @@ def _measure(methods: list[str], channels, energies, vectors) -> list[dict]:
         for out, report in zip(solved, _steady_reports(chi, ground)):
             out["pme"] = report
     if "brme" in methods:
+        from . import brme  # imported by the density-matrix solve only
         try:
-            liouvillian = build_liouvillian(energies, vectors, channels,
-                                            (chi, ground, densities))
+            liouvillian = brme.build_liouvillian(energies, vectors, channels,
+                                                 (chi, ground, densities))
             densities = None  # copied into the Liouvillian: freed
-            reports = brme_steady_state(liouvillian)
+            reports = brme.brme_steady_state(liouvillian)
         except Exception as exc:  # raised by the caller
             reports = [exc] * len(energies)
         for out, report in zip(solved, reports):
@@ -380,8 +381,8 @@ def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    blocks = factor_blocks(geometry, spec.ham, spec.jb_values[0])  # T: any jb
-    chain = None if blocks is None else _factor_eigen(blocks[0])
+    chain = (None if cells is None
+             else _factor_eigen(chain_block(geometry, spec.ham)))
     jbs = spec.jb_values
     source = {jb: jb if chain is None
               else next(j for j in jbs if cells[j] is cells[jb]) for jb in jbs}

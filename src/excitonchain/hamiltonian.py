@@ -104,13 +104,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
                     scale: float) -> np.ndarray:
     """Couplings of every site pair along axis -2 of (..., m, 3) arrays.
 
     Entry [..., i, j] is scale / r^3 for separation pos[i] - pos[j], or with
     dipoles scale * [d_i . d_j - 3 (d_i . rhat)(d_j . rhat)] / r^3.  Self
-    pairs come out non-finite.
+    pairs come out non-finite, without a warning.
     """
     sep = pos[..., :, None, :] - pos[..., None, :, :]
     dist = np.sqrt(_dot(sep, sep))
@@ -150,6 +151,19 @@ def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
                 and (dip is None or (dip == dip[0, 0]).all()))
 
 
+def chain_block(geometry: Geometry, params: HamiltonianParams):
+    """T of :func:`factor_blocks` alone, None unless the chain is clean."""
+    dip = _dipoles(geometry)
+    if not _clean(geometry, dip):
+        return None
+    n_cells, n = geometry.n_cells, geometry.sites_per_cell
+    chain = _pair_couplings(geometry.positions[::n],
+                            None if dip is None else dip[:, 0], DEFAULTS["ja"])
+    chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
+                                       * params.delta_e + params.e0)
+    return chain
+
+
 def factor_blocks(geometry: Geometry, params: HamiltonianParams,
                   jb: float) -> tuple[np.ndarray, np.ndarray] | None:
     """(T, B) of a clean chain, None unless it is clean.  T is slot 1's
@@ -157,18 +171,11 @@ def factor_blocks(geometry: Geometry, params: HamiltonianParams,
     couplings off it, and no ``jb``.  B is cell 1's (n x n) in-cell
     couplings at scale ``jb``, zero on the diagonal, and no N."""
     _finite_scale("jb", jb)
-    dip = _dipoles(geometry)
-    if not _clean(geometry, dip):
+    if (chain := chain_block(geometry, params)) is None:
         return None
-    n_cells, n = geometry.n_cells, geometry.sites_per_cell
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chain = _pair_couplings(geometry.positions[::n],
-                                None if dip is None else dip[:, 0],
-                                DEFAULTS["ja"])
-        cell = _pair_couplings(geometry.positions[:n],
-                               None if dip is None else dip[0], jb)
-    chain[np.diag_indices(n_cells)] = ((n_cells - np.arange(1, n_cells + 1))
-                                       * params.delta_e + params.e0)
+    n, dip = geometry.sites_per_cell, geometry.dipoles  # of unit norm
+    cell = _pair_couplings(geometry.positions[:n],
+                           None if dip is None else dip[:n], jb)
     cell[np.diag_indices(n)] = 0.0
     return chain, _finite(cell)
 
@@ -191,10 +198,9 @@ def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
     chain_dip = None if dip is None else dip.swapaxes(0, 1)
     blocks = np.zeros((n_cells, n, n_cells, n))
     cells, slots = np.arange(n_cells), np.arange(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        blocks[cells, :, cells, :] = _pair_couplings(pos, dip, jb)
-        blocks[:, slots, :, slots] = _pair_couplings(
-            pos.swapaxes(0, 1), chain_dip, DEFAULTS["ja"])
+    blocks[cells, :, cells, :] = _pair_couplings(pos, dip, jb)
+    blocks[:, slots, :, slots] = _pair_couplings(
+        pos.swapaxes(0, 1), chain_dip, DEFAULTS["ja"])
     upper = np.triu_indices(ns, 1)
     couplings = _finite(blocks.reshape(ns, ns)[upper])
     h = np.zeros((ns + 1, ns + 1))

@@ -132,11 +132,9 @@ def build_geometry(
             known = ", ".join(sorted(CELL_LAYOUTS))
             raise GeometryError(f"unknown cell kind {kind!r} (known: {known})")
     n = layout.shape[0]
-    positions = np.zeros((n_cells * n, 3))
-    for mu in range(n_cells):
-        rows = slice(mu * n, (mu + 1) * n)
-        positions[rows, 0] = float(mu)
-        positions[rows, 1:] = layout
+    positions = np.empty((n_cells, n, 3))  # cell mu in the plane x = mu - 1
+    positions[..., 0], positions[..., 1:] = np.arange(n_cells)[:, None], layout
+    positions = positions.reshape(n_cells * n, 3)
     positions.setflags(write=False)
     return Geometry(kind=kind, n_cells=n_cells, sites_per_cell=n,
                     positions=positions)

@@ -213,16 +213,17 @@ def _steady_rows(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     chi[degenerate] = kept
     p[degenerate] = np.nan
     accepted = _acceptable(chi, p)
-    redo = np.flatnonzero(~accepted & ~degenerate)
-    for r in redo:
-        p[r] = _reduce_states(chi[r],
-                              (classes[r] or _closed_classes(chi[r]))[0])
-    accepted[redo] = _acceptable(chi[redo], p[redo])
-    for r in redo[~accepted[redo]]:
-        errors[r] = SteadyStateError(
-            f"no nonnegative, flux-balanced steady state found (smallest "
-            f"population {p[r].min():.3e})")
-    p[~accepted] = np.nan
+    if not accepted.all():
+        redo = np.flatnonzero(~accepted & ~degenerate)
+        for r in redo:
+            p[r] = _reduce_states(chi[r],
+                                  (classes[r] or _closed_classes(chi[r]))[0])
+        accepted[redo] = _acceptable(chi[redo], p[redo])
+        for r in redo[~accepted[redo]]:
+            errors[r] = SteadyStateError(
+                f"no nonnegative, flux-balanced steady state found (smallest "
+                f"population {p[r].min():.3e})")
+        p[~accepted] = np.nan
     p = np.clip(p, 0.0, None)
     populations = p / p.sum(axis=1, keepdims=True)
     residual = np.abs(chi @ populations[..., None]).max(axis=(1, 2))
@@ -308,13 +309,12 @@ def _steady_reports(chi: np.ndarray, ground: dict[str, tuple]) -> list:
     ``spectral._rate_rows`` returns them), without its warning: per row
     its SteadyStateReport or SteadyStateError.  chi keeps its bits."""
     populations, residual, errors = _steady_rows(chi)
-    fluxes = _flux_rows(populations, ground)
-    currents = fluxes.get("extraction", np.zeros(len(chi)))
-    reports: list = []
-    for r, error in enumerate(errors):
-        reports.append(error if error is not None else SteadyStateReport(
-            populations=populations[r], current=float(currents[r]),
-            fluxes={kind: float(flux[r]) for kind, flux in fluxes.items()},
-            residual=float(residual[r]),
-            ground_population=float(populations[r, 0])))
-    return reports
+    fluxes = {kind: flux.tolist()
+              for kind, flux in _flux_rows(populations, ground).items()}
+    currents = fluxes.get("extraction", [0.0] * len(chi))
+    return [error if error is not None else SteadyStateReport(
+        populations=p, current=current, residual=res, ground_population=p0,
+        fluxes={kind: flux[r] for kind, flux in fluxes.items()})
+        for r, (error, p, current, res, p0) in enumerate(zip(
+            errors, populations, currents, residual.tolist(),
+            populations[:, 0].tolist()))]

@@ -180,11 +180,12 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     """Diagonalize a stack of R rows sharing one geometry.
 
     The rows are all excited blocks (n, n), solved together by
-    :func:`_full_eigen` where finite, or all clean chains' factor pairs
-    (:func:`_eigen_row`), each solved by :func:`_sector_eigen`.  Masks
-    over the stack then flag failed rows and rows whose lowest excited
-    energy does not exceed ``eg``; the sign rule is left to exported
-    eigensystems (see the module docstring).  Returns
+    :func:`_full_eigen` where finite, or all factor pairs
+    (:func:`_eigen_row`) of one clean chain, solved by
+    :func:`_sector_rows` with the first row's chain half.  Masks over the
+    stack then flag failed rows and rows whose lowest excited energy does
+    not exceed ``eg``; the sign rule is left to exported eigensystems (see
+    the module docstring).  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
     energy first, eigenvectors (R, n + 1, n + 1) in the ground + site
     basis, and per row None or its SpectralError (its energies and
@@ -195,9 +196,8 @@ def _eigen_rows(rows, eg: float, geometry) -> tuple:
     full = np.zeros((count, n + 1, n + 1))
     if isinstance(rows[0], tuple):
         finite = np.ones(count, dtype=bool)
-        for r, (chain, cell) in enumerate(rows):
-            energies[r, 1:], full[r, 1:, 1:] = _sector_eigen(
-                chain, cell, geometry.positions)
+        _sector_rows(rows[0][0], [cell for _, cell in rows],
+                     geometry.positions, energies[:, 1:], full[:, 1:, 1:])
     else:
         blocks = np.asarray(rows)
         finite = np.isfinite(blocks).all(axis=(1, 2))
@@ -289,33 +289,41 @@ def _cell_modes(cell: tuple, positions: np.ndarray) -> tuple:
     return block, b, w, labels, distinct & (labels[:, None] == labels).all(-1)
 
 
-def _sector_eigen(chain: tuple, cell: tuple, positions: np.ndarray) -> tuple:
-    """Excited energies and vectors of a clean chain from its factor solves.
-
-    ``chain`` (T, t, U) and ``cell`` (B, b, W, labels, tied) are the
-    halves (:func:`_eigen_row`) of the excited block T (x) 1_n + 1_N (x) B.
-    Its eigenpairs t_i + b_j and U[:, i] (x) W[:, j] are stably sorted.
-    The centroid operators are diagonal on them inside a multiplet, so
-    the rule orders each multiplet by U_i's x and W_j's (y, z) label.  A
-    multiplet holding a tied pair gives :func:`_pinned_eigen` of that
-    Kronecker sum, which equals the dense excited block bit for bit."""
-    (t_block, t, u), (b_block, b, w, labels, tied) = chain, cell
-    n_cells, n = len(t), len(b)
-    eps = (t[:, None] + b).ravel()
-    order = np.argsort(eps, kind="stable")
-    eps = eps[order]
-    # column k is U[:, i] (x) W[:, j] for (i, j) = divmod(order[k], n)
+def _sector_rows(chain: tuple, cells: list, positions: np.ndarray,
+                 eps: np.ndarray, vecs: np.ndarray) -> None:
+    """Write into ``eps`` (R, N n) and ``vecs`` (R, N n, N n) the excited
+    eigenpairs of R clean rows (:func:`_eigen_row`) of one chain half
+    ``chain`` (T, t, U): for the cell half ``cells[r]`` (B, b, W, labels,
+    tied), t_i + b_j and U[:, i] (x) W[:, j], stably sorted, each
+    multiplet ordered by the centroid rule (diagonal on them: U_i's x,
+    then W_j's (y, z) label).  A row whose multiplet holds a tied pair is
+    :func:`_pinned_eigen` of its Kronecker sum T (x) 1_n + 1_N (x) B, the
+    dense excited block bit for bit.  Each row keeps the bits of its stack
+    of one."""
+    (t_block, t, u), count = chain, len(cells)
+    n_cells, n = len(t), len(cells[0][1])
+    b, w, labels = (np.array([cell[k] for cell in cells]) for k in (1, 2, 3))
+    levels = (t[:, None] + b[:, None]).reshape(count, -1)
+    order = np.argsort(levels, kind="stable")
+    eps[:] = levels = np.take_along_axis(levels, order, -1)
+    # column k of row r is U[:, i] (x) W_r[:, j], (i, j) = divmod(order, n)
     i, j = np.divmod(order, n)
-    multiplet = np.cumsum(np.diff(eps, prepend=eps[0]) > _degeneracy_tol(eps))
-    present = np.zeros((multiplet[-1] + 1, n), dtype=bool)
-    present[multiplet, j] = True  # the cell modes each multiplet holds
-    if (present & (present @ tied)).any():
-        return _pinned_eigen(np.kron(t_block, np.eye(n))
-                             + np.kron(np.eye(n_cells), b_block), positions)
+    tol = _degeneracy_tol(levels)[:, None]
+    multiplet = np.cumsum(np.diff(levels, prepend=levels[:, :1]) > tol, -1)
     x = np.round(u.T**2 @ positions[::n, 0], 9)
-    keys = np.lexsort((labels[j, 1], labels[j, 0], x[i], multiplet))
-    i, j = i[keys], j[keys]
-    return eps, (u[:, None, i] * w[:, j]).reshape(n_cells * n, -1)
+    label = labels[np.arange(count)[:, None], j]
+    keys = np.lexsort((label[..., 1], label[..., 0], x[i], multiplet))
+    i, j = np.take_along_axis(i, keys, -1), np.take_along_axis(j, keys, -1)
+    np.multiply(u[:, i].transpose(1, 0, 2)[:, :, None],
+                np.take_along_axis(w, j[:, None], -1)[:, None],
+                out=vecs.reshape(count, n_cells, n, -1))
+    for r in np.flatnonzero([cell[4].any() for cell in cells]):
+        present = np.zeros((multiplet[r, -1] + 1, n), dtype=bool)
+        present[multiplet[r], j[r]] = True  # each multiplet's cell modes
+        if (present & (present @ cells[r][4])).any():
+            eps[r], vecs[r] = _pinned_eigen(
+                np.kron(t_block, np.eye(n))
+                + np.kron(np.eye(n_cells), cells[r][0]), positions)
 
 
 def _eigen_row(h: Hamiltonian):

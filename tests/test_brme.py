@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import excitonchain
 from excitonchain import brme
 from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
@@ -525,6 +526,35 @@ def test_importing_brme_loads_no_scipy_module():
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+BRME_ON_DEMAND_SCRIPT = """
+import sys
+import excitonchain
+from excitonchain import cli
+from excitonchain.environment import EnvironmentParams
+from excitonchain.experiments import solve_point
+from excitonchain.hamiltonian import HamiltonianParams
+
+solve_point("prism", 3, 1.0, HamiltonianParams(), EnvironmentParams())
+loaded = ["excitonchain.brme" in sys.modules]
+from excitonchain import brme_steady_state
+loaded.append("excitonchain.brme" in sys.modules)
+assert brme_steady_state is excitonchain.brme.brme_steady_state
+print(loaded)
+"""
+
+
+def test_the_package_imports_brme_at_its_first_use():
+    # a fresh interpreter: the package and a population solve leave the
+    # density-matrix solver unimported, and asking for one of its names
+    # imports it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", BRME_ON_DEMAND_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[False, True]"
+    with pytest.raises(AttributeError, match="no attribute 'brme_solver'"):
+        excitonchain.brme_solver
 
 
 def test_prism_25_solves_with_balanced_flux():

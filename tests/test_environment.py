@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from excitonchain.environment import (ChannelError, DrudeLorentzBath,
-                                      EnvironmentParams, FlatStep,
-                                      build_channels)
+from excitonchain.environment import (Channel, ChannelError,
+                                      DrudeLorentzBath, EnvironmentParams,
+                                      FlatStep, build_channels)
 from excitonchain.lattice import assign_dipoles, build_geometry
 
 DL_ARGS = dict(coupling=0.01, width=0.4, peak=math.sqrt(0.84),
@@ -208,6 +208,32 @@ def test_single_site_rows_resolve_to_column_selections():
         scales, sites = replace(channels[kind], operator=weights).projectors
         assert np.array_equal(scales, np.full(9, scale)), kind
         assert np.array_equal(sites, np.arange(9)[::-1]), kind
+
+
+@pytest.mark.parametrize("kind,weights,expected", [
+    ("nonradiative", [[1, 0, 0], [0, 0, 0], [0, 0, 1]], None),
+    ("nonradiative", [[1, 1, 0], [0, 0, 0]], None),
+    ("phonon", [[1, 0, 0], [0, 2, 3]], None),
+    ("phonon", [[-4, 0, 0], [0, 0, -1]], ([2, 1], [0, 2])),
+    ("injection", [[0, -4, 0], [0, 0, -1]], ([-4, -1], [1, 2])),
+    ("extraction", [[1, 0, 0, 0], [0, 0, 0, 1]], ([1, 1], [0, 3])),
+    ("extraction", [[0, 0, 1], [0, 1, 0]], ([1, 1], [2, 1])),
+    ("phonon", np.zeros((0, 3)), ([], [])),
+], ids=["zero-row", "zero-row-and-two-sites", "two-sites",
+        "negative-phonon", "negative-ground", "non-contiguous",
+        "descending", "no-rows"])
+def test_projector_detection_edge_cases(kind, weights, expected):
+    # a row without weight or with two sites gives no projectors; a phonon
+    # row's scale is sqrt(|w|) and any other row's w; only unit weights on
+    # ascending contiguous sites become a slice
+    channel = Channel(kind=kind, spectral=FlatStep(1.0, "up"),
+                      operator=np.array(weights, dtype=float))
+    if expected is None:
+        assert channel.projectors is None
+        return
+    scales, sites = channel.projectors
+    assert np.array_equal(scales, np.array(expected[0], dtype=float))
+    assert np.array_equal(sites, expected[1]) and sites.dtype == np.intp
 
 
 def test_zero_rate_channels_still_present():

@@ -312,7 +312,7 @@ def test_a_chain_makes_one_rate_pass_for_both_solvers(monkeypatch, method):
         monkeypatch.setattr(module, "_rate_rows", counting)
     for module in (experiments, pme, brme):
         monkeypatch.setattr(module, "_generator_rows", forming)
-    monkeypatch.setattr(experiments, "build_liouvillian",
+    monkeypatch.setattr(brme, "build_liouvillian",
                         lambda energies, *rest: (
                             builds.append(energies.shape)
                             or real_build(energies, *rest)))

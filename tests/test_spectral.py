@@ -16,8 +16,8 @@ from excitonchain.brme import BrmeError, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian,
-                                      factor_blocks)
-from excitonchain.lattice import assign_dipoles, build_geometry
+                                      chain_block, factor_blocks)
+from excitonchain.lattice import CELL_LAYOUTS, assign_dipoles, build_geometry
 from excitonchain.pme import _generator_rows, _steady_reports, \
     solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError,
@@ -25,7 +25,7 @@ from excitonchain.spectral import (EigenSystem, SpectralError,
                                    _couplings, _eigen_row, _eigen_rows,
                                    _factor_eigen, _fix_signs, _full_eigen,
                                    _pinned_eigen, _rate_rows,
-                                   _sector_eigen, brightness,
+                                   _sector_rows, brightness,
                                    classify_bright_dark, diagonalize,
                                    eigenstructure_tables,
                                    transition_matrix)
@@ -534,16 +534,34 @@ def chain_and_cell_blocks(h):
     return chain, x[0, :, 0, :] - chain[0, 0] * np.eye(geo.sites_per_cell)
 
 
+def sector_solve(rows, geo):
+    """Excited (energies, vectors) of a stack of factor-pair rows with one
+    chain half, from the stacked sector path."""
+    dim = geo.n_sites
+    eps, vecs = np.empty((len(rows), dim)), np.zeros((len(rows), dim, dim))
+    _sector_rows(rows[0][0], [cell for _, cell in rows], geo.positions,
+                 eps, vecs)
+    return eps, vecs
+
+
 def sector_eigen(h):
-    """The sector path on a clean chain's factor solves."""
-    return _sector_eigen(*_eigen_row(h), h.geometry.positions)
+    """The sector path on a clean chain's factor solves, a stack of one."""
+    (eps,), (vecs,) = sector_solve([_eigen_row(h)], h.geometry)
+    return eps, vecs
+
+
+def pinned_solves(solve):
+    """The rows ``solve()`` hands to the pinned syevr solve, counted."""
+    with mock.patch.object(spectral, "_pinned_eigen",
+                           wraps=spectral._pinned_eigen) as pinned:
+        solve()
+    return pinned.call_count
 
 
 def takes_pinned_path(h):
     """Whether the sector path hands the block to the pinned syevr solve."""
-    pinned = object()
-    with mock.patch.object(spectral, "_pinned_eigen", return_value=pinned):
-        return h.factors is not None and sector_eigen(h) is pinned
+    return (h.factors is not None
+            and pinned_solves(lambda: sector_eigen(h)) > 0)
 
 
 def general_eigensystem(h):
@@ -603,10 +621,8 @@ def factor_row(kind, n_cells, jb):
 
 
 def reaches_pinned_path(kind, n_cells, jb):
-    pinned = object()
     geo, row = factor_row(kind, n_cells, jb)
-    with mock.patch.object(spectral, "_pinned_eigen", return_value=pinned):
-        return _sector_eigen(*row, geo.positions) is pinned
+    return pinned_solves(lambda: sector_solve([row], geo)) > 0
 
 
 def test_pinned_rows_of_the_benchmark_grid():
@@ -622,6 +638,36 @@ def test_pinned_rows_of_the_benchmark_grid():
                       + [("cuboid", 1.0, n) for n in range(27, 41)])
 
 
+@pytest.mark.parametrize("kind", sorted(CELL_LAYOUTS))
+def test_a_stacked_clean_solve_keeps_each_rows_bits(kind):
+    # one chain's couplings are one stack of the sector path, in any
+    # order and with a repeated row; each row keeps the bits of its stack
+    # of one, the pinned rows (dimer jb=1 from N=24, cuboid jb=1 from
+    # N=27) among unpinned ones included
+    params, order = HamiltonianParams(), (10.0, 1.0, 0.1, 1.0)
+    for n_cells in (1, 2, 7, 24, 27, 30):
+        geo = build_geometry(kind, n_cells)
+        chain = _factor_eigen(chain_block(geo, params))
+        cells = {jb: _cell_modes(_factor_eigen(factor_blocks(geo, params,
+                                                             jb)[1]),
+                                 geo.positions[:geo.sites_per_cell])
+                 for jb in set(order)}
+        rows = [(chain, cells[jb]) for jb in order]
+        mixed = n_cells >= {"dimer": 24, "cuboid": 27}.get(kind, np.inf)
+        assert [reaches_pinned_path(kind, n_cells, jb) for jb in order] == [
+            False, mixed, False, mixed]
+        stacked = []
+        assert pinned_solves(lambda: stacked.extend(
+            _eigen_rows(rows, params.eg, geo))) == 2 * mixed
+        energies, vectors, errors = stacked
+        assert errors == [None] * len(rows)
+        for r, row in enumerate(rows):
+            (alone_energies,), (alone_vectors,), _ = _eigen_rows(
+                [row], params.eg, geo)
+            assert energies[r].tobytes() == alone_energies.tobytes()
+            assert vectors[r].tobytes() == alone_vectors.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_cell_rule_gives_the_full_space_basis(kind):
     # the factor rule's basis against the stacked full-space solve of the
@@ -635,7 +681,7 @@ def test_cell_rule_gives_the_full_space_basis(kind):
             if reaches_pinned_path(kind, n_cells, jb):
                 continue
             geo, row = factor_row(kind, n_cells, jb)
-            eps, vecs = _sector_eigen(*row, geo.positions)
+            (eps,), (vecs,) = sector_solve([row], geo)
             block = build_hamiltonian(geo, HamiltonianParams(),
                                       jb).excited_block
             (full_eps,), (full_vecs,) = _full_eigen(block[None],
