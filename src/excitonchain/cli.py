@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import typing
@@ -52,8 +51,7 @@ class RunConfig:
     command: str = ""
     out: str = _setting(".", metavar="DIR",
                         help="output directory (default: current)")
-    jobs: int = _setting(factory=lambda: os.cpu_count() or 1,
-                         help="parallel workers for grids and ensembles")
+    jobs: int = _setting(1, help="parallel workers for grids and ensembles")
     seed: int = _setting(0, help="base seed for disorder ensembles")
     geometry: str = _setting(
         "mono", help="cell kind: mono, dimer, trimer, prism, cuboid")

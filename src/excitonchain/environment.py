@@ -24,7 +24,8 @@ spectrum carries a Bose-Einstein factor and satisfies detailed balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,32 +142,32 @@ class Channel:
     diag(w) and must be single-site; a row of every other kind acts as the
     ground <-> site operator sum_s w_s (|0><s| + |s><0|).
 
-    ``projectors`` is resolved once from an operator whose every row acts
-    on one site: (sqrt(|w|) per phonon row or w per other row, sites), or
-    (None, slice) for unit weights on contiguous sites; None otherwise.
+    ``projectors`` is resolved on first use from an operator whose every
+    row acts on one site: (sqrt(|w|) per phonon row or w per other row,
+    sites), or (None, slice) for unit weights on contiguous sites; None
+    otherwise.  A channel whose rates are never formed is never scanned.
     """
 
     kind: str
     spectral: object
     operator: np.ndarray | None = None
     eigen_target: str | None = None
-    projectors: tuple | None = field(init=False, default=None, repr=False,
-                                     compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def projectors(self) -> tuple | None:
         w = self.operator  # scanned once, into the mask of its nonzeros
         if not (isinstance(w, np.ndarray) and w.ndim == 2
                 and np.count_nonzero(nonzero := w != 0) == len(w)):
-            return
+            return None
         sites = nonzero.argmax(axis=1)
         scale = w[np.arange(len(w)), sites]
         if not scale.all():  # a row without weight: another holds two
-            return
+            return None
         if self.kind == "phonon":
             scale = np.sqrt(np.abs(scale))
         if sites.size and (scale == 1).all() and (np.diff(sites) == 1).all():
-            scale, sites = None, slice(sites[0], sites[-1] + 1)
-        object.__setattr__(self, "projectors", (scale, sites))
+            return None, slice(sites[0], sites[-1] + 1)
+        return scale, sites
 
     def describe(self) -> dict:
         out = {"kind": self.kind}

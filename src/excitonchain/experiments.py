@@ -5,26 +5,28 @@ Every experiment is a pure function of its spec: runs are keyed by
 order, so identical specs reproduce identical tables.
 
 Sweeps and disorder ensembles share one row runner, :func:`_solve_rows`:
-it cuts a point's rows of one geometry (excited blocks or clean factor
-pairs) into fixed-size stacks (:func:`_chunk_size`), shares them out to
-``jobs`` threads, diagonalizes each with the one diagonalizer
-``spectral._eigen_rows`` and measures it with :func:`_measure`: one rate
-pass and one set of generators per stack, read by both solvers.  Every
+it cuts a point's rows of one geometry (excited blocks or a clean
+chain's cell halves) into fixed-size stacks (:func:`_chunk_size`),
+shares them out to ``jobs`` threads, diagonalizes each with the one
+diagonalizer ``spectral._eigen_rows`` and measures it with
+:func:`_measure`: one rate pass and one set of generators per stack,
+read by both solvers.  Every
 row comes back as its value or the error it failed with, unwarned; a row
 warns where it is put together, in the calling thread.
 
 - A single point (:func:`solve_point`) is a stack of one.
 - A length sweep solves each chain (geometry, N) as one task: the
   geometry and channels are built once, each coupling jb is diagonalized
-  once, and that eigensystem is measured with both solvers.  A clean
-  chain is solved from its factors: the cell block and its centroid
-  rule once per (geometry, jb), before the chains are shared out, and
-  the chain block once per chain; no dense Hamiltonian is built for it,
-  one site per cell included.  Couplings with equal cell blocks (every
-  coupling, for one site per cell) are one system, solved once per
-  chain.  Its rows equal :func:`solve_point`'s reports exactly.  A
-  failing point raises what :func:`solve_point` raises there: the first
-  such point of its geometry in grid order.
+  once, and that eigensystem is measured with both solvers.  Every
+  chain of a sweep is clean (its dipole scheme is None or "transport")
+  and solved from its factors: the cell block and its centroid rule once
+  per (geometry, jb), before the chains are shared out, and the chain
+  block once per chain; no dense Hamiltonian is built, one site per cell
+  included.  Couplings with equal cell blocks (every coupling, for one
+  site per cell) are one system, solved once per chain.  Its rows equal
+  :func:`solve_point`'s reports exactly.  A failing point raises what
+  :func:`solve_point` raises there: the first such point of its geometry
+  in grid order.
 - An ensemble point (:func:`_ensemble`) builds its geometry, channels and
   clean Hamiltonian once and solves the clean row first, on the same
   runner and measure as its realizations, so the clean value is
@@ -48,13 +50,13 @@ import numpy as np
 from .defaults import DARK_THRESHOLD, FIT_MIN_CELLS, MIN_GROUND_POPULATION
 from .environment import EnvironmentParams, build_channels
 from .hamiltonian import (DisorderSpec, HamiltonianParams, _finite_scale,
-                          apply_disorder, build_hamiltonian, chain_block,
-                          factor_blocks)
+                          apply_disorder, build_hamiltonian, cell_block,
+                          chain_block)
 from .lattice import assign_dipoles, build_geometry
 from .pme import SteadyStateReport, _generator_rows, _steady_reports, \
     _warn_low_ground
 from .spectral import (_brightness_rows, _cell_modes, _check_dark_threshold,
-                       _dark_mask, _eigen_row, _eigen_rows, _factor_eigen,
+                       _dark_mask, _eigen_rows, _eigen_stack, _factor_eigen,
                        _rate_rows, diagonalize)
 
 # rows per stacked chunk: each (R, dim, dim) array stays near 49152
@@ -73,7 +75,8 @@ def _chunk_size(dim: int) -> int:
 class SweepSpec:
     """Declarative description of a batch of steady-state runs, at the
     couplings ``jb_values``; an ensemble draws ``n_realizations``
-    Gaussian on-site disorders of width ``sigma`` from the base ``seed``."""
+    Gaussian on-site disorders of width ``sigma`` from the base ``seed``.
+    ``dipole_scheme`` is None or "transport", so every chain is clean."""
 
     geometries: tuple[str, ...] = ("mono",)
     n_cells_values: tuple[int, ...] = tuple(range(2, 41))
@@ -103,6 +106,12 @@ class SweepSpec:
                 raise ValueError(f"{name} repeats a value: {values}")
         for jb in self.jb_values:
             _finite_scale("jb", jb)
+        scheme = self.dipole_scheme
+        if not (scheme is None or isinstance(scheme, str)
+                and scheme == "transport"):
+            raise ValueError("dipole_scheme must be None or 'transport', not "
+                             + (repr(scheme) if isinstance(scheme, str)
+                                else type(scheme).__name__))
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if self.method not in ("pme", "brme", "both"):
@@ -300,7 +309,7 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     rows: list[dict] = []
     fits: list[dict] = []
     for kind in spec.geometries:
-        cells = _cell_solves(spec, kind, ns[0])
+        cells = _cell_solves(spec, kind)
         chains = dict(zip(ns, _map_in_order(
             run, [(kind, n, cells) for n in ns], spec.jobs)))
         series: dict = {}
@@ -346,57 +355,41 @@ def length_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
     return rows, fits
 
 
-def _cell_solves(spec: SweepSpec, kind: str, n_cells: int) -> dict | None:
-    """The cell half of the factor-pair rows (B with its eigh and cell
-    modes, ``spectral._cell_modes``) at every coupling of a sweep, for the
-    clean chains of one kind, or None when they are not clean.  B does not
-    depend on N, so one length's geometry serves every chain.  A coupling
-    whose B equals an earlier coupling's (every coupling, for one site per
-    cell) shares that solve."""
-    geometry = _geometry(kind, n_cells, spec.dipole_scheme)
-    cells = {}
-    for jb in spec.jb_values:
-        blocks = factor_blocks(geometry, spec.ham, jb)
-        if blocks is None:
-            return None
-        same = [c for c in cells.values() if np.array_equal(c[0], blocks[1])]
-        cells[jb] = same[0] if same else _cell_modes(
-            _factor_eigen(blocks[1]), geometry.positions[:len(blocks[1])])
-    return cells
+def _cell_solves(spec: SweepSpec, kind: str) -> tuple[list, list[int]]:
+    """The distinct cell halves of a sweep's couplings for one kind (B
+    with its eigh and cell modes, ``spectral._cell_modes``) and, per
+    coupling, the index of its own.  B has no N, so it is built on a
+    one-cell geometry.  Couplings with equal B (every coupling, for one
+    site per cell) share one half."""
+    geometry = _geometry(kind, 1, spec.dipole_scheme)
+    blocks = [cell_block(geometry, jb) for jb in spec.jb_values]
+    first = [next(k for k, seen in enumerate(blocks)
+                  if np.array_equal(seen, block)) for block in blocks]
+    distinct = sorted(set(first))
+    return ([_cell_modes(blocks[k], geometry.positions) for k in distinct],
+            [distinct.index(k) for k in first])
 
 
 def _chain_reports(spec: SweepSpec, kind: str, n_cells: int,
-                   methods: list[str], cells: dict | None) -> dict:
+                   methods: list[str], cells: tuple) -> dict:
     """Reports of one chain at every coupling of a sweep.
 
-    The geometry, channels and chain block T are built once and the
-    couplings solved in stacks (:func:`_solve_rows`) and measured by
-    :func:`_measure`, as :func:`solve_point` measures its point.  A clean
-    chain's row is its factor pair: T with its eigh, solved here once,
-    and B of its coupling from ``cells`` (:func:`_cell_solves`); no dense
-    Hamiltonian is built for it.  Couplings that share a cell solve are
-    one system, solved once at the first of them, and share its value.  A
-    chain that is not clean gives its dense excited blocks.  Returns {jb:
-    its :func:`_measure` value or the error it failed with}.
+    The geometry, channels and chain block T are built once, and the
+    chain is one clean stack, (T with its eigh, the distinct cell halves
+    of ``cells``) (:func:`_cell_solves`), cut by :func:`_solve_rows` and
+    measured by :func:`_measure`, as :func:`solve_point` measures its
+    point; no dense Hamiltonian is built.  Couplings that share a cell
+    half share its value.  Returns {jb: its :func:`_measure` value or the
+    error it failed with}.
     """
     geometry, channels = _chain(kind, n_cells, spec.ham, spec.env,
                                 spec.dipole_scheme, spec.injection_mode)
-    chain = (None if cells is None
-             else _factor_eigen(chain_block(geometry, spec.ham)))
-    jbs = spec.jb_values
-    source = {jb: jb if chain is None
-              else next(j for j in jbs if cells[j] is cells[jb]) for jb in jbs}
-    solved = [jb for jb in jbs if source[jb] == jb]
-
-    def row(jb: float):
-        if chain is None:
-            return build_hamiltonian(geometry, spec.ham, jb).excited_block
-        return chain, cells[jb]
-
-    values = dict(zip(solved, _solve_rows(
-        lambda rows: [row(solved[r]) for r in rows], len(solved),
-        spec.ham.eg, geometry, partial(_measure, methods, channels), 1)))
-    return {jb: values[source[jb]] for jb in jbs}
+    chain = _factor_eigen(chain_block(geometry, spec.ham))
+    halves, index = cells
+    values = _solve_rows(
+        lambda rows: (chain, [halves[r] for r in rows]), len(halves),
+        spec.ham.eg, geometry, partial(_measure, methods, channels), 1)
+    return {jb: values[k] for jb, k in zip(spec.jb_values, index)}
 
 
 def _solve_rows(rows, count: int, eg: float, geometry, measure,
@@ -405,10 +398,11 @@ def _solve_rows(rows, count: int, eg: float, geometry, measure,
     failed with.
 
     The row indices are cut into stacks of :func:`_chunk_size` rows, which
-    ``jobs`` threads share out.  ``rows(indices)`` makes a stack's rows
-    (excited blocks or clean factor pairs, see ``spectral._eigen_rows``);
-    the stack is diagonalized and freed, and ``measure(energies,
-    vectors)`` then gives the values of its rows that diagonalized.
+    ``jobs`` threads share out.  ``rows(indices)`` makes the stack of
+    those rows (excited blocks or a clean stack, see
+    ``spectral._eigen_rows``); it is diagonalized and freed, and
+    ``measure(energies, vectors)`` then gives the values of its rows that
+    diagonalized.
     """
     size = _chunk_size(geometry.n_sites + 1)
 
@@ -440,7 +434,7 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
     :func:`_solve_rows` by ``measure(channels, energies, vectors)``; a
     spec with more lengths is rejected before any solve.
 
-    The clean row (``spectral._eigen_row``) is solved first, alone, and
+    The clean row (``spectral._eigen_stack``) is solved first, alone, and
     its failure is raised.  Realization r adds ``DisorderSpec(sigma, seed,
     r).draw(n_sites)`` to the clean excited diagonal, as ``apply_disorder``
     does; at ``sigma = 0`` it is the clean value.
@@ -454,7 +448,7 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
     h = build_hamiltonian(geometry, spec.ham, jb)
     sigma, count = spec.sigma, spec.n_realizations
     measure = partial(measure, channels)
-    [clean] = _solve_rows(lambda _: [_eigen_row(h)], 1, spec.ham.eg,
+    [clean] = _solve_rows(lambda _: _eigen_stack(h), 1, spec.ham.eg,
                           geometry, measure, 1)
     if isinstance(clean, Exception):
         raise clean

@@ -18,8 +18,9 @@ dipoles weight its radiative channel (``environment.build_channels``).
 A clean chain (every cell the first one shifted along x, and no dipoles
 or one dipole on every site) has the excited block T (x) 1_n + 1_N (x) B:
 T, slot 1's chain with the gradient diagonal, does not depend on jb, and
-B, the in-cell couplings, not on N.  :func:`factor_blocks` builds the
-pair, :func:`build_hamiltonian` records it and disorder drops it.
+B, the in-cell couplings, not on N.  :func:`chain_block` builds T and
+:func:`cell_block` B, :func:`build_hamiltonian` records the pair and
+disorder drops it.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class Hamiltonian:
 
     ``matrix`` has dimension (n_sites + 1); row/column 0 is the decoupled
     ground state.  ``factors`` is (T, B) for a clean chain, whose excited
-    block is T (x) 1_n + 1_N (x) B (:func:`factor_blocks`); it is None
-    after disorder and for dipoles that differ between sites.
+    block is T (x) 1_n + 1_N (x) B (:func:`chain_block`,
+    :func:`cell_block`); it is None after disorder and for dipoles that
+    differ between sites.
     """
 
     matrix: np.ndarray
@@ -152,7 +154,9 @@ def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
 
 
 def chain_block(geometry: Geometry, params: HamiltonianParams):
-    """T of :func:`factor_blocks` alone, None unless the chain is clean."""
+    """T of a clean chain, None unless the chain is clean: slot 1's
+    (N x N) chain, the gradient energies on its diagonal, the inter-cell
+    couplings off it, and no ``jb``."""
     dip = _dipoles(geometry)
     if not _clean(geometry, dip):
         return None
@@ -164,20 +168,16 @@ def chain_block(geometry: Geometry, params: HamiltonianParams):
     return chain
 
 
-def factor_blocks(geometry: Geometry, params: HamiltonianParams,
-                  jb: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(T, B) of a clean chain, None unless it is clean.  T is slot 1's
-    (N x N) chain: the gradient energies on its diagonal, the inter-cell
-    couplings off it, and no ``jb``.  B is cell 1's (n x n) in-cell
-    couplings at scale ``jb``, zero on the diagonal, and no N."""
+def cell_block(geometry: Geometry, jb: float) -> np.ndarray:
+    """B of a clean chain: cell 1's (n x n) in-cell couplings at scale
+    ``jb``, zero on the diagonal, and no N, so a one-cell geometry gives
+    every length's B."""
     _finite_scale("jb", jb)
-    if (chain := chain_block(geometry, params)) is None:
-        return None
-    n, dip = geometry.sites_per_cell, geometry.dipoles  # of unit norm
+    n, dip = geometry.sites_per_cell, _dipoles(geometry)
     cell = _pair_couplings(geometry.positions[:n],
-                           None if dip is None else dip[:n], jb)
+                           None if dip is None else dip[0], jb)
     cell[np.diag_indices(n)] = 0.0
-    return chain, _finite(cell)
+    return _finite(cell)
 
 
 def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
@@ -190,7 +190,8 @@ def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
     replace the 1/r^3 factor by the point-dipole form.  A clean chain
     also records its factors (T, B).
     """
-    factors = factor_blocks(geometry, params, jb)  # rejects a non-finite jb
+    cell = cell_block(geometry, jb)  # rejects a non-finite jb
+    chain = chain_block(geometry, params)
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     ns = geometry.n_sites
     dip = _dipoles(geometry)
@@ -211,7 +212,7 @@ def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
     excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
     return Hamiltonian(matrix=h, geometry=geometry, params=params,
-                       factors=factors)
+                       factors=None if chain is None else (chain, cell))
 
 
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:

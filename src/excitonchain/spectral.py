@@ -9,12 +9,12 @@ rows of one kind, and each row takes one of three paths:
   T (x) 1_n + 1_N (x) B, with T the (N x N) chain block and B the (n x n)
   cell block (B = [[0]] for one site per cell).  Clean is decided by
   construction (no disorder, no dipoles or one dipole on every site:
-  ``Hamiltonian.factors``), never by testing the block.  Such a row is
-  the factor pair of T and B, each with its numpy eigh (LAPACK syevd),
-  solved once per chain length and once per coupling: energies
-  t_i + b_j, vectors U_i (x) W_j.  As the centroid operator between two
-  of them is delta_ii' W_j^T Y W_j', the rule below acts on the cell
-  modes W alone, once per coupling (:func:`_cell_modes`);
+  ``Hamiltonian.factors``), never by testing the block.  A chain's clean
+  rows are one stack, (chain half, [cell halves]): T and each B with its
+  numpy eigh (LAPACK syevd), solved once per chain length and once per
+  coupling: energies t_i + b_j, vectors U_i (x) W_j.  As the centroid
+  operator between two of them is delta_ii' W_j^T Y W_j', the rule below
+  acts on the cell modes W alone, once per coupling (:func:`_cell_modes`);
 - every other row comes as its excited block (disorder, per-site
   dipoles) and is solved with the other such rows of its stack by one
   stacked full-space eigh (LAPACK syevd, divide and conquer); a block
@@ -176,30 +176,30 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return np.multiply(vecs, signs, out=vecs)
 
 
-def _eigen_rows(rows, eg: float, geometry) -> tuple:
+def _eigen_rows(stack, eg: float, geometry) -> tuple:
     """Diagonalize a stack of R rows sharing one geometry.
 
-    The rows are all excited blocks (n, n), solved together by
-    :func:`_full_eigen` where finite, or all factor pairs
-    (:func:`_eigen_row`) of one clean chain, solved by
-    :func:`_sector_rows` with the first row's chain half.  Masks over the
-    stack then flag failed rows and rows whose lowest excited energy does
-    not exceed ``eg``; the sign rule is left to exported eigensystems (see
-    the module docstring).  Returns
+    The stack is R excited blocks (R, n, n), solved together by
+    :func:`_full_eigen` where finite, or one clean chain's (chain half,
+    [R cell halves]) (:func:`_eigen_stack`), solved by
+    :func:`_sector_rows`.  Masks over the stack then flag failed rows and
+    rows whose lowest excited energy does not exceed ``eg``; the sign rule
+    is left to exported eigensystems (see the module docstring).  Returns
     (energies, vectors, errors): energies (R, n + 1) with the ground
     energy first, eigenvectors (R, n + 1, n + 1) in the ground + site
     basis, and per row None or its SpectralError (its energies and
     vectors are then NaN).
     """
-    count, n = len(rows), geometry.n_sites
+    clean, n = isinstance(stack, tuple), geometry.n_sites
+    count = len(stack[1] if clean else stack)
     energies = np.empty((count, n + 1))
     full = np.zeros((count, n + 1, n + 1))
-    if isinstance(rows[0], tuple):
+    if clean:
         finite = np.ones(count, dtype=bool)
-        _sector_rows(rows[0][0], [cell for _, cell in rows],
-                     geometry.positions, energies[:, 1:], full[:, 1:, 1:])
+        _sector_rows(stack, geometry.positions, energies[:, 1:],
+                     full[:, 1:, 1:])
     else:
-        blocks = np.asarray(rows)
+        blocks = np.asarray(stack)
         finite = np.isfinite(blocks).all(axis=(1, 2))
         solved = slice(None) if finite.all() else finite  # a mask would copy
         energies[~finite, 1:] = full[~finite, 1:, 1:] = np.nan
@@ -266,8 +266,8 @@ def _pinned_eigen(block: np.ndarray, positions: np.ndarray) -> tuple:
 
 def _factor_eigen(block: np.ndarray) -> tuple:
     """A clean chain's block T or B with its numpy eigh (LAPACK syevd):
-    (block, levels, vectors), T's the chain half of a factor-pair row.
-    Only the pinned rows (:func:`_pinned_eigen`) use syevr."""
+    (block, levels, vectors), T's the chain half of a clean stack.  Only
+    the pinned rows (:func:`_pinned_eigen`) use syevr."""
     if not np.isfinite(block).all():
         raise SpectralError("excited block has non-finite entries")
     try:
@@ -276,31 +276,31 @@ def _factor_eigen(block: np.ndarray) -> tuple:
         raise SpectralError("eigendecomposition did not converge") from exc
 
 
-def _cell_modes(cell: tuple, positions: np.ndarray) -> tuple:
-    """The cell half (B, b, W, labels, tied) of a factor-pair row from
-    (B, b, W) (:func:`_factor_eigen`) and the cell's site positions: W
+def _cell_modes(block: np.ndarray, positions: np.ndarray) -> tuple:
+    """The cell half (B, b, W, labels, tied) of a clean stack from B and
+    the cell's site positions: B's eigh (:func:`_factor_eigen`), W
     through the centroid rule inside each level of B, each mode's rounded
     (y, z) centroid as its label, and ``tied[j, j']`` true for modes of
     distinct levels of B with one label, which no centroid splits."""
-    block, b, w = cell
-    w = _resolve_degeneracies(b, w.copy(), positions)
+    block, b, w = _factor_eigen(block)
+    w = _resolve_degeneracies(b, w, positions)
     labels = np.round(w.T**2 @ positions[:, 1:], 9)
     distinct = np.abs(b[:, None] - b) > _degeneracy_tol(b)
     return block, b, w, labels, distinct & (labels[:, None] == labels).all(-1)
 
 
-def _sector_rows(chain: tuple, cells: list, positions: np.ndarray,
-                 eps: np.ndarray, vecs: np.ndarray) -> None:
+def _sector_rows(stack: tuple, positions: np.ndarray, eps: np.ndarray,
+                 vecs: np.ndarray) -> None:
     """Write into ``eps`` (R, N n) and ``vecs`` (R, N n, N n) the excited
-    eigenpairs of R clean rows (:func:`_eigen_row`) of one chain half
-    ``chain`` (T, t, U): for the cell half ``cells[r]`` (B, b, W, labels,
-    tied), t_i + b_j and U[:, i] (x) W[:, j], stably sorted, each
+    eigenpairs of a clean stack (chain, cells) (:func:`_eigen_stack`):
+    for the chain half (T, t, U) and the cell half ``cells[r]`` (B, b, W,
+    labels, tied), t_i + b_j and U[:, i] (x) W[:, j], stably sorted, each
     multiplet ordered by the centroid rule (diagonal on them: U_i's x,
     then W_j's (y, z) label).  A row whose multiplet holds a tied pair is
     :func:`_pinned_eigen` of its Kronecker sum T (x) 1_n + 1_N (x) B, the
     dense excited block bit for bit.  Each row keeps the bits of its stack
     of one."""
-    (t_block, t, u), count = chain, len(cells)
+    ((t_block, t, u), cells), count = stack, len(stack[1])
     n_cells, n = len(t), len(cells[0][1])
     b, w, labels = (np.array([cell[k] for cell in cells]) for k in (1, 2, 3))
     levels = (t[:, None] + b[:, None]).reshape(count, -1)
@@ -326,20 +326,22 @@ def _sector_rows(chain: tuple, cells: list, positions: np.ndarray,
                 + np.kron(np.eye(n_cells), cells[r][0]), positions)
 
 
-def _eigen_row(h: Hamiltonian):
-    """The :func:`_eigen_rows` row of ``h``: its factor pair when it
-    records factors, as a sweep row; else its excited block."""
+def _eigen_stack(h: Hamiltonian):
+    """``h`` as an :func:`_eigen_rows` stack of one: its clean stack
+    (chain half, [cell half]) when it records factors, as a sweep's
+    chain; else its excited block (1, n, n)."""
     if h.factors is None:
-        return h.excited_block
-    chain, cell = map(_factor_eigen, h.factors)
-    return chain, _cell_modes(cell, h.geometry.positions[:len(cell[0])])
+        return h.excited_block[None]
+    chain, cell = h.factors
+    return _factor_eigen(chain), [_cell_modes(
+        cell, h.geometry.positions[:len(cell)])]
 
 
 def diagonalize(h: Hamiltonian) -> EigenSystem:
     """Diagonalize the excited block and assemble the full eigensystem.
 
-    The Hamiltonian is checked for symmetry and its row
-    (:func:`_eigen_row`) solved as a stack of one by :func:`_eigen_rows`,
+    The Hamiltonian is checked for symmetry and its stack of one
+    (:func:`_eigen_stack`) solved by :func:`_eigen_rows`,
     and the sign rule applied to its vectors (:func:`_fix_signs`).
     Raises SpectralError if the solver fails or if any excited eigenvalue
     does not exceed the ground-state energy (the one-way ground <->
@@ -348,7 +350,7 @@ def diagonalize(h: Hamiltonian) -> EigenSystem:
     sym_dev = float(np.abs(h.matrix - h.matrix.T).max())
     if sym_dev > 0.0:
         raise SpectralError(f"Hamiltonian not symmetric (max dev {sym_dev:g})")
-    energies, vectors, errors = _eigen_rows([_eigen_row(h)], h.matrix[0, 0],
+    energies, vectors, errors = _eigen_rows(_eigen_stack(h), h.matrix[0, 0],
                                             h.geometry)
     if errors[0] is not None:
         raise errors[0]

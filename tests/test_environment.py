@@ -9,7 +9,9 @@ import pytest
 from excitonchain.environment import (Channel, ChannelError,
                                       DrudeLorentzBath, EnvironmentParams,
                                       FlatStep, build_channels)
+from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
+from excitonchain.spectral import diagonalize, transition_matrix
 
 DL_ARGS = dict(coupling=0.01, width=0.4, peak=math.sqrt(0.84),
                temperature=2.5875)
@@ -208,6 +210,25 @@ def test_single_site_rows_resolve_to_column_selections():
         scales, sites = replace(channels[kind], operator=weights).projectors
         assert np.array_equal(scales, np.full(9, scale)), kind
         assert np.array_equal(sites, np.arange(9)[::-1]), kind
+
+
+def test_projectors_are_resolved_on_first_use():
+    # a rate pass at the default gamma_nr = 0 skips the nonradiative
+    # channel, so its (n_sites x n_sites) operator is never scanned; a
+    # replaced operator resolves its own projectors
+    h = build_hamiltonian(build_geometry("prism", 3), HamiltonianParams(), 1)
+    channels = build_channels(h.geometry, EnvironmentParams())
+    transition_matrix(diagonalize(h), channels)
+    resolved = {c.kind: "projectors" in vars(c) for c in channels}
+    assert resolved == {"phonon": True, "radiative": True,
+                        "nonradiative": False, "injection": True,
+                        "extraction": True}
+    phonon = channels[0]
+    moved = replace(phonon, operator=phonon.operator[::-1])
+    scales, sites = moved.projectors  # descending sites: no slice
+    assert np.array_equal(scales, np.ones(9))
+    assert np.array_equal(sites, np.arange(9)[::-1])
+    assert phonon.projectors == (None, slice(0, 9))
 
 
 @pytest.mark.parametrize("kind,weights,expected", [

@@ -104,6 +104,22 @@ def test_sweep_rejects_a_non_finite_coupling_before_any_solve():
             small_spec(jb_values=(1.0, jb))
 
 
+@pytest.mark.parametrize("scheme, named", [
+    (np.ones((8, 3)), "ndarray"),
+    (np.array([1.0, 2.0, 0.5]), "ndarray"),
+    ([1.0, 0.0, 0.0], "list"),
+    ("radial", "'radial'"),
+], ids=["per-site", "vector", "vector-list", "unknown"])
+def test_sweep_rejects_a_dipole_scheme_but_transport_by_name(scheme, named):
+    # a sweep's chains are all clean: no dipoles, or "transport" on every
+    # site; per-site dipoles of one length fit no other, and the spec
+    # fails before any solve
+    with pytest.raises(ValueError, match=(
+            "^dipole_scheme must be None or 'transport', not " + named)):
+        small_spec(dipole_scheme=scheme)
+    assert small_spec(dipole_scheme="transport").dipole_scheme == "transport"
+
+
 def test_a_method_that_does_not_apply_is_rejected_by_name(monkeypatch):
     with pytest.raises(ValueError, match="'brmee'"):
         solve_point("mono", 2, 1.0, HAM, ENV, method="brmee")
@@ -281,8 +297,14 @@ def spy(monkeypatch, name):
 def test_length_sweep_solves_each_factor_once(monkeypatch, jobs):
     # per geometry: B once per distinct cell block before the chains, then
     # T once per N; a chain of one site per cell has the 1 x 1 cell block
-    # B = [[0]] at every jb, so it solves B once
-    solves = spy(monkeypatch, "_factor_eigen")
+    # B = [[0]] at every jb, so it solves B once.  B is solved inside
+    # spectral._cell_modes, T in experiments._chain_reports
+    solves = []
+    real = spectral._factor_eigen
+    for module in (spectral, experiments):
+        monkeypatch.setattr(module, "_factor_eigen",
+                            lambda block: solves.append((block,))
+                            or real(block))
     spec = small_spec(geometries=("mono", "dimer", "prism"),
                       n_cells_values=(4, 5, 6), jb_values=(0.1, 1.0, 10.0),
                       jobs=jobs)
@@ -667,7 +689,8 @@ def test_zero_sigma_ensembles_diagonalize_only_the_clean_row(monkeypatch):
                       sigma=0.0, n_realizations=8)
     _, raw = disorder_ensemble(spec)
     assert len(raw) == 16
-    assert [len(rows) for rows, _, _ in solves] == [1, 1]
+    # each clean row is a clean stack of one, (chain half, [cell half])
+    assert [len(cells) for (_, cells), _, _ in solves] == [1, 1]
     # a dimer chain of 4 cells has 4 dark states
     assert {row["n_dark"] for row in raw} == {4}
 

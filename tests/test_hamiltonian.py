@@ -4,7 +4,8 @@ import pytest
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianError,
                                       HamiltonianParams, apply_disorder,
-                                      build_hamiltonian, factor_blocks)
+                                      build_hamiltonian, cell_block,
+                                      chain_block)
 from excitonchain.lattice import Geometry, assign_dipoles, build_geometry
 
 CUSTOM_LAYOUT = np.array([[0.0, 0.0], [1.3, 0.2], [0.4, 1.7], [-0.9, 0.8]])
@@ -203,8 +204,8 @@ def test_clean_chains_record_their_kronecker_factors(kind, dipoles):
             assert np.array_equal(
                 h.excited_block,
                 np.kron(chain, np.eye(n)) + np.kron(np.eye(n_cells), cell))
-            assert np.array_equal(chain, factor_blocks(geo, params, 10.0)[0])
-            assert np.array_equal(cell, factor_blocks(first, params, jb)[1])
+            assert np.array_equal(chain, chain_block(geo, params))
+            assert np.array_equal(cell, cell_block(first, jb))
 
 
 def test_disorder_and_differing_cells_record_no_factors():
@@ -216,7 +217,7 @@ def test_disorder_and_differing_cells_record_no_factors():
     per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
     assert build_hamiltonian(per_site, HamiltonianParams(),
                              1.0).factors is None
-    assert factor_blocks(per_site, HamiltonianParams(), 1.0) is None
+    assert chain_block(per_site, HamiltonianParams()) is None
     # a cell whose sites do not share one x, or a layout that is not
     # repeated, gives no factors
     assert build_hamiltonian(two_sites((1.0, 0.5, 0.0)),
@@ -290,4 +291,4 @@ def test_non_finite_parameters_rejected_by_name(name):
             with pytest.raises(HamiltonianError, match=match):
                 build_hamiltonian(geo, HamiltonianParams(), value)
             with pytest.raises(HamiltonianError, match=match):
-                factor_blocks(geo, HamiltonianParams(), value)
+                cell_block(geo, value)

@@ -16,13 +16,13 @@ from excitonchain.brme import BrmeError, build_liouvillian
 from excitonchain.environment import EnvironmentParams, build_channels
 from excitonchain.hamiltonian import (DisorderSpec, HamiltonianParams,
                                       apply_disorder, build_hamiltonian,
-                                      chain_block, factor_blocks)
+                                      cell_block, chain_block)
 from excitonchain.lattice import CELL_LAYOUTS, assign_dipoles, build_geometry
 from excitonchain.pme import _generator_rows, _steady_reports, \
     solve_steady_state
 from excitonchain.spectral import (EigenSystem, SpectralError,
                                    _brightness_rows, _cell_modes,
-                                   _couplings, _eigen_row, _eigen_rows,
+                                   _couplings, _eigen_rows, _eigen_stack,
                                    _factor_eigen, _fix_signs, _full_eigen,
                                    _pinned_eigen, _rate_rows,
                                    _sector_rows, brightness,
@@ -214,11 +214,12 @@ SIGN_STACKS = {"clean": ("prism", 6, 10.0, 0.0),
 def unsigned_stack(kind, n_cells, jb, sigma):
     h = build_hamiltonian(build_geometry(kind, n_cells), HamiltonianParams(),
                           jb)
-    rows = ([_eigen_row(h)] if sigma == 0 else
-            [apply_disorder(h, DisorderSpec(sigma, 5, r)).excited_block
-             for r in range(3)])
-    energies, vectors, errors = _eigen_rows(rows, h.matrix[0, 0], h.geometry)
-    assert errors == [None] * len(rows)
+    stack = (_eigen_stack(h) if sigma == 0 else
+             np.array([apply_disorder(h, DisorderSpec(sigma, 5, r))
+                       .excited_block for r in range(3)]))
+    energies, vectors, errors = _eigen_rows(stack, h.matrix[0, 0],
+                                            h.geometry)
+    assert errors == [None] * (1 if sigma == 0 else 3)
     channels = build_channels(h.geometry, EnvironmentParams(gamma_nr=0.003),
                               delta_e=h.params.delta_e)
     return energies, vectors, channels
@@ -534,19 +535,18 @@ def chain_and_cell_blocks(h):
     return chain, x[0, :, 0, :] - chain[0, 0] * np.eye(geo.sites_per_cell)
 
 
-def sector_solve(rows, geo):
-    """Excited (energies, vectors) of a stack of factor-pair rows with one
-    chain half, from the stacked sector path."""
-    dim = geo.n_sites
-    eps, vecs = np.empty((len(rows), dim)), np.zeros((len(rows), dim, dim))
-    _sector_rows(rows[0][0], [cell for _, cell in rows], geo.positions,
-                 eps, vecs)
+def sector_solve(stack, geo):
+    """Excited (energies, vectors) of a clean stack (chain half, [cell
+    halves]), from the stacked sector path."""
+    dim, count = geo.n_sites, len(stack[1])
+    eps, vecs = np.empty((count, dim)), np.zeros((count, dim, dim))
+    _sector_rows(stack, geo.positions, eps, vecs)
     return eps, vecs
 
 
 def sector_eigen(h):
     """The sector path on a clean chain's factor solves, a stack of one."""
-    (eps,), (vecs,) = sector_solve([_eigen_row(h)], h.geometry)
+    (eps,), (vecs,) = sector_solve(_eigen_stack(h), h.geometry)
     return eps, vecs
 
 
@@ -612,17 +612,17 @@ def test_sector_currents_match_the_general_path(kind, dipoles):
                 expected, rel=1e-12, abs=0)
 
 
-def factor_row(kind, n_cells, jb):
-    """The factor-pair row of a clean chain, without its dense block."""
+def factor_stack(kind, n_cells, jb):
+    """The clean stack of one of a clean chain, without its dense block."""
     geo = build_geometry(kind, n_cells)
-    chain, cell = factor_blocks(geo, HamiltonianParams(), jb)
-    return geo, (_factor_eigen(chain),
-                 _cell_modes(_factor_eigen(cell), geo.positions[:len(cell)]))
+    return geo, (_factor_eigen(chain_block(geo, HamiltonianParams())),
+                 [_cell_modes(cell_block(geo, jb),
+                              geo.positions[:geo.sites_per_cell])])
 
 
 def reaches_pinned_path(kind, n_cells, jb):
-    geo, row = factor_row(kind, n_cells, jb)
-    return pinned_solves(lambda: sector_solve([row], geo)) > 0
+    geo, stack = factor_stack(kind, n_cells, jb)
+    return pinned_solves(lambda: sector_solve(stack, geo)) > 0
 
 
 def test_pinned_rows_of_the_benchmark_grid():
@@ -640,30 +640,30 @@ def test_pinned_rows_of_the_benchmark_grid():
 
 @pytest.mark.parametrize("kind", sorted(CELL_LAYOUTS))
 def test_a_stacked_clean_solve_keeps_each_rows_bits(kind):
-    # one chain's couplings are one stack of the sector path, in any
-    # order and with a repeated row; each row keeps the bits of its stack
-    # of one, the pinned rows (dimer jb=1 from N=24, cuboid jb=1 from
-    # N=27) among unpinned ones included
+    # one chain's couplings are one clean stack (chain half, [cell
+    # halves]) of the sector path, in any order and with a repeated half;
+    # each row keeps the bits of its stack of one, the pinned rows (dimer
+    # jb=1 from N=24, cuboid jb=1 from N=27) among unpinned ones included
     params, order = HamiltonianParams(), (10.0, 1.0, 0.1, 1.0)
     for n_cells in (1, 2, 7, 24, 27, 30):
         geo = build_geometry(kind, n_cells)
         chain = _factor_eigen(chain_block(geo, params))
-        cells = {jb: _cell_modes(_factor_eigen(factor_blocks(geo, params,
-                                                             jb)[1]),
+        cells = {jb: _cell_modes(cell_block(geo, jb),
                                  geo.positions[:geo.sites_per_cell])
                  for jb in set(order)}
-        rows = [(chain, cells[jb]) for jb in order]
+        halves = [cells[jb] for jb in order]
+        assert halves[1] is halves[3]
         mixed = n_cells >= {"dimer": 24, "cuboid": 27}.get(kind, np.inf)
         assert [reaches_pinned_path(kind, n_cells, jb) for jb in order] == [
             False, mixed, False, mixed]
         stacked = []
         assert pinned_solves(lambda: stacked.extend(
-            _eigen_rows(rows, params.eg, geo))) == 2 * mixed
+            _eigen_rows((chain, halves), params.eg, geo))) == 2 * mixed
         energies, vectors, errors = stacked
-        assert errors == [None] * len(rows)
-        for r, row in enumerate(rows):
+        assert errors == [None] * len(halves)
+        for r, half in enumerate(halves):
             (alone_energies,), (alone_vectors,), _ = _eigen_rows(
-                [row], params.eg, geo)
+                (chain, [half]), params.eg, geo)
             assert energies[r].tobytes() == alone_energies.tobytes()
             assert vectors[r].tobytes() == alone_vectors.tobytes()
 
@@ -680,8 +680,8 @@ def test_cell_rule_gives_the_full_space_basis(kind):
         for n_cells in (2, 7, 30):
             if reaches_pinned_path(kind, n_cells, jb):
                 continue
-            geo, row = factor_row(kind, n_cells, jb)
-            (eps,), (vecs,) = sector_solve([row], geo)
+            geo, stack = factor_stack(kind, n_cells, jb)
+            (eps,), (vecs,) = sector_solve(stack, geo)
             block = build_hamiltonian(geo, HamiltonianParams(),
                                       jb).excited_block
             (full_eps,), (full_vecs,) = _full_eigen(block[None],
@@ -732,13 +732,16 @@ def test_general_path_is_kept_bit_for_bit(kind, n_cells, jb, dipoles,
                               HamiltonianParams(), 10.0)
     assert sector_eigen(clean) is not None
     stack = [clean, h, disordered(h)]
-    rows = [_eigen_row(m) for m in stack]
-    is_factor = [isinstance(row, tuple) for row in rows]
+    ones = [_eigen_stack(m) for m in stack]
+    is_factor = [isinstance(one, tuple) for one in ones]
     assert is_factor == [True, pinned, False]
     for kind in (True, False):
         picked = [r for r, factor in enumerate(is_factor) if factor == kind]
-        energies, vectors, errors = _eigen_rows(
-            [rows[r] for r in picked], h.matrix[0, 0], h.geometry)
+        # the clean rows share one chain (T has no jb): one chain half
+        joined = ((ones[picked[0]][0], [ones[r][1][0] for r in picked])
+                  if kind else np.concatenate([ones[r] for r in picked]))
+        energies, vectors, errors = _eigen_rows(joined, h.matrix[0, 0],
+                                                h.geometry)
         assert errors == [None] * len(picked)
         # the stacked rows leave the sign rule to exported eigensystems
         _fix_signs(vectors[:, 1:, 1:])
