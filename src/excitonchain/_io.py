@@ -12,8 +12,6 @@ from pathlib import Path
 
 def format_value(value):
     """Render floats with 17 significant digits and a '.' decimal point."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return value

@@ -24,7 +24,7 @@ spectrum carries a Bose-Einstein factor and satisfies detailed balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +43,21 @@ def _check_finite(**values) -> None:
             raise ChannelError(f"{name} must be finite, got {value}")
 
 
+class SpectralDensity:
+    """A rate density S(omega): a frozen dataclass of its parameters, named
+    by its ``type``, that writes its value at a float array into that array
+    (``_evaluate``); a call evaluates a copy."""
+
+    def __call__(self, omega):
+        value = self._evaluate(np.array(omega, dtype=float))
+        return value if value.ndim else float(value)
+
+    def describe(self) -> dict:
+        return {"type": self.type, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class DrudeLorentzBath:
+class DrudeLorentzBath(SpectralDensity):
     """Thermalized Drude-Lorentz rate density.
 
     S(omega) = pi |omega| width coupling / (width^2 + (|omega| - peak)^2)
@@ -56,6 +69,7 @@ class DrudeLorentzBath:
     the width and temperature positive.
     """
 
+    type = "drude_lorentz"
     coupling: float
     width: float
     peak: float
@@ -65,10 +79,6 @@ class DrudeLorentzBath:
         _check_finite(**vars(self))
         if self.temperature <= 0 or self.width <= 0:
             raise ChannelError("temperature and width must be positive")
-
-    def __call__(self, omega):
-        value = self._evaluate(np.array(omega, dtype=float))
-        return value if value.ndim else float(value)
 
     def _evaluate(self, omega: np.ndarray) -> np.ndarray:
         """The density at a float array omega, written into omega."""
@@ -101,7 +111,7 @@ class DrudeLorentzBath:
 
 
 @dataclass(frozen=True)
-class FlatStep:
+class FlatStep(SpectralDensity):
     """One-sided flat rate density: ``rate`` on one half-line, 0 elsewhere.
 
     ``direction`` "up" covers omega > 0 and "down" omega < 0; the value at
@@ -109,6 +119,7 @@ class FlatStep:
     channels.  The rate must be finite and >= 0.
     """
 
+    type = "flat_step"
     rate: float
     direction: str
 
@@ -119,10 +130,6 @@ class FlatStep:
         if self.direction not in ("up", "down"):
             raise ChannelError("direction must be 'up' or 'down', got "
                                f"{self.direction!r}")
-
-    def __call__(self, omega):
-        value = self._evaluate(np.array(omega, dtype=float))
-        return value if value.ndim else float(value)
 
     def _evaluate(self, omega: np.ndarray) -> np.ndarray:
         """The density at a float array omega, written into omega."""
@@ -149,7 +156,7 @@ class Channel:
     """
 
     kind: str
-    spectral: object
+    spectral: SpectralDensity
     operator: np.ndarray | None = None
     eigen_target: str | None = None
 
@@ -176,16 +183,7 @@ class Channel:
                 np.any(self.operator != 0, axis=0)).tolist()
         if self.eigen_target is not None:
             out["eigen_target"] = self.eigen_target
-        sp = self.spectral
-        if isinstance(sp, FlatStep):
-            out["spectral"] = {"type": "flat_step", "rate": sp.rate,
-                               "direction": sp.direction}
-        elif isinstance(sp, DrudeLorentzBath):
-            out["spectral"] = {
-                "type": "drude_lorentz", "coupling": sp.coupling,
-                "width": sp.width, "peak": sp.peak,
-                "temperature": sp.temperature,
-            }
+        out["spectral"] = self.spectral.describe()
         return out
 
 

@@ -467,18 +467,17 @@ def _ensemble(spec: SweepSpec, kind: str, jb: float, seed: int,
                               spec.jobs)
 
 
-def _pme_rows(channels, energies, vectors) -> list:
+def _census_rows(dark_threshold: float | None, channels, energies,
+                 vectors) -> list:
     """PME reports (or errors) of a stack of eigensystems, from
-    :func:`_measure`."""
-    return [row["pme"] for row in _measure(["pme"], channels, energies,
-                                           vectors)]
-
-
-def _census_rows(dark_threshold: float, channels, energies, vectors) -> list:
-    """:func:`_pme_rows`, each report's ``extras`` also holding
-    ``n_dark``: its eigensystem's count of excited states darker than
-    ``dark_threshold`` times the brightest (``spectral._dark_mask``)."""
-    reports = _pme_rows(channels, energies, vectors)
+    :func:`_measure`; unless ``dark_threshold`` is None, each report's
+    ``extras`` also holds ``n_dark``: its eigensystem's count of excited
+    states darker than ``dark_threshold`` times the brightest
+    (``spectral._dark_mask``)."""
+    reports = [row["pme"] for row in _measure(["pme"], channels, energies,
+                                              vectors)]
+    if dark_threshold is None:
+        return reports
     b = _brightness_rows(vectors, channels)[:, 1:]
     for report, dark in zip(reports, _dark_mask(b, dark_threshold)[0]):
         if isinstance(report, SteadyStateReport):
@@ -575,7 +574,7 @@ def regime_grid(spec: SweepSpec, gamma_nr_factors=(0.1, 1.0, 10.0)
                     clean, reports = _ensemble(
                         point_spec, kind, jb,
                         derive_seed(spec.seed, gi, fi, di, ji),
-                        _pme_rows)
+                        partial(_census_rows, None))
                     _warn_low_ground(clean)
                     point = {"geometry": kind, "jb": jb,
                              "gamma_nr": env_point.gamma_nr,

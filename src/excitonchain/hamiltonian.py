@@ -18,9 +18,9 @@ dipoles weight its radiative channel (``environment.build_channels``).
 A clean chain (every cell the first one shifted along x, and no dipoles
 or one dipole on every site) has the excited block T (x) 1_n + 1_N (x) B:
 T, slot 1's chain with the gradient diagonal, does not depend on jb, and
-B, the in-cell couplings, not on N.  :func:`chain_block` builds T and
-:func:`cell_block` B, :func:`build_hamiltonian` records the pair and
-disorder drops it.
+B, the in-cell couplings, not on N.  :func:`chain_block` builds T for
+any geometry and :func:`cell_block` B; :func:`build_hamiltonian` records
+the pair for a clean chain only, and disorder drops it.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ class DisorderSpec:
         return rng.normal(0.0, self.sigma, n_sites)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, summed in the order of 1-D ``@``."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
                     scale: float) -> np.ndarray:
@@ -116,12 +111,13 @@ def _pair_couplings(pos: np.ndarray, dip: np.ndarray | None,
     pairs come out non-finite, without a warning.
     """
     sep = pos[..., :, None, :] - pos[..., None, :, :]
-    dist = np.sqrt(_dot(sep, sep))
+    dist = np.sqrt(np.vecdot(sep, sep))
     if dip is None:
         return scale / dist**3
     rhat = sep / dist[..., None]
     d_i, d_j = dip[..., :, None, :], dip[..., None, :, :]
-    angular = _dot(d_i, d_j) - 3.0 * _dot(d_i, rhat) * _dot(d_j, rhat)
+    angular = (np.vecdot(d_i, d_j)
+               - 3.0 * np.vecdot(d_i, rhat) * np.vecdot(d_j, rhat))
     return scale * angular / dist**3
 
 
@@ -154,12 +150,10 @@ def _clean(geometry: Geometry, dip: np.ndarray | None) -> bool:
 
 
 def chain_block(geometry: Geometry, params: HamiltonianParams):
-    """T of a clean chain, None unless the chain is clean: slot 1's
-    (N x N) chain, the gradient energies on its diagonal, the inter-cell
-    couplings off it, and no ``jb``."""
+    """T: slot 1's (N x N) chain, the gradient energies on its diagonal,
+    the inter-cell couplings off it, and no ``jb``; of a clean chain,
+    every slot's chain."""
     dip = _dipoles(geometry)
-    if not _clean(geometry, dip):
-        return None
     n_cells, n = geometry.n_cells, geometry.sites_per_cell
     chain = _pair_couplings(geometry.positions[::n],
                             None if dip is None else dip[:, 0], DEFAULTS["ja"])
@@ -207,12 +201,12 @@ def build_hamiltonian(geometry: Geometry, params: HamiltonianParams,
     h = np.zeros((ns + 1, ns + 1))
     h[0, 0] = params.eg
     excited = h[1:, 1:]
-    excited[np.diag_indices(ns)] = ((n_cells - geometry.cells)
-                                    * params.delta_e + params.e0)
+    excited[np.diag_indices(ns)] = np.repeat(np.diagonal(chain), n)
     excited[upper] = excited.T[upper] = couplings
     h.setflags(write=False)
     return Hamiltonian(matrix=h, geometry=geometry, params=params,
-                       factors=None if chain is None else (chain, cell))
+                       factors=(chain, cell) if _clean(geometry, dip)
+                       else None)
 
 
 def apply_disorder(h: Hamiltonian, spec: DisorderSpec) -> Hamiltonian:

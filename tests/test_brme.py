@@ -11,7 +11,7 @@ import excitonchain
 from excitonchain import brme
 from excitonchain.brme import BrmeError, brme_steady_state, build_liouvillian
 from excitonchain.environment import Channel, EnvironmentParams, FlatStep, \
-    build_channels
+    SpectralDensity, build_channels
 from excitonchain.hamiltonian import HamiltonianParams, build_hamiltonian
 from excitonchain.lattice import assign_dipoles, build_geometry
 from excitonchain.pme import _class_errors, build_generator, \
@@ -266,16 +266,13 @@ def test_real_form_matches_the_complex_operator(kind, n_cells, jb, options,
 
 
 @dataclass(frozen=True)
-class FlatBath:
+class FlatBath(SpectralDensity):
     """A phonon density flat at ``c`` on both half-lines, omega = 0
     included: its Redfield dissipator is the Lindblad one of the jumps
     sqrt(c) A."""
 
+    type = "flat"
     c: float
-
-    def __call__(self, omega):
-        value = self._evaluate(np.array(omega, dtype=float))
-        return value if value.ndim else float(value)
 
     def _evaluate(self, omega):
         omega[...] = self.c

@@ -391,6 +391,15 @@ def test_channel_descriptions_are_json_friendly():
                      "extraction": [1]}
     rad = next(d for d in described if d["kind"] == "radiative")
     assert rad["spectral"]["rate"] == 0.01
+    # each density describes its type and every parameter
+    assert [d["spectral"] for d in described] == [
+        {"type": "drude_lorentz", "coupling": 0.01, "width": 0.4,
+         "peak": 0.916515138991168, "temperature": 2.5875},
+        {"type": "flat_step", "rate": 0.01, "direction": "up"},
+        {"type": "flat_step", "rate": 0.0, "direction": "up"},
+        {"type": "flat_step", "rate": 1e-6, "direction": "down"},
+        {"type": "flat_step", "rate": 0.021, "direction": "up"},
+    ]
     eigen = [c.describe() for c in build_channels(
         geo, EnvironmentParams(), injection_mode="eigen")]
     assert eigen[3]["eigen_target"] == "highest"

@@ -9,7 +9,7 @@ import pytest
 
 from excitonchain import brme, experiments, pme, spectral
 from excitonchain.cli import main
-from excitonchain.environment import EnvironmentParams
+from excitonchain.environment import ChannelError, EnvironmentParams
 from excitonchain.experiments import (SweepSpec, build_system, derive_seed,
                                       disorder_ensemble, fit_exponential,
                                       length_sweep, regime_grid,
@@ -118,6 +118,33 @@ def test_sweep_rejects_a_dipole_scheme_but_transport_by_name(scheme, named):
             "^dipole_scheme must be None or 'transport', not " + named)):
         small_spec(dipole_scheme=scheme)
     assert small_spec(dipole_scheme="transport").dipole_scheme == "transport"
+
+
+def test_a_point_raises_its_steady_state_error():
+    # without phonons or radiation, eigen injection leaves five excited
+    # states of prism N=2 that nothing enters or leaves
+    env = EnvironmentParams(gamma_phonon=0, gamma_rad=0)
+    with pytest.raises(SteadyStateError, match=(
+            r"^degenerate steady state: rate graph has 5 disconnected "
+            r"closed classes \[\[2\], \[3\], \[4\], \[5\], \[6\]\]$")):
+        solve_point("prism", 2, 1.0, HAM, env, injection_mode="eigen")
+
+
+def test_a_failed_density_matrix_build_is_each_rows_entry():
+    # a nonradiative operator of the wrong width at rate 0 gives no rate,
+    # so the population solve skips it, while the Liouvillian build fails:
+    # the failure is the row's BRME entry, next to its PME report
+    _, _, es, channels = build_system("dimer", 3, 1.0, HAM, ENV)
+    wrong = [replace(ch, operator=np.eye(5)) if ch.kind == "nonradiative"
+             else ch for ch in channels]
+    [measured] = experiments._measure(["pme", "brme"], wrong,
+                                      es.energies[None], es.vectors[None])
+    [alone] = experiments._measure(["pme"], channels, es.energies[None],
+                                   es.vectors[None])
+    assert measured["pme"].current == alone["pme"].current
+    error = measured["brme"]
+    assert isinstance(error, brme.BrmeError)
+    assert str(error) == "nonradiative channel operator has wrong dimension"
 
 
 def test_a_method_that_does_not_apply_is_rejected_by_name(monkeypatch):
@@ -268,6 +295,34 @@ def test_length_sweep_stops_at_the_first_failing_chain_with_one_job(
     with pytest.raises(SpectralError):
         length_sweep(spec)
     assert solved == ["dimer", "dimer"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_length_sweep_raises_a_failed_chain_in_grid_order(monkeypatch,
+                                                          jobs):
+    # a negative phonon rate fails every chain as its channels are built,
+    # before any diagonalization: the first dimer chain's error is raised
+    # and no prism chain is solved
+    solved = spy(monkeypatch, "_chain_reports")
+    spec = small_spec(geometries=("dimer", "prism"), n_cells_values=(2, 3),
+                      env=EnvironmentParams(gamma_phonon=-1), jobs=jobs)
+    with pytest.raises(ChannelError, match="^gamma_phonon must be >= 0$"):
+        length_sweep(spec)
+    assert sorted(args[2] for args in solved) == [2, 3]
+    assert {args[1] for args in solved} == {"dimer"}
+
+
+@pytest.mark.parametrize("study", [disorder_ensemble, regime_grid])
+def test_ensembles_raise_a_failed_clean_row_before_any_realization(
+        monkeypatch, study):
+    # a ground state above every excited level fails the clean row, which
+    # is solved first and alone; its error is raised, not counted
+    solves = spy(monkeypatch, "_solve_rows")
+    spec = small_spec(n_cells_values=(4,), ham=HamiltonianParams(eg=1e3))
+    with pytest.raises(SpectralError,
+                       match="increase the manifold offset$"):
+        study(spec)
+    assert [args[1] for args in solves] == [1]
 
 
 @pytest.mark.parametrize("study", [disorder_ensemble, regime_grid])
@@ -700,8 +755,8 @@ def test_ensemble_engine_isolates_failed_realizations():
     # state, which solve_point rejects with SpectralError
     spec = small_spec(n_cells_values=(4,), jb_values=(10.0,),
                       sigma=40.0, n_realizations=40)
-    _, reports = experiments._ensemble(spec, "dimer", 10.0, 3,
-                                       experiments._pme_rows)
+    _, reports = experiments._ensemble(
+        spec, "dimer", 10.0, 3, partial(experiments._census_rows, None))
     rows = experiments._realization_rows({}, reports)
     currents = [row["current"] for row in rows]
     errors = [row["error"] for row in rows]

@@ -215,9 +215,11 @@ def test_disorder_and_differing_cells_record_no_factors():
     assert apply_disorder(h, DisorderSpec(sigma=0.5, seed=1)).factors is None
     rng = np.random.default_rng(4)
     per_site = assign_dipoles(geo, rng.normal(size=(geo.n_sites, 3)))
-    assert build_hamiltonian(per_site, HamiltonianParams(),
-                             1.0).factors is None
-    assert chain_block(per_site, HamiltonianParams()) is None
+    dense = build_hamiltonian(per_site, HamiltonianParams(), 1.0)
+    assert dense.factors is None
+    # T is still slot 1's chain, the gradient on its diagonal
+    assert np.array_equal(chain_block(per_site, HamiltonianParams()),
+                          dense.excited_block[::3, ::3])
     # a cell whose sites do not share one x, or a layout that is not
     # repeated, gives no factors
     assert build_hamiltonian(two_sites((1.0, 0.5, 0.0)),
